@@ -9,6 +9,13 @@ conserved quantities available for metrics with a cyclic horizontal
 structure, and provides the closed-form null-geodesic displacements of
 the canonical fold metric 2(-Z dx^2 + dy^2 - Z dZ^2) as an independent
 oracle, including the semicubical cusp law at the parabolic boundary.
+
+For speed, each generating function's metric is compiled once (and kept in
+a bounded cache) into two generated straight-line Python functions: one
+evaluates Hamilton's right-hand side for an RK4 stage, the other the
+determinant, invariants, H and velocity of an accepted state.  They repeat
+the float operations of a term-by-term evaluation in order, so traces do
+not depend on this compilation.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ class BicharState:
     s: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(float(v) for v in self.q))
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
+        object.__setattr__(self, "q", tuple(map(float, self.q)))
+        object.__setattr__(self, "p", tuple(map(float, self.p)))
         if len(self.q) != 3 or len(self.p) != 3:
             raise ValueError("q and p must each have 3 components")
 
@@ -54,37 +61,140 @@ class Trace:
     conserved_log: list = field(default_factory=list)
 
 
-def _compile_poly(poly: Poly):
-    # Tiny code generation: the metric entries are evaluated millions of
-    # times inside RK4 stages, where generic Poly.eval dispatch dominates.
+def _singular(det: float) -> MetricSingularError:
+    return MetricSingularError(f"metric is singular within tolerance (det = {det:g})")
+
+
+# -- generated kernels ----------------------------------------------------------
+#
+# The metric entries are evaluated millions of times inside RK4 stages, where
+# generic Poly.eval dispatch and per-entry calls dominate.  Each metric field
+# therefore compiles two straight-line functions from its exact entries.  They
+# evaluate each entry term by term, then the textbook 3x3 determinant,
+# adjugate inverse and sums.  Every sum starts from the int 0, as sum() does,
+# so a lone -0.0 becomes 0.0; products and terms keep a fixed order.  Traces
+# are thereby reproducible to the bit.
+
+def _poly_source(poly: Poly) -> str:
+    # One product per term, coefficient first, in the order of poly.terms.
     terms = []
     for exps, coeff in poly.terms.items():
         parts = [repr(float(coeff))]
-        parts += [f"q[{i}]**{e}" if e > 1 else f"q[{i}]"
-                  for i, e in enumerate(exps) if e]
+        parts += [f"q{i}**{e}" if e > 1 else f"q{i}" for i, e in enumerate(exps) if e]
         terms.append("*".join(parts))
-    src = " + ".join(terms) if terms else "0.0"
-    return eval(f"lambda q: {src}")  # noqa: S307 - generated from our own Poly
+    return " + ".join(terms) if terms else "0.0"
+
+
+def _sum_source(terms) -> str:
+    return " + ".join(["0", *terms])
+
+
+def _names(prefix: str) -> list:
+    return [[f"{prefix}{i}{j}" for j in range(3)] for i in range(3)]
+
+
+def _quadform_source(m, v) -> str:
+    return _sum_source(f"{v[i]} * {m[i][j]} * {v[j]}" for i in range(3) for j in range(3))
+
+
+def _matvec_source(m, v, i: int) -> str:
+    return _sum_source(f"{m[i][j]} * {v[j]}" for j in range(3))
+
+
+_H, _A = _names("h"), _names("a")  # the metric and its inverse
+_P, _W = ("p0", "p1", "p2"), ("w0", "w1", "w2")  # momentum and w = h^{-1} p
+_COFACTORS = (
+    ("h11 * h22 - h12 * h21", "h02 * h21 - h01 * h22", "h01 * h12 - h02 * h11"),
+    ("h12 * h20 - h10 * h22", "h00 * h22 - h02 * h20", "h02 * h10 - h00 * h12"),
+    ("h10 * h21 - h11 * h20", "h01 * h20 - h00 * h21", "h00 * h11 - h01 * h10"),
+)
+_DET_AND_SCALE = (
+    "det = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20)"
+    " + h02 * (h10 * h21 - h11 * h20)",
+    "s = max(1.0, max({}))".format(", ".join(f"abs({n})" for row in _H for n in row)),
+)
+_INVERSE = tuple(f"a{i}{j} = ({_COFACTORS[i][j]}) / det"
+                 for i in range(3) for j in range(3))
+
+
+def _entry_lines(names, polys, known: dict) -> list:
+    # Entries with the same source (h_ij and h_ji, the zero entries) are
+    # computed once and aliased.
+    lines = []
+    for i in range(3):
+        for j in range(3):
+            src = _poly_source(polys[i][j])
+            alias = known.setdefault(src, names[i][j])
+            lines.append(f"{names[i][j]} = {src if alias == names[i][j] else alias}")
+    return lines
+
+
+def _function_source(signature: str, body) -> str:
+    return f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
+
+
+def _compile_kernels(entries, d_entries):
+    """Generate ``rhs`` and ``state`` for the metric with these exact entries.
+
+    ``rhs(q0, q1, q2, p0, p1, p2, tol)`` returns Hamilton's right-hand side
+    (qdot0, qdot1, qdot2, pdot0, pdot1, pdot2), with qdot = 2w, w = h^{-1} p
+    and pdot_k = w^T (d_k h) w; it raises MetricSingularError when
+    |det h| <= tol * max(1, max|h_ij|)^3.
+
+    ``state(q0, q1, q2, p0, p1, p2)`` returns what an accepted state needs:
+    (det, s, i1, i2, H, qdot0, qdot1, qdot2), where s = max(1, max|h_ij|) and
+    i1, i2 are the trace and second invariant of h.  It makes no singular
+    test, so that callers run their own guards first (see ``_check_regular``);
+    H and qdot are None when det is exactly 0.
+    """
+    known: dict = {}
+    h_lines = _entry_lines(_H, entries, known)
+    dh_lines = []
+    for k in range(3):
+        dh_lines += _entry_lines(_names(f"d{k}"), d_entries[k], known)
+    w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i)}" for i in range(3)]
+    pdot = [_quadform_source(_names(f"d{k}"), _W) for k in range(3)]
+    rhs = _function_source("rhs(q0, q1, q2, p0, p1, p2, tol)", [
+        *h_lines, *_DET_AND_SCALE,
+        "if abs(det) <= tol * s ** 3:",
+        "    raise _singular(det)",
+        *_INVERSE, *w_lines, *dh_lines,
+        "return (" + ", ".join([f"2.0 * {w}" for w in _W] + pdot) + ")",
+    ])
+    qdot = [f"2.0 * ({_matvec_source(_A, _P, i)})" for i in range(3)]
+    state = _function_source("state(q0, q1, q2, p0, p1, p2)", [
+        *h_lines, *_DET_AND_SCALE,
+        "i1 = h00 + h11 + h22",
+        "i2 = h00 * h11 - h01 * h10 + h00 * h22 - h02 * h20 + h11 * h22 - h12 * h21",
+        "if det == 0:",
+        "    return det, s, i1, i2, None, None, None, None",
+        *_INVERSE,
+        f"return (det, s, i1, i2, {_quadform_source(_A, _P)}, {', '.join(qdot)})",
+    ])
+    namespace = {"_singular": _singular}
+    code = compile(rhs + state, "<sgma metric kernels>", "exec")
+    exec(code, namespace)  # noqa: S102 - generated from our own Poly
+    return namespace["rhs"], namespace["state"]
 
 
 class _MetricField:
-    """Fast numeric access to the exact pull-back metric and its gradients."""
+    """The pull-back metric of one generating function, compiled for RK4.
+
+    Holds the two kernels generated from the exact entries of h and their
+    exact derivatives (see ``_compile_kernels``): ``rhs`` for RK4 stages and
+    ``state`` for accepted states and single-point evaluations.  ``cyclic``
+    tells whether h has the cyclic diagonal structure of the canonical fold
+    metric, whose conserved quantities the trace log then records.
+    """
 
     def __init__(self, gf: GeneratingFunction):
         entries = pullback_metric_polys(gf)
         cs = gf.chart.coords
-        self.entries = entries
-        self.d_entries = tuple(
+        d_entries = tuple(
             tuple(tuple(entries[i][j].diff(v) for j in range(3)) for i in range(3))
             for v in cs
         )
-        self._h_funcs = tuple(tuple(_compile_poly(entries[i][j]) for j in range(3))
-                              for i in range(3))
-        self._dh_funcs = tuple(
-            tuple(tuple(_compile_poly(self.d_entries[k][i][j]) for j in range(3))
-                  for i in range(3))
-            for k in range(3)
-        )
+        self.rhs, self.state = _compile_kernels(entries, d_entries)
         self.cyclic = self._detect_cyclic(entries, cs)
 
     @staticmethod
@@ -109,63 +219,45 @@ class _MetricField:
             and len(c22) == 1 and c22[0] != 0
         )
 
-    def h(self, q):
-        f = self._h_funcs
-        return [[f[i][j](q) for j in range(3)] for i in range(3)]
 
-    def dh(self, q, k):
-        f = self._dh_funcs[k]
-        return [[f[i][j](q) for j in range(3)] for i in range(3)]
+# Generating functions whose metric fields (and kernels) stay compiled.
+_METRIC_FIELD_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_METRIC_FIELD_CACHE_SIZE)
 def _metric_field(gf: GeneratingFunction) -> _MetricField:
     return _MetricField(gf)
 
 
-def _det3(m) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def _check_regular(det, s, H, singular_tol: float) -> None:
+    # The singular test: |det h| <= tol * max(1, max|h_ij|)^3.  An exactly
+    # singular h (no H) counts as singular under any tolerance.
+    if abs(det) <= singular_tol * s ** 3 or H is None:
+        raise _singular(det)
 
 
-def _inv3(m, singular_tol: float):
-    det = _det3(m)
-    scale = max(1.0, max(abs(v) for row in m for v in row)) ** 3
-    if abs(det) <= singular_tol * scale:
-        raise MetricSingularError(
-            f"metric is singular within tolerance (det = {det:g})"
-        )
-    c = [
-        [m[1][1] * m[2][2] - m[1][2] * m[2][1],
-         m[0][2] * m[2][1] - m[0][1] * m[2][2],
-         m[0][1] * m[1][2] - m[0][2] * m[1][1]],
-        [m[1][2] * m[2][0] - m[1][0] * m[2][2],
-         m[0][0] * m[2][2] - m[0][2] * m[2][0],
-         m[0][2] * m[1][0] - m[0][0] * m[1][2]],
-        [m[1][0] * m[2][1] - m[1][1] * m[2][0],
-         m[0][1] * m[2][0] - m[0][0] * m[2][1],
-         m[0][0] * m[1][1] - m[0][1] * m[1][0]],
-    ]
-    return [[c[i][j] / det for j in range(3)] for i in range(3)], det
-
-
-def _matvec(m, v):
-    return [sum(m[i][j] * v[j] for j in range(3)) for i in range(3)]
-
-
-def _quadform(m, v) -> float:
-    return sum(v[i] * m[i][j] * v[j] for i in range(3) for j in range(3))
+def _evaluate_state(field_: _MetricField, q, p, singular_tol: float) -> tuple:
+    out = field_.state(*q, *p)
+    det, s, _, _, H, _, _, _ = out
+    _check_regular(det, s, H, singular_tol)
+    return out
 
 
 def hamiltonian(gf: GeneratingFunction, state: BicharState,
                 singular_tol: float = 1e-12) -> float:
     """H(q, p) = p^T h(q)^{-1} p; raises MetricSingularError at parabolic points."""
     field_ = _metric_field(gf)
-    hinv, _ = _inv3(field_.h(state.q), singular_tol)
-    return _quadform(hinv, state.p)
+    _, _, _, _, H, _, _, _ = _evaluate_state(field_, state.q, state.p, singular_tol)
+    return H
+
+
+def _inverse_metric(field_: _MetricField, q, singular_tol: float) -> list:
+    # Column j of h^{-1} is half of qdot = 2 h^{-1} p at the unit momentum e_j.
+    cols = []
+    for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+        _, _, _, _, _, *qdot = _evaluate_state(field_, q, e, singular_tol)
+        cols.append([0.5 * v for v in qdot])
+    return [[cols[j][i] for j in range(3)] for i in range(3)]
 
 
 def null_project(gf: GeneratingFunction, q, p_partial, free_index: int,
@@ -182,8 +274,7 @@ def null_project(gf: GeneratingFunction, q, p_partial, free_index: int,
     if len(p_partial) != 2:
         raise ValueError("p_partial must supply the two fixed components")
     q = tuple(float(v) for v in q)
-    field_ = _metric_field(gf)
-    hinv, _ = _inv3(field_.h(q), singular_tol)
+    hinv = _inverse_metric(_metric_field(gf), q, singular_tol)
     fixed = [i for i in range(3) if i != free_index]
     p0 = [0.0, 0.0, 0.0]
     for i, v in zip(fixed, p_partial):
@@ -218,67 +309,62 @@ def ham_rhs(gf: GeneratingFunction, state: BicharState,
     The momentum law uses d_k(h^{-1}) = -h^{-1} (d_k h) h^{-1}, with the
     metric's entry gradients taken from exact polynomial derivatives.
     """
-    field_ = _metric_field(gf)
-    hinv, _ = _inv3(field_.h(state.q), singular_tol)
-    w = _matvec(hinv, state.p)
-    qdot = tuple(2.0 * v for v in w)
-    pdot = tuple(_quadform(field_.dh(state.q, k), w) for k in range(3))
-    return qdot, pdot
+    out = _metric_field(gf).rhs(*state.q, *state.p, singular_tol)
+    return out[:3], out[3:]
 
 
-def _rk4_step(gf, q, p, step, singular_tol):
-    def rhs(qv, pv):
-        return ham_rhs(gf, BicharState(qv, pv), singular_tol)
-
-    k1q, k1p = rhs(q, p)
-    k2q, k2p = rhs(
-        tuple(q[i] + 0.5 * step * k1q[i] for i in range(3)),
-        tuple(p[i] + 0.5 * step * k1p[i] for i in range(3)),
+def _rk4_step(rhs, q, p, step, singular_tol):
+    q0, q1, q2 = q
+    p0, p1, p2 = p
+    half = 0.5 * step
+    k1q0, k1q1, k1q2, k1p0, k1p1, k1p2 = rhs(q0, q1, q2, p0, p1, p2, singular_tol)
+    k2q0, k2q1, k2q2, k2p0, k2p1, k2p2 = rhs(
+        q0 + half * k1q0, q1 + half * k1q1, q2 + half * k1q2,
+        p0 + half * k1p0, p1 + half * k1p1, p2 + half * k1p2, singular_tol)
+    k3q0, k3q1, k3q2, k3p0, k3p1, k3p2 = rhs(
+        q0 + half * k2q0, q1 + half * k2q1, q2 + half * k2q2,
+        p0 + half * k2p0, p1 + half * k2p1, p2 + half * k2p2, singular_tol)
+    k4q0, k4q1, k4q2, k4p0, k4p1, k4p2 = rhs(
+        q0 + step * k3q0, q1 + step * k3q1, q2 + step * k3q2,
+        p0 + step * k3p0, p1 + step * k3p1, p2 + step * k3p2, singular_tol)
+    sixth = step / 6.0
+    return (
+        (q0 + sixth * (k1q0 + 2 * k2q0 + 2 * k3q0 + k4q0),
+         q1 + sixth * (k1q1 + 2 * k2q1 + 2 * k3q1 + k4q1),
+         q2 + sixth * (k1q2 + 2 * k2q2 + 2 * k3q2 + k4q2)),
+        (p0 + sixth * (k1p0 + 2 * k2p0 + 2 * k3p0 + k4p0),
+         p1 + sixth * (k1p1 + 2 * k2p1 + 2 * k3p1 + k4p1),
+         p2 + sixth * (k1p2 + 2 * k2p2 + 2 * k3p2 + k4p2)),
     )
-    k3q, k3p = rhs(
-        tuple(q[i] + 0.5 * step * k2q[i] for i in range(3)),
-        tuple(p[i] + 0.5 * step * k2p[i] for i in range(3)),
-    )
-    k4q, k4p = rhs(
-        tuple(q[i] + step * k3q[i] for i in range(3)),
-        tuple(p[i] + step * k3p[i] for i in range(3)),
-    )
-    qn = tuple(q[i] + step / 6.0 * (k1q[i] + 2 * k2q[i] + 2 * k3q[i] + k4q[i])
-               for i in range(3))
-    pn = tuple(p[i] + step / 6.0 * (k1p[i] + 2 * k2p[i] + 2 * k3p[i] + k4p[i])
-               for i in range(3))
-    return qn, pn
 
 
-def _sign_counts(h):
-    # Eigenvalue sign counts of a symmetric 3x3 via Descartes' rule on the
-    # characteristic polynomial (exact for real-rooted cubics).  Used only
-    # to detect signature changes across a step, so near-zero invariants
-    # are simply skipped.
-    i1 = h[0][0] + h[1][1] + h[2][2]
-    i2 = (h[0][0] * h[1][1] - h[0][1] * h[1][0]
-          + h[0][0] * h[2][2] - h[0][2] * h[2][0]
-          + h[1][1] * h[2][2] - h[1][2] * h[2][1])
-    i3 = _det3(h)
-    s = max(1.0, max(abs(v) for row in h for v in row))
-    thresholds = (1e-12, 1e-12 * s, 1e-12 * s * s, 1e-12 * s * s * s)
-
-    def variations(seq):
-        signs = [v for v, t in zip(seq, thresholds) if abs(v) > t]
-        return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-    n_pos = variations((1.0, -i1, i2, -i3))
-    n_neg = variations((1.0, i1, i2, i3))
+def _sign_counts(i1, i2, i3, s):
+    # Eigenvalue sign counts of a symmetric 3x3 from its trace i1, second
+    # invariant i2, determinant i3 and largest entry s, via Descartes' rule
+    # (exact for real-rooted cubics): the sign variations of the coefficients
+    # (1, -i1, i2, -i3) count positive roots, those of (1, i1, i2, i3)
+    # negative ones.  Used only to detect signature changes across a step,
+    # so an invariant below 1e-12 s^k is simply skipped.
+    t1 = 1e-12 * s
+    t2 = t1 * s
+    t3 = t2 * s
+    n_pos = n_neg = 0
+    prev_k, prev_up = 0, True  # the leading coefficient 1
+    for k, v, t in ((1, i1, t1), (2, i2, t2), (3, i3, t3)):
+        if abs(v) > t:
+            up = v > 0
+            n_neg += up != prev_up
+            # (-1)^k flips one sign of the pair when k - prev_k is odd.
+            n_pos += (up != prev_up) != ((k - prev_k) % 2 == 1)
+            prev_k, prev_up = k, up
     return n_pos, n_neg
 
 
-def _log_entry(field_, state, h, det, singular_tol):
-    hinv, _ = _inv3(h, singular_tol)
-    entry = {"H": _quadform(hinv, state.p), "det_h": det}
-    if field_.cyclic:
-        qdot = [2.0 * v for v in _matvec(hinv, state.p)]
-        entry["xdotZ"] = qdot[0] * state.q[2]
-        entry["ydot"] = qdot[1]
+def _log_entry(cyclic: bool, q, H, det, qdot0, qdot1) -> dict:
+    entry = {"H": H, "det_h": det}
+    if cyclic:
+        entry["xdotZ"] = qdot0 * q[2]
+        entry["ydot"] = qdot1
     return entry
 
 
@@ -289,8 +375,9 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
                            h_tol: float = 1e-8) -> Trace:
     """Integrate a bicharacteristic with fixed-step classical RK4.
 
-    The initial condition must lie on the null cone (|H| <= 1e-10).  The
-    trace stops when |det h| falls below ``stop_tol`` (default: 1e-6 times
+    ``step``, ``box`` and ``stop_tol`` must be finite (ValueError otherwise).
+    The initial condition must be finite and lie on the null cone
+    (|H| <= 1e-10); DomainError otherwise.  The trace stops when |det h| falls below ``stop_tol`` (default: 1e-6 times
     its initial value) at the parabolic boundary, when a coordinate leaves
     the [-box, box] cube, when values stop being finite, or when the step
     budget is exhausted.  Two further guards keep accepted states honest
@@ -306,68 +393,67 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
     conserved quantities qdot1*q3 and qdot2 when the metric has the cyclic
     diagonal structure of the canonical fold metric.
     """
-    if step <= 0 or max_steps < 0:
-        raise ValueError("step must be positive and max_steps non-negative")
+    if not (step > 0 and math.isfinite(step)) or max_steps < 0:
+        raise ValueError("step must be positive and finite, max_steps non-negative")
+    if not math.isfinite(box) or (stop_tol is not None and not math.isfinite(stop_tol)):
+        raise ValueError("box and stop_tol must be finite")
+    q, p, s = initial.q, initial.p, initial.s
+    if not all(math.isfinite(v) for v in q + p):
+        raise DomainError(f"initial state is not finite: q = {q}, p = {p}")
     field_ = _metric_field(gf)
-    H0 = hamiltonian(gf, initial, singular_tol)
+    rhs, state, cyclic = field_.rhs, field_.state, field_.cyclic
+    det0, scale, i1, i2, H0, qdot0, qdot1, _ = _evaluate_state(field_, q, p, singular_tol)
     if abs(H0) > 1e-10:
         raise DomainError(f"initial condition is not null: H = {H0:g}")
-    h_init = field_.h(initial.q)
-    det0 = _det3(h_init)
     if stop_tol is None:
         stop_tol = 1e-6 * abs(det0)
-    counts0 = _sign_counts(h_init)
+    counts0 = _sign_counts(i1, i2, det0, scale)
     states = [initial]
-    log = [_log_entry(field_, initial, h_init, det0, singular_tol)]
+    log = [_log_entry(cyclic, q, H0, det0, qdot0, qdot1)]
     termination = Termination.MAX_STEPS
-    q, p, s = initial.q, initial.p, initial.s
     for _ in range(max_steps):
         try:
-            qn, pn = _rk4_step(gf, q, p, step, singular_tol)
+            qn, pn = _rk4_step(rhs, q, p, step, singular_tol)
         except MetricSingularError:
             termination = Termination.PARABOLIC_BOUNDARY
             break
         except (OverflowError, ZeroDivisionError):
             termination = Termination.DIVERGED
             break
-        if not all(math.isfinite(v) for v in qn + pn):
+        if not all(map(math.isfinite, qn + pn)):
             termination = Termination.DIVERGED
             break
         if any(abs(v) > box for v in qn):
             termination = Termination.DOMAIN_EXIT
             break
         try:
-            hn = field_.h(qn)
-            det = _det3(hn)
+            det, scale, i1, i2, H, qdot0, qdot1, _ = state(*qn, *pn)
         except OverflowError:
             termination = Termination.DIVERGED
             break
-        if abs(det) < stop_tol or _sign_counts(hn) != counts0:
+        if abs(det) < stop_tol or _sign_counts(i1, i2, det, scale) != counts0:
             termination = Termination.PARABOLIC_BOUNDARY
             break
-        state = BicharState(qn, pn, s + step)
-        entry = _log_entry(field_, state, hn, det, singular_tol)
-        if abs(entry["H"]) > h_tol:
+        _check_regular(det, scale, H, singular_tol)
+        if abs(H) > h_tol:
             termination = (Termination.PARABOLIC_BOUNDARY
                            if abs(det) < 0.5 * abs(det0)
                            else Termination.DIVERGED)
             break
         q, p, s = qn, pn, s + step
-        states.append(state)
-        log.append(entry)
+        states.append(BicharState(q, p, s))
+        log.append(_log_entry(cyclic, q, H, det, qdot0, qdot1))
     return Trace(states=states, termination=termination, conserved_log=log)
 
 
 def eikonal_residual_grad(gf: GeneratingFunction, pt, grad,
                           singular_tol: float = 1e-12) -> float:
-    """Residual (grad F)^T h^{-1} (grad F) for a numerically supplied gradient."""
+    """Residual (grad F)^T h^{-1} (grad F) = H(pt, grad F) for a numerical gradient."""
     values = [float(v) for v in _point_values(gf, pt)]
-    field_ = _metric_field(gf)
-    hinv, _ = _inv3(field_.h(values), singular_tol)
     g = [float(v) for v in grad]
     if len(g) != 3:
         raise ValueError("gradient must have 3 components")
-    return _quadform(hinv, g)
+    return hamiltonian(gf, BicharState(values, g), singular_tol)
 
 
 def eikonal_residual(gf: GeneratingFunction, F: Poly, pt,

@@ -1,6 +1,8 @@
 """Hamiltonian structure, null projection, ray tracing and eikonal residuals."""
 
+import hashlib
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sgma import characteristics as ch
 from sgma.characteristics import (
     BicharState,
     Termination,
@@ -21,6 +24,8 @@ from sgma.characteristics import (
     write_trace_csv,
 )
 from sgma.errors import DomainError, MetricSingularError
+from sgma.family import build_family, random_generic_spec
+from sgma.ma_core import ChartKind, GeneratingFunction, pullback_metric_polys
 from sgma.polyexpr import parse_poly
 
 
@@ -71,6 +76,18 @@ def test_null_project_trivial(fold_gf):
     assert null_project(fold_gf, (0, 0, 1), (0, 0), 0) == [(0.0, 0.0, 0.0)]
 
 
+def test_null_project_degenerate_free_component():
+    # h = 2 Hess(x*y + z^2/2) has h^{-1}_11 = 0, so H is linear in p1:
+    # H = p1 p2 + p3^2 / 2 has one completion, none, or (for p2 = p3 = 0)
+    # the trivial one.
+    gf = GeneratingFunction(ChartKind.CLASSICAL_P,
+                            parse_poly("x*y + z^2/2", ("x", "y", "z")), Fraction(1))
+    assert null_project(gf, (0, 0, 0), (1, 2), 0) == [(-2.0, 1.0, 2.0)]
+    assert hamiltonian(gf, BicharState((0, 0, 0), (-2, 1, 2))) == 0
+    assert null_project(gf, (0, 0, 0), (0, 2), 0) == []
+    assert null_project(gf, (0, 0, 0), (0, 0), 0) == [(0.0, 0.0, 0.0)]
+
+
 def test_ham_rhs_example(fold_gf):
     qdot, pdot = ham_rhs(fold_gf, BicharState((0, 0, 1), (0, 1, 1)))
     assert np.allclose(qdot, (0, 1, -1))
@@ -80,6 +97,9 @@ def test_ham_rhs_example(fold_gf):
 def test_ham_rhs_fixed_point(fold_gf):
     qdot, pdot = ham_rhs(fold_gf, BicharState((0.4, 0.2, 1.3), (0, 0, 0)))
     assert qdot == (0, 0, 0) and pdot == (0, 0, 0)
+    # Sums start from the int 0, as sum() does, so -0.0 terms give +0.0.
+    qdot, pdot = ham_rhs(fold_gf, BicharState((0, 0, 1), (-0.0, -0.0, -0.0)))
+    assert all(math.copysign(1.0, v) == 1.0 for v in qdot + pdot)
 
 
 def test_ydot_is_conserved_component(fold_gf):
@@ -114,6 +134,131 @@ def test_trace_domain_exit(fold_gf):
 def test_trace_rejects_non_null_start(fold_gf):
     with pytest.raises(DomainError):
         trace_bicharacteristic(fold_gf, BicharState((0, 0, 1), (1, 1, 1)))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": math.nan}, {"step": math.inf}, {"box": math.nan}, {"box": math.inf},
+    {"stop_tol": math.nan}, {"stop_tol": -math.inf},
+])
+def test_trace_rejects_non_finite_parameters(fold_gf, kwargs):
+    with pytest.raises(ValueError):
+        trace_bicharacteristic(fold_gf, BicharState((0, 0, 1), (0, 1, 1)), **kwargs)
+
+
+@pytest.mark.parametrize("q, p", [
+    ((0, 0, math.nan), (0, 1, 1)),  # |H| is NaN, so the null test alone passes it
+    ((math.inf, 0, 1), (0, 1, 1)),
+    ((0, 0, 1), (0, 1, -math.inf)),
+])
+def test_trace_rejects_non_finite_start(fold_gf, q, p):
+    with pytest.raises(DomainError, match="not finite"):
+        trace_bicharacteristic(fold_gf, BicharState(q, p))
+
+
+# -- guard paths --------------------------------------------------------------
+#
+# The fold metric plus a term c x^181 in h_11 that is negligible where
+# |x| < 1 but whose power x**181 overflows (OverflowError) beyond |x| ~ 50.
+
+@pytest.fixture(scope="module")
+def tripwire_gf():
+    return GeneratingFunction(
+        ChartKind.DUAL_T,
+        parse_poly("y^2/2 - x^2*Z/2 + Z^3/6 + x^183/10^100", ("x", "y", "Z")),
+        Fraction(1),
+    )
+
+
+def _tripwire_start(gf):
+    return BicharState((0, 0, 1), null_project(gf, (0, 0, 1), (0.4, 2.9), 2)[1])
+
+
+def test_trace_diverges_on_overflow_in_rk4_stage(tripwire_gf):
+    start = _tripwire_start(tripwire_gf)
+    field_ = ch._metric_field(tripwire_gf)
+    with pytest.raises(OverflowError):
+        ch._rk4_step(field_.rhs, start.q, start.p, 1e4, 1e-12)
+    trace = trace_bicharacteristic(tripwire_gf, start, step=1e4, box=1e6)
+    assert trace.termination is Termination.DIVERGED
+    assert len(trace.states) == 1
+
+
+def test_trace_diverges_on_overflow_at_accepted_state(tripwire_gf):
+    # Stage 4 lands next to Z = 0, where xdot = C1 / Z is huge: every stage
+    # stays at |x| < 1, but the accepted point is at x ~ 176.
+    start = _tripwire_start(tripwire_gf)
+    field_ = ch._metric_field(tripwire_gf)
+    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p, 1.0, 1e-12)
+    assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
+    with pytest.raises(OverflowError):
+        field_.state(*qn, *pn)
+    trace = trace_bicharacteristic(tripwire_gf, start, step=1.0, box=2000.0)
+    assert trace.termination is Termination.DIVERGED
+    assert len(trace.states) == 1
+
+
+def test_signature_guard_runs_before_singular_test():
+    # With x^103 in h_11 the accepted point (x ~ 176) has |h_11| ~ 1e175, so
+    # max|h_ij|^3 in the singular test would overflow; the signature change
+    # at that point ends the trace first, at the boundary.
+    gf = GeneratingFunction(
+        ChartKind.DUAL_T,
+        parse_poly("y^2/2 - x^2*Z/2 + Z^3/6 + x^105/10^60", ("x", "y", "Z")),
+        Fraction(1),
+    )
+    trace = trace_bicharacteristic(gf, _tripwire_start(gf), step=1.0, box=2000.0)
+    assert trace.termination is Termination.PARABOLIC_BOUNDARY
+    assert len(trace.states) == 1
+
+
+def test_trace_diverges_when_candidate_leaves_null_cone(fold_gf):
+    # Moving away from the boundary (det h grows), a step of 0.3 breaks the
+    # null constraint at the first candidate; a looser h_tol accepts it.
+    start = BicharState((0, 0, 1), (0, 1, -1))
+    trace = trace_bicharacteristic(fold_gf, start, step=0.3)
+    assert trace.termination is Termination.DIVERGED
+    assert len(trace.states) == 1
+    loose = trace_bicharacteristic(fold_gf, start, step=0.3, max_steps=1, h_tol=1.0)
+    assert loose.termination is Termination.MAX_STEPS
+    assert 1e-8 < abs(loose.conserved_log[1]["H"]) <= 1.0
+    assert abs(loose.conserved_log[1]["det_h"]) > abs(loose.conserved_log[0]["det_h"])
+
+
+def _descartes_reference(i1, i2, i3, s):
+    # Sign variations of the characteristic polynomial's coefficients,
+    # filtered by the scaled thresholds, written out directly.
+    thresholds = (1e-12, 1e-12 * s, 1e-12 * s * s, 1e-12 * s * s * s)
+
+    def variations(seq):
+        signs = [v for v, t in zip(seq, thresholds) if abs(v) > t]
+        return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+    return variations((1.0, -i1, i2, -i3)), variations((1.0, i1, i2, i3))
+
+
+def test_sign_counts_match_descartes_reference():
+    values = [0.0, -0.0, 1e-13, -1e-13, 2e-12, -3.0, 2.5, 1e-24, -7e-30,
+              math.inf, -math.inf, math.nan]
+    for i1, i2, i3 in itertools.product(values, repeat=3):
+        for s in (1.0, 2.0, 1e6):
+            assert ch._sign_counts(i1, i2, i3, s) == _descartes_reference(i1, i2, i3, s)
+    rng = random.Random(32)
+    for _ in range(2000):
+        i1, i2, i3 = (rng.choice((-1, 1)) * 10 ** rng.uniform(-40, 5) for _ in range(3))
+        s = max(1.0, 10 ** rng.uniform(-3, 5))
+        assert ch._sign_counts(i1, i2, i3, s) == _descartes_reference(i1, i2, i3, s)
+
+
+def test_metric_field_cache_is_bounded():
+    bound = ch._metric_field.cache_info().maxsize
+    assert bound is not None
+    for k in range(1, bound + 6):
+        gf = GeneratingFunction(ChartKind.CLASSICAL_P,
+                                parse_poly(f"{k}*x*y + z^2/2", ("x", "y", "z")),
+                                Fraction(1))
+        trace_bicharacteristic(gf, BicharState((0, 0, 0), (0, 0, 0)), max_steps=1)
+        assert ch._metric_field.cache_info().currsize <= bound
+    assert ch._metric_field.cache_info().currsize == bound
 
 
 def test_trace_h_drift_and_conserved_quantities(fold_gf):
@@ -188,6 +333,67 @@ def test_trace_csv_omits_conserved_columns_for_noncyclic_metric(convex_quadratic
     buf = io.StringIO()
     write_trace_csv(trace, buf)
     assert buf.getvalue().split("\n")[0] == "s,q1,q2,q3,p1,p2,p3,H,det_h"
+
+
+# -- regression against recorded traces and an independent oracle -----------
+#
+# The digests were recorded from the per-entry evaluator that the generated
+# kernels replaced; the kernels repeat its float operations in order, so
+# every trace is bit-identical.
+
+@pytest.fixture(scope="module")
+def member_gf():
+    """A generic family member: its metric is non-diagonal and not cyclic."""
+    return build_family(random_generic_spec(random.Random(3))).gf
+
+
+def test_fold_ray_csv_digest(fold_gf):
+    # x moves along this ray, unlike in the README example.
+    trace = trace_bicharacteristic(fold_gf, _null_state(0.4, 1.2, 0.7, 0.3, -0.1),
+                                   step=1e-3, max_steps=800, box=30.0)
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    text = buf.getvalue()
+    assert len(text.splitlines()) == 803
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8432601130492b06738693b71504a3fa66d1d113a5445f086da946d77b42f091")
+
+
+def test_member_trace_csv_digest(member_gf):
+    q = (-0.61, -0.79, 0.33)
+    p = null_project(member_gf, q, (0.5, 1.0), 2)[-1]
+    trace = trace_bicharacteristic(member_gf, BicharState(q, p), step=2e-3,
+                                   max_steps=600)
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    text = buf.getvalue()
+    assert not pullback_metric_polys(member_gf)[0][1].is_zero
+    assert text.startswith("s,q1,q2,q3,p1,p2,p3,H,det_h\n")
+    assert trace.termination is Termination.PARABOLIC_BOUNDARY
+    assert len(text.splitlines()) == 241
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "472f5893da2b781aa33be991545f84a6deb42d47684de6b228d9eec7229a7b50")
+
+
+def test_ham_rhs_matches_exact_metric_and_linear_solve(member_gf):
+    entries = pullback_metric_polys(member_gf)
+    coords = member_gf.chart.coords
+    rng = random.Random(33)
+    checked = 0
+    while checked < 20:
+        q = tuple(Fraction(rng.randint(-40, 40), 50) for _ in range(3))
+        p = np.array([rng.uniform(-2, 2) for _ in range(3)])
+        h = np.array([[float(e.eval(q)) for e in row] for row in entries])
+        if np.linalg.cond(h) > 1e3:
+            continue
+        dh = [np.array([[float(e.diff(v).eval(q)) for e in row] for row in entries])
+              for v in coords]
+        w = np.linalg.solve(h, p)
+        want = np.concatenate([2.0 * w, [w @ d @ w for d in dh]])
+        qdot, pdot = ham_rhs(member_gf, BicharState([float(v) for v in q], p))
+        got = np.array(qdot + pdot)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        checked += 1
 
 
 # -- eikonal -------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Subcommand behavior, exit codes, error records, and output determinism."""
 
+import hashlib
 import json
+
+import pytest
 
 from sgma.cli import main
 
@@ -89,6 +92,32 @@ def test_trace_non_null_start_is_domain_error(capsys):
     assert code == 3
     record = json.loads(err.strip())
     assert record["error"]["code"] == 3
+
+
+def test_trace_readme_example_digest(capsys):
+    # Recorded from the per-entry evaluator the generated kernels replaced.
+    code, out, _ = _run(capsys, ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1,?"])
+    assert code == 0
+    assert len(out.splitlines()) == 1003
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6d9e5b679809d834b012a629b435d8c55f5bfe18d45c99af2da3150b0892efd9")
+
+
+@pytest.mark.parametrize("option", [["--step", "nan"], ["--step", "inf"],
+                                    ["--box", "inf"], ["--stop-tol", "nan"]])
+def test_trace_non_finite_parameter_exits_2(capsys, option):
+    code, out, err = _run(capsys, ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1,?",
+                                   *option])
+    assert code == 2 and out == ""
+    assert json.loads(err.strip())["error"]["code"] == 2
+
+
+def test_trace_non_finite_start_exits_3(capsys):
+    # p2^2 overflows, so the null completion of p3 is infinite.
+    code, out, err = _run(capsys, ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1e200,?"])
+    assert code == 3 and out == ""
+    record = json.loads(err.strip())["error"]
+    assert record["code"] == 3 and "not finite" in record["message"]
 
 
 def test_trace_no_completion_is_domain_error(capsys):
