@@ -103,6 +103,55 @@ def test_trace_readme_example_digest(capsys):
         "6d9e5b679809d834b012a629b435d8c55f5bfe18d45c99af2da3150b0892efd9")
 
 
+README_SPEC = {
+    "t3": {"111": "Z", "112": "0", "122": "1/2", "222": "-Z + 1"},
+    "t2_constants": {"11": ["-1", "0"], "12": ["0", "0"], "22": ["0", "1"]},
+    "t1_constants": {"1": ["0", "0"], "2": ["0", "0"]},
+    "t0_constants": ["0", "0"],
+}
+
+# The README's CLI examples with their exact argv; the classify grid writes
+# to --output, so its digest is taken over the file.  (name, argv, lines,
+# sha256 of the output)
+README_GOLDENS = [
+    ("classify_point", ["classify", *FOLD, "--point", "0,0,1"], 19,
+     "db9f2371a24f1d174b3bc58beb8d3672157c24830268df7f90a796fc8abe134a"),
+    ("classify_grid", ["classify", *FOLD, "--grid", "x=-2:2:41,y=-2:2:41,Z=-2:2:41",
+                       "--output", "labels.csv"], 68922,
+     "8f0660ed72532f59c2b3553bc9628cbec161ae7310f38727b44008f14a004320"),
+    ("residual_numeric", ["residual", "--chart", "P", "--potential",
+                          "(x^2 + y^2 + z^2)/2", "--eps-q", "2", "--point", "1,2,3"], 8,
+     "750ad813c8b41c70a6d5bd2354fc08cc51bdc165d78665662ab98c90f6176547"),
+    ("residual_symbolic", ["residual", *FOLD, "--symbolic"], 5,
+     "8f39c2f6541d198a2d159eb21a63b589c0542d75c4dce01975fa34399081ada5"),
+    ("singular", ["singular", *FOLD], 9,
+     "0ac3d0c4f8247af0a9e663f2508a52a0469bee7d1398f347b8db562ac1e81995"),
+    ("caustic", ["caustic", *FOLD, "--grid", "x=-2:2:41,y=-1:1:5"], 206,
+     "9c732be98b74deb5a86e5578f713ef0b7c1d49eb60134d73e632d5481f72c325"),
+    ("fiber", ["fiber", *FOLD, "--base", "2,0,0"], 34,
+     "00f1a38b767da592e8f16f10147fff20c1698a12c8675efffc782c8cc3d84702"),
+    ("family", ["family", "--spec", "spec.json", "--check"], 54,
+     "611c9e0ca3666d31ce603693cc679718bc486fbef393ab0da5d46d8f6ae9da79"),
+    ("wind", ["wind", *FOLD, "--x=-2:2:21", "--z=-2:1.9:21"], 442,
+     "833f3cf5da43afe4223577b66560c53632faf49845e4d316414f881c60b4c1eb"),
+]
+
+
+@pytest.mark.parametrize("name,argv,n_lines,digest", README_GOLDENS,
+                         ids=[g[0] for g in README_GOLDENS])
+def test_readme_example_digest_golden(tmp_path, monkeypatch, capsys, name, argv,
+                                      n_lines, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(README_SPEC))
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    if "--output" in argv:
+        assert out == ""
+        out = (tmp_path / argv[argv.index("--output") + 1]).read_text()
+    assert len(out.splitlines()) == n_lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("option", [["--step", "nan"], ["--step", "inf"],
                                     ["--box", "inf"], ["--stop-tol", "nan"]])
 def test_trace_non_finite_parameter_exits_2(capsys, option):
