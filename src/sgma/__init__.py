@@ -7,8 +7,9 @@ bicharacteristic ray tracing with analytic oracles, a polynomial solution
 family, and full wind-field reconstruction.
 """
 
-from .polyexpr import ParseError, Poly, Rational, parse_poly
+from .polyexpr import ParseError, Poly, parse_poly
 from .errors import ConfigError, DomainError, MetricSingularError, SgmaError
+from .grid import Axis, Grid
 from .ma_core import (
     AMBIENT_COORDS,
     AmbientPoint,
@@ -17,7 +18,6 @@ from .ma_core import (
     Signature,
     SignatureLabel,
     Sym3,
-    ambient_metric,
     classification_grid,
     classify,
     hessian,
@@ -65,7 +65,6 @@ from .family import (
     FamilySolution,
     FamilySpec,
     build_family,
-    degree_report,
     derive_recursions,
     random_generic_spec,
     reference_recursion_report,

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import DomainError, MetricSingularError
-from .ma_core import GeneratingFunction, _point_values, pullback_metric_polys
+from .ma_core import CACHE_SIZE, GeneratingFunction, _point_values, pullback_metric_polys
 from .polyexpr import Poly
 
 
@@ -220,11 +220,7 @@ class _MetricField:
         )
 
 
-# Generating functions whose metric fields (and kernels) stay compiled.
-_METRIC_FIELD_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_METRIC_FIELD_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _metric_field(gf: GeneratingFunction) -> _MetricField:
     return _MetricField(gf)
 
@@ -237,7 +233,11 @@ def _check_regular(det, s, H, singular_tol: float) -> None:
 
 
 def _evaluate_state(field_: _MetricField, q, p, singular_tol: float) -> tuple:
-    out = field_.state(*q, *p)
+    try:
+        out = field_.state(*q, *p)
+    except OverflowError:
+        raise DomainError(f"metric evaluation overflows at q = {tuple(q)}, "
+                          f"p = {tuple(p)}") from None
     det, s, _, _, H, _, _, _ = out
     _check_regular(det, s, H, singular_tol)
     return out

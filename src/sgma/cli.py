@@ -18,8 +18,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import characteristics as ch
 from . import family as fam
 from . import ma_core as mc
@@ -28,6 +26,7 @@ from . import singular as sing
 from . import verify
 from .errors import ConfigError, DomainError, SgmaError
 from .formatting import format_float, render_json
+from .grid import Axis, Grid
 from .polyexpr import ParseError
 
 
@@ -50,31 +49,6 @@ def _parse_numbers(text: str, n: int, what: str) -> tuple:
         return tuple(float(Fraction(p)) for p in parts)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse {what} value in {text!r}") from None
-
-
-def _parse_range(text: str, what: str):
-    parts = str(text).split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{what} must look like lo:hi:n, got {text!r}")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError(f"cannot parse range {text!r}") from None
-    if n < 1 or lo > hi:
-        raise ConfigError(f"range {text!r} must be well ordered with n >= 1")
-    return lo, hi, n
-
-
-def _parse_axes(text: str, expected: int, what: str) -> dict:
-    axes = {}
-    for chunk in str(text).split(","):
-        if "=" not in chunk:
-            raise ConfigError(f"{what} entries must look like var=lo:hi:n, got {chunk!r}")
-        name, rng = chunk.split("=", 1)
-        axes[name.strip()] = _parse_range(rng, what)
-    if len(axes) != expected:
-        raise ConfigError(f"{what} must specify {expected} variables, got {len(axes)}")
-    return axes
 
 
 def _resolve_gf(ns) -> mc.GeneratingFunction:
@@ -124,23 +98,14 @@ def _cmd_classify(ns) -> int:
     gf = _resolve_gf(ns)
     tol = float(ns.tol) if ns.tol is not None else 1e-9
     if ns.grid:
-        axes_spec = _parse_axes(ns.grid, 3, "--grid")
-        if set(axes_spec) != set(gf.chart.coords):
-            raise ConfigError(f"grid variables must be {gf.chart.coords!r}")
-        axes = {v: np.linspace(*axes_spec[v][:2], axes_spec[v][2])
-                for v in gf.chart.coords}
-        eigs, labels = mc.classification_grid(gf, axes, tol)
+        grid = Grid.parse(ns.grid).ordered(gf.chart.coords)
+        eigs, labels = mc.classification_grid(gf, grid.axes(), tol)
         lines = [",".join(list(gf.chart.coords)
                           + ["eig1", "eig2", "eig3", "label"])]
-        grids = np.meshgrid(*(axes[v] for v in gf.chart.coords), indexing="ij")
-        flat = [g.reshape(-1) for g in grids]
-        eflat = eigs.reshape(-1, 3)
-        lflat = labels.reshape(-1)
-        for k in range(flat[0].size):
-            row = [format_float(flat[i][k]) for i in range(3)]
-            row += [format_float(eflat[k, i]) for i in range(3)]
-            row.append(lflat[k].value)
-            lines.append(",".join(row))
+        for node, eig, label in zip(grid.nodes(), eigs.reshape(-1, 3),
+                                    labels.reshape(-1)):
+            lines.append(",".join([format_float(v) for v in (*node, *eig)]
+                                  + [label.value]))
         _write_output(ns, "\n".join(lines) + "\n")
         return 0
     if not ns.point:
@@ -189,9 +154,7 @@ def _cmd_caustic(ns) -> int:
     gf = _resolve_gf(ns)
     if not ns.grid:
         raise ConfigError("supply --grid over two chart variables")
-    axes = _parse_axes(ns.grid, 2, "--grid")
-    (v1, r1), (v2, r2) = axes.items()
-    grid = sing.GridSpec2D(v1, r1[0], r1[1], r1[2], v2, r2[0], r2[1], r2[2])
+    grid = Grid.parse(ns.grid)
     tol = float(ns.tol) if ns.tol is not None else 1e-10
     if tol <= 0:
         raise ConfigError("--tol must be positive")
@@ -309,11 +272,8 @@ def _cmd_wind(ns) -> int:
     gf = _resolve_gf(ns)
     if not ns.x or not ns.z:
         raise ConfigError("supply --x lo:hi:n and --z lo:hi:n")
-    xr = _parse_range(ns.x, "--x")
-    zr = _parse_range(ns.z, "--z")
-    grid = sg.PlaneGridSpec(x_lo=xr[0], x_hi=xr[1], nx=xr[2],
-                            z_lo=zr[0], z_hi=zr[1], nz=zr[2],
-                            y=float(ns.y) if ns.y is not None else 0.0)
+    y = float(ns.y) if ns.y is not None else 0.0
+    grid = Grid((Axis.parse("x", ns.x), Axis("y", y, y, 1), Axis.parse("z", ns.z)))
     branch = ns.branch if ns.branch is not None else "convex"
     if branch != "convex":
         try:

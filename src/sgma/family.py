@@ -280,11 +280,6 @@ def build_family(spec: FamilySpec) -> FamilySolution:
     return FamilySolution(gf=gf, degrees=degrees, coefficients=dict(values))
 
 
-def degree_report(sol: FamilySolution) -> DegreeReport:
-    """Maximum Z-degrees of the coefficient levels of a built solution."""
-    return sol.degrees
-
-
 def random_generic_spec(rng) -> FamilySpec:
     """Sample a generic spec: degree-1 cubic entries with nonzero random rationals.
 

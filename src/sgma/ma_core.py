@@ -17,6 +17,7 @@ elliptic (3,0), hyperbolic (1,2), or parabolic (degenerate).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import DomainError
+from .mat3 import adj3, det3
 from .polyexpr import Poly
 
 AMBIENT_COORDS = ("x", "y", "z", "X", "Y", "Z")
@@ -128,49 +131,28 @@ class Sym3:
     yz: float
     zz: float
 
-    @classmethod
-    def from_matrix(cls, m) -> "Sym3":
-        m = np.asarray(m, dtype=float)
-        return cls(
-            xx=m[0, 0],
-            xy=0.5 * (m[0, 1] + m[1, 0]),
-            xz=0.5 * (m[0, 2] + m[2, 0]),
-            yy=m[1, 1],
-            yz=0.5 * (m[1, 2] + m[2, 1]),
-            zz=m[2, 2],
-        )
+    def _rows(self) -> tuple:
+        return ((self.xx, self.xy, self.xz),
+                (self.xy, self.yy, self.yz),
+                (self.xz, self.yz, self.zz))
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.xx, self.xy, self.xz],
-                [self.xy, self.yy, self.yz],
-                [self.xz, self.yz, self.zz],
-            ]
-        )
+        return np.array(self._rows())
 
     def det(self) -> float:
-        a, b, c, d, e, f = self.xx, self.xy, self.xz, self.yy, self.yz, self.zz
-        return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+        return det3(self._rows())
 
     def adjugate(self) -> "Sym3":
-        a, b, c, d, e, f = self.xx, self.xy, self.xz, self.yy, self.yz, self.zz
-        return Sym3(
-            xx=d * f - e * e,
-            xy=-(b * f - c * e),
-            xz=b * e - c * d,
-            yy=a * f - c * c,
-            yz=-(a * e - b * c),
-            zz=a * d - b * b,
-        )
+        a = adj3(self._rows())
+        return Sym3(*(a[i][j] for i, j in _UPPER))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in ascending order (deterministic for a fixed input)."""
         return np.linalg.eigvalsh(self.as_array())
 
-    def scaled(self, factor: float) -> "Sym3":
-        return Sym3(*(factor * v for v in
-                      (self.xx, self.xy, self.xz, self.yy, self.yz, self.zz)))
+
+# The six independent entries of a symmetric 3x3, in Sym3 field order.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 class SignatureLabel(str, enum.Enum):
@@ -202,6 +184,12 @@ def _label_for(n_pos: int, n_neg: int, n_zero: int) -> SignatureLabel:
     return SignatureLabel.OTHER
 
 
+def _require_finite(values, what: str) -> None:
+    # Only floats can be non-finite; isfinite overflows on huge exact values.
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise DomainError(f"{what} is not finite: {tuple(values)!r}")
+
+
 def _point_values(gf: GeneratingFunction, pt) -> list:
     if isinstance(pt, Mapping):
         missing = [v for v in gf.chart.coords if v not in pt]
@@ -210,17 +198,23 @@ def _point_values(gf: GeneratingFunction, pt) -> list:
             raise ValueError(
                 f"point must supply exactly {gf.chart.coords!r}"
             )
-        return [pt[v] for v in gf.chart.coords]
-    values = list(pt)
-    if len(values) != 3:
-        raise ValueError(f"expected 3 chart values, got {len(values)}")
+        values = [pt[v] for v in gf.chart.coords]
+    else:
+        values = list(pt)
+        if len(values) != 3:
+            raise ValueError(f"expected 3 chart values, got {len(values)}")
+    _require_finite(values, "chart point")
     return values
 
 
 # -- exact symbolic building blocks (cached per generating function) ---------
 
+# Generating functions whose symbolic builders (and compiled metric fields)
+# stay cached; bounded so that a long-lived process does not grow forever.
+CACHE_SIZE = 64
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=CACHE_SIZE)
 def hessian_polys(gf: GeneratingFunction) -> tuple:
     """3x3 matrix of exact second-derivative polynomials of the potential."""
     cs = gf.chart.coords
@@ -228,7 +222,7 @@ def hessian_polys(gf: GeneratingFunction) -> tuple:
     return tuple(tuple(firsts[i].diff(cs[j]) for j in range(3)) for i in range(3))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def immersion_polys(gf: GeneratingFunction) -> tuple:
     """The six ambient coordinates as exact polynomials of the chart coordinates.
 
@@ -256,7 +250,7 @@ def immersion_polys(gf: GeneratingFunction) -> tuple:
             pot.diff("x"), pot.diff("y"), var("Z"))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def immersion_jacobian_polys(gf: GeneratingFunction) -> tuple:
     """6x3 matrix of exact partials: ambient coordinate by chart coordinate."""
     cs = gf.chart.coords
@@ -268,7 +262,7 @@ def immersion_jacobian_polys(gf: GeneratingFunction) -> tuple:
 _METRIC_PAIRS = ((0, 3), (1, 4), (2, 5))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def pullback_metric_polys(gf: GeneratingFunction) -> tuple:
     """Exact 3x3 polynomial entries of the pull-back metric J^T G J."""
     jac = immersion_jacobian_polys(gf)
@@ -285,7 +279,7 @@ def pullback_metric_polys(gf: GeneratingFunction) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def ma_residual_poly(gf: GeneratingFunction) -> Poly:
     """Exact chart balance residual (LHS - RHS); the zero polynomial for solutions.
 
@@ -296,13 +290,8 @@ def ma_residual_poly(gf: GeneratingFunction) -> Poly:
     h = hessian_polys(gf)
     eps = gf.eps_q
     if gf.chart is ChartKind.CLASSICAL_P or gf.chart is ChartKind.DUAL_R:
-        det = (
-            h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-            - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-            + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
-        )
         rhs = eps if gf.chart is ChartKind.CLASSICAL_P else 1 / eps
-        return det - Poly.constant(gf.chart.coords, rhs)
+        return det3(h) - Poly.constant(gf.chart.coords, rhs)
     minor = h[0][0] * h[1][1] - h[0][1] * h[0][1]
     if gf.chart is ChartKind.DUAL_S:
         return eps * minor + h[2][2]
@@ -312,18 +301,15 @@ def ma_residual_poly(gf: GeneratingFunction) -> Poly:
 # -- point evaluations -------------------------------------------------------
 
 
+def _sym3_at(gf: GeneratingFunction, polys, pt) -> Sym3:
+    # Float values of a symmetric matrix of exact polynomials at a chart point.
+    values = _point_values(gf, pt)
+    return Sym3(*(float(polys[i][j].eval(values)) for i, j in _UPPER))
+
+
 def hessian(gf: GeneratingFunction, pt) -> Sym3:
     """Hessian of the potential in the chart's own variables, evaluated at pt."""
-    values = _point_values(gf, pt)
-    h = hessian_polys(gf)
-    return Sym3(
-        xx=float(h[0][0].eval(values)),
-        xy=float(h[0][1].eval(values)),
-        xz=float(h[0][2].eval(values)),
-        yy=float(h[1][1].eval(values)),
-        yz=float(h[1][2].eval(values)),
-        zz=float(h[2][2].eval(values)),
-    )
+    return _sym3_at(gf, hessian_polys(gf), pt)
 
 
 def ma_residual(gf: GeneratingFunction, pt):
@@ -345,28 +331,9 @@ def immersion_jacobian(gf: GeneratingFunction, pt) -> np.ndarray:
     return np.array([[float(p.eval(values)) for p in row] for row in jac])
 
 
-def ambient_metric(gf: GeneratingFunction) -> np.ndarray:
-    """Constant 6x6 matrix of the ambient metric: eps_q on each base/momentum pair."""
-    eps = float(gf.eps_q)
-    g = np.zeros((6, 6))
-    for a, b in _METRIC_PAIRS:
-        g[a, b] = eps
-        g[b, a] = eps
-    return g
-
-
 def pullback_metric(gf: GeneratingFunction, pt) -> Sym3:
     """Pull-back metric at a chart point, from the exact J^T G J entries."""
-    values = _point_values(gf, pt)
-    h = pullback_metric_polys(gf)
-    return Sym3(
-        xx=float(h[0][0].eval(values)),
-        xy=float(h[0][1].eval(values)),
-        xz=float(h[0][2].eval(values)),
-        yy=float(h[1][1].eval(values)),
-        yz=float(h[1][2].eval(values)),
-        zz=float(h[2][2].eval(values)),
-    )
+    return _sym3_at(gf, pullback_metric_polys(gf), pt)
 
 
 def classify(gf: GeneratingFunction, pt, tol: float = 1e-9) -> Signature:

@@ -24,10 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
-# Rational coefficients are plain stdlib Fractions: always reduced, positive
-# denominator, canonical zero.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 

@@ -17,7 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
+from .grid import Axis, Grid
 from .ma_core import GeneratingFunction, SignatureLabel, classify, immersion
+from .mat3 import solve3
 from .singular import BranchPoint, FiberOptions, branch_hessian, branch_select_convex, \
     fiber_solve
 
@@ -135,31 +137,6 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
     )
 
 
-def _solve3(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # Direct 3x3 solve via adjugate and determinant.
-    a = rows
-    det = (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-    scale = max(1.0, float(np.max(np.abs(a)))) ** 3
-    if abs(det) <= 1e-14 * scale:
-        raise DomainError("velocity system is singular (degenerate point)")
-    adj = np.array([
-        [a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1],
-         a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2],
-         a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]],
-        [a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2],
-         a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0],
-         a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]],
-        [a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0],
-         a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1],
-         a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]],
-    ])
-    return adj @ rhs / det
-
-
 def velocity_system(gf: GeneratingFunction, state: SGState,
                     eps: EpsilonChoice | None = None):
     """Rows (grad M, grad N, grad theta) and right-hand side (u_g, v_g, 0)."""
@@ -180,7 +157,8 @@ def velocity_reconstruct(state: SGState, gf: GeneratingFunction,
     equals eps_q > 0 there.
     """
     rows, rhs = velocity_system(gf, state, eps)
-    u, v, w = (float(c) for c in _solve3(rows, rhs))
+    solution = solve3(rows, rhs, "velocity system is singular (degenerate point)")
+    u, v, w = (float(c) for c in solution)
     return u, v, w
 
 
@@ -194,28 +172,10 @@ def reconstructed_state(gf: GeneratingFunction, base, branch="convex",
     return replace(state, u=u, v=v, w=w)
 
 
-@dataclass(frozen=True)
-class PlaneGridSpec:
-    """Rectangular (x, z) section at fixed y, row-major (x outer, z inner)."""
-
-    x_lo: float
-    x_hi: float
-    nx: int
-    z_lo: float
-    z_hi: float
-    nz: int
-    y: float = 0.0
-
-    def __post_init__(self):
-        if self.nx < 1 or self.nz < 1:
-            raise ValueError("grid sizes must be at least 1")
-        if self.x_lo > self.x_hi or self.z_lo > self.z_hi:
-            raise ValueError("grid bounds must be well ordered")
-
-    def nodes(self):
-        for x in np.linspace(self.x_lo, self.x_hi, self.nx):
-            for z in np.linspace(self.z_lo, self.z_hi, self.nz):
-                yield float(x), float(z)
+def PlaneGridSpec(x_lo: float, x_hi: float, nx: int, z_lo: float, z_hi: float,
+                  nz: int, y: float = 0.0) -> Grid:
+    """(x, z) section at fixed y as an (x, y, z) grid, row-major (x outer, z inner)."""
+    return Grid((Axis("x", x_lo, x_hi, nx), Axis("y", y, y, 1), Axis("z", z_lo, z_hi, nz)))
 
 
 @dataclass(frozen=True)
@@ -229,27 +189,29 @@ class WindSample:
     state: SGState | None
 
 
-def wind_field_sweep(gf: GeneratingFunction, branch, grid: PlaneGridSpec,
+def wind_field_sweep(gf: GeneratingFunction, branch, grid: Grid,
                      eps: EpsilonChoice | None = None,
                      opts: FiberOptions | None = None) -> list:
     """Reconstruct the wind on a plane section, flagging out-of-domain nodes.
 
+    ``grid`` runs over the base coordinates ("x", "y", "z") in that order.
     Nodes whose fiber is empty or whose selected branch is degenerate are
     emitted with in_domain False and no state, so the caller still sees
     every grid node in row-major order.
     """
+    if grid.names != ("x", "y", "z"):
+        raise ValueError(f"wind grid axes must be ('x', 'y', 'z'), got {grid.names!r}")
     eps = eps or EpsilonChoice.for_gf(gf)
     samples = []
     with warnings.catch_warnings():
         warnings.simplefilter("once")
-        for x, z in grid.nodes():
-            base = (x, grid.y, z)
+        for x, y, z in grid.nodes():
             try:
-                state = reconstructed_state(gf, base, branch, eps, opts)
+                state = reconstructed_state(gf, (x, y, z), branch, eps, opts)
             except DomainError:
-                samples.append(WindSample(x, grid.y, z, False, None))
+                samples.append(WindSample(x, y, z, False, None))
                 continue
-            samples.append(WindSample(x, grid.y, z, True, state))
+            samples.append(WindSample(x, y, z, True, state))
     return samples
 
 

@@ -20,8 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .ma_core import ChartKind, GeneratingFunction, immersion, immersion_jacobian, \
-    immersion_polys, _point_values
+from .grid import Axis, Grid
+from .ma_core import CACHE_SIZE, ChartKind, GeneratingFunction, immersion, \
+    immersion_jacobian, immersion_jacobian_polys, _point_values, _require_finite
+from .mat3 import det3, solve3
 from .polyexpr import Poly
 from .realroots import real_roots
 
@@ -35,31 +37,10 @@ class CausticSample:
     det_dpi: float
 
 
-@dataclass(frozen=True)
-class GridSpec2D:
-    """Rectangular grid over two chart coordinates, row-major (var1 outer)."""
-
-    var1: str
-    lo1: float
-    hi1: float
-    n1: int
-    var2: str
-    lo2: float
-    hi2: float
-    n2: int
-
-    def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("grid sizes must be at least 1")
-        if self.lo1 > self.hi1 or self.lo2 > self.hi2:
-            raise ValueError("grid bounds must be well ordered")
-
-    def nodes(self):
-        a1 = np.linspace(self.lo1, self.hi1, self.n1)
-        a2 = np.linspace(self.lo2, self.hi2, self.n2)
-        for v1 in a1:
-            for v2 in a2:
-                yield float(v1), float(v2)
+def GridSpec2D(var1: str, lo1: float, hi1: float, n1: int,
+               var2: str, lo2: float, hi2: float, n2: int) -> Grid:
+    """Grid over two chart coordinates, row-major (var1 outer)."""
+    return Grid((Axis(var1, lo1, hi1, n1), Axis(var2, lo2, hi2, n2)))
 
 
 @dataclass
@@ -102,7 +83,7 @@ class FiberOptions:
     degenerate_tol: float = 1e-9
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def singular_locus_poly(gf: GeneratingFunction) -> Poly:
     """Exact polynomial whose zero set (in chart coordinates) is the singular locus.
 
@@ -110,14 +91,7 @@ def singular_locus_poly(gf: GeneratingFunction) -> Poly:
     constant 1 on the classical chart, -T_ZZ on the dual-T chart,
     S_XX*S_YY - S_XY^2 on dual-S, and det Hess(R) on dual-R.
     """
-    cs = gf.chart.coords
-    rows = immersion_polys(gf)[:3]
-    jac = [[row.diff(v) for v in cs] for row in rows]
-    return (
-        jac[0][0] * (jac[1][1] * jac[2][2] - jac[1][2] * jac[2][1])
-        - jac[0][1] * (jac[1][0] * jac[2][2] - jac[1][2] * jac[2][0])
-        + jac[0][2] * (jac[1][0] * jac[2][1] - jac[1][1] * jac[2][0])
-    )
+    return det3(immersion_jacobian_polys(gf)[:3])
 
 
 def dpi_det(gf: GeneratingFunction, pt):
@@ -125,7 +99,7 @@ def dpi_det(gf: GeneratingFunction, pt):
     return singular_locus_poly(gf).eval(_point_values(gf, pt))
 
 
-def caustic_sweep(gf: GeneratingFunction, grid: GridSpec2D, tol: float = 1e-10) -> CausticSweep:
+def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> CausticSweep:
     """Trace the caustic over a grid of two chart coordinates.
 
     At each node the locus polynomial is restricted to the remaining chart
@@ -136,15 +110,16 @@ def caustic_sweep(gf: GeneratingFunction, grid: GridSpec2D, tol: float = 1e-10) 
     roots ascending within a node.
     """
     cs = gf.chart.coords
-    if grid.var1 not in cs or grid.var2 not in cs or grid.var1 == grid.var2:
+    if len(grid.dims) != 2 or not set(grid.names) <= set(cs):
         raise ValueError(f"grid variables must be two distinct of {cs!r}")
-    free = next(v for v in cs if v not in (grid.var1, grid.var2))
+    var1, var2 = grid.names
+    free = next(v for v in cs if v not in grid.names)
     locus = singular_locus_poly(gf)
     sweep = CausticSweep(samples=[])
     for v1, v2 in grid.nodes():
         mapping = {
-            grid.var1: Fraction(v1),
-            grid.var2: Fraction(v2),
+            var1: Fraction(v1),
+            var2: Fraction(v2),
             free: Poly.variable((free,), free),
         }
         restricted = locus.compose(mapping, (free,))
@@ -155,7 +130,7 @@ def caustic_sweep(gf: GeneratingFunction, grid: GridSpec2D, tol: float = 1e-10) 
         if len(coeffs) == 1:
             continue  # constant nonzero: no roots on this slice
         for root in real_roots(coeffs):
-            values = {grid.var1: v1, grid.var2: v2, free: root.value}
+            values = {var1: v1, var2: v2, free: root.value}
             chart_point = tuple(float(values[v]) for v in cs)
             det = float(dpi_det(gf, chart_point))
             if abs(det) > tol:
@@ -201,12 +176,9 @@ def branch_hessian(gf: GeneratingFunction, chart_pt) -> np.ndarray:
     block.  Raises DomainError where the base block is singular (fold).
     """
     J = immersion_jacobian(gf, chart_pt)
-    B, C = J[:3], J[3:]
-    det = np.linalg.det(B)
-    scale = max(1.0, float(np.max(np.abs(B)))) ** 3
-    if abs(det) <= 1e-14 * scale:
-        raise DomainError("projection is singular here; branch Hessian undefined")
-    return C @ np.linalg.inv(B)
+    # C B^-1 = (B^-T C^T)^T
+    return solve3(J[:3].T, J[3:].T,
+                  "projection is singular here; branch Hessian undefined").T
 
 
 def branch_is_convex(gf: GeneratingFunction, chart_pt, tol: float = 1e-9) -> bool:
@@ -218,7 +190,7 @@ def branch_is_convex(gf: GeneratingFunction, chart_pt, tol: float = 1e-9) -> boo
     s = 0.5 * (hp + hp.T)
     m1 = s[0, 0]
     m2 = s[0, 0] * s[1, 1] - s[0, 1] ** 2
-    m3 = np.linalg.det(s)
+    m3 = det3(s.tolist())
     return bool(m1 > tol and m2 > tol and m3 > tol)
 
 
@@ -295,6 +267,7 @@ def fiber_solve(gf: GeneratingFunction, base, opts: FiberOptions | None = None) 
     base = tuple(base)
     if len(base) != 3:
         raise ValueError(f"base point must have 3 components, got {len(base)}")
+    _require_finite(base, "base point")
     bp = BranchPoint(base_point=tuple(float(v) for v in base),
                      fiber_values=[], P_values=[], convex_flags=[])
 

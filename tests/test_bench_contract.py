@@ -1,0 +1,50 @@
+"""The library names and signatures that the benchmark in perfbench/ relies on.
+
+perfbench/ is not part of the package, so a renamed or deleted name would
+break the benchmark (``tracer.install`` raises KeyError, ``workloads``
+fails to import) without failing any other test.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from sgma import ma_core as mc, sg, singular as sing
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    targets = _load("tracer")._targets()
+    assert targets
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, *_ in targets if attr not in vars(owner)]
+    assert missing == []
+
+
+def test_grid_constructors_keep_their_signatures(fold_gf):
+    grid = sing.GridSpec2D("x", 0, 1, 2, "y", 0, 0, 1)
+    assert list(grid.nodes()) == [(0.0, 0.0), (1.0, 0.0)]
+    sing.caustic_sweep(fold_gf, grid)
+    plane = sg.PlaneGridSpec(x_lo=2, x_hi=2, nx=1, z_lo=-1, z_hi=0, nz=2)
+    samples = sg.wind_field_sweep(fold_gf, "convex", plane)
+    assert [(s.x, s.y, s.z) for s in samples] == [(2.0, 0.0, -1.0), (2.0, 0.0, 0.0)]
+    axes = {"x": np.array([0.5]), "y": np.array([0.0, 1.0]), "Z": np.array([-1.0])}
+    eigs, labels = mc.classification_grid(fold_gf, axes)
+    assert eigs.shape == (1, 2, 1, 3) and labels.shape == (1, 2, 1)
+
+
+def test_cached_builders_expose_cache_controls(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports its siblings
+    workloads = _load("workloads")
+    for builder in workloads.MA_CORE_CACHES + workloads.OTHER_CACHES:
+        assert callable(builder.cache_clear) and callable(builder.cache_info)

@@ -468,3 +468,18 @@ def test_cusp_exponent_three_halves(fold_gf):
     a = np.vstack([zs, np.ones(len(zs))]).T
     slope = float(np.linalg.lstsq(a, np.array(dys), rcond=None)[0][0])
     assert abs(slope - 1.5) <= 0.015
+
+
+def test_metric_overflow_is_domain_error():
+    # x^4 makes h_11 = 12 x^2, whose power overflows at x = 1e160.
+    gf = GeneratingFunction(ChartKind.CLASSICAL_P,
+                            parse_poly("x^4 + y^2/2 - z^2/2", ("x", "y", "z")),
+                            Fraction(1))
+    q = (1e160, 0.0, 0.0)
+    calls = (lambda: hamiltonian(gf, BicharState(q, (0.0, 1.0, 1.0))),
+             lambda: null_project(gf, q, (0.0, 1.0), 2),
+             lambda: eikonal_residual_grad(gf, q, (0.0, 1.0, 1.0)),
+             lambda: trace_bicharacteristic(gf, BicharState(q, (0.0, 1.0, 1.0))))
+    for call in calls:
+        with pytest.raises(DomainError, match="overflows"):
+            call()

@@ -270,3 +270,24 @@ def test_verify_paper_list(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 12
     assert lines[0].strip().startswith("1 ")
+
+
+def test_trace_metric_overflow_exits_3(capsys):
+    code, out, err = _run(capsys, ["trace", "--chart", "P", "--potential",
+                                   "x^4 + y^2/2 - z^2/2", "--q", "1e160,0,0",
+                                   "--p", "0,1,?"])
+    assert code == 3 and out == ""
+    assert json.loads(err.strip())["error"]["code"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["caustic", *FOLD, "--grid", "x=inf:inf:2,y=0:0:1"],
+    ["caustic", *FOLD, "--grid", "x=0:nan:2,y=0:0:1"],
+    ["classify", *FOLD, "--grid", "x=-inf:0:2,y=0:0:1,Z=0:0:1"],
+    ["wind", *FOLD, "--x", "0:inf:2", "--z=-1:0:2"],
+    ["wind", *FOLD, "--x", "2:2:1", "--z=-1:0:2", "--y", "nan"],
+])
+def test_non_finite_grid_exits_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "finite" in json.loads(err.strip())["error"]["message"]

@@ -8,7 +8,6 @@ import pytest
 from sgma.family import (
     FamilySpec,
     build_family,
-    degree_report,
     derive_recursions,
     random_generic_spec,
     reference_recursion_report,
@@ -79,13 +78,13 @@ def test_reference_report_flags_the_defective_line():
 def test_fold_example_spec_roundtrips_exactly():
     sol = build_family(EXAMPLE_SPEC)
     assert sol.gf.potential == parse_poly("y^2/2 - x^2*Z/2 + Z^3/6", ("x", "y", "Z"))
-    assert degree_report(sol) == (None, 1, None, 3)
+    assert sol.degrees == (None, 1, None, 3)
 
 
 def test_zero_spec():
     sol = build_family(FamilySpec())
     assert sol.gf.potential.is_zero
-    assert degree_report(sol) == (None, None, None, None)
+    assert sol.degrees == (None, None, None, None)
 
 
 def test_random_members_solve_exactly_with_generic_degrees():

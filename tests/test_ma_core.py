@@ -6,16 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sgma.errors import DomainError
 from sgma.ma_core import (
+    CACHE_SIZE,
     ChartKind,
     GeneratingFunction,
     SignatureLabel,
-    ambient_metric,
     classification_grid,
     classify,
     hessian,
+    hessian_polys,
     immersion,
     immersion_jacobian,
+    immersion_jacobian_polys,
+    immersion_polys,
     linearization_matrix,
     ma_residual,
     ma_residual_poly,
@@ -23,6 +27,7 @@ from sgma.ma_core import (
     pullback_metric_polys,
 )
 from sgma.polyexpr import Poly, parse_poly
+from sgma.singular import singular_locus_poly
 
 XYZ_T = ("x", "y", "Z")
 
@@ -152,17 +157,6 @@ def test_immersion_jacobian_fold_example(fold_gf):
 
 
 # -- metrics -------------------------------------------------------------------
-
-def test_ambient_metric_pairs_and_signature(fold_gf):
-    g = ambient_metric(fold_gf)
-    assert g[0, 3] == g[3, 0] == 1.0
-    assert g[1, 4] == g[2, 5] == 1.0
-    assert np.count_nonzero(g) == 6
-    eigs = np.sort(np.linalg.eigvalsh(g))
-    assert np.allclose(eigs, [-1, -1, -1, 1, 1, 1])
-    g3 = ambient_metric(_gf("T", "Z^3/6", eps=3))
-    assert np.allclose(g3, 3 * g)
-
 
 def test_pullback_fold_closed_form_symbolic(fold_gf):
     hp = pullback_metric_polys(fold_gf)
@@ -361,3 +355,30 @@ def test_generating_function_validation():
         GeneratingFunction.from_dict({"chart": "Q", "potential": "x", "eps_q": "1"})
     with pytest.raises(ValueError):
         GeneratingFunction.from_dict({"chart": "T", "potential": "Z", "bogus": 1})
+
+
+@pytest.mark.parametrize("pt", [(0, 0, float("inf")), (float("nan"), 0, 0),
+                                {"x": 0.0, "y": float("-inf"), "Z": 1.0}])
+def test_non_finite_point_is_domain_error(fold_gf, pt):
+    for evaluate in (classify, hessian, pullback_metric, immersion, ma_residual):
+        with pytest.raises(DomainError, match="not finite"):
+            evaluate(fold_gf, pt)
+
+
+def test_huge_exact_point_is_evaluated_exactly(fold_gf):
+    big = Fraction(10 ** 400)
+    assert ma_residual(fold_gf, (big, big, big)) == 0
+    assert immersion(fold_gf, (big, 0, 1)).z == big ** 2 / 2 - Fraction(1, 2)
+
+
+def test_symbolic_builder_caches_are_bounded():
+    builders = (hessian_polys, immersion_polys, immersion_jacobian_polys,
+                pullback_metric_polys, ma_residual_poly, singular_locus_poly)
+    assert CACHE_SIZE == 64
+    for k in range(1, CACHE_SIZE + 6):
+        gf = _gf("P", f"{k}*x*y + z^2/2")
+        for build in builders:
+            build(gf)
+    for build in builders:
+        info = build.cache_info()
+        assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE

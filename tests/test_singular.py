@@ -16,6 +16,7 @@ from sgma.singular import (
     FiberOptions,
     GridSpec2D,
     branch_hessian,
+    branch_is_convex,
     branch_select_convex,
     caustic_sweep,
     dpi_det,
@@ -327,3 +328,11 @@ def test_parabolic_iff_singular_on_family_solutions():
             near = abs(dpi_det(sol.gf, pt)) <= tol
             parabolic = classify(sol.gf, pt, tol).label is SignatureLabel.PARABOLIC
             assert near == parabolic
+
+
+def test_non_finite_input_is_domain_error(fold_gf):
+    with pytest.raises(DomainError, match="not finite"):
+        fiber_solve(fold_gf, (float("nan"), 0, 0))
+    with pytest.raises(DomainError, match="not finite"):
+        branch_hessian(fold_gf, (0, 0, float("nan")))
+    assert branch_is_convex(fold_gf, (0, 0, float("inf"))) is False
