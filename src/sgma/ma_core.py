@@ -146,10 +146,6 @@ class Sym3:
         a = adj3(self._rows())
         return Sym3(*(a[i][j] for i, j in _UPPER))
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order (deterministic for a fixed input)."""
-        return np.linalg.eigvalsh(self.as_array())
-
 
 # The six independent entries of a symmetric 3x3, in Sym3 field order.
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -336,20 +332,30 @@ def pullback_metric(gf: GeneratingFunction, pt) -> Sym3:
     return _sym3_at(gf, pullback_metric_polys(gf), pt)
 
 
-def classify(gf: GeneratingFunction, pt, tol: float = 1e-9) -> Signature:
-    """Signature of the pull-back metric at pt.
+def _eigen_signs(metrics: np.ndarray, tol: float) -> tuple:
+    """Ascending eigenvalues and their (n_pos, n_neg, n_zero) counts.
 
-    An eigenvalue counts as zero when |lambda| <= tol * (1 + max |lambda|),
-    a relative test meaningful near the singular locus where eigenvalues
+    ``metrics`` holds symmetric 3x3 matrices in its last two axes.  An
+    eigenvalue counts as zero when |lambda| <= tol * (1 + max |lambda|), a
+    relative test meaningful near the singular locus where eigenvalues
     cross zero linearly.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    eigs = pullback_metric(gf, pt).eigenvalues()
-    scale = tol * (1.0 + float(np.max(np.abs(eigs))))
-    n_zero = int(np.sum(np.abs(eigs) <= scale))
-    n_pos = int(np.sum(eigs > scale))
-    n_neg = int(np.sum(eigs < -scale))
+    if not np.all(np.isfinite(metrics)):
+        raise DomainError("pull-back metric is not finite here (overflow)")
+    eigs = np.linalg.eigvalsh(metrics)
+    scale = tol * (1.0 + np.max(np.abs(eigs), axis=-1, keepdims=True))
+    n_pos = (eigs > scale).sum(axis=-1)
+    n_neg = (eigs < -scale).sum(axis=-1)
+    n_zero = (np.abs(eigs) <= scale).sum(axis=-1)
+    return eigs, (n_pos, n_neg, n_zero)
+
+
+def classify(gf: GeneratingFunction, pt, tol: float = 1e-9) -> Signature:
+    """Signature of the pull-back metric at pt (zero test: see _eigen_signs)."""
+    eigs, counts = _eigen_signs(pullback_metric(gf, pt).as_array(), tol)
+    n_pos, n_neg, n_zero = (int(n) for n in counts)
     return Signature(
         n_pos=n_pos,
         n_neg=n_neg,
@@ -393,31 +399,25 @@ def classification_grid(gf: GeneratingFunction, axes: Mapping[str, Sequence],
     and labels as an object array of SignatureLabel values.  Points are in
     row-major order of the chart's coordinate tuple.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     cs = gf.chart.coords
     if set(axes) != set(cs):
         raise ValueError(f"axes must supply exactly {cs!r}")
-    grids = np.meshgrid(*(np.asarray(axes[v], dtype=float) for v in cs),
-                        indexing="ij")
+    values = [np.asarray(axes[v], dtype=float) for v in cs]
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise DomainError("classification grid axes are not finite")
+    grids = np.meshgrid(*values, indexing="ij")
     shape = grids[0].shape
     flat = [g.reshape(-1) for g in grids]
     n = flat[0].size
     hp = pullback_metric_polys(gf)
     H = np.empty((n, 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            val = hp[i][j].eval(flat)
-            H[:, i, j] = val
-            H[:, j, i] = val
-    eigs = np.linalg.eigvalsh(H)
-    scale = tol * (1.0 + np.max(np.abs(eigs), axis=1, keepdims=True))
-    zero = np.abs(eigs) <= scale
-    pos = eigs > scale
-    neg = eigs < -scale
-    n_zero = zero.sum(axis=1)
-    n_pos = pos.sum(axis=1)
-    n_neg = neg.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _eigen_signs rejects inf/nan
+        for i in range(3):
+            for j in range(i, 3):
+                val = hp[i][j].eval(flat)
+                H[:, i, j] = val
+                H[:, j, i] = val
+    eigs, (n_pos, n_neg, n_zero) = _eigen_signs(H, tol)
     labels = np.empty(n, dtype=object)
     for k in range(n):
         labels[k] = _label_for(int(n_pos[k]), int(n_neg[k]), int(n_zero[k]))

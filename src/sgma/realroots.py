@@ -2,17 +2,30 @@
 
 Roots are isolated with Sturm sequences on the square-free part (obtained
 by Yun's decomposition, which also recovers multiplicities) and refined by
-exact bisection on Fraction endpoints.  Exact isolation is what guarantees
-that tangent double roots -- fold points where a fiber equation grazes
-zero -- are reported instead of silently missed by a float root finder.
+bisection on rational endpoints.  Exact isolation is what guarantees that
+tangent double roots -- fold points where a fiber equation grazes zero --
+are reported instead of silently missed by a float root finder.
+
+Isolation and refinement only ever need the sign of an exact polynomial at
+a rational point.  Each sign is first tried in floats, with a rigorous
+bound on the rounding error, and computed in integer arithmetic only when
+the float value does not clear that bound (see ``_Sign``).  Every sign is
+exact either way, so the bisection visits the same brackets as a purely
+exact one.
 
 Coefficient lists are ascending: ``[c0, c1, ...]`` represents ``c0 + c1*x + ...``.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
+
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1072
+_MIN_NORMAL = sys.float_info.min
 
 
 class RootInfo(NamedTuple):
@@ -29,13 +42,6 @@ def _strip(c: list) -> list:
 
 def _degree(c: list) -> int:
     return len(c) - 1
-
-
-def _eval(c: list, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
 
 
 def _derivative(c: list) -> list:
@@ -81,7 +87,13 @@ def square_free_decomposition(c: list) -> list:
     c = _strip(c)
     if _degree(c) < 1:
         return []
-    g = _gcd(c, _derivative(c))
+    return _yun(c, sturm_chain(c))
+
+
+def _yun(c: list, chain: list) -> list:
+    # ``chain`` is the Sturm chain of c: the Euclidean remainder sequence of
+    # (c, c') up to signs, so its last member is gcd(c, c') up to a constant.
+    g = _monic(chain[-1])
     if _degree(g) < 1:
         return [(_monic(c), 1)]
     out = []
@@ -112,16 +124,86 @@ def sturm_chain(c: list) -> list:
     return [p for p in chain if p]
 
 
-def _variations(chain: list, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+class _Sign:
+    """Exact sign of one rational polynomial at rational points ``p/q`` (q > 0).
+
+    A float Horner pass decides the sign when its value clears a running
+    error bound; otherwise the sign comes from integer arithmetic on the
+    numerators over the common denominator, ``sum N_i p^i q^(n-i)``.  Both
+    steps return the exact sign, so callers see no float behaviour at all.
+
+    The bound: with every coefficient and x rounded once to nearest, Horner
+    on the rounded data errs by at most (3n + 1) u S, where S = sum |c_i|
+    |x|^i over the rounded data and u = 2^-53 (Higham, Accuracy and
+    Stability, section 5.1).  A margin of (4n + 8) u covers the rounding of
+    S itself.  Underflow adds at most 2^-1074 per operation, times powers
+    of |x|: a constant where |x| <= 1 and at most (n + 1) S / |c_n| beyond.
+    A non-finite value, an overflowing conversion or a subnormal x skips
+    the float step.
+    """
+
+    __slots__ = ("_ints", "_floats", "_rel", "_abs")
+
+    def __init__(self, c: list):
+        # ``c``: stripped ascending Fraction coefficients.
+        n = len(c) - 1
+        den = math.lcm(*(v.denominator for v in c))
+        self._ints = [v.numerator * (den // v.denominator) for v in reversed(c)]
+        self._floats = None
+        try:
+            floats = [float(v) for v in reversed(c)]
+        except OverflowError:
+            return
+        if floats[0] == 0.0:
+            return
+        self._floats = [(f, abs(f)) for f in floats]
+        self._rel = (4 * n + 8) * _U + (n + 1) * _TINY / abs(floats[0])
+        self._abs = (n + 1) * _TINY
+
+    def __call__(self, p: int, q: int) -> int:
+        return self._float_sign(p, q) or self._exact_sign(p, q)
+
+    def _float_sign(self, p: int, q: int) -> int:
+        # 0 when floats cannot decide; the exact sign is then needed.
+        if self._floats is None:
+            return 0
+        try:
+            x = p / q
+        except OverflowError:
+            return 0
+        if p and abs(x) < _MIN_NORMAL:
+            return 0  # subnormal or underflowed x: its rounding is not relative
+        ax = abs(x)
+        v = s = 0.0
+        for f, m in self._floats:
+            v = v * x + f
+            s = s * ax + m
+        bound = self._rel * s + self._abs
+        if v > bound:
+            return 1
+        if v < -bound:
+            return -1
+        return 0
+
+    def _exact_sign(self, p: int, q: int) -> int:
+        ints = self._ints
+        acc = ints[0]
+        qk = 1
+        for num in ints[1:]:
+            qk *= q
+            acc = acc * p + num * qk
+        return (acc > 0) - (acc < 0)
+
+
+def _variations(signs: list, p: int, q: int) -> int:
     count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
+    last = 0
+    for sign in signs:
+        s = sign(p, q)
+        if s:
+            if last and s != last:
+                count += 1
+            last = s
     return count
 
 
@@ -134,8 +216,11 @@ def cauchy_bound(c: list) -> Fraction:
     return 1 + max(abs(a) for a in c[:-1]) / lead
 
 
-def _isolate_square_free(c: list):
+def _isolate_square_free(c: list, chain: list):
     """Separate a square-free polynomial into exact roots and isolating intervals.
+
+    ``chain`` is the Sturm chain of c times any nonzero constant, which
+    leaves every sign-variation count unchanged.
 
     Exact rational roots hit by bisection midpoints are divided out and the
     sweep restarts on the quotient, so every returned interval (a, b]
@@ -145,23 +230,26 @@ def _isolate_square_free(c: list):
     exact = []
     poly = c
     while _degree(poly) >= 1:
-        chain = sturm_chain(poly)
+        signs = [_Sign(p) for p in chain]
+        sign = signs[0]  # poly times a constant: the same zeros
         bound = cauchy_bound(poly)
         intervals = []
         stack = [(-bound, bound)]
         restarted = False
         while stack:
             a, b = stack.pop()
-            count = _variations(chain, a) - _variations(chain, b)
+            count = (_variations(signs, a.numerator, a.denominator)
+                     - _variations(signs, b.numerator, b.denominator))
             if count == 0:
                 continue
             if count == 1:
                 intervals.append((a, b))
                 continue
             mid = (a + b) / 2
-            if _eval(poly, mid) == 0:
+            if sign(mid.numerator, mid.denominator) == 0:
                 exact.append(mid)
                 poly, _ = _divmod(poly, [-mid, Fraction(1)])
+                chain = sturm_chain(poly)
                 restarted = True
                 break
             stack.append((a, mid))
@@ -171,28 +259,32 @@ def _isolate_square_free(c: list):
     return exact, [], poly
 
 
-def _refine(c: list, a: Fraction, b: Fraction, tol: float) -> Fraction:
-    # One simple root in (a, b]; exact bisection on the sign change.
-    fb = _eval(c, b)
-    if fb == 0:
-        return b
-    fa = _eval(c, a)
-    if fa == 0:
+def _refine(sign: _Sign, a: Fraction, b: Fraction, tol: float) -> Fraction:
+    # One simple root in (a, b]; bisection on the exact sign change, with
+    # both endpoints held as integer numerators over one denominator q.
+    q = math.lcm(a.denominator, b.denominator)
+    a, b = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    if sign(b, q) == 0:
+        return Fraction(b, q)
+    sa = sign(a, q)
+    if sa == 0:
         # Root strictly inside (a, b]; nudge the left endpoint.
-        a = (a + b) / 2
-        fa = _eval(c, a)
-        if fa == 0:
-            return a
-    while float(b - a) > tol * max(1.0, abs(float(a))):
-        mid = (a + b) / 2
-        fm = _eval(c, mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
+        a, b, q = a + b, 2 * b, 2 * q
+        sa = sign(a, q)
+        if sa == 0:
+            return Fraction(a, q)
+    # (b - a) / q and a / q round exactly like float(b - a) and float(a)
+    # of the corresponding Fractions: int true division is correctly rounded.
+    while (b - a) / q > tol * max(1.0, abs(a / q)):
+        mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+        sm = sign(mid, q)
+        if sm == 0:
+            return Fraction(mid, q)
+        if sm == sa:
+            a = mid
         else:
             b = mid
-    return (a + b) / 2
+    return Fraction(a + b, 2 * q)
 
 
 def _newton_polish(c: list, x: float, lo: float, hi: float) -> float:
@@ -231,11 +323,17 @@ def real_roots(coeffs: list, tol: float = 1e-13) -> list:
     if _degree(c) < 1:
         return []
     found = []
-    for factor, mult in square_free_decomposition(c):
-        exact, intervals, reduced = _isolate_square_free(factor)
+    chain = sturm_chain(c)
+    square_free = _degree(chain[-1]) < 1
+    for factor, mult in _yun(c, chain):
+        # A square-free c is its own only factor up to the constant lead(c),
+        # so c's chain serves it; other factors need their own chains.
+        exact, intervals, reduced = _isolate_square_free(
+            factor, chain if square_free else sturm_chain(factor))
+        sign = _Sign(reduced) if intervals else None
         found.extend(RootInfo(float(r), mult) for r in exact)
         for a, b in intervals:
-            x = float(_refine(reduced, a, b, tol))
+            x = float(_refine(sign, a, b, tol))
             span = float(b - a)
             x = _newton_polish(reduced, x, x - 10 * span - tol, x + 10 * span + tol)
             found.append(RootInfo(x, mult))

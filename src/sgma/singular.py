@@ -94,6 +94,43 @@ def singular_locus_poly(gf: GeneratingFunction) -> Poly:
     return det3(immersion_jacobian_polys(gf)[:3])
 
 
+def _by_powers(poly: Poly, var: str) -> tuple:
+    # Coefficient polynomials of var^0, var^1, ... over the other variables.
+    collected = poly.collect((var,))
+    if not collected:
+        return ()
+    zero = Poly.zero(next(iter(collected.values())).variables)
+    return tuple(collected.get((k,), zero) for k in range(max(collected)[0] + 1))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def fiber_coefficient_polys(gf: GeneratingFunction) -> tuple:
+    """Coefficients of Z^0, Z^1, ... in T_Z as exact polynomials of (x, y).
+
+    Dual-T chart only: over a base point the fiber equation z + T_Z = 0 is
+    the univariate polynomial with these coefficients (z added to the first).
+    """
+    if gf.chart is not ChartKind.DUAL_T:
+        raise ValueError("fiber coefficients are defined on the dual-T chart only")
+    return _by_powers(gf.potential.diff("Z"), "Z")
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def locus_coefficient_polys(gf: GeneratingFunction, free: str) -> tuple:
+    """Coefficients of free^0, free^1, ... in the singular-locus polynomial.
+
+    Each is an exact polynomial of the two other chart coordinates, in chart
+    order; restricting the locus to a line along ``free`` evaluates them.
+    """
+    return _by_powers(singular_locus_poly(gf), free)
+
+
+def _stripped(coeffs: list) -> list:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def dpi_det(gf: GeneratingFunction, pt):
     """Determinant of the projection differential at a chart point."""
     return singular_locus_poly(gf).eval(_point_values(gf, pt))
@@ -114,19 +151,15 @@ def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> Cau
         raise ValueError(f"grid variables must be two distinct of {cs!r}")
     var1, var2 = grid.names
     free = next(v for v in cs if v not in grid.names)
-    locus = singular_locus_poly(gf)
+    polys = locus_coefficient_polys(gf, free)
     sweep = CausticSweep(samples=[])
     for v1, v2 in grid.nodes():
-        mapping = {
-            var1: Fraction(v1),
-            var2: Fraction(v2),
-            free: Poly.variable((free,), free),
-        }
-        restricted = locus.compose(mapping, (free,))
-        if restricted.is_zero:
+        fixed = {var1: Fraction(v1), var2: Fraction(v2)}
+        values = [fixed[v] for v in cs if v != free]
+        coeffs = _stripped([p.eval(values) for p in polys])
+        if not coeffs:
             sweep.degenerate_slices.append((v1, v2))
             continue
-        coeffs = restricted.univariate_coefficients(free)
         if len(coeffs) == 1:
             continue  # constant nonzero: no roots on this slice
         for root in real_roots(coeffs):
@@ -282,13 +315,11 @@ def fiber_solve(gf: GeneratingFunction, base, opts: FiberOptions | None = None) 
 
     if gf.chart is ChartKind.DUAL_T:
         x0, y0, z0 = (Fraction(v) for v in base)
-        t_z = gf.potential.diff("Z")
-        restricted = t_z.compose(
-            {"x": x0, "y": y0, "Z": Poly.variable(("Z",), "Z")}, ("Z",)
-        ) + Poly.constant(("Z",), z0)
-        if restricted.is_zero:
+        coeffs = [p.eval([x0, y0]) for p in fiber_coefficient_polys(gf)] or [Fraction(0)]
+        coeffs[0] += z0
+        coeffs = _stripped(coeffs)
+        if not coeffs:
             raise DomainError("fiber equation vanishes identically over this base point")
-        coeffs = restricted.univariate_coefficients("Z")
         roots = real_roots(coeffs) if len(coeffs) > 1 else []
         for root in roots:
             chart_pt = (float(x0), float(y0), root.value)

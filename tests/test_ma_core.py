@@ -1,6 +1,7 @@
 """Charts, immersions, metrics and classification against known closed forms."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -363,6 +364,23 @@ def test_non_finite_point_is_domain_error(fold_gf, pt):
     for evaluate in (classify, hessian, pullback_metric, immersion, ma_residual):
         with pytest.raises(DomainError, match="not finite"):
             evaluate(fold_gf, pt)
+
+
+@pytest.mark.parametrize("axes", [{"x": [0.0], "y": [0.0], "Z": [float("inf")]},
+                                  {"x": [0.0, 1.0], "y": [float("nan")], "Z": [0.5]}])
+def test_classification_grid_rejects_non_finite_axes(fold_gf, axes):
+    # y = nan used to be labelled silently: the fold metric does not depend on y.
+    with pytest.raises(DomainError, match="not finite"):
+        classification_grid(fold_gf, axes)
+
+
+def test_metric_overflow_is_domain_error(fold_gf):
+    with pytest.raises(DomainError, match="not finite"):
+        classify(fold_gf, (0.0, 0.0, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            classification_grid(fold_gf, {"x": [0.0], "y": [0.0], "Z": [1.0, 1e308]})
 
 
 def test_huge_exact_point_is_evaluated_exactly(fold_gf):

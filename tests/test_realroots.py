@@ -1,10 +1,14 @@
 """Exact isolation, refinement, and multiplicity recovery for univariate roots."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from reference_realroots import real_roots as reference_real_roots
 
-from sgma.realroots import real_roots, square_free_decomposition
+from sgma.realroots import _isolate_square_free, _refine, _Sign, real_roots, \
+    square_free_decomposition, sturm_chain
 
 
 def _coeffs(*values):
@@ -90,3 +94,169 @@ def test_randomized_products_of_known_roots():
         assert len(found) == n
         for want, have in zip(sorted(float(r) for r in wanted), found):
             assert abs(want - have) < 1e-9
+
+
+# -- exact signs, refinement paths and equivalence with the reference -------
+
+
+def _exact_sign(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+def _strip_zeros(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _times_linear(coeffs, r):
+    # coeffs * (Z - r)
+    return [-r * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+
+
+class _Spy:
+    """Sign oracle that records every point it is asked about."""
+
+    def __init__(self, coeffs):
+        self.sign = _Sign(_coeffs(*coeffs))
+        self.points = []
+
+    def __call__(self, p, q):
+        self.points.append(Fraction(p, q))
+        return self.sign(p, q)
+
+
+def test_refine_root_at_right_endpoint():
+    spy = _Spy([-1, 1])  # Z - 1 on (0, 1]
+    assert _refine(spy, Fraction(0), Fraction(1), 1e-13) == 1
+    assert spy.points == [1]
+
+
+def test_refine_nudges_a_root_at_the_left_endpoint():
+    spy = _Spy([0, Fraction(-1, 2), 0, 1])  # Z (Z^2 - 1/2) on (0, 1]
+    root = _refine(spy, Fraction(0), Fraction(1), 1e-13)
+    assert spy.points[:3] == [1, 0, Fraction(1, 2)]
+    assert abs(float(root) - math.sqrt(0.5)) < 1e-13
+
+
+def test_refine_nudged_endpoint_can_be_the_root():
+    spy = _Spy([0, Fraction(-1, 2), 1])  # Z (Z - 1/2) on (0, 1]
+    assert _refine(spy, Fraction(0), Fraction(1), 1e-13) == Fraction(1, 2)
+    assert spy.points == [1, 0, Fraction(1, 2)]
+
+
+def test_refine_stops_at_an_exact_midpoint_root():
+    spy = _Spy([Fraction(-3, 8), 1])  # Z - 3/8 on (0, 1]
+    assert _refine(spy, Fraction(0), Fraction(1), 1e-13) == Fraction(3, 8)
+    assert spy.points == [1, 0, Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)]
+
+
+def test_isolation_restarts_at_exact_rational_midpoints():
+    # Z^3 - 6 Z^2 + 11 Z - 6: bound 12 bisects onto 3, then bound 4 onto 2.
+    poly = _coeffs(-6, 11, -6, 1)
+    exact, intervals, reduced = _isolate_square_free(poly, sturm_chain(poly))
+    assert exact == [3, 2]
+    assert intervals == [(-2, 2)]
+    assert reduced == [-1, 1]
+
+
+# Chart-sized floats; magnitudes below 1e-9 are left to the fixed subnormal
+# cases, as their 1074-bit denominators make the reference take seconds.
+_FLOATS = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e6),
+                    st.floats(min_value=-1e6, max_value=-1e-9))
+# Coefficients as the fiber code builds them: exact combinations of
+# Fraction(float) chart values, so denominators are large powers of two.
+_COEFF = st.one_of(
+    st.just(0.0).map(Fraction),
+    _FLOATS.map(Fraction),
+    st.tuples(_FLOATS, _FLOATS, st.integers(1, 6)).map(
+        lambda t: Fraction(t[0]) * Fraction(t[1]) / t[2]),
+)
+
+
+@st.composite
+def _polys(draw):
+    coeffs = draw(st.lists(_COEFF, min_size=1, max_size=9))
+    # Half the draws get a repeated Fraction(float) root: tangencies.
+    if draw(st.booleans()):
+        r = Fraction(draw(_FLOATS))
+        for _ in range(draw(st.integers(1, 2))):
+            coeffs = _times_linear(coeffs, r)
+    if not any(coeffs):
+        coeffs[-1] = Fraction(1)
+    return coeffs
+
+
+def _outcome(fn, coeffs):
+    try:
+        return repr(fn(coeffs))
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_polys())
+def test_real_roots_bit_identical_to_reference(coeffs):
+    assert _outcome(real_roots, coeffs) == _outcome(reference_real_roots, coeffs)
+
+
+_TINY = Fraction(10) ** -12
+_FOLD_X = Fraction(0.1)
+_FIXED = {
+    # Coefficients beyond the float range: every sign is decided exactly.
+    "overflow": [Fraction(-2 * 10 ** 400), Fraction(0), Fraction(10 ** 400)],
+    "overflow_mixed": [Fraction(-10 ** 400), Fraction(1), Fraction(3), Fraction(10 ** 380)],
+    # Subnormal coefficients, and a root whose bisection reaches subnormal x.
+    "subnormal": [Fraction(-2e-320), Fraction(0), Fraction(1e-320)],
+    "subnormal_root": [Fraction(1e-320), Fraction(-1), Fraction(1)],
+    # (Z - 1)(Z - 1 - 1e-12): float values near the pair are all rounding.
+    "cluster": [1 + _TINY, -(2 + _TINY), Fraction(1)],
+    # Fold fibers z + T_Z = (z - x^2/2) + Z^2/2 at x = 0.1: z = 0.1**2/2
+    # rounds just off the caustic, z a hair below it has roots +-1.4e-15,
+    # and z on it has a double root.
+    "fold_decimal": [Fraction(0.1 ** 2 / 2) - _FOLD_X ** 2 / 2, Fraction(0), Fraction(1, 2)],
+    "fold_near_double": [Fraction(-1, 10 ** 30), Fraction(0), Fraction(1, 2)],
+    "fold_double": [Fraction(0), Fraction(0), Fraction(1, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED))
+def test_real_roots_bit_identical_where_floats_step_aside(name):
+    coeffs = _FIXED[name]
+    assert _outcome(real_roots, coeffs) == _outcome(reference_real_roots, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(), _FLOATS, st.integers(0, 60))
+def test_sign_is_exact(coeffs, x, k):
+    coeffs = _strip_zeros(coeffs)
+    sign = _Sign(coeffs)
+    for point in (Fraction(x), Fraction(x) + Fraction(1, 2 ** k)):
+        assert sign(point.numerator, point.denominator) == _exact_sign(coeffs, point)
+    # At a rational root the sign is exactly zero.
+    r = Fraction(x)
+    assert _Sign(_times_linear(coeffs, r))(r.numerator, r.denominator) == 0
+
+
+@pytest.mark.parametrize("x", [Fraction(10 ** 400), Fraction(1, 10 ** 400), Fraction(5e-324),
+                               Fraction(0), Fraction(-1, 3)])
+@pytest.mark.parametrize("name", sorted(_FIXED))
+def test_sign_is_exact_at_extreme_points(name, x):
+    coeffs = _strip_zeros(_FIXED[name])
+    assert _Sign(coeffs)(x.numerator, x.denominator) == _exact_sign(coeffs, x)
+
+
+@pytest.mark.parametrize("x_ulps, root_ulps, want", [(Fraction(36, 10), Fraction(37, 10), -1),
+                                                     (Fraction(4, 10), Fraction(3, 10), 1)])
+def test_sign_is_exact_at_subnormal_points(x_ulps, root_ulps, want):
+    # x and the root round to the same subnormal float (or to 0.0), while
+    # the slope 1e300 makes that rounding error far exceed a relative bound.
+    ulp = Fraction(2) ** -1074
+    x, root = x_ulps * ulp, root_ulps * ulp
+    coeffs = [-(10 ** 300) * root, Fraction(10 ** 300)]
+    assert _Sign(coeffs)(x.numerator, x.denominator) == want

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from sgma.errors import DomainError
-from sgma.ma_core import ChartKind, GeneratingFunction, SignatureLabel, classify, \
-    immersion
-from sgma.polyexpr import parse_poly
+from sgma.ma_core import CACHE_SIZE, ChartKind, GeneratingFunction, SignatureLabel, \
+    classify, immersion
+from sgma.polyexpr import Poly, parse_poly
 from sgma.singular import (
     CAUSTIC_CSV_COLUMNS,
     FiberOptions,
@@ -20,7 +20,9 @@ from sgma.singular import (
     branch_select_convex,
     caustic_sweep,
     dpi_det,
+    fiber_coefficient_polys,
     fiber_solve,
+    locus_coefficient_polys,
     multivalued_P,
     singular_locus_poly,
     write_caustic_csv,
@@ -87,6 +89,53 @@ def test_caustic_degenerate_slice_reported():
     assert (0.0, 0.0) in sweep.degenerate_slices
     # nonzero-x slices have no roots in Z (constant nonzero restriction)
     assert sweep.samples == []
+
+
+def _substituted(poly, fixed, free):
+    # Restriction to a line by substitution, the per-node way: the oracle
+    # for the coefficient builders.
+    mapping = {v: Fraction(value) for v, value in fixed.items()}
+    mapping[free] = Poly.variable((free,), free)
+    return poly.compose(mapping, (free,)).univariate_coefficients(free)
+
+
+def _at(polys, values):
+    coeffs = [p.eval([Fraction(v) for v in values]) for p in polys]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def test_coefficient_builders_match_substitution(fold_gf):
+    from sgma.family import build_family, random_generic_spec
+
+    rng = random.Random(5)
+    gfs = [fold_gf, _gf("T", "x*Z^2/2")]
+    gfs += [build_family(random_generic_spec(rng)).gf for _ in range(2)]
+    for gf in gfs:
+        t_z = gf.potential.diff("Z")
+        locus = singular_locus_poly(gf)
+        for x, y, Z in [(0.0, 0.0, 0.0)] + [tuple(rng.uniform(-1, 1) for _ in range(3))
+                                              for _ in range(3)]:
+            assert _at(fiber_coefficient_polys(gf), (x, y)) == \
+                _substituted(t_z, {"x": x, "y": y}, "Z")
+            for free, fixed in (("Z", {"x": x, "y": y}), ("x", {"y": y, "Z": Z}),
+                                ("y", {"x": x, "Z": Z})):
+                values = [fixed[v] for v in T_VARS if v != free]
+                assert _at(locus_coefficient_polys(gf, free), values) == \
+                    _substituted(locus, fixed, free)
+
+
+def test_coefficient_builders_are_bounded(convex_quadratic_gf):
+    with pytest.raises(ValueError, match="dual-T"):
+        fiber_coefficient_polys(convex_quadratic_gf)
+    for k in range(1, CACHE_SIZE + 3):
+        gf = _gf("T", f"{k}*x*Z^2 + Z^3/6")
+        fiber_coefficient_polys(gf)
+        locus_coefficient_polys(gf, "Z")
+    for build in (fiber_coefficient_polys, locus_coefficient_polys):
+        info = build.cache_info()
+        assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
 
 
 def test_dpi_det_values(fold_gf, convex_quadratic_gf):
