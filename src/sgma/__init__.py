@@ -36,7 +36,6 @@ from .singular import (
     BranchPoint,
     CausticSample,
     CausticSweep,
-    FiberOptions,
     GridSpec2D,
     branch_hessian,
     branch_is_convex,

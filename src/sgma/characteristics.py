@@ -31,6 +31,10 @@ from .errors import DomainError, MetricSingularError
 from .ma_core import CACHE_SIZE, GeneratingFunction, _point_values, pullback_metric_polys
 from .polyexpr import Poly
 
+# Fixed thresholds of the metric and trace decisions.
+SINGULAR_TOL = 1e-12  # h is singular where |det h| <= SINGULAR_TOL * max(1, max |h_ij|)^3
+H_TOL = 1e-8  # a trace accepts only candidate states with |H| <= H_TOL
+
 
 @dataclass(frozen=True)
 class BicharState:
@@ -136,10 +140,10 @@ def _function_source(signature: str, body) -> str:
 def _compile_kernels(entries, d_entries):
     """Generate ``rhs`` and ``state`` for the metric with these exact entries.
 
-    ``rhs(q0, q1, q2, p0, p1, p2, tol)`` returns Hamilton's right-hand side
+    ``rhs(q0, q1, q2, p0, p1, p2)`` returns Hamilton's right-hand side
     (qdot0, qdot1, qdot2, pdot0, pdot1, pdot2), with qdot = 2w, w = h^{-1} p
-    and pdot_k = w^T (d_k h) w; it raises MetricSingularError when
-    |det h| <= tol * max(1, max|h_ij|)^3.
+    and pdot_k = w^T (d_k h) w; it raises MetricSingularError when h is
+    singular (see ``SINGULAR_TOL``).
 
     ``state(q0, q1, q2, p0, p1, p2)`` returns what an accepted state needs:
     (det, s, i1, i2, H, qdot0, qdot1, qdot2), where s = max(1, max|h_ij|) and
@@ -154,9 +158,9 @@ def _compile_kernels(entries, d_entries):
         dh_lines += _entry_lines(_names(f"d{k}"), d_entries[k], known)
     w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i)}" for i in range(3)]
     pdot = [_quadform_source(_names(f"d{k}"), _W) for k in range(3)]
-    rhs = _function_source("rhs(q0, q1, q2, p0, p1, p2, tol)", [
+    rhs = _function_source("rhs(q0, q1, q2, p0, p1, p2)", [
         *h_lines, *_DET_AND_SCALE,
-        "if abs(det) <= tol * s ** 3:",
+        f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
         "    raise _singular(det)",
         *_INVERSE, *w_lines, *dh_lines,
         "return (" + ", ".join([f"2.0 * {w}" for w in _W] + pdot) + ")",
@@ -225,43 +229,40 @@ def _metric_field(gf: GeneratingFunction) -> _MetricField:
     return _MetricField(gf)
 
 
-def _check_regular(det, s, H, singular_tol: float) -> None:
-    # The singular test: |det h| <= tol * max(1, max|h_ij|)^3.  An exactly
-    # singular h (no H) counts as singular under any tolerance.
-    if abs(det) <= singular_tol * s ** 3 or H is None:
+def _check_regular(det, s, H) -> None:
+    # The singular test of SINGULAR_TOL.  An exactly singular h (no H)
+    # counts as singular under any tolerance.
+    if abs(det) <= SINGULAR_TOL * s ** 3 or H is None:
         raise _singular(det)
 
 
-def _evaluate_state(field_: _MetricField, q, p, singular_tol: float) -> tuple:
+def _evaluate_state(field_: _MetricField, q, p) -> tuple:
     try:
         out = field_.state(*q, *p)
     except OverflowError:
         raise DomainError(f"metric evaluation overflows at q = {tuple(q)}, "
                           f"p = {tuple(p)}") from None
     det, s, _, _, H, _, _, _ = out
-    _check_regular(det, s, H, singular_tol)
+    _check_regular(det, s, H)
     return out
 
 
-def hamiltonian(gf: GeneratingFunction, state: BicharState,
-                singular_tol: float = 1e-12) -> float:
+def hamiltonian(gf: GeneratingFunction, state: BicharState) -> float:
     """H(q, p) = p^T h(q)^{-1} p; raises MetricSingularError at parabolic points."""
-    field_ = _metric_field(gf)
-    _, _, _, _, H, _, _, _ = _evaluate_state(field_, state.q, state.p, singular_tol)
+    _, _, _, _, H, _, _, _ = _evaluate_state(_metric_field(gf), state.q, state.p)
     return H
 
 
-def _inverse_metric(field_: _MetricField, q, singular_tol: float) -> list:
+def _inverse_metric(field_: _MetricField, q) -> list:
     # Column j of h^{-1} is half of qdot = 2 h^{-1} p at the unit momentum e_j.
     cols = []
     for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
-        _, _, _, _, _, *qdot = _evaluate_state(field_, q, e, singular_tol)
+        _, _, _, _, _, *qdot = _evaluate_state(field_, q, e)
         cols.append([0.5 * v for v in qdot])
     return [[cols[j][i] for j in range(3)] for i in range(3)]
 
 
-def null_project(gf: GeneratingFunction, q, p_partial, free_index: int,
-                 singular_tol: float = 1e-12) -> list:
+def null_project(gf: GeneratingFunction, q, p_partial, free_index: int) -> list:
     """Complete two fixed momentum components to the null cone H = 0.
 
     Returns the 0, 1 or 2 real completions (ascending in the free
@@ -274,7 +275,7 @@ def null_project(gf: GeneratingFunction, q, p_partial, free_index: int,
     if len(p_partial) != 2:
         raise ValueError("p_partial must supply the two fixed components")
     q = tuple(float(v) for v in q)
-    hinv = _inverse_metric(_metric_field(gf), q, singular_tol)
+    hinv = _inverse_metric(_metric_field(gf), q)
     fixed = [i for i in range(3) if i != free_index]
     p0 = [0.0, 0.0, 0.0]
     for i, v in zip(fixed, p_partial):
@@ -302,31 +303,30 @@ def null_project(gf: GeneratingFunction, q, p_partial, free_index: int,
     return [completed(v) for v in roots]
 
 
-def ham_rhs(gf: GeneratingFunction, state: BicharState,
-            singular_tol: float = 1e-12):
+def ham_rhs(gf: GeneratingFunction, state: BicharState):
     """Hamilton's equations: qdot = 2 h^{-1} p, pdot_k = w^T (d_k h) w, w = h^{-1} p.
 
     The momentum law uses d_k(h^{-1}) = -h^{-1} (d_k h) h^{-1}, with the
     metric's entry gradients taken from exact polynomial derivatives.
     """
-    out = _metric_field(gf).rhs(*state.q, *state.p, singular_tol)
+    out = _metric_field(gf).rhs(*state.q, *state.p)
     return out[:3], out[3:]
 
 
-def _rk4_step(rhs, q, p, step, singular_tol):
+def _rk4_step(rhs, q, p, step):
     q0, q1, q2 = q
     p0, p1, p2 = p
     half = 0.5 * step
-    k1q0, k1q1, k1q2, k1p0, k1p1, k1p2 = rhs(q0, q1, q2, p0, p1, p2, singular_tol)
+    k1q0, k1q1, k1q2, k1p0, k1p1, k1p2 = rhs(q0, q1, q2, p0, p1, p2)
     k2q0, k2q1, k2q2, k2p0, k2p1, k2p2 = rhs(
         q0 + half * k1q0, q1 + half * k1q1, q2 + half * k1q2,
-        p0 + half * k1p0, p1 + half * k1p1, p2 + half * k1p2, singular_tol)
+        p0 + half * k1p0, p1 + half * k1p1, p2 + half * k1p2)
     k3q0, k3q1, k3q2, k3p0, k3p1, k3p2 = rhs(
         q0 + half * k2q0, q1 + half * k2q1, q2 + half * k2q2,
-        p0 + half * k2p0, p1 + half * k2p1, p2 + half * k2p2, singular_tol)
+        p0 + half * k2p0, p1 + half * k2p1, p2 + half * k2p2)
     k4q0, k4q1, k4q2, k4p0, k4p1, k4p2 = rhs(
         q0 + step * k3q0, q1 + step * k3q1, q2 + step * k3q2,
-        p0 + step * k3p0, p1 + step * k3p1, p2 + step * k3p2, singular_tol)
+        p0 + step * k3p0, p1 + step * k3p1, p2 + step * k3p2)
     sixth = step / 6.0
     return (
         (q0 + sixth * (k1q0 + 2 * k2q0 + 2 * k3q0 + k4q0),
@@ -370,28 +370,27 @@ def _log_entry(cyclic: bool, q, H, det, qdot0, qdot1) -> dict:
 
 def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
                            step: float = 1e-3, max_steps: int = 1000,
-                           stop_tol: float | None = None, box: float = 10.0,
-                           singular_tol: float = 1e-12,
-                           h_tol: float = 1e-8) -> Trace:
+                           stop_tol: float | None = None, box: float = 10.0) -> Trace:
     """Integrate a bicharacteristic with fixed-step classical RK4.
 
     ``step``, ``box`` and ``stop_tol`` must be finite (ValueError otherwise).
     The initial condition must be finite and lie on the null cone
-    (|H| <= 1e-10); DomainError otherwise.  The trace stops when |det h| falls below ``stop_tol`` (default: 1e-6 times
-    its initial value) at the parabolic boundary, when a coordinate leaves
-    the [-box, box] cube, when values stop being finite, or when the step
-    budget is exhausted.  Two further guards keep accepted states honest
-    near the singular locus, where the right-hand side stiffens and a fixed
-    step loses validity: a change of metric signature between consecutive
-    steps counts as a boundary hit (type transitions only occur through the
-    locus, and a fixed step can jump straight across the thin determinant
-    band), and a candidate whose |H| exceeds ``h_tol`` is rejected, ending
-    the trace where the null constraint can no longer be held (labeled as
-    the boundary when the determinant has already collapsed below half its
-    initial size, as divergence otherwise).  Every accepted state therefore
-    satisfies |H| <= h_tol.  Each accepted state logs H and det h, plus the
-    conserved quantities qdot1*q3 and qdot2 when the metric has the cyclic
-    diagonal structure of the canonical fold metric.
+    (|H| <= 1e-10); DomainError otherwise.  The trace stops when |det h|
+    falls below ``stop_tol`` (default: 1e-6 times its initial value) at the
+    parabolic boundary, when a coordinate leaves the [-box, box] cube, when
+    values stop being finite, or when the step budget is exhausted.  Two
+    further guards keep accepted states honest near the singular locus,
+    where the right-hand side stiffens and a fixed step loses validity: a
+    change of metric signature between consecutive steps counts as a
+    boundary hit (type transitions only occur through the locus, and a fixed
+    step can jump straight across the thin determinant band), and a
+    candidate whose |H| exceeds ``H_TOL`` is rejected, ending the trace where
+    the null constraint can no longer be held (labeled as the boundary when
+    the determinant has already collapsed below half its initial size, as
+    divergence otherwise).  Every accepted state therefore satisfies
+    |H| <= H_TOL.  Each accepted state logs H and det h, plus the conserved
+    quantities qdot1*q3 and qdot2 when the metric has the cyclic diagonal
+    structure of the canonical fold metric.
     """
     if not (step > 0 and math.isfinite(step)) or max_steps < 0:
         raise ValueError("step must be positive and finite, max_steps non-negative")
@@ -402,7 +401,7 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
         raise DomainError(f"initial state is not finite: q = {q}, p = {p}")
     field_ = _metric_field(gf)
     rhs, state, cyclic = field_.rhs, field_.state, field_.cyclic
-    det0, scale, i1, i2, H0, qdot0, qdot1, _ = _evaluate_state(field_, q, p, singular_tol)
+    det0, scale, i1, i2, H0, qdot0, qdot1, _ = _evaluate_state(field_, q, p)
     if abs(H0) > 1e-10:
         raise DomainError(f"initial condition is not null: H = {H0:g}")
     if stop_tol is None:
@@ -413,7 +412,7 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
         try:
-            qn, pn = _rk4_step(rhs, q, p, step, singular_tol)
+            qn, pn = _rk4_step(rhs, q, p, step)
         except MetricSingularError:
             termination = Termination.PARABOLIC_BOUNDARY
             break
@@ -434,8 +433,8 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
         if abs(det) < stop_tol or _sign_counts(i1, i2, det, scale) != counts0:
             termination = Termination.PARABOLIC_BOUNDARY
             break
-        _check_regular(det, scale, H, singular_tol)
-        if abs(H) > h_tol:
+        _check_regular(det, scale, H)
+        if abs(H) > H_TOL:
             termination = (Termination.PARABOLIC_BOUNDARY
                            if abs(det) < 0.5 * abs(det0)
                            else Termination.DIVERGED)
@@ -446,18 +445,16 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
     return Trace(states=states, termination=termination, conserved_log=log)
 
 
-def eikonal_residual_grad(gf: GeneratingFunction, pt, grad,
-                          singular_tol: float = 1e-12) -> float:
+def eikonal_residual_grad(gf: GeneratingFunction, pt, grad) -> float:
     """Residual (grad F)^T h^{-1} (grad F) = H(pt, grad F) for a numerical gradient."""
     values = [float(v) for v in _point_values(gf, pt)]
     g = [float(v) for v in grad]
     if len(g) != 3:
         raise ValueError("gradient must have 3 components")
-    return hamiltonian(gf, BicharState(values, g), singular_tol)
+    return hamiltonian(gf, BicharState(values, g))
 
 
-def eikonal_residual(gf: GeneratingFunction, F: Poly, pt,
-                     singular_tol: float = 1e-12) -> float:
+def eikonal_residual(gf: GeneratingFunction, F: Poly, pt) -> float:
     """Residual of the eikonal equation h^{-1}(dF, dF) = 0 for a polynomial F.
 
     The gradient is taken exactly and evaluated at the chart point; zero
@@ -469,7 +466,7 @@ def eikonal_residual(gf: GeneratingFunction, F: Poly, pt,
         )
     values = _point_values(gf, pt)
     grad = [float(F.diff(v).eval(values)) for v in gf.chart.coords]
-    return eikonal_residual_grad(gf, values, grad, singular_tol)
+    return eikonal_residual_grad(gf, values, grad)
 
 
 def _sqrt_exact_or_float(value):

@@ -178,8 +178,8 @@ def _cmd_fiber(ns) -> int:
             tuple(float(Fraction(v)) for v in chunk.split(","))
             for chunk in str(ns.seeds).split(";") if chunk.strip()
         )
-    bp = sing.fiber_solve(gf, base, sing.FiberOptions(seeds=seeds))
-    choice = sing.branch_select_convex(bp, gf)
+    bp = sing.fiber_solve(gf, base, seeds)
+    choice = sing.branch_select_convex(bp)
     report = {
         "base": list(bp.base_point),
         "fiber": [

@@ -22,9 +22,17 @@ implicit multiplication is rejected.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Mapping, Sequence, Union
 
+from .errors import DomainError
+
 Scalar = Union[int, Fraction]
+
+# Input size budget of parse_poly, checked on bounds before each power or
+# product is computed, so that a short text cannot ask for minutes of work.
+MAX_DEGREE = 256
+MAX_TERMS = 1000
 
 
 class ParseError(ValueError):
@@ -192,8 +200,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def constant_value(self) -> Fraction | None:
@@ -264,7 +273,7 @@ class Poly:
 
         Exact ``Fraction`` result when every input is an int or Fraction;
         float (or numpy array) result otherwise.  Evaluation is Horner-style
-        per variable for floating stability.
+        per variable for floating stability.  Float overflow raises DomainError.
         """
         values = self._values_list(point)
         if all(isinstance(v, (int, Fraction)) for v in values):
@@ -279,7 +288,10 @@ class Poly:
                                            len(self._variables), float)
         if self._tree_float is _EMPTY:
             return 0.0
-        return _eval_tree(self._tree_float, values)
+        try:
+            return _eval_tree(self._tree_float, values)
+        except OverflowError:
+            raise DomainError(f"polynomial evaluation overflows at {values!r}") from None
 
     # -- substitution / renaming -------------------------------------------
 
@@ -467,6 +479,11 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _degree_range(poly: Poly) -> tuple:
+    degrees = [sum(e) for e in poly._terms]
+    return min(degrees), max(degrees)
+
+
 class _Parser:
     def __init__(self, tokens, variables):
         self.tokens = tokens
@@ -506,6 +523,10 @@ class _Parser:
             op, _, op_pos = self.advance()
             rhs = self.unary()
             if op == "*":
+                if not (result.is_zero or rhs.is_zero):
+                    (lo1, hi1), (lo2, hi2) = _degree_range(result), _degree_range(rhs)
+                    self.check_size(lo1 + lo2, hi1 + hi2,
+                                    len(result._terms) * len(rhs._terms), op_pos)
                 result = result * rhs
             else:
                 c = rhs.constant_value()
@@ -532,8 +553,24 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer literal", pos)
             self.advance()
-            return base ** int(value)
+            k = int(value)
+            if k > MAX_DEGREE:
+                raise ParseError(f"exponent {k} exceeds the limit of {MAX_DEGREE}", pos)
+            if not base.is_zero:
+                lo, hi = _degree_range(base)
+                self.check_size(lo * k, hi * k, comb(len(base._terms) + k - 1, k), pos)
+            return base ** k
         return base
+
+    def check_size(self, low: int, high: int, terms: int, pos: int) -> None:
+        # A result of total degree low..high, with at most ``terms`` terms
+        # by its factors, has no more terms than monomials of those degrees.
+        if high > MAX_DEGREE:
+            raise ParseError(f"degree {high} exceeds the limit of {MAX_DEGREE}", pos)
+        n = len(self.variables)
+        terms = min(terms, comb(n + high, n) - (comb(n + low - 1, n) if low else 0))
+        if terms > MAX_TERMS:
+            raise ParseError(f"up to {terms} terms exceed the limit of {MAX_TERMS}", pos)
 
     def atom(self) -> Poly:
         kind, value, pos = self.advance()
@@ -558,6 +595,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     """Parse polynomial text over the given ordered variable names.
 
     Raises :class:`ParseError` (with position) on syntax errors, unknown
-    variables, and negative or non-integer exponents.
+    variables, negative or non-integer exponents, and input beyond the size
+    budget (``MAX_DEGREE``, ``MAX_TERMS``).
     """
     return _Parser(_tokenize(text), variables).parse()

@@ -23,6 +23,9 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import DomainError
+
+REFINE_TOL = 1e-13  # bisection stops at width <= REFINE_TOL * max(1, |left end|)
 _U = 2.0 ** -53
 _TINY = 2.0 ** -1072
 _MIN_NORMAL = sys.float_info.min
@@ -259,7 +262,7 @@ def _isolate_square_free(c: list, chain: list):
     return exact, [], poly
 
 
-def _refine(sign: _Sign, a: Fraction, b: Fraction, tol: float) -> Fraction:
+def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
     # One simple root in (a, b]; bisection on the exact sign change, with
     # both endpoints held as integer numerators over one denominator q.
     q = math.lcm(a.denominator, b.denominator)
@@ -275,7 +278,7 @@ def _refine(sign: _Sign, a: Fraction, b: Fraction, tol: float) -> Fraction:
             return Fraction(a, q)
     # (b - a) / q and a / q round exactly like float(b - a) and float(a)
     # of the corresponding Fractions: int true division is correctly rounded.
-    while (b - a) / q > tol * max(1.0, abs(a / q)):
+    while (b - a) / q > REFINE_TOL * max(1.0, abs(a / q)):
         mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
         sm = sign(mid, q)
         if sm == 0:
@@ -310,12 +313,13 @@ def _newton_polish(c: list, x: float, lo: float, hi: float) -> float:
     return x
 
 
-def real_roots(coeffs: list, tol: float = 1e-13) -> list:
+def real_roots(coeffs: list) -> list:
     """All real roots with multiplicities, ascending.
 
     ``coeffs`` is an ascending rational coefficient list.  A constant
     nonzero polynomial has no roots; the zero polynomial is rejected
-    since every point would be a root.
+    since every point would be a root.  Roots, or isolating intervals,
+    beyond the float range raise DomainError.
     """
     c = _strip([Fraction(v) for v in coeffs])
     if not c:
@@ -331,11 +335,16 @@ def real_roots(coeffs: list, tol: float = 1e-13) -> list:
         exact, intervals, reduced = _isolate_square_free(
             factor, chain if square_free else sturm_chain(factor))
         sign = _Sign(reduced) if intervals else None
-        found.extend(RootInfo(float(r), mult) for r in exact)
-        for a, b in intervals:
-            x = float(_refine(sign, a, b, tol))
-            span = float(b - a)
-            x = _newton_polish(reduced, x, x - 10 * span - tol, x + 10 * span + tol)
-            found.append(RootInfo(x, mult))
+        try:
+            found.extend(RootInfo(float(r), mult) for r in exact)
+            for a, b in intervals:
+                x = float(_refine(sign, a, b))
+                span = float(b - a)
+                x = _newton_polish(reduced, x, x - 10 * span - REFINE_TOL,
+                                   x + 10 * span + REFINE_TOL)
+                found.append(RootInfo(x, mult))
+        except OverflowError:
+            raise DomainError("a real root or its isolating interval lies beyond "
+                              "the float range") from None
     found.sort(key=lambda r: r.value)
     return found

@@ -20,8 +20,7 @@ from .errors import DomainError
 from .grid import Axis, Grid
 from .ma_core import GeneratingFunction, SignatureLabel, classify, immersion
 from .mat3 import solve3
-from .singular import BranchPoint, FiberOptions, branch_hessian, branch_select_convex, \
-    fiber_solve
+from .singular import BranchPoint, branch_hessian, branch_select_convex, fiber_solve
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,11 @@ class SGState:
     w: float | None = None
 
 
-def _resolve_branch(gf: GeneratingFunction, bp: BranchPoint, branch) -> int:
+def _resolve_branch(bp: BranchPoint, branch) -> int:
     if isinstance(branch, str):
         if branch != "convex":
             raise ValueError(f"branch must be 'convex' or an index, got {branch!r}")
-        choice = branch_select_convex(bp, gf)
+        choice = branch_select_convex(bp)
         if choice.index is None:
             raise DomainError("no convex branch over this base point")
         if choice.ambiguous:
@@ -92,8 +91,7 @@ def _resolve_branch(gf: GeneratingFunction, bp: BranchPoint, branch) -> int:
 
 
 def branch_state(gf: GeneratingFunction, base, branch="convex",
-                 eps: EpsilonChoice | None = None,
-                 opts: FiberOptions | None = None) -> SGState:
+                 eps: EpsilonChoice | None = None) -> SGState:
     """Geopotential, momenta, and geostrophic wind on one branch over a base point.
 
     ``branch`` is either "convex" (select via the convexity principle) or an
@@ -108,12 +106,12 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
             f"eps_q = {gf.eps_q} is outside the verified regime",
             stacklevel=2,
         )
-    bp = fiber_solve(gf, base, opts)
+    bp = fiber_solve(gf, base)
     if not bp.fiber_values:
         raise DomainError(
             f"base point {tuple(float(v) for v in base)} is outside the solution domain"
         )
-    index = _resolve_branch(gf, bp, branch)
+    index = _resolve_branch(bp, branch)
     if bp.degenerate_flags and bp.degenerate_flags[index]:
         raise DomainError("selected branch is degenerate (caustic point)")
     chart_pt = bp.fiber_values[index]
@@ -163,11 +161,10 @@ def velocity_reconstruct(state: SGState, gf: GeneratingFunction,
 
 
 def reconstructed_state(gf: GeneratingFunction, base, branch="convex",
-                        eps: EpsilonChoice | None = None,
-                        opts: FiberOptions | None = None) -> SGState:
+                        eps: EpsilonChoice | None = None) -> SGState:
     """branch_state plus velocity_reconstruct in one call."""
     eps = eps or EpsilonChoice.for_gf(gf)
-    state = branch_state(gf, base, branch, eps, opts)
+    state = branch_state(gf, base, branch, eps)
     u, v, w = velocity_reconstruct(state, gf, eps)
     return replace(state, u=u, v=v, w=w)
 
@@ -190,8 +187,7 @@ class WindSample:
 
 
 def wind_field_sweep(gf: GeneratingFunction, branch, grid: Grid,
-                     eps: EpsilonChoice | None = None,
-                     opts: FiberOptions | None = None) -> list:
+                     eps: EpsilonChoice | None = None) -> list:
     """Reconstruct the wind on a plane section, flagging out-of-domain nodes.
 
     ``grid`` runs over the base coordinates ("x", "y", "z") in that order.
@@ -207,7 +203,7 @@ def wind_field_sweep(gf: GeneratingFunction, branch, grid: Grid,
         warnings.simplefilter("once")
         for x, y, z in grid.nodes():
             try:
-                state = reconstructed_state(gf, (x, y, z), branch, eps, opts)
+                state = reconstructed_state(gf, (x, y, z), branch, eps)
             except DomainError:
                 samples.append(WindSample(x, y, z, False, None))
                 continue

@@ -73,14 +73,12 @@ class BranchChoice(NamedTuple):
     ambiguous: bool
 
 
-@dataclass(frozen=True)
-class FiberOptions:
-    seeds: tuple = ()
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 60
-    dedupe_tol: float = 1e-9
-    convex_tol: float = 1e-9
-    degenerate_tol: float = 1e-9
+# Fixed thresholds of the fiber and branch decisions.
+NEWTON_TOL = 1e-12  # Newton stops once max |residual| <= NEWTON_TOL * (1 + max |base|)
+NEWTON_MAX_ITER = 60  # Newton steps per seed before the seed counts as failed
+DEDUPE_TOL = 1e-9  # Newton solutions closer than this in max norm are one preimage
+CONVEX_TOL = 1e-9  # convex: all leading principal minors of the branch Hessian exceed this
+DEGENERATE_TOL = 1e-9  # degenerate: |det dpi| <= DEGENERATE_TOL, or a multiple root
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -125,12 +123,6 @@ def locus_coefficient_polys(gf: GeneratingFunction, free: str) -> tuple:
     return _by_powers(singular_locus_poly(gf), free)
 
 
-def _stripped(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def dpi_det(gf: GeneratingFunction, pt):
     """Determinant of the projection differential at a chart point."""
     return singular_locus_poly(gf).eval(_point_values(gf, pt))
@@ -156,13 +148,11 @@ def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> Cau
     for v1, v2 in grid.nodes():
         fixed = {var1: Fraction(v1), var2: Fraction(v2)}
         values = [fixed[v] for v in cs if v != free]
-        coeffs = _stripped([p.eval(values) for p in polys])
-        if not coeffs:
+        coeffs = [p.eval(values) for p in polys]
+        if not any(coeffs):
             sweep.degenerate_slices.append((v1, v2))
             continue
-        if len(coeffs) == 1:
-            continue  # constant nonzero: no roots on this slice
-        for root in real_roots(coeffs):
+        for root in real_roots(coeffs):  # none if the slice is a nonzero constant
             values = {var1: v1, var2: v2, free: root.value}
             chart_point = tuple(float(values[v]) for v in cs)
             det = float(dpi_det(gf, chart_point))
@@ -214,7 +204,7 @@ def branch_hessian(gf: GeneratingFunction, chart_pt) -> np.ndarray:
                   "projection is singular here; branch Hessian undefined").T
 
 
-def branch_is_convex(gf: GeneratingFunction, chart_pt, tol: float = 1e-9) -> bool:
+def branch_is_convex(gf: GeneratingFunction, chart_pt) -> bool:
     """Positive definiteness of the branch Hessian via leading principal minors."""
     try:
         hp = branch_hessian(gf, chart_pt)
@@ -224,18 +214,18 @@ def branch_is_convex(gf: GeneratingFunction, chart_pt, tol: float = 1e-9) -> boo
     m1 = s[0, 0]
     m2 = s[0, 0] * s[1, 1] - s[0, 1] ** 2
     m3 = det3(s.tolist())
-    return bool(m1 > tol and m2 > tol and m3 > tol)
+    return bool(m1 > CONVEX_TOL and m2 > CONVEX_TOL and m3 > CONVEX_TOL)
 
 
-def _dedupe(solutions: list, tol: float) -> list:
+def _dedupe(solutions: list) -> list:
     kept = []
     for sol in solutions:
-        if all(max(abs(a - b) for a, b in zip(sol, k)) > tol for k in kept):
+        if all(max(abs(a - b) for a, b in zip(sol, k)) > DEDUPE_TOL for k in kept):
             kept.append(sol)
     return kept
 
 
-def _newton_fiber(gf: GeneratingFunction, base, opts: FiberOptions):
+def _newton_fiber(gf: GeneratingFunction, base, seeds):
     """Newton solve of the chart relations over a base point (dual-R / dual-S)."""
     cs = gf.chart.coords
     pot = gf.potential
@@ -252,18 +242,18 @@ def _newton_fiber(gf: GeneratingFunction, base, opts: FiberOptions):
     scale = 1.0 + max(abs(float(v)) for v in base)
 
     converged, failed = [], []
-    for seed in opts.seeds:
+    for seed in seeds:
         seed = tuple(float(s) for s in seed)
         if len(seed) != len(unknowns):
             raise ValueError(f"seed must supply {len(unknowns)} values for {unknowns!r}")
         u = np.array(seed, dtype=float)
         ok = False
-        for _ in range(opts.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             point = dict(fixed)
             point.update(zip(unknowns, u))
             values = [point[v] for v in cs]
             r = np.array([float(p.eval(values)) - t for p, t in zip(res_polys, targets)])
-            if np.max(np.abs(r)) <= opts.newton_tol * scale:
+            if np.max(np.abs(r)) <= NEWTON_TOL * scale:
                 ok = True
                 break
             Jm = np.array([[float(q.eval(values)) for q in row] for row in jac_polys])
@@ -278,93 +268,68 @@ def _newton_fiber(gf: GeneratingFunction, base, opts: FiberOptions):
             converged.append(tuple(u))
         else:
             failed.append(seed)
-    kept = _dedupe(sorted(converged), opts.dedupe_tol)
     chart_points = []
-    for u in kept:
+    for u in _dedupe(sorted(converged)):
         point = dict(fixed)
         point.update(zip(unknowns, u))
         chart_points.append(tuple(float(point[v]) for v in cs))
     return chart_points, failed
 
 
-def fiber_solve(gf: GeneratingFunction, base, opts: FiberOptions | None = None) -> BranchPoint:
+def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
     """All chart preimages of a physical base point, with geopotential values.
 
     On the dual-T chart the fiber equation z + T_Z(x, y, .) = 0 is a
     univariate polynomial in Z and is solved by exact root isolation, so
     fold tangencies are found with their multiplicity.  The dual-R and
-    dual-S charts use Newton iteration from caller-supplied seeds.  An empty
-    fiber means the base point lies outside the solution domain.
+    dual-S charts use Newton iteration from the given ``seeds``.  An empty
+    fiber means the base point lies outside the solution domain.  Each
+    preimage's convexity is decided here, once, and recorded in
+    ``convex_flags``.
     """
-    opts = opts or FiberOptions()
     base = tuple(base)
     if len(base) != 3:
         raise ValueError(f"base point must have 3 components, got {len(base)}")
     _require_finite(base, "base point")
     bp = BranchPoint(base_point=tuple(float(v) for v in base),
                      fiber_values=[], P_values=[], convex_flags=[])
-
+    # (chart point, multiplicity) pairs.  The classical chart point is the
+    # base point as given, so that its geopotential is exact for exact input.
     if gf.chart is ChartKind.CLASSICAL_P:
-        chart_pt = tuple(float(v) for v in base)
-        bp.fiber_values.append(chart_pt)
-        bp.P_values.append(float(gf.potential.eval(list(base))))
-        bp.convex_flags.append(branch_is_convex(gf, chart_pt, opts.convex_tol))
-        bp.multiplicities.append(1)
-        bp.degenerate_flags.append(False)
-        return bp
-
-    if gf.chart is ChartKind.DUAL_T:
+        preimages = [(base, 1)]
+    elif gf.chart is ChartKind.DUAL_T:
         x0, y0, z0 = (Fraction(v) for v in base)
         coeffs = [p.eval([x0, y0]) for p in fiber_coefficient_polys(gf)] or [Fraction(0)]
         coeffs[0] += z0
-        coeffs = _stripped(coeffs)
-        if not coeffs:
+        if not any(coeffs):
             raise DomainError("fiber equation vanishes identically over this base point")
-        roots = real_roots(coeffs) if len(coeffs) > 1 else []
-        for root in roots:
-            chart_pt = (float(x0), float(y0), root.value)
-            P, _ = multivalued_P(gf, chart_pt)
-            degenerate = root.multiplicity > 1 or \
-                abs(float(dpi_det(gf, chart_pt))) <= opts.degenerate_tol
-            bp.fiber_values.append(chart_pt)
-            bp.P_values.append(float(P))
-            bp.convex_flags.append(
-                (not degenerate) and branch_is_convex(gf, chart_pt, opts.convex_tol)
-            )
-            bp.multiplicities.append(root.multiplicity)
-            bp.degenerate_flags.append(degenerate)
-        return bp
-
-    chart_points, failed = _newton_fiber(gf, base, opts)
-    bp.failed_seeds = failed
-    for chart_pt in chart_points:
-        P, _ = multivalued_P(gf, chart_pt)
-        degenerate = abs(float(dpi_det(gf, chart_pt))) <= opts.degenerate_tol
+        preimages = [((float(x0), float(y0), r.value), r.multiplicity)
+                     for r in real_roots(coeffs)]
+    else:
+        chart_points, bp.failed_seeds = _newton_fiber(gf, base, seeds)
+        preimages = [(pt, 1) for pt in chart_points]
+    for point, multiplicity in preimages:
+        chart_pt = tuple(float(v) for v in point)
+        P = (gf.potential.eval(list(point)) if gf.chart is ChartKind.CLASSICAL_P
+             else multivalued_P(gf, chart_pt)[0])
+        degenerate = multiplicity > 1 or abs(float(dpi_det(gf, chart_pt))) <= DEGENERATE_TOL
         bp.fiber_values.append(chart_pt)
         bp.P_values.append(float(P))
-        bp.convex_flags.append(
-            (not degenerate) and branch_is_convex(gf, chart_pt, opts.convex_tol)
-        )
-        bp.multiplicities.append(1)
+        bp.convex_flags.append(not degenerate and branch_is_convex(gf, chart_pt))
+        bp.multiplicities.append(multiplicity)
         bp.degenerate_flags.append(degenerate)
     return bp
 
 
-def branch_select_convex(bp: BranchPoint, gf: GeneratingFunction,
-                         tol: float = 1e-9) -> BranchChoice:
+def branch_select_convex(bp: BranchPoint) -> BranchChoice:
     """Index of the unique convex branch, or None.
 
-    Convexity is re-evaluated from the generating function at each fiber
-    point (degenerate fiber values are never eligible).  If several branches
+    Reads the convexity that ``fiber_solve`` recorded for each fiber point
+    (degenerate fiber values are never convex).  If several branches
     qualify the first index is returned with the ambiguity flag set; the
     selection policy among coexisting convex branches is left to the caller.
     """
-    convex = []
-    for i, chart_pt in enumerate(bp.fiber_values):
-        if bp.degenerate_flags and bp.degenerate_flags[i]:
-            continue
-        if branch_is_convex(gf, chart_pt, tol):
-            convex.append(i)
+    convex = [i for i, flag in enumerate(bp.convex_flags) if flag]
     if not convex:
         return BranchChoice(None, False)
     return BranchChoice(convex[0], len(convex) > 1)

@@ -202,7 +202,7 @@ def _c07_multivalued_geopotential(opts: VerifyOptions):
                 if z >= x * x / 2.0 - 1e-3:
                     continue
                 bp = sing.fiber_solve(gf, (float(x), float(y), float(z)))
-                choice = sing.branch_select_convex(bp, gf)
+                choice = sing.branch_select_convex(bp)
                 if choice.index is None:
                     return False, f"no convex branch at {(x, y, z)}"
                 expected = y * y / 2.0 + (x * x - 2.0 * z) ** 1.5 / 3.0
@@ -396,13 +396,7 @@ def run_criterion(cid: int, opts: VerifyOptions | None = None) -> CriterionResul
 
 def run_all(opts: VerifyOptions | None = None) -> list:
     """Run criteria 1-12 in order; the CLI exit code is 0 iff all pass."""
-    opts = opts or VerifyOptions()
-    results = []
-    for cid, name, func in CRITERIA:
-        passed, detail = func(opts)
-        results.append(CriterionResult(cid=cid, name=name, passed=bool(passed),
-                                       detail=detail))
-    return results
+    return [run_criterion(cid, opts) for cid, _, _ in CRITERIA]
 
 
 def summary_dict(results: list) -> dict:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sgma import ma_core as mc, sg, singular as sing
+from sgma import characteristics as ch, ma_core as mc, sg, singular as sing
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,6 +41,21 @@ def test_grid_constructors_keep_their_signatures(fold_gf):
     axes = {"x": np.array([0.5]), "y": np.array([0.0, 1.0]), "Z": np.array([-1.0])}
     eigs, labels = mc.classification_grid(fold_gf, axes)
     assert eigs.shape == (1, 2, 1, 3) and labels.shape == (1, 2, 1)
+
+
+def test_workload_call_shapes(fold_gf):
+    # The calls perfbench/workloads.py makes, argument for argument.
+    state = sg.reconstructed_state(fold_gf, (2.0, 0.0, -1.0))
+    assert state.u is not None
+    rows, rhs = sg.velocity_system(fold_gf, state)
+    assert rows.shape == (3, 3) and rhs.shape == (3,)
+    eps = sg.EpsilonChoice.for_gf(fold_gf)
+    grid = sg.PlaneGridSpec(x_lo=2, x_hi=2, nx=1, z_lo=-1, z_hi=0, nz=2)
+    assert len(sg.wind_field_sweep(fold_gf, "convex", grid, eps)) == 2
+    start = ch.BicharState((0.0, 0.0, 1.0), (0.0, 1.0, -1.0))
+    assert ch.hamiltonian(fold_gf, start) == 0.0
+    trace = ch.trace_bicharacteristic(fold_gf, start, step=1e-3, max_steps=3, box=10.0)
+    assert len(trace.states) == 4
 
 
 def test_cached_builders_expose_cache_controls(monkeypatch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -291,3 +292,26 @@ def test_non_finite_grid_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert "finite" in json.loads(err.strip())["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    # Roots +-1e200 of the fiber polynomial, isolated in (-1e400, 1e400].
+    ["fiber", *FOLD, "--base", "1e200,0,0"],
+    # x^2 in the Hessian overflows a float.
+    ["classify", "--chart", "P", "--potential", "x^4/12 + y^2/2 + z^2/2",
+     "--point", "1e200,0,0"],
+])
+def test_float_range_overflow_exits_3(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 3
+
+
+def test_oversized_potential_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["singular", "--chart", "T", "--potential",
+                                   "(x+y+Z)^80"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "limit" in json.loads(err.strip())["error"]["message"]

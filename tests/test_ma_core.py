@@ -122,6 +122,11 @@ def test_immersion_fold_points(fold_gf):
     assert amb.as_tuple() == (0, 0, Fraction(-1, 2), 0, 0, 1)
 
 
+def test_immersion_overflow_raises_domain_error(fold_gf):
+    with pytest.raises(DomainError, match="overflows"):
+        immersion(fold_gf, (1e200, 0, 0))
+
+
 def test_immersion_classical_gradient(convex_quadratic_gf):
     assert immersion(convex_quadratic_gf, (1, 2, 3)).as_tuple() == (1, 2, 3, 1, 2, 3)
 

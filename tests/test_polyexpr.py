@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgma.polyexpr import ParseError, Poly, parse_poly
+from sgma.errors import DomainError
+from sgma.polyexpr import MAX_DEGREE, MAX_TERMS, ParseError, Poly, parse_poly
 
 XYZ = ("x", "y", "Z")
 
@@ -88,6 +89,34 @@ def test_exponent_errors():
         parse_poly("x^-2", ("x",))
     with pytest.raises(ParseError):
         parse_poly("x^(2)", ("x",))
+
+
+def test_size_budget():
+    xyz = ("x", "y", "Z")
+    # (x+y+Z)^k has C(k+2, 2) terms: 990 at k = 43, 1035 at k = 44.
+    assert len(parse_poly("(x+y+Z)^43", xyz).terms) == 990 <= MAX_TERMS
+    assert parse_poly(f"x^{MAX_DEGREE}", xyz).degree() == MAX_DEGREE
+    assert len(parse_poly("(x+y+Z)^22*(x+y+Z)^21", xyz).terms) == 990
+    assert parse_poly(f"0*x^{MAX_DEGREE}*x^{MAX_DEGREE}", xyz).is_zero
+    for text, position, message in [
+        ("(x+y+Z)^44", 8, "1035 terms"),
+        ("(x+y+Z)^80", 8, "3321 terms"),
+        ("(x+y+Z)^22*(x+y+Z)^22", 10, "1035 terms"),
+        (f"x^{MAX_DEGREE + 1}", 2, "exponent"),
+        (f"2^{MAX_DEGREE + 1}", 2, "exponent"),
+        (f"x^{MAX_DEGREE}*y", 5, "degree"),
+        ("(x^2+y)^200", 8, "degree"),
+    ]:
+        with pytest.raises(ParseError, match=message) as info:
+            parse_poly(text, xyz)
+        assert info.value.position == position
+
+
+def test_float_eval_overflow_raises_domain_error():
+    p = parse_poly("x^4 + y", ("x", "y"))
+    with pytest.raises(DomainError, match="overflows"):
+        p.eval([1e200, 0.0])
+    assert p.eval([2.0 ** 250, 1.0]) == 2.0 ** 1000
 
 
 def test_implicit_multiplication_rejected():

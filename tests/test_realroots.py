@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from reference_realroots import real_roots as reference_real_roots
 
+from sgma.errors import DomainError
 from sgma.realroots import _isolate_square_free, _refine, _Sign, real_roots, \
     square_free_decomposition, sturm_chain
 
@@ -55,6 +56,16 @@ def test_constant_and_zero():
     assert real_roots(_coeffs(5)) == []
     with pytest.raises(ValueError):
         real_roots([])
+
+
+@pytest.mark.parametrize("coeffs", [
+    _coeffs(-10 ** 400, 1),  # root 1e400
+    _coeffs(-10 ** 400, 0, 1),  # roots +-1e200 in isolating intervals of width 1e400
+    _coeffs(0, -10 ** 400, 0, 1),  # also an exact root 0, found before the overflow
+])
+def test_roots_beyond_the_float_range_raise_domain_error(coeffs):
+    with pytest.raises(DomainError, match="float range"):
+        real_roots(coeffs)
 
 
 def test_square_free_decomposition():
@@ -132,26 +143,26 @@ class _Spy:
 
 def test_refine_root_at_right_endpoint():
     spy = _Spy([-1, 1])  # Z - 1 on (0, 1]
-    assert _refine(spy, Fraction(0), Fraction(1), 1e-13) == 1
+    assert _refine(spy, Fraction(0), Fraction(1)) == 1
     assert spy.points == [1]
 
 
 def test_refine_nudges_a_root_at_the_left_endpoint():
     spy = _Spy([0, Fraction(-1, 2), 0, 1])  # Z (Z^2 - 1/2) on (0, 1]
-    root = _refine(spy, Fraction(0), Fraction(1), 1e-13)
+    root = _refine(spy, Fraction(0), Fraction(1))
     assert spy.points[:3] == [1, 0, Fraction(1, 2)]
     assert abs(float(root) - math.sqrt(0.5)) < 1e-13
 
 
 def test_refine_nudged_endpoint_can_be_the_root():
     spy = _Spy([0, Fraction(-1, 2), 1])  # Z (Z - 1/2) on (0, 1]
-    assert _refine(spy, Fraction(0), Fraction(1), 1e-13) == Fraction(1, 2)
+    assert _refine(spy, Fraction(0), Fraction(1)) == Fraction(1, 2)
     assert spy.points == [1, 0, Fraction(1, 2)]
 
 
 def test_refine_stops_at_an_exact_midpoint_root():
     spy = _Spy([Fraction(-3, 8), 1])  # Z - 3/8 on (0, 1]
-    assert _refine(spy, Fraction(0), Fraction(1), 1e-13) == Fraction(3, 8)
+    assert _refine(spy, Fraction(0), Fraction(1)) == Fraction(3, 8)
     assert spy.points == [1, 0, Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)]
 
 

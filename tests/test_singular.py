@@ -13,7 +13,6 @@ from sgma.ma_core import CACHE_SIZE, ChartKind, GeneratingFunction, SignatureLab
 from sgma.polyexpr import Poly, parse_poly
 from sgma.singular import (
     CAUSTIC_CSV_COLUMNS,
-    FiberOptions,
     GridSpec2D,
     branch_hessian,
     branch_is_convex,
@@ -263,11 +262,11 @@ def test_fiber_consistency_projection(fold_gf):
 
 def test_fiber_newton_charts():
     gf_s = _gf("S", "(X^2 + Y^2)/2 - z^2/2")
-    bp = fiber_solve(gf_s, (0.5, -0.25, 2.0), FiberOptions(seeds=((0.0, 0.0),)))
+    bp = fiber_solve(gf_s, (0.5, -0.25, 2.0), ((0.0, 0.0),))
     assert len(bp.fiber_values) == 1
     assert abs(bp.P_values[0] - (0.25 + 0.0625 + 4.0) / 2) < 1e-12
     gf_r = _gf("R", "(X^2 + Y^2 + Z^2)/2")
-    bp = fiber_solve(gf_r, (1.0, 2.0, 3.0), FiberOptions(seeds=((0, 0, 0),)))
+    bp = fiber_solve(gf_r, (1.0, 2.0, 3.0), ((0, 0, 0),))
     assert abs(bp.P_values[0] - 7.0) < 1e-12
     assert bp.failed_seeds == []
 
@@ -277,7 +276,7 @@ def test_fiber_newton_nontrivial_r_chart():
     # geopotential at the projected base must equal the classical value.
     gf_r = _gf("R", "2*X^2/3 - 2*X*Y/3 + 2*Y^2/3 + Z^2/2", Fraction(3, 4))
     base = (1.0, 1.0, 0.0)  # q with P(q) = q^T M q / 2 = 3/2
-    bp = fiber_solve(gf_r, base, FiberOptions(seeds=((0.0, 0.0, 0.0),)))
+    bp = fiber_solve(gf_r, base, ((0.0, 0.0, 0.0),))
     assert len(bp.fiber_values) == 1
     assert abs(bp.P_values[0] - 1.5) < 1e-10
     X, Y, Z = bp.fiber_values[0]
@@ -285,11 +284,14 @@ def test_fiber_newton_nontrivial_r_chart():
 
 
 def test_fiber_newton_failed_seed_reported():
-    # Gradient system with no solution near a wildly bad seed budget.
-    gf_r = _gf("R", "(X^2 + Y^2 + Z^2)/2")
-    bp = fiber_solve(gf_r, (1.0, 1.0, 1.0),
-                     FiberOptions(seeds=((1e30, 1e30, 1e30),), newton_max_iter=1))
-    assert bp.failed_seeds == [(1e30, 1e30, 1e30)]
+    # The Jacobian diag(2X, 1, 1) of the gradient system is singular at
+    # X = 0, so Newton cannot start from the first seed; the second seed
+    # converges to the preimage X = 1.
+    gf_r = _gf("R", "X^3/3 + (Y^2 + Z^2)/2")
+    bp = fiber_solve(gf_r, (1.0, 1.0, 1.0), ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0)))
+    assert bp.failed_seeds == [(0.0, 0.0, 0.0)]
+    assert len(bp.fiber_values) == 1
+    assert max(abs(a - b) for a, b in zip(bp.fiber_values[0], (1, 1, 1))) < 1e-12
 
 
 def test_fiber_classical_trivial(convex_quadratic_gf):
@@ -302,7 +304,7 @@ def test_fiber_classical_trivial(convex_quadratic_gf):
 
 def test_branch_select_elliptic(fold_gf):
     bp = fiber_solve(fold_gf, (2, 0, 0))
-    choice = branch_select_convex(bp, fold_gf)
+    choice = branch_select_convex(bp)
     assert choice.index == 0 and not choice.ambiguous
     assert bp.fiber_values[choice.index][2] == -2.0
     # the convex branch is the elliptic branch
@@ -311,12 +313,12 @@ def test_branch_select_elliptic(fold_gf):
 
 def test_branch_select_none_at_fold(fold_gf):
     bp = fiber_solve(fold_gf, (2, 0, 2))
-    assert branch_select_convex(bp, fold_gf).index is None
+    assert branch_select_convex(bp).index is None
 
 
 def test_branch_select_classical(convex_quadratic_gf):
     bp = fiber_solve(convex_quadratic_gf, (0.3, 0.1, -0.2))
-    assert branch_select_convex(bp, convex_quadratic_gf) == (0, False)
+    assert branch_select_convex(bp) == (0, False)
 
 
 def test_branch_select_ambiguity_flag():
@@ -327,8 +329,35 @@ def test_branch_select_ambiguity_flag():
     bp = fiber_solve(gf, (0, 0, 0))
     assert [round(fv[2]) for fv in bp.fiber_values] == [1, 2, 3]
     assert bp.convex_flags == [True, False, True]
-    choice = branch_select_convex(bp, gf)
+    choice = branch_select_convex(bp)
     assert choice.index == 0 and choice.ambiguous
+
+
+def _reevaluated_choice(bp, gf):
+    # The selection rule restated: convexity decided again at every
+    # non-degenerate fiber point.
+    convex = [i for i, pt in enumerate(bp.fiber_values)
+              if not bp.degenerate_flags[i] and branch_is_convex(gf, pt)]
+    return (convex[0] if convex else None), len(convex) > 1
+
+
+def test_branch_select_convex_matches_reevaluated_convexity(fold_gf, convex_quadratic_gf):
+    from sgma.family import build_family, random_generic_spec
+
+    rng = random.Random(31)
+    three_sheets = _gf("T", "y^2/2 + x^2*Z/2 - Z^4/4 + 2*Z^3 - 11*Z^2/2 + 6*Z")
+    gfs = [fold_gf, three_sheets, convex_quadratic_gf]
+    gfs += [build_family(random_generic_spec(rng)).gf for _ in range(3)]
+    cases = [(fold_gf, (x, 0.5, x * x / 2)) for x in (0.0, 1.0, 2.0)]  # on the fold
+    cases += [(gf, (rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-2, 1.5)))
+              for gf in gfs for _ in range(30)]
+    outcomes = set()
+    for gf, base in cases:
+        bp = fiber_solve(gf, base)
+        choice = branch_select_convex(bp)
+        assert tuple(choice) == _reevaluated_choice(bp, gf)
+        outcomes.add((choice.index is None, choice.ambiguous))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_branch_p_matches_convex_closed_form(fold_gf):
@@ -338,7 +367,7 @@ def test_branch_p_matches_convex_closed_form(fold_gf):
         y = rng.uniform(-1, 1)
         z = x * x / 2 - rng.uniform(0.1, 3.0)
         bp = fiber_solve(fold_gf, (x, y, z))
-        i = branch_select_convex(bp, fold_gf).index
+        i = branch_select_convex(bp).index
         expected = y * y / 2 + (x * x - 2 * z) ** 1.5 / 3
         assert abs(bp.P_values[i] - expected) <= 1e-10
 
