@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from sgma import characteristics as ch, ma_core as mc, sg, singular as sing
+from sgma.polyexpr import parse_poly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,3 +64,18 @@ def test_cached_builders_expose_cache_controls(monkeypatch):
     workloads = _load("workloads")
     for builder in workloads.MA_CORE_CACHES + workloads.OTHER_CACHES:
         assert callable(builder.cache_clear) and callable(builder.cache_info)
+
+
+def test_terms_out_probe_counts_terms():
+    # tracer._hook_poly adds len(result._terms) to polyexpr.terms_out: the
+    # private map must hold exactly one entry per term of the result.
+    xyz = ("x", "y", "Z")
+    p = parse_poly("y^2/2 - x^2*Z/2 + Z^3/6", xyz)
+    q = parse_poly("(x + y/3 - 1)^3", xyz)
+    results = [p, q, p + q, p - p, p * q, q ** 2, p / 7, -q, p.diff("Z"),
+               q.antiderivative("y"), p.compose({"x": q, "y": 2, "Z": p}, xyz),
+               p.with_variables(("Z", "y", "x")), *p.collect(("Z",)).values(),
+               parse_poly(str(p * q), xyz)]
+    for r in results:
+        assert len(r._terms) == len(r.terms)
+    assert [len(r._terms) for r in results[:4]] == [3, 10, 12, 0]

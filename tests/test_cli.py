@@ -309,9 +309,11 @@ def test_float_range_overflow_exits_3(capsys, argv):
 
 
 def test_oversized_potential_exits_2_fast(capsys):
-    start = time.perf_counter()
-    code, out, err = _run(capsys, ["singular", "--chart", "T", "--potential",
-                                   "(x+y+Z)^80"])
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
-    assert "limit" in json.loads(err.strip())["error"]["message"]
+    # Too many terms, and too many coefficient bits.
+    for potential in ("(x+y+Z)^80", "((10^200)^200)^200"):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["singular", "--chart", "T", "--potential",
+                                       potential])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "limit" in json.loads(err.strip())["error"]["message"]

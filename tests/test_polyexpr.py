@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgma.errors import DomainError
-from sgma.polyexpr import MAX_DEGREE, MAX_TERMS, ParseError, Poly, parse_poly
+from sgma.polyexpr import MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, ParseError, Poly, \
+    parse_poly
 
 XYZ = ("x", "y", "Z")
 
@@ -98,6 +99,13 @@ def test_size_budget():
     assert parse_poly(f"x^{MAX_DEGREE}", xyz).degree() == MAX_DEGREE
     assert len(parse_poly("(x+y+Z)^22*(x+y+Z)^21", xyz).terms) == 990
     assert parse_poly(f"0*x^{MAX_DEGREE}*x^{MAX_DEGREE}", xyz).is_zero
+    # Coefficient bits are bounded by k * (b + bit_length(t - 1)) for a k-th
+    # power of t terms of b bits, and for a product by the sum of the factors'
+    # bits + bit_length(min(t1, t2) - 1); 10^200 has 665 bits, 10^400 1329.
+    assert parse_poly("(10^200*10^200)^3", xyz).constant_value() == 10 ** 1200
+    assert parse_poly("10^200*10^200*10^200*x", xyz).terms == {(1, 0, 0): 10 ** 600}
+    assert len(parse_poly("(10^100*x + y + 1)^12", xyz).terms) == 91
+    assert parse_poly(f"(2*x + 1)^{MAX_DEGREE}", xyz).degree() == MAX_DEGREE
     for text, position, message in [
         ("(x+y+Z)^44", 8, "1035 terms"),
         ("(x+y+Z)^80", 8, "3321 terms"),
@@ -106,6 +114,11 @@ def test_size_budget():
         (f"2^{MAX_DEGREE + 1}", 2, "exponent"),
         (f"x^{MAX_DEGREE}*y", 5, "degree"),
         ("(x^2+y)^200", 8, "degree"),
+        ("((10^200)^200)^200", 10, f"133000 bits exceed the limit of {MAX_COEFF_BITS}"),
+        ("(((10^200)^200)^200)^2", 11, "133000 bits"),
+        ("(10^200)^7", 9, "4655 bits"),
+        ("10^200*10^200*10^200*10^200*10^200*10^200*10^200", 41, "4652 bits"),
+        ("(10^100*x + y + 1)^13", 19, "4355 bits"),
     ]:
         with pytest.raises(ParseError, match=message) as info:
             parse_poly(text, xyz)
