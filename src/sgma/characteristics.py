@@ -28,6 +28,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import DomainError, MetricSingularError
+from .formatting import format_float
 from .ma_core import CACHE_SIZE, GeneratingFunction, _point_values, pullback_metric_polys
 from .polyexpr import Poly
 
@@ -525,16 +526,13 @@ def trace_csv_columns(trace: Trace) -> tuple:
     return tuple(cols)
 
 
-def write_trace_csv(trace: Trace, stream, float_format=None) -> None:
+def write_trace_csv(trace: Trace, stream) -> None:
     """One row per accepted step; termination reason on a trailing comment line."""
-    from .formatting import format_float
-
-    fmt = float_format or format_float
     cols = trace_csv_columns(trace)
     stream.write(",".join(cols) + "\n")
     for state, entry in zip(trace.states, trace.conserved_log):
         row = [state.s, *state.q, *state.p, entry["H"], entry["det_h"]]
         if "xdotZ" in cols:
             row += [entry["xdotZ"], entry["ydot"]]
-        stream.write(",".join(fmt(v) for v in row) + "\n")
+        stream.write(",".join(format_float(v) for v in row) + "\n")
     stream.write(f"# termination={trace.termination.value}\n")

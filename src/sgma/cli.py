@@ -156,8 +156,6 @@ def _cmd_caustic(ns) -> int:
         raise ConfigError("supply --grid over two chart variables")
     grid = Grid.parse(ns.grid)
     tol = float(ns.tol) if ns.tol is not None else 1e-10
-    if tol <= 0:
-        raise ConfigError("--tol must be positive")
     sweep = sing.caustic_sweep(gf, grid, tol)
     buf = io.StringIO()
     sing.write_caustic_csv(sweep, buf)

@@ -340,8 +340,8 @@ def _eigen_signs(metrics: np.ndarray, tol: float) -> tuple:
     relative test meaningful near the singular locus where eigenvalues
     cross zero linearly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     if not np.all(np.isfinite(metrics)):
         raise DomainError("pull-back metric is not finite here (overflow)")
     eigs = np.linalg.eigvalsh(metrics)

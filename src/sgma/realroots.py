@@ -1,10 +1,13 @@
 """Real-root isolation for univariate polynomials with rational coefficients.
 
-Roots are isolated with Sturm sequences on the square-free part (obtained
-by Yun's decomposition, which also recovers multiplicities) and refined by
-bisection on rational endpoints.  Exact isolation is what guarantees that
-tangent double roots -- fold points where a fiber equation grazes zero --
-are reported instead of silently missed by a float root finder.
+The input is converted once to primitive integer coefficients; everything
+after that works on integer lists.  One primitive remainder sequence
+(``_prs``) gives the Sturm chain and the gcds of Yun's decomposition, which
+recovers multiplicities; roots are isolated with the Sturm chain of each
+square-free factor and refined by bisection on rational endpoints.  Exact
+isolation is what guarantees that tangent double roots -- fold points where
+a fiber equation grazes zero -- are reported instead of silently missed by
+a float root finder.
 
 Isolation and refinement only ever need the sign of an exact polynomial at
 a rational point.  Each sign is first tried in floats, with a rigorous
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -29,6 +33,7 @@ REFINE_TOL = 1e-13  # bisection stops at width <= REFINE_TOL * max(1, |left end|
 _U = 2.0 ** -53
 _TINY = 2.0 ** -1072
 _MIN_NORMAL = sys.float_info.min
+_FLOAT_BITS = 960  # the float view of a _Sign scales its coefficients below 2**960
 
 
 class RootInfo(NamedTuple):
@@ -51,89 +56,89 @@ def _derivative(c: list) -> list:
     return _strip([coeff * k for k, coeff in enumerate(c)][1:])
 
 
-def _monic(c: list) -> list:
-    lead = c[-1]
-    return [coeff / lead for coeff in c]
+def _primitive(c: list) -> list:
+    g = math.gcd(*c)
+    return [v // g for v in c]
 
 
-def _divmod(a: list, b: list):
-    # Exact Euclidean division over the rationals.
+def _quo(a: list, b: list) -> list:
+    # a / b for integer lists where b divides a.  Exact when b is primitive:
+    # by Gauss's lemma the quotient then has integer coefficients.
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and _strip(a):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
+    n, lead = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - n, 0)
+    for k in reversed(range(len(q))):
+        qk = q[k] = a[k + n] // lead
         for i, coeff in enumerate(b):
-            a[shift + i] -= factor * coeff
-        a = _strip(a)
-        if not a:
-            break
-    return _strip(q), _strip(a)
+            a[k + i] -= qk * coeff
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
-def _gcd(a: list, b: list) -> list:
-    a, b = _strip(a), _strip(b)
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    return _monic(a)
+def _prs(a: list, b: list) -> list:
+    """Primitive remainder sequence [a, b, r1, r2, ...] of integer lists.
 
-
-def square_free_decomposition(c: list) -> list:
-    """Yun's algorithm: returns [(factor, multiplicity)] with factor monic.
-
-    The input equals (up to a constant) the product of factor**multiplicity.
+    Each r is -prem(previous two) divided by its positive content, where
+    the pseudo-remainder scales the dividend by divisors of |lc| of the
+    divisor, never by lc's sign.  So each member is a positive rational
+    multiple of the corresponding member of the Euclidean sequence with
+    negated remainders (Collins 1967; Brown and Traub 1971), and the last
+    member is gcd(a, b) up to a constant.
     """
-    c = _strip(c)
-    if _degree(c) < 1:
-        return []
-    return _yun(c, sturm_chain(c))
+    chain = [a]
+    while b:
+        chain.append(b)
+        r, n, lb = a, len(b), b[-1]
+        while len(r) >= n:
+            g = math.gcd(r[-1], lb) if lb > 0 else -math.gcd(r[-1], lb)
+            f, h, shift = lb // g, r[-1] // g, len(r) - n  # f = |lb| / gcd > 0
+            r = _strip([f * v for v in r[:shift]]
+                       + [f * v - h * coeff for v, coeff in zip(r[shift:-1], b)])
+        if not r:
+            break
+        g = math.gcd(*r)
+        a, b = b, [-v // g for v in r]
+    return chain
 
 
 def _yun(c: list, chain: list) -> list:
-    # ``chain`` is the Sturm chain of c: the Euclidean remainder sequence of
-    # (c, c') up to signs, so its last member is gcd(c, c') up to a constant.
-    g = _monic(chain[-1])
+    # Yun's square-free decomposition [(factor, multiplicity)] of the
+    # primitive c, with primitive factors.  ``chain`` is c's Sturm chain,
+    # whose last member is gcd(c, c') up to a constant.  w and d are always
+    # divided by the same factor, so d - w' keeps its meaning.
+    g = _primitive(chain[-1])
     if _degree(g) < 1:
-        return [(_monic(c), 1)]
+        return [(c, 1)]
     out = []
-    w, _ = _divmod(c, g)
-    d, _ = _divmod(_derivative(c), g)
-    d = _strip([dc - wc for dc, wc in
-                zip(d + [Fraction(0)] * len(w), _derivative(w) + [Fraction(0)] * len(d))])
+    w, d = _quo(c, g), _quo(_derivative(c), g)
     i = 1
     while _degree(w) >= 1:
-        a = _gcd(w, d) if d else _monic(w)
+        d = _strip([x - y for x, y in zip_longest(d, _derivative(w), fillvalue=0)])
+        a = _primitive(_prs(w, d)[-1])
         if _degree(a) >= 1:
             out.append((a, i))
-            w, _ = _divmod(w, a)
-            d, _ = _divmod(d, a) if d else ([], [])
-        d = _strip([dc - wc for dc, wc in
-                    zip(d + [Fraction(0)] * len(w), _derivative(w) + [Fraction(0)] * len(d))])
+            w, d = _quo(w, a), _quo(d, a)
         i += 1
     return out
 
 
 def sturm_chain(c: list) -> list:
-    chain = [_strip(c), _derivative(c)]
-    while chain[-1]:
-        _, r = _divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-x for x in r])
-    return [p for p in chain if p]
+    """Sturm chain of the integer list c, each member up to a positive factor."""
+    return _prs(_strip(c), _derivative(c))
 
 
 class _Sign:
-    """Exact sign of one rational polynomial at rational points ``p/q`` (q > 0).
+    """Exact sign of one integer polynomial at rational points ``p/q`` (q > 0).
 
     A float Horner pass decides the sign when its value clears a running
-    error bound; otherwise the sign comes from integer arithmetic on the
-    numerators over the common denominator, ``sum N_i p^i q^(n-i)``.  Both
-    steps return the exact sign, so callers see no float behaviour at all.
+    error bound; otherwise the sign comes from integer arithmetic,
+    ``sum c_i p^i q^(n-i)``.  Both steps return the exact sign, so callers
+    see no float behaviour at all.
+
+    The float view divides every coefficient by one power of two, chosen so
+    that the widest one stays below 2^_FLOAT_BITS: large primitive members
+    then do not overflow, and a positive scale keeps every sign.
 
     The bound: with every coefficient and x rounded once to nearest, Horner
     on the rounded data errs by at most (3n + 1) u S, where S = sum |c_i|
@@ -141,22 +146,20 @@ class _Sign:
     Stability, section 5.1).  A margin of (4n + 8) u covers the rounding of
     S itself.  Underflow adds at most 2^-1074 per operation, times powers
     of |x|: a constant where |x| <= 1 and at most (n + 1) S / |c_n| beyond.
-    A non-finite value, an overflowing conversion or a subnormal x skips
-    the float step.
+    That term also covers coefficients the scaling makes subnormal.  A
+    non-finite value, a leading coefficient scaled to zero or a subnormal
+    x skips the float step.
     """
 
     __slots__ = ("_ints", "_floats", "_rel", "_abs")
 
     def __init__(self, c: list):
-        # ``c``: stripped ascending Fraction coefficients.
+        # ``c``: stripped ascending integer coefficients.
         n = len(c) - 1
-        den = math.lcm(*(v.denominator for v in c))
-        self._ints = [v.numerator * (den // v.denominator) for v in reversed(c)]
+        self._ints = c[::-1]
         self._floats = None
-        try:
-            floats = [float(v) for v in reversed(c)]
-        except OverflowError:
-            return
+        scale = 1 << max(0, max(v.bit_length() for v in c) - _FLOAT_BITS)
+        floats = [v / scale for v in self._ints]  # int true division rounds correctly
         if floats[0] == 0.0:
             return
         self._floats = [(f, abs(f)) for f in floats]
@@ -182,16 +185,11 @@ class _Sign:
             v = v * x + f
             s = s * ax + m
         bound = self._rel * s + self._abs
-        if v > bound:
-            return 1
-        if v < -bound:
-            return -1
-        return 0
+        return 1 if v > bound else -1 if v < -bound else 0
 
     def _exact_sign(self, p: int, q: int) -> int:
         ints = self._ints
-        acc = ints[0]
-        qk = 1
+        acc, qk = ints[0], 1
         for num in ints[1:]:
             qk *= q
             acc = acc * p + num * qk
@@ -199,8 +197,7 @@ class _Sign:
 
 
 def _variations(signs: list, p: int, q: int) -> int:
-    count = 0
-    last = 0
+    count = last = 0
     for sign in signs:
         s = sign(p, q)
         if s:
@@ -213,25 +210,23 @@ def _variations(signs: list, p: int, q: int) -> int:
 def cauchy_bound(c: list) -> Fraction:
     """Strict bound on the absolute value of all real roots."""
     c = _strip(c)
-    lead = abs(c[-1])
     if len(c) == 1:
         return Fraction(1)
-    return 1 + max(abs(a) for a in c[:-1]) / lead
+    return 1 + Fraction(max(abs(a) for a in c[:-1]), abs(c[-1]))
 
 
 def _isolate_square_free(c: list, chain: list):
     """Separate a square-free polynomial into exact roots and isolating intervals.
 
-    ``chain`` is the Sturm chain of c times any nonzero constant, which
-    leaves every sign-variation count unchanged.
+    ``chain`` is the Sturm chain of c, each member times any positive
+    constant, which leaves every sign-variation count unchanged.
 
     Exact rational roots hit by bisection midpoints are divided out and the
     sweep restarts on the quotient, so every returned interval (a, b]
     contains exactly one root of the returned (reduced) polynomial and the
     interval bookkeeping never refers to a stale chain.
     """
-    exact = []
-    poly = c
+    exact, poly = [], c
     while _degree(poly) >= 1:
         signs = [_Sign(p) for p in chain]
         sign = signs[0]  # poly times a constant: the same zeros
@@ -251,7 +246,7 @@ def _isolate_square_free(c: list, chain: list):
             mid = (a + b) / 2
             if sign(mid.numerator, mid.denominator) == 0:
                 exact.append(mid)
-                poly, _ = _divmod(poly, [-mid, Fraction(1)])
+                poly = _quo(poly, [-mid.numerator, mid.denominator])
                 chain = sturm_chain(poly)
                 restarted = True
                 break
@@ -292,8 +287,9 @@ def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
 
 def _newton_polish(c: list, x: float, lo: float, hi: float) -> float:
     # Final float sharpening on the square-free factor (simple roots only).
-    cf = [float(v) for v in c]
-    df = [float(v) for v in _derivative(c)]
+    # n / lead rounds correctly, so these are the floats of the monic factor.
+    cf = [v / c[-1] for v in c]
+    df = [v / c[-1] for v in _derivative(c)]
 
     def ev(poly, t):
         acc = 0.0
@@ -305,8 +301,7 @@ def _newton_polish(c: list, x: float, lo: float, hi: float) -> float:
         d = ev(df, x)
         if d == 0.0:
             break
-        step = ev(cf, x) / d
-        nxt = x - step
+        nxt = x - ev(cf, x) / d
         if not (lo <= nxt <= hi):
             break
         x = nxt
@@ -326,12 +321,14 @@ def real_roots(coeffs: list) -> list:
         raise ValueError("the zero polynomial has no isolated roots")
     if _degree(c) < 1:
         return []
+    den = math.lcm(*(v.denominator for v in c))
+    c = _primitive([v.numerator * (den // v.denominator) for v in c])
     found = []
     chain = sturm_chain(c)
     square_free = _degree(chain[-1]) < 1
     for factor, mult in _yun(c, chain):
-        # A square-free c is its own only factor up to the constant lead(c),
-        # so c's chain serves it; other factors need their own chains.
+        # A square-free c is its own only factor, so c's chain serves it;
+        # other factors need their own chains.
         exact, intervals, reduced = _isolate_square_free(
             factor, chain if square_free else sturm_chain(factor))
         sign = _Sign(reduced) if intervals else None

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
+from .formatting import format_float
 from .grid import Axis, Grid
 from .ma_core import GeneratingFunction, SignatureLabel, classify, immersion
 from .mat3 import solve3
@@ -215,18 +216,15 @@ WIND_CSV_COLUMNS = ("x", "y", "z", "domain_flag", "P", "M", "N", "theta_eps",
                     "u_g", "v_g", "u", "v", "w", "v_mag")
 
 
-def write_wind_csv(samples: list, stream, float_format=None) -> None:
+def write_wind_csv(samples: list, stream) -> None:
     """Fixed-column CSV; out-of-domain rows have domain_flag 0 and empty values."""
-    from .formatting import format_float
-
-    fmt = float_format or format_float
     stream.write(",".join(WIND_CSV_COLUMNS) + "\n")
     for s in samples:
-        head = [fmt(s.x), fmt(s.y), fmt(s.z)]
+        head = [format_float(v) for v in (s.x, s.y, s.z)]
         if not s.in_domain:
             stream.write(",".join(head + ["0"] + [""] * 10) + "\n")
             continue
         st = s.state
         body = [st.P, st.M, st.N, st.theta_eps, st.u_g, st.v_g,
                 st.u, st.v, st.w, abs(st.v)]
-        stream.write(",".join(head + ["1"] + [fmt(v) for v in body]) + "\n")
+        stream.write(",".join(head + ["1"] + [format_float(v) for v in body]) + "\n")

@@ -12,6 +12,7 @@ one whose branch Hessian is positive definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .formatting import format_float
 from .grid import Axis, Grid
 from .ma_core import CACHE_SIZE, ChartKind, GeneratingFunction, immersion, \
     immersion_jacobian, immersion_jacobian_polys, _point_values, _require_finite
@@ -138,6 +140,8 @@ def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> Cau
     ``tol`` are counted as rejected.  Samples appear in row-major grid order,
     roots ascending within a node.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     cs = gf.chart.coords
     if len(grid.dims) != 2 or not set(grid.names) <= set(cs):
         raise ValueError(f"grid variables must be two distinct of {cs!r}")
@@ -339,12 +343,9 @@ CAUSTIC_CSV_COLUMNS = ("chart_1", "chart_2", "chart_3",
                        "base_x", "base_y", "base_z", "det_dpi")
 
 
-def write_caustic_csv(sweep: CausticSweep, stream, float_format=None) -> None:
+def write_caustic_csv(sweep: CausticSweep, stream) -> None:
     """CSV rows in sweep order: chart coordinates, base point, residual determinant."""
-    from .formatting import format_float
-
-    fmt = float_format or format_float
     stream.write(",".join(CAUSTIC_CSV_COLUMNS) + "\n")
     for s in sweep.samples:
         row = list(s.chart_point) + list(s.base_point) + [s.det_dpi]
-        stream.write(",".join(fmt(v) for v in row) + "\n")
+        stream.write(",".join(format_float(v) for v in row) + "\n")

@@ -216,6 +216,18 @@ def test_nonpositive_tolerances_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["classify", *FOLD, "--point", "0,0,1"],
+    ["classify", *FOLD, "--grid", "x=0:0:1,y=0:0:1,Z=-1:1:3"],
+    ["caustic", *FOLD, "--grid", "x=0:1:2,y=0:0:1"],
+])
+def test_nonfinite_or_nonpositive_tol_exits_2(capsys, argv, tol):
+    code, out, err = _run(capsys, [*argv, f"--tol={tol}"])
+    assert code == 2 and out == ""
+    assert "positive and finite" in json.loads(err.strip())["error"]["message"]
+
+
 def test_bad_potential_exits_2(capsys):
     code, _, err = _run(capsys, ["classify", "--chart", "T", "--potential", "2x",
                                  "--point", "0,0,1"])

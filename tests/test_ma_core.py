@@ -265,8 +265,11 @@ def test_classify_convex_quadratic(convex_quadratic_gf):
 
 
 def test_classify_rejects_bad_tol(fold_gf):
-    with pytest.raises(ValueError):
-        classify(fold_gf, (0, 0, 1), tol=0.0)
+    for tol in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            classify(fold_gf, (0, 0, 1), tol=tol)
+        with pytest.raises(ValueError, match="positive and finite"):
+            classification_grid(fold_gf, {"x": [0.0], "y": [0.0], "Z": [1.0]}, tol)
 
 
 def test_classical_solutions_are_never_parabolic():

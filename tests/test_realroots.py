@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from reference_realroots import real_roots as reference_real_roots
+from reference_realroots import real_roots as reference_real_roots, \
+    sturm_chain as reference_sturm_chain
 
 from sgma.errors import DomainError
-from sgma.realroots import _isolate_square_free, _refine, _Sign, real_roots, \
-    square_free_decomposition, sturm_chain
+from sgma.realroots import _isolate_square_free, _refine, _Sign, real_roots, sturm_chain
 
 
 def _coeffs(*values):
@@ -68,12 +68,10 @@ def test_roots_beyond_the_float_range_raise_domain_error(coeffs):
         real_roots(coeffs)
 
 
-def test_square_free_decomposition():
-    # Z^2 (Z + 1)^3: multiplicity labels come back right
-    # expand: Z^5 + 3Z^4 + 3Z^3 + Z^2
-    factors = square_free_decomposition(_coeffs(0, 0, 1, 3, 3, 1))
-    by_mult = {m: f for f, m in factors}
-    assert set(by_mult) == {2, 3}
+def test_multiplicities_from_the_square_free_decomposition():
+    # Z^2 (Z + 1)^3 = Z^5 + 3Z^4 + 3Z^3 + Z^2: multiplicity labels come back right
+    roots = real_roots(_coeffs(0, 0, 1, 3, 3, 1))
+    assert [(r.value, r.multiplicity) for r in roots] == [(-1.0, 3), (0.0, 2)]
 
 
 def test_all_rational_roots_recovered():
@@ -129,11 +127,17 @@ def _times_linear(coeffs, r):
     return [-r * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
 
 
+def _ints(coeffs):
+    # Integer coefficients with the same signs: coeffs times their common denominator.
+    den = math.lcm(*(Fraction(v).denominator for v in coeffs))
+    return [int(v * den) for v in coeffs]
+
+
 class _Spy:
     """Sign oracle that records every point it is asked about."""
 
     def __init__(self, coeffs):
-        self.sign = _Sign(_coeffs(*coeffs))
+        self.sign = _Sign(coeffs)
         self.points = []
 
     def __call__(self, p, q):
@@ -148,27 +152,27 @@ def test_refine_root_at_right_endpoint():
 
 
 def test_refine_nudges_a_root_at_the_left_endpoint():
-    spy = _Spy([0, Fraction(-1, 2), 0, 1])  # Z (Z^2 - 1/2) on (0, 1]
+    spy = _Spy([0, -1, 0, 2])  # 2 Z (Z^2 - 1/2) on (0, 1]
     root = _refine(spy, Fraction(0), Fraction(1))
     assert spy.points[:3] == [1, 0, Fraction(1, 2)]
     assert abs(float(root) - math.sqrt(0.5)) < 1e-13
 
 
 def test_refine_nudged_endpoint_can_be_the_root():
-    spy = _Spy([0, Fraction(-1, 2), 1])  # Z (Z - 1/2) on (0, 1]
+    spy = _Spy([0, -1, 2])  # 2 Z (Z - 1/2) on (0, 1]
     assert _refine(spy, Fraction(0), Fraction(1)) == Fraction(1, 2)
     assert spy.points == [1, 0, Fraction(1, 2)]
 
 
 def test_refine_stops_at_an_exact_midpoint_root():
-    spy = _Spy([Fraction(-3, 8), 1])  # Z - 3/8 on (0, 1]
+    spy = _Spy([-3, 8])  # 8 (Z - 3/8) on (0, 1]
     assert _refine(spy, Fraction(0), Fraction(1)) == Fraction(3, 8)
     assert spy.points == [1, 0, Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)]
 
 
 def test_isolation_restarts_at_exact_rational_midpoints():
     # Z^3 - 6 Z^2 + 11 Z - 6: bound 12 bisects onto 3, then bound 4 onto 2.
-    poly = _coeffs(-6, 11, -6, 1)
+    poly = [-6, 11, -6, 1]
     exact, intervals, reduced = _isolate_square_free(poly, sturm_chain(poly))
     assert exact == [3, 2]
     assert intervals == [(-2, 2)]
@@ -246,12 +250,12 @@ def test_real_roots_bit_identical_where_floats_step_aside(name):
 @given(_polys(), _FLOATS, st.integers(0, 60))
 def test_sign_is_exact(coeffs, x, k):
     coeffs = _strip_zeros(coeffs)
-    sign = _Sign(coeffs)
+    sign = _Sign(_ints(coeffs))
     for point in (Fraction(x), Fraction(x) + Fraction(1, 2 ** k)):
         assert sign(point.numerator, point.denominator) == _exact_sign(coeffs, point)
     # At a rational root the sign is exactly zero.
     r = Fraction(x)
-    assert _Sign(_times_linear(coeffs, r))(r.numerator, r.denominator) == 0
+    assert _Sign(_ints(_times_linear(coeffs, r)))(r.numerator, r.denominator) == 0
 
 
 @pytest.mark.parametrize("x", [Fraction(10 ** 400), Fraction(1, 10 ** 400), Fraction(5e-324),
@@ -259,7 +263,7 @@ def test_sign_is_exact(coeffs, x, k):
 @pytest.mark.parametrize("name", sorted(_FIXED))
 def test_sign_is_exact_at_extreme_points(name, x):
     coeffs = _strip_zeros(_FIXED[name])
-    assert _Sign(coeffs)(x.numerator, x.denominator) == _exact_sign(coeffs, x)
+    assert _Sign(_ints(coeffs))(x.numerator, x.denominator) == _exact_sign(coeffs, x)
 
 
 @pytest.mark.parametrize("x_ulps, root_ulps, want", [(Fraction(36, 10), Fraction(37, 10), -1),
@@ -270,4 +274,44 @@ def test_sign_is_exact_at_subnormal_points(x_ulps, root_ulps, want):
     ulp = Fraction(2) ** -1074
     x, root = x_ulps * ulp, root_ulps * ulp
     coeffs = [-(10 ** 300) * root, Fraction(10 ** 300)]
-    assert _Sign(coeffs)(x.numerator, x.denominator) == want
+    assert _Sign(_ints(coeffs))(x.numerator, x.denominator) == want
+
+
+def test_sign_decides_coefficients_beyond_the_float_range_in_floats(monkeypatch):
+    # Roots +-32; the float view scales the coefficients by one power of two.
+    coeffs = [-(2 ** 2000), 0, 2 ** 1990]
+    fallbacks = []
+    exact_sign = _Sign._exact_sign
+    monkeypatch.setattr(_Sign, "_exact_sign",
+                        lambda self, p, q: fallbacks.append(Fraction(p, q)) or exact_sign(self, p, q))
+    sign = _Sign(coeffs)
+    for x in (Fraction(0), Fraction(31), Fraction(-33), Fraction(1, 3), Fraction(-10 ** 6)):
+        assert sign(x.numerator, x.denominator) == _exact_sign(coeffs, x)
+    assert fallbacks == []
+
+
+def _assert_positive_multiples(coeffs):
+    chain = sturm_chain(_ints(coeffs))
+    want = reference_sturm_chain(coeffs)
+    assert len(chain) == len(want)
+    for member, ref in zip(chain, want):
+        ratio = member[-1] / ref[-1]
+        assert len(member) == len(ref) and ratio > 0
+        assert all(m == ratio * r for m, r in zip(member, ref))
+    # Every remainder is divided by its content.
+    assert all(math.gcd(*member) == 1 for member in chain[2:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_polys())
+def test_sturm_chain_members_are_positive_multiples_of_the_reference(coeffs):
+    _assert_positive_multiples(_strip_zeros(coeffs))
+
+
+def test_sturm_chain_ends_at_a_derivative_that_divides():
+    # (Z - 1)^3: c' = 3 (Z - 1)^2 divides c, so the chain is [c, c'].
+    coeffs = [-1, 3, -3, 1]
+    assert sturm_chain(coeffs) == [coeffs, [3, -6, 3]]
+    _assert_positive_multiples(_coeffs(*coeffs))
+    assert real_roots(coeffs) == [(1.0, 3)]

@@ -157,6 +157,12 @@ def test_caustic_sweep_fold(fold_gf):
     assert [s.chart_point[0] for s in sweep.samples] == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+def test_caustic_sweep_rejects_bad_tol(fold_gf, tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        caustic_sweep(fold_gf, GridSpec2D("x", -2, 2, 5, "y", 0, 0, 1), tol)
+
+
 def test_caustic_sweep_specific_bases(fold_gf):
     grid = GridSpec2D("x", 2, 2, 1, "y", 0, 0, 1)
     sweep = caustic_sweep(fold_gf, grid)
