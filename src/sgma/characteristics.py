@@ -84,7 +84,10 @@ def _poly_source(poly: Poly) -> str:
     # One product per term, coefficient first, in the order of poly.terms.
     terms = []
     for exps, coeff in poly.terms.items():
-        parts = [repr(float(coeff))]
+        try:
+            parts = [repr(float(coeff))]
+        except OverflowError:
+            raise DomainError("a metric coefficient overflows the float range") from None
         parts += [f"q{i}**{e}" if e > 1 else f"q{i}" for i, e in enumerate(exps) if e]
         terms.append("*".join(parts))
     return " + ".join(terms) if terms else "0.0"

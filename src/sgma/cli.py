@@ -41,14 +41,18 @@ def _emit_error(code: int, message: str) -> None:
     print(record, file=sys.stderr)
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        return float(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{what} value {text!r} is not a number in float range") from None
+
+
 def _parse_numbers(text: str, n: int, what: str) -> tuple:
-    parts = [p.strip() for p in str(text).split(",")]
+    parts = str(text).split(",")
     if len(parts) != n:
         raise ConfigError(f"{what} must have {n} comma-separated values, got {text!r}")
-    try:
-        return tuple(float(Fraction(p)) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"cannot parse {what} value in {text!r}") from None
+    return tuple(_number(p, what) for p in parts)
 
 
 def _resolve_gf(ns) -> mc.GeneratingFunction:
@@ -173,7 +177,7 @@ def _cmd_fiber(ns) -> int:
     seeds = ()
     if ns.seeds:
         seeds = tuple(
-            tuple(float(Fraction(v)) for v in chunk.split(","))
+            tuple(_number(v, "--seeds") for v in chunk.split(","))
             for chunk in str(ns.seeds).split(";") if chunk.strip()
         )
     bp = sing.fiber_solve(gf, base, seeds)
@@ -203,15 +207,15 @@ def _cmd_trace(ns) -> int:
     if not ns.q or not ns.p:
         raise ConfigError("supply --q and --p")
     q = _parse_numbers(ns.q, 3, "--q")
-    p_parts = [s.strip() for s in str(ns.p).split(",")]
+    p_parts = str(ns.p).split(",")
     if len(p_parts) != 3:
         raise ConfigError("--p must have 3 comma-separated values (one may be '?')")
-    free = [i for i, s in enumerate(p_parts) if s == "?"]
+    p = [None if s.strip() == "?" else _number(s, "--p") for s in p_parts]
+    free = [i for i, v in enumerate(p) if v is None]
     if len(free) > 1:
         raise ConfigError("at most one component of --p may be '?'")
     if free:
-        fixed = [float(Fraction(s)) for i, s in enumerate(p_parts) if i != free[0]]
-        completions = ch.null_project(gf, q, fixed, free[0])
+        completions = ch.null_project(gf, q, [v for v in p if v is not None], free[0])
         if not completions:
             raise DomainError("no real null completion at this point")
         root = int(ns.null_root) if ns.null_root is not None else 0
@@ -219,8 +223,6 @@ def _cmd_trace(ns) -> int:
             raise ConfigError(f"--null-root {root} out of range "
                               f"({len(completions)} completions)")
         p = completions[root]
-    else:
-        p = tuple(float(Fraction(s)) for s in p_parts)
     trace = ch.trace_bicharacteristic(
         gf,
         ch.BicharState(q, p),
@@ -291,10 +293,7 @@ def _cmd_verify_paper(ns) -> int:
     if ns.list:
         _write_output(ns, "\n".join(verify.criteria_names()) + "\n")
         return 0
-    opts = verify.VerifyOptions(
-        perturb_tzz=float(ns.perturb_tzz) if ns.perturb_tzz is not None else 0.0
-    )
-    results = verify.run_all(opts)
+    results = verify.run_all()
     _write_output(ns, render_json(verify.summary_dict(results)) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
@@ -375,8 +374,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--list", action="store_true",
                    help="list criteria without running them")
-    p.add_argument("--perturb-tzz", dest="perturb_tzz",
-                   help="test hook: scale the vertical residual term by (1 + value)")
 
     return parser
 

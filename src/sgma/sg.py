@@ -43,6 +43,10 @@ class EpsilonChoice:
         object.__setattr__(self, "q_g", qg)
         if eps <= 0:
             raise ValueError("epsilon must be positive")
+        try:  # the wind formulas use q_g as a float
+            float(qg)
+        except OverflowError:
+            raise DomainError("q_g = eps_q / epsilon lies beyond the float range") from None
 
     @classmethod
     def for_gf(cls, gf: GeneratingFunction, epsilon=1) -> "EpsilonChoice":

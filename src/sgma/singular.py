@@ -4,8 +4,12 @@ The physical-space projection of an immersed chart drops rank exactly
 where the determinant of its base-coordinate Jacobian vanishes; that
 determinant is an exact polynomial in the chart coordinates and its zero
 set is the singular locus.  Projecting the locus to physical space traces
-the caustic.  Over a physical base point the chart relations define a
-fiber of preimages; each preimage carries a geopotential value through
+the caustic.  Over a physical base point the immersion defines a fiber
+of preimages: chart coordinates that are base coordinates take the base
+values, and each base row of the immersion is an equation in the other
+(unknown) chart coordinates.  No unknown (classical chart): the base
+point itself; one (dual-T): exact real roots; more (dual-S, dual-R):
+Newton from seeds.  Each preimage carries a geopotential value through
 the chart's inverse Legendre formula, and the admissible branch is the
 one whose branch Hessian is positive definite.
 """
@@ -23,8 +27,9 @@ import numpy as np
 from .errors import DomainError
 from .formatting import format_float
 from .grid import Axis, Grid
-from .ma_core import CACHE_SIZE, ChartKind, GeneratingFunction, immersion, \
-    immersion_jacobian, immersion_jacobian_polys, _point_values, _require_finite
+from .ma_core import AMBIENT_COORDS, CACHE_SIZE, ChartKind, GeneratingFunction, \
+    immersion, immersion_jacobian, immersion_jacobian_polys, immersion_polys, \
+    _point_values, _require_finite
 from .mat3 import det3, solve3
 from .polyexpr import Poly
 from .realroots import real_roots
@@ -103,16 +108,27 @@ def _by_powers(poly: Poly, var: str) -> tuple:
     return tuple(collected.get((k,), zero) for k in range(max(collected)[0] + 1))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def fiber_coefficient_polys(gf: GeneratingFunction) -> tuple:
-    """Coefficients of Z^0, Z^1, ... in T_Z as exact polynomials of (x, y).
+_BASE = AMBIENT_COORDS[:3]
 
-    Dual-T chart only: over a base point the fiber equation z + T_Z = 0 is
-    the univariate polynomial with these coefficients (z added to the first).
+
+def _fiber_rows(gf: GeneratingFunction) -> list:
+    # The immersion's base rows that the chart does not supply: over a base
+    # point, one equation each in the unknown chart coordinates.
+    return [k for k, v in enumerate(_BASE) if v not in gf.chart.coords]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def fiber_equation_polys(gf: GeneratingFunction) -> tuple:
+    """Coefficients of u^0, u^1, ... in the fiber row of a one-unknown chart.
+
+    The one such chart is dual-T: the row z = -T_Z collected in u = Z, each
+    coefficient an exact polynomial of (x, y).
     """
-    if gf.chart is not ChartKind.DUAL_T:
-        raise ValueError("fiber coefficients are defined on the dual-T chart only")
-    return _by_powers(gf.potential.diff("Z"), "Z")
+    rows = _fiber_rows(gf)
+    if len(rows) != 1:
+        raise ValueError("the fiber equation has one unknown on the dual-T chart only")
+    free = next(v for v in gf.chart.coords if v not in _BASE)
+    return _by_powers(immersion_polys(gf)[rows[0]], free)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -123,6 +139,24 @@ def locus_coefficient_polys(gf: GeneratingFunction, free: str) -> tuple:
     order; restricting the locus to a line along ``free`` evaluates them.
     """
     return _by_powers(singular_locus_poly(gf), free)
+
+
+def _line_roots(polys: tuple, point: list, shift=0):
+    # The chart points, with multiplicities, where sum_k polys[k] t^k = shift
+    # along the unknown (None) coordinate t of point, found exactly; None
+    # where that polynomial vanishes identically.
+    values = [Fraction(v) for v in point if v is not None]
+    coeffs = [p.eval(values) for p in polys] or [Fraction(0)]
+    coeffs[0] -= shift
+    if not any(coeffs):
+        return None
+    return [(_placed(point, [r.value]), r.multiplicity) for r in real_roots(coeffs)]
+
+
+def _placed(point, values) -> list:
+    # The chart point with its unknown (None) coordinates set to values.
+    it = iter(values)
+    return [next(it) if v is None else v for v in point]
 
 
 def dpi_det(gf: GeneratingFunction, pt):
@@ -150,15 +184,12 @@ def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> Cau
     polys = locus_coefficient_polys(gf, free)
     sweep = CausticSweep(samples=[])
     for v1, v2 in grid.nodes():
-        fixed = {var1: Fraction(v1), var2: Fraction(v2)}
-        values = [fixed[v] for v in cs if v != free]
-        coeffs = [p.eval(values) for p in polys]
-        if not any(coeffs):
+        roots = _line_roots(polys, [{var1: v1, var2: v2}.get(v) for v in cs])
+        if roots is None:
             sweep.degenerate_slices.append((v1, v2))
             continue
-        for root in real_roots(coeffs):  # none if the slice is a nonzero constant
-            values = {var1: v1, var2: v2, free: root.value}
-            chart_point = tuple(float(values[v]) for v in cs)
+        for point, _ in roots:  # none if the slice is a nonzero constant
+            chart_point = tuple(float(v) for v in point)
             det = float(dpi_det(gf, chart_point))
             if abs(det) > tol:
                 sweep.rejected += 1
@@ -229,67 +260,50 @@ def _dedupe(solutions: list) -> list:
     return kept
 
 
-def _newton_fiber(gf: GeneratingFunction, base, seeds):
-    """Newton solve of the chart relations over a base point (dual-R / dual-S)."""
-    cs = gf.chart.coords
-    pot = gf.potential
-    if gf.chart is ChartKind.DUAL_R:
-        unknowns = ["X", "Y", "Z"]
-        targets = [base[0], base[1], base[2]]
-        fixed = {}
-    else:  # DUAL_S: z is a base coordinate, (X, Y) unknown
-        unknowns = ["X", "Y"]
-        targets = [base[0], base[1]]
-        fixed = {"z": float(base[2])}
-    res_polys = [pot.diff(v) for v in unknowns]
-    jac_polys = [[p.diff(u) for u in unknowns] for p in res_polys]
+def _newton_fiber(gf: GeneratingFunction, base, point, rows, seeds):
+    """Newton on the immersion's fiber rows and their Jacobian columns, with
+    the fixed chart coordinates in place; (preimage, 1) pairs and failed seeds."""
+    imm, jac = immersion_polys(gf), immersion_jacobian_polys(gf)
+    unknowns = [i for i, v in enumerate(point) if v is None]
+    start = [v if v is None else float(v) for v in point]
+    targets = [float(base[k]) for k in rows]
     scale = 1.0 + max(abs(float(v)) for v in base)
-
     converged, failed = [], []
     for seed in seeds:
         seed = tuple(float(s) for s in seed)
         if len(seed) != len(unknowns):
-            raise ValueError(f"seed must supply {len(unknowns)} values for {unknowns!r}")
+            names = [gf.chart.coords[i] for i in unknowns]
+            raise ValueError(f"seed must supply {len(unknowns)} values for {names!r}")
         u = np.array(seed, dtype=float)
         ok = False
         for _ in range(NEWTON_MAX_ITER):
-            point = dict(fixed)
-            point.update(zip(unknowns, u))
-            values = [point[v] for v in cs]
-            r = np.array([float(p.eval(values)) - t for p, t in zip(res_polys, targets)])
+            values = _placed(start, u)
+            r = np.array([float(imm[k].eval(values)) - t for k, t in zip(rows, targets)])
             if np.max(np.abs(r)) <= NEWTON_TOL * scale:
                 ok = True
                 break
-            Jm = np.array([[float(q.eval(values)) for q in row] for row in jac_polys])
+            Jm = np.array([[float(jac[k][i].eval(values)) for i in unknowns] for k in rows])
             try:
-                step = np.linalg.solve(Jm, r)
+                u = u - np.linalg.solve(Jm, r)
             except np.linalg.LinAlgError:
                 break
-            u = u - step
             if not np.all(np.isfinite(u)):
                 break
         if ok:
             converged.append(tuple(u))
         else:
             failed.append(seed)
-    chart_points = []
-    for u in _dedupe(sorted(converged)):
-        point = dict(fixed)
-        point.update(zip(unknowns, u))
-        chart_points.append(tuple(float(point[v]) for v in cs))
-    return chart_points, failed
+    return [(_placed(start, u), 1) for u in _dedupe(sorted(converged))], failed
 
 
 def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
     """All chart preimages of a physical base point, with geopotential values.
 
-    On the dual-T chart the fiber equation z + T_Z(x, y, .) = 0 is a
-    univariate polynomial in Z and is solved by exact root isolation, so
-    fold tangencies are found with their multiplicity.  The dual-R and
-    dual-S charts use Newton iteration from the given ``seeds``.  An empty
-    fiber means the base point lies outside the solution domain.  Each
-    preimage's convexity is decided here, once, and recorded in
-    ``convex_flags``.
+    The number of unknown chart coordinates picks the path (module
+    docstring): none keeps exact input exact; one finds fold tangencies with
+    their multiplicity; more runs Newton from ``seeds`` and records the
+    failed ones.  An empty fiber means the base point lies outside the
+    solution domain.  Each preimage's convexity is decided here, once.
     """
     base = tuple(base)
     if len(base) != 3:
@@ -297,25 +311,20 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
     _require_finite(base, "base point")
     bp = BranchPoint(base_point=tuple(float(v) for v in base),
                      fiber_values=[], P_values=[], convex_flags=[])
-    # (chart point, multiplicity) pairs.  The classical chart point is the
-    # base point as given, so that its geopotential is exact for exact input.
-    if gf.chart is ChartKind.CLASSICAL_P:
-        preimages = [(base, 1)]
-    elif gf.chart is ChartKind.DUAL_T:
-        x0, y0, z0 = (Fraction(v) for v in base)
-        coeffs = [p.eval([x0, y0]) for p in fiber_coefficient_polys(gf)] or [Fraction(0)]
-        coeffs[0] += z0
-        if not any(coeffs):
+    rows = _fiber_rows(gf)
+    # The chart point as far as the base point fixes it (None where unknown).
+    point = [base[_BASE.index(v)] if v in _BASE else None for v in gf.chart.coords]
+    if not rows:
+        preimages = [(point, 1)]
+    elif len(rows) == 1:
+        preimages = _line_roots(fiber_equation_polys(gf), point, Fraction(base[rows[0]]))
+        if preimages is None:
             raise DomainError("fiber equation vanishes identically over this base point")
-        preimages = [((float(x0), float(y0), r.value), r.multiplicity)
-                     for r in real_roots(coeffs)]
     else:
-        chart_points, bp.failed_seeds = _newton_fiber(gf, base, seeds)
-        preimages = [(pt, 1) for pt in chart_points]
+        preimages, bp.failed_seeds = _newton_fiber(gf, base, point, rows, seeds)
     for point, multiplicity in preimages:
         chart_pt = tuple(float(v) for v in point)
-        P = (gf.potential.eval(list(point)) if gf.chart is ChartKind.CLASSICAL_P
-             else multivalued_P(gf, chart_pt)[0])
+        P = multivalued_P(gf, chart_pt)[0] if rows else gf.potential.eval(point)
         degenerate = multiplicity > 1 or abs(float(dpi_det(gf, chart_pt))) <= DEGENERATE_TOL
         bp.fiber_values.append(chart_pt)
         bp.P_values.append(float(P))

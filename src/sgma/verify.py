@@ -44,13 +44,6 @@ def example_gf() -> mc.GeneratingFunction:
 
 
 @dataclass
-class VerifyOptions:
-    # Test hook: scales the vertical second-derivative term of the balance
-    # residual by (1 + perturb_tzz); any nonzero value must fail criterion 1.
-    perturb_tzz: float = 0.0
-
-
-@dataclass
 class CriterionResult:
     cid: int
     name: str
@@ -62,20 +55,13 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid:2d} {self.name}: {self.detail}"
 
 
-def _c01_example_residual(opts: VerifyOptions):
+def _c01_example_residual():
     """Exact symbolic balance residual of the example potential is the zero polynomial."""
-    gf = example_gf()
-    if opts.perturb_tzz:
-        h = mc.hessian_polys(gf)
-        factor = Fraction(1) + Fraction(str(opts.perturb_tzz))
-        residual = h[0][0] * h[1][1] - h[0][1] * h[0][1] + (gf.eps_q * factor) * h[2][2]
-    else:
-        residual = mc.ma_residual_poly(gf)
-    ok = residual.is_zero
-    return ok, f"symbolic residual = {residual}"
+    residual = mc.ma_residual_poly(example_gf())
+    return residual.is_zero, f"symbolic residual = {residual}"
 
 
-def _c02_metric_closed_form(opts: VerifyOptions):
+def _c02_metric_closed_form():
     """Pull-back metric equals 2*diag(-Z, 1, -Z): exactly in symbols, 1e-12 on a grid."""
     gf = example_gf()
     cs = gf.chart.coords
@@ -113,7 +99,7 @@ def _adjugate_error(gf, pt) -> float:
     return float(np.max(np.abs(h - a2))) / scale
 
 
-def _c03_adjugate_identity(opts: VerifyOptions):
+def _c03_adjugate_identity():
     """h = 2 adj(A) at 1e-10 relative, on the example and 20 random family members."""
     worst = 0.0
     rng = random.Random(20260811)
@@ -128,7 +114,7 @@ def _c03_adjugate_identity(opts: VerifyOptions):
     return ok, f"max relative deviation = {worst:.3g} over 21 solutions x 100 points"
 
 
-def _c04_determinant_law(opts: VerifyOptions):
+def _c04_determinant_law():
     """det h = 8 eps_q^4 on classical solutions (convex and saddle quadratics)."""
     cases = [
         ("(x^2 + y^2 + z^2)/2", Fraction(1)),
@@ -155,7 +141,7 @@ def _c04_determinant_law(opts: VerifyOptions):
     return ok, f"max relative deviation from 8*eps_q^4 = {worst:.3g}"
 
 
-def _c05_prop33_equivalence(opts: VerifyOptions):
+def _c05_prop33_equivalence():
     """{|det dpi| < 1e-9} coincides with {parabolic at tol 1e-9} on a 41^3 grid."""
     gf = example_gf()
     axis = np.linspace(-2.0, 2.0, 41)
@@ -171,7 +157,7 @@ def _c05_prop33_equivalence(opts: VerifyOptions):
     return same, f"sets coincide = {same}; locus points on grid = {n_locus} (plane Z = 0)"
 
 
-def _c06_caustic_law(opts: VerifyOptions):
+def _c06_caustic_law():
     """Every caustic sample satisfies z = x^2/2 within 1e-12."""
     gf = example_gf()
     grid = sing.GridSpec2D("x", -2.0, 2.0, 41, "y", -1.0, 1.0, 5)
@@ -184,7 +170,7 @@ def _c06_caustic_law(opts: VerifyOptions):
     return ok, f"max |z - x^2/2| = {worst:.3g} over {len(sweep.samples)} samples"
 
 
-def _c07_multivalued_geopotential(opts: VerifyOptions):
+def _c07_multivalued_geopotential():
     """Branch geopotential matches y^2/2 - Z^3/3 (1e-12) and the convex closed form (1e-10)."""
     gf = example_gf()
     worst_chart = 0.0
@@ -220,7 +206,7 @@ def _oracle_initial_state(C1: float, C2: float, Z0: float, x0=0.0, y0=0.0):
     return ch.BicharState((x0, y0, Z0), (-C1, C2, -Z0 * zdot0))
 
 
-def _c08_bicharacteristic_oracle(opts: VerifyOptions):
+def _c08_bicharacteristic_oracle():
     """RK4 traces match the analytic displacements within 1e-6; |H| drift <= 1e-8."""
     gf = example_gf()
     c1s = [0.2, 0.35, 0.5, -0.3, 0.45]
@@ -255,7 +241,7 @@ def _fit_loglog_slope(xs, ys) -> float:
     return float(slope)
 
 
-def _c09_cusp_exponent(opts: VerifyOptions):
+def _c09_cusp_exponent():
     """Fitted |dy| ~ Z^alpha exponent within 3/2 +- 0.015; exact law at Z in {1, 4}."""
     s1, dx1, dy1 = ch.analytic_null_geodesic(Fraction(0), Fraction(1), Fraction(0),
                                              Fraction(1))
@@ -287,7 +273,7 @@ def _c09_cusp_exponent(opts: VerifyOptions):
                 f"from {len(zs)} samples")
 
 
-def _c10_family_builder(opts: VerifyOptions):
+def _c10_family_builder():
     """50 random members: exact-zero residual; degrees (1, 4, 6, 10); example round-trip.
 
     Every member must have exactly the generic degree tuple (1, 4, 6, 10).
@@ -317,7 +303,7 @@ def _c10_family_builder(opts: VerifyOptions):
                 f"first-order degree 6)")
 
 
-def _c11_sg_reconstruction(opts: VerifyOptions):
+def _c11_sg_reconstruction():
     """(u, w) vanish (1e-12), v matches q_g(x*sqrt(x^2-2z) - x) (1e-10), system residual 1e-10."""
     gf = example_gf()
     eps = sg.EpsilonChoice.for_gf(gf, epsilon=1)
@@ -342,7 +328,7 @@ def _c11_sg_reconstruction(opts: VerifyOptions):
                 f"max |v - v_expected| = {worst_v:.3g}, max system residual = {worst_res:.3g}")
 
 
-def _c12_eikonal(opts: VerifyOptions):
+def _c12_eikonal():
     """Characteristic cusp family has residual <= 1e-10; the plane x = const does not."""
     gf = example_gf()
     worst = 0.0
@@ -385,18 +371,17 @@ def criteria_names() -> list:
     return [f"{cid:2d} {name}" for cid, name, _ in CRITERIA]
 
 
-def run_criterion(cid: int, opts: VerifyOptions | None = None) -> CriterionResult:
-    opts = opts or VerifyOptions()
+def run_criterion(cid: int) -> CriterionResult:
     for id_, name, func in CRITERIA:
         if id_ == cid:
-            passed, detail = func(opts)
+            passed, detail = func()
             return CriterionResult(cid=id_, name=name, passed=bool(passed), detail=detail)
     raise ValueError(f"no criterion {cid}")
 
 
-def run_all(opts: VerifyOptions | None = None) -> list:
+def run_all() -> list:
     """Run criteria 1-12 in order; the CLI exit code is 0 iff all pass."""
-    return [run_criterion(cid, opts) for cid, _, _ in CRITERIA]
+    return [run_criterion(cid) for cid, _, _ in CRITERIA]
 
 
 def summary_dict(results: list) -> dict:

@@ -15,8 +15,10 @@ family.reference_recursion_report and the sympy oracle in test_family).
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
-from sgma import verify
+from sgma import cli, ma_core as mc, verify
+from sgma.polyexpr import parse_poly
 
 _RESULTS = {}
 
@@ -108,16 +110,19 @@ def test_criterion_13_verify_paper_command_exits_zero():
     )
 
 
-def test_perturbation_hook_fails_residual_criterion():
-    # Sensitivity check: scaling the vertical residual term by 1 + 1e-3 must
-    # break criterion 1 and make the command exit nonzero.
-    result = verify.run_criterion(1, verify.VerifyOptions(perturb_tzz=1e-3))
-    assert not result.passed
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgma.cli", "verify-paper", "--perturb-tzz", "1e-3"],
-        capture_output=True, text=True, timeout=600,
+def test_perturbation_hook_fails_residual_criterion(monkeypatch, capsys):
+    # Sensitivity check: an example potential whose Z^3 term is scaled by
+    # 1 + 1e-3 is no solution, so criterion 1 must fail, and verify-paper
+    # must exit 1 and report the failure.
+    perturbed = mc.GeneratingFunction(
+        mc.ChartKind.DUAL_T,
+        parse_poly("y^2/2 - x^2*Z/2 + 1001*Z^3/6000", ("x", "y", "Z")),
+        Fraction(1),
     )
-    assert proc.returncode == 1
-    summary = json.loads(proc.stdout)
-    failed = {e["id"] for e in summary["criteria"] if not e["passed"]}
-    assert 1 in failed
+    monkeypatch.setattr(verify, "example_gf", lambda: perturbed)
+    assert not verify.run_criterion(1).passed
+    monkeypatch.setattr(verify, "CRITERIA", verify.CRITERIA[:1])
+    assert cli.main(["verify-paper"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["all_passed"] is False
+    assert [(e["id"], e["passed"]) for e in summary["criteria"]] == [(1, False)]

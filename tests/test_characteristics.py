@@ -472,15 +472,16 @@ def test_cusp_exponent_three_halves(fold_gf):
 
 
 def test_metric_overflow_is_domain_error():
-    # x^4 makes h_11 = 12 x^2, whose power overflows at x = 1e160.
-    gf = GeneratingFunction(ChartKind.CLASSICAL_P,
-                            parse_poly("x^4 + y^2/2 - z^2/2", ("x", "y", "z")),
-                            Fraction(1))
-    q = (1e160, 0.0, 0.0)
-    calls = (lambda: hamiltonian(gf, BicharState(q, (0.0, 1.0, 1.0))),
-             lambda: null_project(gf, q, (0.0, 1.0), 2),
-             lambda: eikonal_residual_grad(gf, q, (0.0, 1.0, 1.0)),
-             lambda: trace_bicharacteristic(gf, BicharState(q, (0.0, 1.0, 1.0))))
-    for call in calls:
-        with pytest.raises(DomainError, match="overflows"):
-            call()
+    # x^4 makes h_11 = 12 x^2, whose power overflows at x = 1e160; the
+    # second metric's coefficient 2*10^400 itself lies beyond the float range.
+    for chart, potential, q in (("P", "x^4 + y^2/2 - z^2/2", (1e160, 0.0, 0.0)),
+                                ("T", "(10^200)^2*Z^3 + y^2", (0.0, 0.0, 1.0))):
+        kind = ChartKind(chart)
+        gf = GeneratingFunction(kind, parse_poly(potential, kind.coords), Fraction(1))
+        calls = (lambda: hamiltonian(gf, BicharState(q, (0.0, 1.0, 1.0))),
+                 lambda: null_project(gf, q, (0.0, 1.0), 2),
+                 lambda: eikonal_residual_grad(gf, q, (0.0, 1.0, 1.0)),
+                 lambda: trace_bicharacteristic(gf, BicharState(q, (0.0, 1.0, 1.0))))
+        for call in calls:
+            with pytest.raises(DomainError, match="overflows"):
+                call()

@@ -9,6 +9,9 @@ import pytest
 from sgma.cli import main
 
 FOLD = ["--chart", "T", "--potential", "y^2/2 - x^2*Z/2 + Z^3/6"]
+# A potential whose coefficient 10^400 the parser admits but no float holds;
+# its singular locus -6*10^400*Z has the root Z = 0 on every caustic slice.
+HUGE = ["--chart", "T", "--potential", "(10^200)^2*Z^3 + y^2"]
 
 
 def _run(capsys, argv):
@@ -49,6 +52,9 @@ def test_residual_numeric_and_symbolic(capsys):
     code, out, _ = _run(capsys, ["residual", *FOLD, "--symbolic"])
     report = json.loads(out)
     assert report["is_zero"] is True and report["residual"] == "0"
+    # Exact, so a coefficient beyond the float range does no harm here.
+    code, out, _ = _run(capsys, ["residual", *HUGE, "--symbolic"])
+    assert code == 0 and json.loads(out)["is_zero"] is False
 
 
 def test_singular_locus(capsys):
@@ -149,6 +155,45 @@ def test_readme_example_digest_golden(tmp_path, monkeypatch, capsys, name, argv,
     if "--output" in argv:
         assert out == ""
         out = (tmp_path / argv[argv.index("--output") + 1]).read_text()
+    assert len(out.splitlines()) == n_lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# A family member whose fiber over the base point below has three sheets.
+MEMBER_SPEC = {
+    "t3": {"111": "-5/2*Z - 1/2", "112": "-5*Z + 4/3", "122": "-5/2*Z - 3/4",
+           "222": "3*Z + 5/2"},
+    "t2_constants": {"11": ["4/3", "-4"], "12": ["3/2", "3"], "22": ["1/4", "-5/3"]},
+    "t1_constants": {"1": ["-1/2", "1"], "2": ["-1/2", "-2"]},
+    "t0_constants": ["5", "1"],
+}
+
+# Fibers on the Newton charts (one seed converging, one failing on dual-R)
+# and on a three-sheet member, recorded before the fiber rule was derived
+# from the immersion.  (name, argv, lines, sha256 of the output)
+FIBER_GOLDENS = [
+    ("dual_s", ["fiber", "--chart", "S", "--potential", "(X^2 + Y^2)/2 - z^2/2",
+                "--base", "0.5,-0.25,2", "--seeds", "0,0;1,1"], 23,
+     "b81f40f1317a572bf8320f3f5e15258ac1ab208397f09be606e24ce304171276"),
+    ("dual_r", ["fiber", "--chart", "R", "--potential", "X^3/3 + (Y^2 + Z^2)/2",
+                "--base", "1,1,1", "--seeds", "0,0,0;2,0,0"], 29,
+     "443f121c19621f712e59a1b364cd00417f7bfb8f27fd7fac44ca46f2180383f4"),
+    ("member", ["fiber", "--gf-file", "member.json", "--base", "0.25,0.5,-0.5"], 45,
+     "3e3432b9a471d4d21d4e11605bd09d23df9f82986faf4f7f7bdae81c78ff4dc4"),
+]
+
+
+@pytest.mark.parametrize("name,argv,n_lines,digest", FIBER_GOLDENS,
+                         ids=[g[0] for g in FIBER_GOLDENS])
+def test_fiber_digest_golden(tmp_path, monkeypatch, capsys, name, argv, n_lines,
+                             digest):
+    from sgma.family import FamilySpec, build_family
+
+    monkeypatch.chdir(tmp_path)
+    member = build_family(FamilySpec.from_dict(MEMBER_SPEC)).gf
+    (tmp_path / "member.json").write_text(json.dumps(member.to_dict()))
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
     assert len(out.splitlines()) == n_lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -312,12 +357,34 @@ def test_non_finite_grid_exits_2(capsys, argv):
     # x^2 in the Hessian overflows a float.
     ["classify", "--chart", "P", "--potential", "x^4/12 + y^2/2 + z^2/2",
      "--point", "1e200,0,0"],
+    ["classify", *HUGE, "--point", "0,0,1"],
+    ["caustic", *HUGE, "--grid", "x=0:1:2,y=0:0:1"],
+    ["fiber", *HUGE, "--base", "0,0,0"],
+    ["trace", *HUGE, "--q", "0,0,1", "--p", "0,1,?"],
+    ["wind", *FOLD, "--x", "2:2:1", "--z=-1:0:2", "--eps-q", "1e400"],
 ])
 def test_float_range_overflow_exits_3(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 3 and out == ""
     lines = err.strip().split("\n")
     assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", *FOLD, "--point", "1e400,0,0"],
+    ["residual", *FOLD, "--point", "1e400,0,0"],
+    ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1e400,?"],
+    ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1e400,1"],
+    ["fiber", "--chart", "R", "--potential", "X^3/3 + (Y^2 + Z^2)/2",
+     "--base", "1,1,1", "--seeds", "1e400,0,0"],
+])
+def test_number_beyond_float_range_exits_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    record = json.loads(lines[0])["error"]
+    assert record["code"] == 2 and "1e400" in record["message"]
 
 
 def test_oversized_potential_exits_2_fast(capsys):

@@ -130,6 +130,13 @@ def test_float_eval_overflow_raises_domain_error():
     with pytest.raises(DomainError, match="overflows"):
         p.eval([1e200, 0.0])
     assert p.eval([2.0 ** 250, 1.0]) == 2.0 ** 1000
+    # The parser's bit budget admits 10^400, which no float holds; a failed
+    # build is not cached, and exact evaluation still works.
+    q = parse_poly("(10^200)^2*Z^2 + y^2", ("y", "Z"))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="overflows"):
+            q.eval([0.0, 1.0])
+    assert q.eval([0, 1]) == 10 ** 400
 
 
 def test_implicit_multiplication_rejected():

@@ -134,6 +134,15 @@ def test_system_consistency_on_family_solution():
     assert checked >= 10
 
 
+def test_q_g_beyond_float_range_is_domain_error(fold_gf):
+    huge = GeneratingFunction(fold_gf.chart, fold_gf.potential, Fraction(10) ** 400)
+    with pytest.raises(DomainError, match="float range"):
+        EpsilonChoice.for_gf(huge)
+    with pytest.raises(DomainError, match="float range"):
+        EpsilonChoice.for_gf(fold_gf, Fraction(1, 10 ** 400))
+    assert float(EpsilonChoice.for_gf(huge, Fraction(10) ** 400).q_g) == 1.0
+
+
 def test_domain_and_degenerate_errors(fold_gf):
     with pytest.raises(DomainError):
         branch_state(fold_gf, (0, 0, 1))

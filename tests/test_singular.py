@@ -2,6 +2,7 @@
 
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from sgma.singular import (
     branch_select_convex,
     caustic_sweep,
     dpi_det,
-    fiber_coefficient_polys,
+    fiber_equation_polys,
     fiber_solve,
     locus_coefficient_polys,
     multivalued_P,
@@ -112,12 +113,12 @@ def test_coefficient_builders_match_substitution(fold_gf):
     gfs = [fold_gf, _gf("T", "x*Z^2/2")]
     gfs += [build_family(random_generic_spec(rng)).gf for _ in range(2)]
     for gf in gfs:
-        t_z = gf.potential.diff("Z")
+        fiber_row = -gf.potential.diff("Z")  # z = -T_Z
         locus = singular_locus_poly(gf)
         for x, y, Z in [(0.0, 0.0, 0.0)] + [tuple(rng.uniform(-1, 1) for _ in range(3))
                                               for _ in range(3)]:
-            assert _at(fiber_coefficient_polys(gf), (x, y)) == \
-                _substituted(t_z, {"x": x, "y": y}, "Z")
+            assert _at(fiber_equation_polys(gf), (x, y)) == \
+                _substituted(fiber_row, {"x": x, "y": y}, "Z")
             for free, fixed in (("Z", {"x": x, "y": y}), ("x", {"y": y, "Z": Z}),
                                 ("y", {"x": x, "Z": Z})):
                 values = [fixed[v] for v in T_VARS if v != free]
@@ -126,15 +127,51 @@ def test_coefficient_builders_match_substitution(fold_gf):
 
 
 def test_coefficient_builders_are_bounded(convex_quadratic_gf):
-    with pytest.raises(ValueError, match="dual-T"):
-        fiber_coefficient_polys(convex_quadratic_gf)
+    for gf in (convex_quadratic_gf, _gf("S", "X*Y*z"), _gf("R", "X*Y*Z")):
+        with pytest.raises(ValueError, match="dual-T"):
+            fiber_equation_polys(gf)
     for k in range(1, CACHE_SIZE + 3):
         gf = _gf("T", f"{k}*x*Z^2 + Z^3/6")
-        fiber_coefficient_polys(gf)
+        fiber_equation_polys(gf)
         locus_coefficient_polys(gf, "Z")
-    for build in (fiber_coefficient_polys, locus_coefficient_polys):
+    for build in (fiber_equation_polys, locus_coefficient_polys):
         info = build.cache_info()
         assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
+
+
+def test_warm_fibers_and_caustics_take_no_derivative_or_collection(monkeypatch, fold_gf):
+    # After one warm call, fibers on the Newton charts (seeds converging and
+    # failing), the exact dual-T fiber and caustic slices read only cached
+    # builders: no Poly.diff and no Poly.collect call is made again.
+    gf_s = _gf("S", "(X^2 + Y^2)/2 + X*Y*z/2 - z^2/2")
+    gf_r = _gf("R", "X^3/3 + (Y^2 + Z^2)/2")
+    calls = [lambda: fiber_solve(gf_s, (0.5, -0.25, 2.0), ((0.0, 0.0), (1.0, 1.0))),
+             lambda: fiber_solve(gf_r, (1.0, 1.0, 1.0), ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0))),
+             lambda: fiber_solve(fold_gf, (2, 0, 0)),
+             lambda: caustic_sweep(fold_gf, GridSpec2D("x", -1, 1, 3, "y", 0, 0, 1))]
+    warm = [call() for call in calls]
+    assert warm[1].failed_seeds == [(0.0, 0.0, 0.0)] and warm[1].fiber_values
+    counts = Counter()
+    for name in ("diff", "collect"):
+        def spy(self, *args, _real=getattr(Poly, name), _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(Poly, name, spy)
+    for _ in range(3):
+        assert [repr(call()) for call in calls] == [repr(w) for w in warm]
+    assert counts == Counter()
+
+
+def test_coefficient_beyond_float_range_is_domain_error():
+    # 10^400 passes the parser's bit budget but no float holds it.
+    gf = _gf("T", "(10^200)^2*Z^3 + y^2")
+    calls = (lambda: fiber_solve(gf, (0, 0, 0)),
+             lambda: caustic_sweep(gf, GridSpec2D("x", 0, 1, 2, "y", 0, 0, 1)),
+             lambda: dpi_det(gf, (0.0, 0.0, 1.0)),
+             lambda: classify(gf, (0.0, 0.0, 1.0)))
+    for call in calls:
+        with pytest.raises(DomainError, match="overflows"):
+            call()
 
 
 def test_dpi_det_values(fold_gf, convex_quadratic_gf):
