@@ -8,7 +8,7 @@ family, and full wind-field reconstruction.
 """
 
 from .polyexpr import ParseError, Poly, parse_poly
-from .errors import ConfigError, DomainError, MetricSingularError, SgmaError
+from .errors import ConfigError, DomainError, MetricSingularError, NoBranchError, SgmaError
 from .grid import Axis, Grid
 from .ma_core import (
     AMBIENT_COORDS,

@@ -11,11 +11,17 @@ the canonical fold metric 2(-Z dx^2 + dy^2 - Z dZ^2) as an independent
 oracle, including the semicubical cusp law at the parabolic boundary.
 
 For speed, each generating function's metric is compiled once (and kept in
-a bounded cache) into two generated straight-line Python functions: one
-evaluates Hamilton's right-hand side for an RK4 stage, the other the
-determinant, invariants, H and velocity of an accepted state.  They repeat
-the float operations of a term-by-term evaluation in order, so traces do
-not depend on this compilation.
+a bounded cache) into generated straight-line Python functions: one
+evaluates Hamilton's right-hand side for an RK4 stage, one the
+determinant, invariants, H and velocity of a state, and one both at a
+trace's candidate state.  They repeat the float operations of a
+term-by-term evaluation in order, except that products with a structurally
+zero factor (a zero entry of h, of its derivatives, or of its adjugate) are
+left out of the sums that start from the int 0, where adding such a +-0.0
+changes nothing for finite operands.  The evaluation at an accepted state
+also yields the next step's first RK4 stage k1, so a step calls the stage
+kernel three times, not four.  Traces therefore do not depend on this
+compilation.
 """
 
 from __future__ import annotations
@@ -52,6 +58,15 @@ class BicharState:
             raise ValueError("q and p must each have 3 components")
 
 
+def _trusted_state(q, p, s) -> BicharState:
+    # A state the integrator built from float 3-tuples: nothing to coerce or
+    # check, so __post_init__ is skipped.
+    state = object.__new__(BicharState)
+    fields = state.__dict__
+    fields["q"], fields["p"], fields["s"] = q, p, s
+    return state
+
+
 class Termination(str, enum.Enum):
     MAX_STEPS = "max_steps"
     PARABOLIC_BOUNDARY = "parabolic_boundary"
@@ -74,11 +89,21 @@ def _singular(det: float) -> MetricSingularError:
 #
 # The metric entries are evaluated millions of times inside RK4 stages, where
 # generic Poly.eval dispatch and per-entry calls dominate.  Each metric field
-# therefore compiles two straight-line functions from its exact entries.  They
+# therefore compiles straight-line functions from its exact entries.  They
 # evaluate each entry term by term, then the textbook 3x3 determinant,
 # adjugate inverse and sums.  Every sum starts from the int 0, as sum() does,
 # so a lone -0.0 becomes 0.0; products and terms keep a fixed order.  Traces
 # are thereby reproducible to the bit.
+#
+# Structural zeros are dropped: the zero entries of h and of its
+# derivatives, and every adjugate entry a_ij whose two cofactor products
+# each have a zero entry of h as a factor.  A product with such a factor is
+# +-0.0 for finite operands, and a sum that starts from the int 0 is never
+# -0.0, so adding +-0.0 leaves it unchanged; the products are left out of
+# the sums w = h^{-1} p, pdot, H and qdot, and the dropped a_ij and
+# derivative entries are never computed.  The determinant, scale, invariants
+# and singular test keep their full templates, since the sign of a zero and
+# the order of NaN inside max() matter there.
 
 def _poly_source(poly: Poly) -> str:
     # One product per term, coefficient first, in the order of poly.terms.
@@ -93,23 +118,26 @@ def _poly_source(poly: Poly) -> str:
     return " + ".join(terms) if terms else "0.0"
 
 
-def _sum_source(terms) -> str:
-    return " + ".join(["0", *terms])
+def _sum_source(products, zero: set) -> str:
+    # products: tuples of factor names, multiplied left to right.
+    kept = [" * ".join(f) for f in products if zero.isdisjoint(f)]
+    return " + ".join(["0", *kept]) if kept else "0.0"
 
 
 def _names(prefix: str) -> list:
     return [[f"{prefix}{i}{j}" for j in range(3)] for i in range(3)]
 
 
-def _quadform_source(m, v) -> str:
-    return _sum_source(f"{v[i]} * {m[i][j]} * {v[j]}" for i in range(3) for j in range(3))
+def _quadform_source(m, v, zero: set) -> str:
+    return _sum_source([(v[i], m[i][j], v[j]) for i in range(3) for j in range(3)], zero)
 
 
-def _matvec_source(m, v, i: int) -> str:
-    return _sum_source(f"{m[i][j]} * {v[j]}" for j in range(3))
+def _matvec_source(m, v, i: int, zero: set) -> str:
+    return _sum_source([(m[i][j], v[j]) for j in range(3)], zero)
 
 
 _H, _A = _names("h"), _names("a")  # the metric and its inverse
+_D = tuple(_names(f"d{k}") for k in range(3))  # its derivatives d_k h
 _P, _W = ("p0", "p1", "p2"), ("w0", "w1", "w2")  # momentum and w = h^{-1} p
 _COFACTORS = (
     ("h11 * h22 - h12 * h21", "h02 * h21 - h01 * h22", "h01 * h12 - h02 * h11"),
@@ -121,16 +149,30 @@ _DET_AND_SCALE = (
     " + h02 * (h10 * h21 - h11 * h20)",
     "s = max(1.0, max({}))".format(", ".join(f"abs({n})" for row in _H for n in row)),
 )
-_INVERSE = tuple(f"a{i}{j} = ({_COFACTORS[i][j]}) / det"
-                 for i in range(3) for j in range(3))
+_INVARIANTS = (
+    "i1 = h00 + h11 + h22",
+    "i2 = h00 * h11 - h01 * h10 + h00 * h22 - h02 * h20 + h11 * h22 - h12 * h21",
+)
 
 
-def _entry_lines(names, polys, known: dict) -> list:
+def _zero_names(names, polys) -> set:
+    return {names[i][j] for i in range(3) for j in range(3) if polys[i][j].is_zero}
+
+
+def _zero_inverse(zero_h: set) -> set:
+    return {_A[i][j] for i in range(3) for j in range(3)
+            if all(not zero_h.isdisjoint(product.split(" * "))
+                   for product in _COFACTORS[i][j].split(" - "))}
+
+
+def _entry_lines(names, polys, known: dict, skip=frozenset()) -> list:
     # Entries with the same source (h_ij and h_ji, the zero entries) are
-    # computed once and aliased.
+    # computed once and aliased; entries named in ``skip`` are not computed.
     lines = []
     for i in range(3):
         for j in range(3):
+            if names[i][j] in skip:
+                continue
             src = _poly_source(polys[i][j])
             alias = known.setdefault(src, names[i][j])
             lines.append(f"{names[i][j]} = {src if alias == names[i][j] else alias}")
@@ -142,7 +184,7 @@ def _function_source(signature: str, body) -> str:
 
 
 def _compile_kernels(entries, d_entries):
-    """Generate ``rhs`` and ``state`` for the metric with these exact entries.
+    """Generate ``rhs``, ``state`` and ``state_rhs`` for the metric with these exact entries.
 
     ``rhs(q0, q1, q2, p0, p1, p2)`` returns Hamilton's right-hand side
     (qdot0, qdot1, qdot2, pdot0, pdot1, pdot2), with qdot = 2w, w = h^{-1} p
@@ -153,44 +195,62 @@ def _compile_kernels(entries, d_entries):
     (det, s, i1, i2, H, qdot0, qdot1, qdot2), where s = max(1, max|h_ij|) and
     i1, i2 are the trace and second invariant of h.  It makes no singular
     test, so that callers run their own guards first (see ``_check_regular``);
-    H and qdot are None when det is exactly 0.
+    H and qdot are None when det is exactly 0.  It evaluates no derivatives.
+
+    ``state_rhs(q0, q1, q2, p0, p1, p2)`` returns (det, s, i1, i2, H, k1)
+    with the values of ``state`` and k1 the 6-tuple ``rhs`` would return
+    (qdot first), for the next RK4 step; H and k1 are None when det is
+    exactly 0.  It skips the singular test of ``rhs``: a trace accepts a
+    state only after ``_check_regular``, the same test.
     """
+    zero = _zero_names(_H, entries)
+    zero |= _zero_inverse(zero)
+    for k in range(3):
+        zero |= _zero_names(_D[k], d_entries[k])
     known: dict = {}
     h_lines = _entry_lines(_H, entries, known)
-    dh_lines = []
-    for k in range(3):
-        dh_lines += _entry_lines(_names(f"d{k}"), d_entries[k], known)
-    w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i)}" for i in range(3)]
-    pdot = [_quadform_source(_names(f"d{k}"), _W) for k in range(3)]
+    dh_lines = [line for k in range(3)
+                for line in _entry_lines(_D[k], d_entries[k], known, zero)]
+    inverse = [f"{_A[i][j]} = ({_COFACTORS[i][j]}) / det"
+               for i in range(3) for j in range(3) if _A[i][j] not in zero]
+    w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i, zero)}" for i in range(3)]
+    k1 = ", ".join([f"2.0 * {w}" for w in _W] + [_quadform_source(d, _W, zero) for d in _D])
+    H = _quadform_source(_A, _P, zero)
+    qdot = ", ".join(f"2.0 * ({_matvec_source(_A, _P, i, zero)})" for i in range(3))
     rhs = _function_source("rhs(q0, q1, q2, p0, p1, p2)", [
         *h_lines, *_DET_AND_SCALE,
         f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
         "    raise _singular(det)",
-        *_INVERSE, *w_lines, *dh_lines,
-        "return (" + ", ".join([f"2.0 * {w}" for w in _W] + pdot) + ")",
+        *inverse, *w_lines, *dh_lines,
+        f"return ({k1})",
     ])
-    qdot = [f"2.0 * ({_matvec_source(_A, _P, i)})" for i in range(3)]
     state = _function_source("state(q0, q1, q2, p0, p1, p2)", [
-        *h_lines, *_DET_AND_SCALE,
-        "i1 = h00 + h11 + h22",
-        "i2 = h00 * h11 - h01 * h10 + h00 * h22 - h02 * h20 + h11 * h22 - h12 * h21",
+        *h_lines, *_DET_AND_SCALE, *_INVARIANTS,
         "if det == 0:",
         "    return det, s, i1, i2, None, None, None, None",
-        *_INVERSE,
-        f"return (det, s, i1, i2, {_quadform_source(_A, _P)}, {', '.join(qdot)})",
+        *inverse,
+        f"return (det, s, i1, i2, {H}, {qdot})",
+    ])
+    state_rhs = _function_source("state_rhs(q0, q1, q2, p0, p1, p2)", [
+        *h_lines, *_DET_AND_SCALE, *_INVARIANTS,
+        "if det == 0:",
+        "    return det, s, i1, i2, None, None",
+        *inverse, *w_lines, *dh_lines,
+        f"return det, s, i1, i2, {H}, ({k1})",
     ])
     namespace = {"_singular": _singular}
-    code = compile(rhs + state, "<sgma metric kernels>", "exec")
+    code = compile(rhs + state + state_rhs, "<sgma metric kernels>", "exec")
     exec(code, namespace)  # noqa: S102 - generated from our own Poly
-    return namespace["rhs"], namespace["state"]
+    return namespace["rhs"], namespace["state"], namespace["state_rhs"]
 
 
 class _MetricField:
     """The pull-back metric of one generating function, compiled for RK4.
 
-    Holds the two kernels generated from the exact entries of h and their
-    exact derivatives (see ``_compile_kernels``): ``rhs`` for RK4 stages and
-    ``state`` for accepted states and single-point evaluations.  ``cyclic``
+    Holds the kernels generated from the exact entries of h and their exact
+    derivatives (see ``_compile_kernels``): ``rhs`` for RK4 stages,
+    ``state_rhs`` for candidate states of a trace, whose k1 the next step
+    reuses, and ``state`` for single-point evaluations.  ``cyclic``
     tells whether h has the cyclic diagonal structure of the canonical fold
     metric, whose conserved quantities the trace log then records.
     """
@@ -202,7 +262,7 @@ class _MetricField:
             tuple(tuple(entries[i][j].diff(v) for j in range(3)) for i in range(3))
             for v in cs
         )
-        self.rhs, self.state = _compile_kernels(entries, d_entries)
+        self.rhs, self.state, self.state_rhs = _compile_kernels(entries, d_entries)
         self.cyclic = self._detect_cyclic(entries, cs)
 
     @staticmethod
@@ -240,15 +300,32 @@ def _check_regular(det, s, H) -> None:
         raise _singular(det)
 
 
+def _overflow(q, p) -> DomainError:
+    return DomainError(f"metric evaluation overflows at q = {tuple(q)}, p = {tuple(p)}")
+
+
 def _evaluate_state(field_: _MetricField, q, p) -> tuple:
+    # The singular test's s ** 3 overflows where max |h_ij| > ~5.6e102.
     try:
         out = field_.state(*q, *p)
+        det, s, _, _, H, _, _, _ = out
+        _check_regular(det, s, H)
     except OverflowError:
-        raise DomainError(f"metric evaluation overflows at q = {tuple(q)}, "
-                          f"p = {tuple(p)}") from None
-    det, s, _, _, H, _, _, _ = out
-    _check_regular(det, s, H)
+        raise _overflow(q, p) from None
     return out
+
+
+def _candidate(field_: _MetricField, q, p) -> tuple:
+    # (det, s, i1, i2, H, qdot, k1) at a candidate state of a trace, with
+    # k1 = rhs(q, p) for the next step.  Where only the derivative part of
+    # state_rhs overflows, k1 is None: the state may still be accepted, and
+    # the trace then ends as it did when the next step's rhs overflowed.
+    try:
+        det, s, i1, i2, H, k1 = field_.state_rhs(*q, *p)
+        return det, s, i1, i2, H, k1, k1
+    except OverflowError:
+        det, s, i1, i2, H, *qdot = field_.state(*q, *p)
+        return det, s, i1, i2, H, qdot, None
 
 
 def hamiltonian(gf: GeneratingFunction, state: BicharState) -> float:
@@ -317,11 +394,12 @@ def ham_rhs(gf: GeneratingFunction, state: BicharState):
     return out[:3], out[3:]
 
 
-def _rk4_step(rhs, q, p, step):
+def _rk4_step(rhs, q, p, k1, step):
+    # k1 = rhs(q, p), which the evaluation of the accepted state supplies.
     q0, q1, q2 = q
     p0, p1, p2 = p
     half = 0.5 * step
-    k1q0, k1q1, k1q2, k1p0, k1p1, k1p2 = rhs(q0, q1, q2, p0, p1, p2)
+    k1q0, k1q1, k1q2, k1p0, k1p1, k1p2 = k1
     k2q0, k2q1, k2q2, k2p0, k2p1, k2p2 = rhs(
         q0 + half * k1q0, q1 + half * k1q1, q2 + half * k1q2,
         p0 + half * k1p0, p1 + half * k1p1, p2 + half * k1p2)
@@ -404,19 +482,26 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
     if not all(math.isfinite(v) for v in q + p):
         raise DomainError(f"initial state is not finite: q = {q}, p = {p}")
     field_ = _metric_field(gf)
-    rhs, state, cyclic = field_.rhs, field_.state, field_.cyclic
-    det0, scale, i1, i2, H0, qdot0, qdot1, _ = _evaluate_state(field_, q, p)
+    rhs, cyclic = field_.rhs, field_.cyclic
+    try:
+        det0, scale, i1, i2, H0, qdot, k1 = _candidate(field_, q, p)
+        _check_regular(det0, scale, H0)
+    except OverflowError:
+        raise _overflow(q, p) from None
     if abs(H0) > 1e-10:
         raise DomainError(f"initial condition is not null: H = {H0:g}")
     if stop_tol is None:
         stop_tol = 1e-6 * abs(det0)
     counts0 = _sign_counts(i1, i2, det0, scale)
     states = [initial]
-    log = [_log_entry(cyclic, q, H0, det0, qdot0, qdot1)]
+    log = [_log_entry(cyclic, q, H0, det0, qdot[0], qdot[1])]
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
+        if k1 is None:
+            termination = Termination.DIVERGED
+            break
         try:
-            qn, pn = _rk4_step(rhs, q, p, step)
+            qn, pn = _rk4_step(rhs, q, p, k1, step)
         except MetricSingularError:
             termination = Termination.PARABOLIC_BOUNDARY
             break
@@ -430,7 +515,7 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
             termination = Termination.DOMAIN_EXIT
             break
         try:
-            det, scale, i1, i2, H, qdot0, qdot1, _ = state(*qn, *pn)
+            det, scale, i1, i2, H, qdot, k1n = _candidate(field_, qn, pn)
         except OverflowError:
             termination = Termination.DIVERGED
             break
@@ -443,9 +528,9 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
                            if abs(det) < 0.5 * abs(det0)
                            else Termination.DIVERGED)
             break
-        q, p, s = qn, pn, s + step
-        states.append(BicharState(q, p, s))
-        log.append(_log_entry(cyclic, q, H, det, qdot0, qdot1))
+        q, p, s, k1 = qn, pn, s + step, k1n
+        states.append(_trusted_state(q, p, s))
+        log.append(_log_entry(cyclic, q, H, det, qdot[0], qdot[1]))
     return Trace(states=states, termination=termination, conserved_log=log)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NoBranchError
 
 
 def det3(m):
@@ -40,12 +40,15 @@ def adj3(m) -> tuple:
 def solve3(a, b, message: str) -> np.ndarray:
     """x = adj(a) b / det(a) for a float 3x3 ``a``; ``b`` is a vector or 3-row matrix.
 
-    Raises DomainError(message) when ``a`` is singular within
-    |det a| <= 1e-14 * max(1, max |a_ij|)^3, or its determinant is NaN.
+    Raises NoBranchError(message) when a finite ``a`` is singular within
+    |det a| <= 1e-14 * max(1, max |a_ij|)^3 or its determinant is NaN: the
+    callers solve for a branch's Hessian or velocity, which a singular ``a``
+    leaves undefined (a degenerate branch).  Raises DomainError(message)
+    when an entry of ``a`` is not finite.
     """
     a = np.asarray(a, dtype=float)
     rows = a.tolist()  # float scalars: the same arithmetic, without numpy dispatch
     det = det3(rows)
     if not abs(det) > 1e-14 * max(1.0, float(np.max(np.abs(a)))) ** 3:
-        raise DomainError(message)
+        raise (NoBranchError if np.isfinite(a).all() else DomainError)(message)
     return np.array(adj3(rows)) @ b / det

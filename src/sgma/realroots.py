@@ -215,6 +215,17 @@ def cauchy_bound(c: list) -> Fraction:
     return 1 + Fraction(max(abs(a) for a in c[:-1]), abs(c[-1]))
 
 
+def _max_depth(c: list, bound: Fraction) -> int:
+    # Bisection depth beyond which no interval can hold two roots: it is
+    # then narrower than Mahler's separation bound for a square-free integer
+    # polynomial of degree n, sep > sqrt(3) n^(-(n+2)/2) |c|_2^(1-n), and
+    # (-bound, bound] has width 2 bound.  All logarithms are rounded up.
+    n = _degree(c)
+    norm_bits = max(abs(v) for v in c).bit_length() + (n + 1).bit_length()
+    sep_bits = (n + 2) * n.bit_length() // 2 + 1 + (n - 1) * norm_bits
+    return math.ceil(bound).bit_length() + 2 + sep_bits
+
+
 def _isolate_square_free(c: list, chain: list):
     """Separate a square-free polynomial into exact roots and isolating intervals.
 
@@ -225,24 +236,34 @@ def _isolate_square_free(c: list, chain: list):
     sweep restarts on the quotient, so every returned interval (a, b]
     contains exactly one root of the returned (reduced) polynomial and the
     interval bookkeeping never refers to a stale chain.
+
+    A wrong chain raises ArithmeticError instead of bisecting forever: a
+    root count outside [0, degree], or one of 2 or more past the depth at
+    which intervals are narrower than the roots' separation bound.
     """
     exact, poly = [], c
     while _degree(poly) >= 1:
         signs = [_Sign(p) for p in chain]
         sign = signs[0]  # poly times a constant: the same zeros
         bound = cauchy_bound(poly)
+        n, max_depth = _degree(poly), _max_depth(poly, bound)
         intervals = []
-        stack = [(-bound, bound)]
+        stack = [(-bound, bound, 0)]
         restarted = False
         while stack:
-            a, b = stack.pop()
+            a, b, depth = stack.pop()
             count = (_variations(signs, a.numerator, a.denominator)
                      - _variations(signs, b.numerator, b.denominator))
+            if not 0 <= count <= n:
+                raise ArithmeticError(f"Sturm count {count} outside [0, {n}] on ({a}, {b}]")
             if count == 0:
                 continue
             if count == 1:
                 intervals.append((a, b))
                 continue
+            if depth >= max_depth:
+                raise ArithmeticError(f"{count} roots in ({a}, {b}], narrower than their "
+                                      "separation bound")
             mid = (a + b) / 2
             if sign(mid.numerator, mid.denominator) == 0:
                 exact.append(mid)
@@ -250,8 +271,8 @@ def _isolate_square_free(c: list, chain: list):
                 chain = sturm_chain(poly)
                 restarted = True
                 break
-            stack.append((a, mid))
-            stack.append((mid, b))
+            stack.append((a, mid, depth + 1))
+            stack.append((mid, b, depth + 1))
         if not restarted:
             return exact, intervals, poly
     return exact, [], poly

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NoBranchError
 from .formatting import format_float
 from .grid import Axis, Grid
 from .ma_core import GeneratingFunction, SignatureLabel, classify, immersion
@@ -83,13 +83,13 @@ def _resolve_branch(bp: BranchPoint, branch) -> int:
             raise ValueError(f"branch must be 'convex' or an index, got {branch!r}")
         choice = branch_select_convex(bp)
         if choice.index is None:
-            raise DomainError("no convex branch over this base point")
+            raise NoBranchError("no convex branch over this base point")
         if choice.ambiguous:
             warnings.warn("multiple convex branches; using the first", stacklevel=3)
         return choice.index
     index = int(branch)
     if not 0 <= index < len(bp.fiber_values):
-        raise DomainError(
+        raise NoBranchError(
             f"branch index {index} out of range for a fiber of {len(bp.fiber_values)}"
         )
     return index
@@ -100,9 +100,9 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
     """Geopotential, momenta, and geostrophic wind on one branch over a base point.
 
     ``branch`` is either "convex" (select via the convexity principle) or an
-    explicit fiber index (fiber values ascending).  Raises DomainError when
-    the base point lies outside the solution domain (empty fiber) or the
-    selected branch is degenerate (caustic point).
+    explicit fiber index (fiber values ascending).  Raises NoBranchError
+    when the base point lies outside the solution domain (empty fiber), has
+    no such branch, or the selected branch is degenerate (caustic point).
     """
     eps = eps or EpsilonChoice.for_gf(gf)
     if gf.eps_q != 1:
@@ -113,12 +113,12 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
         )
     bp = fiber_solve(gf, base)
     if not bp.fiber_values:
-        raise DomainError(
+        raise NoBranchError(
             f"base point {tuple(float(v) for v in base)} is outside the solution domain"
         )
     index = _resolve_branch(bp, branch)
     if bp.degenerate_flags and bp.degenerate_flags[index]:
-        raise DomainError("selected branch is degenerate (caustic point)")
+        raise NoBranchError("selected branch is degenerate (caustic point)")
     chart_pt = bp.fiber_values[index]
     amb = immersion(gf, chart_pt)
     x, y = float(amb.x), float(amb.y)
@@ -196,9 +196,10 @@ def wind_field_sweep(gf: GeneratingFunction, branch, grid: Grid,
     """Reconstruct the wind on a plane section, flagging out-of-domain nodes.
 
     ``grid`` runs over the base coordinates ("x", "y", "z") in that order.
-    Nodes whose fiber is empty or whose selected branch is degenerate are
-    emitted with in_domain False and no state, so the caller still sees
-    every grid node in row-major order.
+    Nodes without a usable branch (NoBranchError: empty fiber, no convex or
+    no such branch, degenerate branch) are emitted with in_domain False and
+    no state, so the caller still sees every grid node in row-major order.
+    Any other DomainError, such as a float-range failure, propagates.
     """
     if grid.names != ("x", "y", "z"):
         raise ValueError(f"wind grid axes must be ('x', 'y', 'z'), got {grid.names!r}")
@@ -209,7 +210,7 @@ def wind_field_sweep(gf: GeneratingFunction, branch, grid: Grid,
         for x, y, z in grid.nodes():
             try:
                 state = reconstructed_state(gf, (x, y, z), branch, eps)
-            except DomainError:
+            except NoBranchError:
                 samples.append(WindSample(x, y, z, False, None))
                 continue
             samples.append(WindSample(x, y, z, True, state))

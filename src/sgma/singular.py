@@ -231,7 +231,7 @@ def branch_hessian(gf: GeneratingFunction, chart_pt) -> np.ndarray:
 
     Computed by implicit differentiation of the chart relations: the
     momentum block of the immersion Jacobian times the inverse of its base
-    block.  Raises DomainError where the base block is singular (fold).
+    block.  Raises NoBranchError where the base block is singular (fold).
     """
     J = immersion_jacobian(gf, chart_pt)
     # C B^-1 = (B^-T C^T)^T

@@ -1,0 +1,104 @@
+"""Reference RK4 kernels: the dense straight-line templates.
+
+The plain generator that ``sgma.characteristics._compile_kernels`` must
+reproduce: every entry of h and of its derivatives, all nine adjugate
+entries and every product of the sums, with no structural zero dropped.
+The tests require the generated ``rhs`` and ``state`` to return the same
+values (by ``repr``) and raise the same exception types.  It is the oracle,
+so keep it as it is rather than fast.
+"""
+
+from __future__ import annotations
+
+from sgma.characteristics import SINGULAR_TOL, _singular
+from sgma.errors import DomainError
+
+
+def _poly_source(poly) -> str:
+    # One product per term, coefficient first, in the order of poly.terms.
+    terms = []
+    for exps, coeff in poly.terms.items():
+        try:
+            parts = [repr(float(coeff))]
+        except OverflowError:
+            raise DomainError("a metric coefficient overflows the float range") from None
+        parts += [f"q{i}**{e}" if e > 1 else f"q{i}" for i, e in enumerate(exps) if e]
+        terms.append("*".join(parts))
+    return " + ".join(terms) if terms else "0.0"
+
+
+def _sum_source(terms) -> str:
+    return " + ".join(["0", *terms])
+
+
+def _names(prefix: str) -> list:
+    return [[f"{prefix}{i}{j}" for j in range(3)] for i in range(3)]
+
+
+def _quadform_source(m, v) -> str:
+    return _sum_source(f"{v[i]} * {m[i][j]} * {v[j]}" for i in range(3) for j in range(3))
+
+
+def _matvec_source(m, v, i: int) -> str:
+    return _sum_source(f"{m[i][j]} * {v[j]}" for j in range(3))
+
+
+_H, _A = _names("h"), _names("a")
+_P, _W = ("p0", "p1", "p2"), ("w0", "w1", "w2")
+_COFACTORS = (
+    ("h11 * h22 - h12 * h21", "h02 * h21 - h01 * h22", "h01 * h12 - h02 * h11"),
+    ("h12 * h20 - h10 * h22", "h00 * h22 - h02 * h20", "h02 * h10 - h00 * h12"),
+    ("h10 * h21 - h11 * h20", "h01 * h20 - h00 * h21", "h00 * h11 - h01 * h10"),
+)
+_DET_AND_SCALE = (
+    "det = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20)"
+    " + h02 * (h10 * h21 - h11 * h20)",
+    "s = max(1.0, max({}))".format(", ".join(f"abs({n})" for row in _H for n in row)),
+)
+_INVERSE = tuple(f"a{i}{j} = ({_COFACTORS[i][j]}) / det"
+                 for i in range(3) for j in range(3))
+
+
+def _entry_lines(names, polys, known: dict) -> list:
+    lines = []
+    for i in range(3):
+        for j in range(3):
+            src = _poly_source(polys[i][j])
+            alias = known.setdefault(src, names[i][j])
+            lines.append(f"{names[i][j]} = {src if alias == names[i][j] else alias}")
+    return lines
+
+
+def _function_source(signature: str, body) -> str:
+    return f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
+
+
+def compile_kernels(entries, d_entries):
+    """Dense ``rhs`` and ``state`` for the metric with these exact entries."""
+    known: dict = {}
+    h_lines = _entry_lines(_H, entries, known)
+    dh_lines = []
+    for k in range(3):
+        dh_lines += _entry_lines(_names(f"d{k}"), d_entries[k], known)
+    w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i)}" for i in range(3)]
+    pdot = [_quadform_source(_names(f"d{k}"), _W) for k in range(3)]
+    rhs = _function_source("rhs(q0, q1, q2, p0, p1, p2)", [
+        *h_lines, *_DET_AND_SCALE,
+        f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
+        "    raise _singular(det)",
+        *_INVERSE, *w_lines, *dh_lines,
+        "return (" + ", ".join([f"2.0 * {w}" for w in _W] + pdot) + ")",
+    ])
+    qdot = [f"2.0 * ({_matvec_source(_A, _P, i)})" for i in range(3)]
+    state = _function_source("state(q0, q1, q2, p0, p1, p2)", [
+        *h_lines, *_DET_AND_SCALE,
+        "i1 = h00 + h11 + h22",
+        "i2 = h00 * h11 - h01 * h10 + h00 * h22 - h02 * h20 + h11 * h22 - h12 * h21",
+        "if det == 0:",
+        "    return det, s, i1, i2, None, None, None, None",
+        *_INVERSE,
+        f"return (det, s, i1, i2, {_quadform_source(_A, _P)}, {', '.join(qdot)})",
+    ])
+    namespace = {"_singular": _singular}
+    exec(compile(rhs + state, "<reference metric kernels>", "exec"), namespace)
+    return namespace["rhs"], namespace["state"]

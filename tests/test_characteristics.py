@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_kernels
+from hypothesis import given, settings, strategies as st
 
 from sgma import characteristics as ch
 from sgma.characteristics import (
@@ -177,7 +179,7 @@ def test_trace_diverges_on_overflow_in_rk4_stage(tripwire_gf):
     start = _tripwire_start(tripwire_gf)
     field_ = ch._metric_field(tripwire_gf)
     with pytest.raises(OverflowError):
-        ch._rk4_step(field_.rhs, start.q, start.p, 1e4)
+        ch._rk4_step(field_.rhs, start.q, start.p, field_.rhs(*start.q, *start.p), 1e4)
     trace = trace_bicharacteristic(tripwire_gf, start, step=1e4, box=1e6)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -188,7 +190,8 @@ def test_trace_diverges_on_overflow_at_accepted_state(tripwire_gf):
     # stays at |x| < 1, but the accepted point is at x ~ 176.
     start = _tripwire_start(tripwire_gf)
     field_ = ch._metric_field(tripwire_gf)
-    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p, 1.0)
+    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
+                            field_.rhs(*start.q, *start.p), 1.0)
     assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
     with pytest.raises(OverflowError):
         field_.state(*qn, *pn)
@@ -219,7 +222,8 @@ def test_trace_diverges_when_candidate_leaves_null_cone(fold_gf):
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
     field_ = ch._metric_field(fold_gf)
-    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p, 0.3)
+    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
+                            field_.rhs(*start.q, *start.p), 0.3)
     det, _, _, _, H, _, _, _ = field_.state(*qn, *pn)
     assert ch.H_TOL < abs(H) <= 1.0
     assert abs(det) > abs(trace.conserved_log[0]["det_h"])
@@ -397,6 +401,139 @@ def test_ham_rhs_matches_exact_metric_and_linear_solve(member_gf):
         checked += 1
 
 
+# -- generated kernels against the dense reference --------------------------
+
+_KERNEL_FLOATS = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-8, 0.5, 1.0, -2.0, 51.0]),
+)
+
+
+def _outcome(fn, args):
+    # The repr of what fn returns (NaN prints as nan), or the type it raises.
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module")
+def kernel_pairs(fold_gf, convex_quadratic_gf, tripwire_gf, member_gf):
+    """(generated field, dense reference (rhs, state)) for each kernel case.
+
+    The fold (6 of 9 metric entries zero), a family member (non-diagonal,
+    4 zeros), a chart-P potential whose h has no zero entry, the convex
+    quadratic (constant h, every derivative zero) and the tripwire, whose
+    x**181 overflows for |x| > 50.
+    """
+    dense = GeneratingFunction(
+        ChartKind.CLASSICAL_P,
+        parse_poly("x^4/12 + y^2/2 - z^2/2 + x*y*z/3 + x^2*y^2/5 + y*z^3/7",
+                   ("x", "y", "z")),
+        Fraction(1),
+    )
+    pairs = []
+    for gf in (fold_gf, member_gf, dense, convex_quadratic_gf, tripwire_gf):
+        entries = pullback_metric_polys(gf)
+        d_entries = [[[e.diff(v) for e in row] for row in entries] for v in gf.chart.coords]
+        pairs.append((ch._metric_field(gf), reference_kernels.compile_kernels(entries, d_entries)))
+    assert sum(e.is_zero for row in pullback_metric_polys(dense) for e in row) == 0
+    return pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(*[_KERNEL_FLOATS] * 6))
+def test_kernels_match_dense_reference(kernel_pairs, point):
+    for field_, (ref_rhs, ref_state) in kernel_pairs:
+        assert _outcome(field_.rhs, point) == _outcome(ref_rhs, point)
+        want = _outcome(ref_state, point)
+        assert _outcome(field_.state, point) == want
+        if isinstance(want, type):
+            assert _outcome(field_.state_rhs, point) is want
+            continue
+        det, s, i1, i2, H, *qdot = ref_state(*point)
+        *values, k1 = field_.state_rhs(*point)
+        assert repr(values) == repr([det, s, i1, i2, H])
+        if H is None:
+            assert k1 is None
+            continue
+        # state_rhs makes no singular test; where rhs returns, k1 is its value.
+        assert repr(k1[:3]) == repr(tuple(qdot))
+        if not isinstance(_outcome(ref_rhs, point), type):
+            assert repr(k1) == repr(ref_rhs(*point))
+
+
+def test_fold_kernels_drop_structural_zeros(fold_gf):
+    # Of h^{-1} only a00, a11, a22 and of the 27 derivative entries only
+    # d_Z h_00 = d_Z h_22 = -2 are nonzero.  The dropped names are neither
+    # assigned nor read, so no product has a structurally zero factor.
+    entries = pullback_metric_polys(fold_gf)
+    coords = fold_gf.chart.coords
+    zero = {f"a{i}{j}" for i in range(3) for j in range(3) if i != j}
+    zero |= {f"d{k}{i}{j}" for k in range(3) for i in range(3) for j in range(3)
+             if entries[i][j].diff(coords[k]).is_zero}
+    assert len(zero) == 6 + 25
+    field_ = ch._metric_field(fold_gf)
+    for kernel in (field_.rhs, field_.state, field_.state_rhs):
+        code = kernel.__code__
+        assert not zero & set(code.co_varnames + code.co_names), kernel.__name__
+    assert field_.rhs(0.3, -0.1, 0.7, -0.4, 1.2, -0.5)[3:5] == (0.0, 0.0)
+
+
+def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):
+    field_ = ch._metric_field(fold_gf)
+    calls = {"rhs": 0, "state_rhs": 0}
+
+    def spy(name):
+        kernel = getattr(field_, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(field_, name, counted)
+
+    spy("rhs")
+    spy("state_rhs")
+    trace = trace_bicharacteristic(fold_gf, _null_state(0.4, 1.2, 0.7), max_steps=25)
+    assert trace.termination is Termination.MAX_STEPS and len(trace.states) == 26
+    assert calls == {"rhs": 3 * 25, "state_rhs": 26}
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 5])
+def test_k1_overflow_ends_trace_after_accepting_state(fold_gf, monkeypatch, fail_at):
+    # A derivative-part overflow in state_rhs keeps the state (its values
+    # come from state) and ends the trace at the next step, as an overflow
+    # in that step's first rhs stage did; the initial state is no exception.
+    start = _null_state(0.4, 1.2, 0.7)
+    full = trace_bicharacteristic(fold_gf, start, max_steps=10)
+    field_ = ch._metric_field(fold_gf)
+    kernel, calls = field_.state_rhs, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise OverflowError("derivative part")
+        return kernel(*args)
+
+    monkeypatch.setattr(field_, "state_rhs", failing)
+    trace = trace_bicharacteristic(fold_gf, start, max_steps=10)
+    assert trace.termination is Termination.DIVERGED
+    assert trace.states == full.states[:fail_at]
+    assert trace.conserved_log == full.conserved_log[:fail_at]
+    calls.clear()
+    last = trace_bicharacteristic(fold_gf, start, max_steps=fail_at - 1)
+    assert last.termination is Termination.MAX_STEPS
+    assert last.states == full.states[:fail_at]
+
+
+def test_trusted_states_equal_validated_states(fold_gf):
+    trace = trace_bicharacteristic(fold_gf, _null_state(0.4, 1.2, 0.7), max_steps=3)
+    for state in trace.states:
+        again = BicharState(state.q, state.p, state.s)
+        assert again == state and repr(again) == repr(state)
+        assert all(type(v) is float for v in state.q + state.p)
+
+
 # -- eikonal -------------------------------------------------------------------
 
 def test_eikonal_cusp_family_is_characteristic(fold_gf):
@@ -473,9 +610,12 @@ def test_cusp_exponent_three_halves(fold_gf):
 
 def test_metric_overflow_is_domain_error():
     # x^4 makes h_11 = 12 x^2, whose power overflows at x = 1e160; the
-    # second metric's coefficient 2*10^400 itself lies beyond the float range.
+    # second metric's coefficient 2*10^400 itself lies beyond the float range;
+    # the fold metric at Z = 1e200 is finite, but the cube of its largest
+    # entry in the singular test is not.
     for chart, potential, q in (("P", "x^4 + y^2/2 - z^2/2", (1e160, 0.0, 0.0)),
-                                ("T", "(10^200)^2*Z^3 + y^2", (0.0, 0.0, 1.0))):
+                                ("T", "(10^200)^2*Z^3 + y^2", (0.0, 0.0, 1.0)),
+                                ("T", "y^2/2 - x^2*Z/2 + Z^3/6", (0.0, 0.0, 1e200))):
         kind = ChartKind(chart)
         gf = GeneratingFunction(kind, parse_poly(potential, kind.coords), Fraction(1))
         calls = (lambda: hamiltonian(gf, BicharState(q, (0.0, 1.0, 1.0))),

@@ -361,7 +361,11 @@ def test_non_finite_grid_exits_2(capsys, argv):
     ["caustic", *HUGE, "--grid", "x=0:1:2,y=0:0:1"],
     ["fiber", *HUGE, "--base", "0,0,0"],
     ["trace", *HUGE, "--q", "0,0,1", "--p", "0,1,?"],
+    # The singular test cubes max |h_ij| = 2e200.
+    ["trace", *FOLD, "--q", "0,0,1e200", "--p", "0,1,?"],
     ["wind", *FOLD, "--x", "2:2:1", "--z=-1:0:2", "--eps-q", "1e400"],
+    # Fiber evaluation overflows: an error, not an out-of-domain row.
+    ["wind", *HUGE, "--x", "2:2:1", "--z=-1:0:2"],
 ])
 def test_float_range_overflow_exits_3(capsys, argv):
     code, out, err = _run(capsys, argv)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sgma.errors import DomainError
+from sgma.errors import DomainError, NoBranchError
 from sgma.mat3 import adj3, det3, solve3
 from sgma.polyexpr import parse_poly
 
@@ -56,5 +56,8 @@ def test_float_matches_numpy():
     [[float("inf"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
 ])
 def test_solve_rejects_singular_and_non_finite(m):
-    with pytest.raises(DomainError, match="no unique solution"):
+    with pytest.raises(DomainError, match="no unique solution") as info:
         solve3(m, np.ones(3), "no unique solution")
+    # A singular finite matrix leaves the branch undefined; a non-finite
+    # one is a float-range failure.
+    assert isinstance(info.value, NoBranchError) == bool(np.isfinite(m).all())

@@ -1,6 +1,7 @@
 """Exact isolation, refinement, and multiplicity recovery for univariate roots."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -315,3 +316,20 @@ def test_sturm_chain_ends_at_a_derivative_that_divides():
     assert sturm_chain(coeffs) == [coeffs, [3, -6, 3]]
     _assert_positive_multiples(_coeffs(*coeffs))
     assert real_roots(coeffs) == [(1.0, 3)]
+
+
+@pytest.mark.parametrize("coeffs, member", [
+    ([-2, 0, 1], 1),  # x^2 - 2: the count on (-3, 3] comes out as -2
+    ([6, 0, -5, 0, 1], 0),  # (x^2 - 2)(x^2 - 3): two "roots" left at any depth
+    ([-1, 0, 0, 0, 0, 1, 1], 4),
+])
+def test_corrupted_sturm_chain_fails_at_once(coeffs, member):
+    # A wrong chain used to bisect forever; one member negated must raise.
+    chain = sturm_chain(coeffs)
+    chain[member] = [-v for v in chain[member]]
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError):
+        _isolate_square_free(coeffs, chain)
+    assert time.perf_counter() - start < 1.0
+    exact, intervals, _ = _isolate_square_free(coeffs, sturm_chain(coeffs))
+    assert not exact and len(intervals) == len(real_roots(coeffs))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sgma.errors import DomainError
+from sgma.errors import DomainError, NoBranchError
 from sgma.ma_core import ChartKind, GeneratingFunction
 from sgma.polyexpr import parse_poly
 from sgma.sg import (
@@ -144,12 +144,35 @@ def test_q_g_beyond_float_range_is_domain_error(fold_gf):
 
 
 def test_domain_and_degenerate_errors(fold_gf):
-    with pytest.raises(DomainError):
-        branch_state(fold_gf, (0, 0, 1))
-    with pytest.raises(DomainError):
-        branch_state(fold_gf, (2, 0, 2))
-    with pytest.raises(DomainError):
-        branch_state(fold_gf, (1, 0, 0), branch=5)
+    # Empty fibers, no such index, a degenerate branch (fold point) and a
+    # concave potential, which has no convex branch: no usable branch.
+    concave = GeneratingFunction(ChartKind.CLASSICAL_P,
+                                 parse_poly("-(x^2 + y^2 + z^2)/2", ("x", "y", "z")),
+                                 Fraction(1))
+    for gf, base, branch in ((fold_gf, (0, 0, 1), "convex"), (fold_gf, (2, 0, 2), "convex"),
+                             (fold_gf, (1, 0, 0), 5), (fold_gf, (0, 0, 0), "convex"),
+                             (concave, (0, 0, 0), "convex")):
+        with pytest.raises(NoBranchError):
+            branch_state(gf, base, branch)
+
+
+def test_wind_sweep_propagates_float_range_errors():
+    # (10^200)^2 has no float: evaluating the fiber overflows, which is no
+    # statement about the domain, so the sweep raises instead of flagging.
+    gf = GeneratingFunction(ChartKind.DUAL_T, parse_poly("(10^200)^2*Z^3 + y^2",
+                                                         ("x", "y", "Z")), Fraction(1))
+    grid = PlaneGridSpec(x_lo=2, x_hi=2, nx=1, z_lo=-1, z_hi=0, nz=2)
+    with pytest.raises(DomainError, match="overflows") as info:
+        wind_field_sweep(gf, "convex", grid)
+    assert not isinstance(info.value, NoBranchError)
+
+
+def test_wind_sweep_flags_missing_branch_index(fold_gf):
+    # Over z < x^2/2 the fold fiber has two points; index 1 exists there
+    # and nowhere else.
+    grid = PlaneGridSpec(x_lo=1, x_hi=1, nx=1, z_lo=-1, z_hi=1, nz=2)
+    flags = [s.in_domain for s in wind_field_sweep(fold_gf, 1, grid)]
+    assert flags == [True, False]
 
 
 def test_eps_q_not_one_warns():
