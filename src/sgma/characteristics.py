@@ -11,17 +11,20 @@ the canonical fold metric 2(-Z dx^2 + dy^2 - Z dZ^2) as an independent
 oracle, including the semicubical cusp law at the parabolic boundary.
 
 For speed, each generating function's metric is compiled once (and kept in
-a bounded cache) into generated straight-line Python functions: one
-evaluates Hamilton's right-hand side for an RK4 stage, one the
-determinant, invariants, H and velocity of a state, and one both at a
-trace's candidate state.  They repeat the float operations of a
-term-by-term evaluation in order, except that products with a structurally
-zero factor (a zero entry of h, of its derivatives, or of its adjugate) are
-left out of the sums that start from the int 0, where adding such a +-0.0
-changes nothing for finite operands.  The evaluation at an accepted state
-also yields the next step's first RK4 stage k1, so a step calls the stage
-kernel three times, not four.  Traces therefore do not depend on this
-compilation.
+a bounded cache) into two generated straight-line Python functions: one
+evaluates Hamilton's right-hand side for an RK4 stage, the other the
+determinant, scale, invariants and H of a state together with that
+right-hand side, which is the state's velocity and the next step's first
+RK4 stage k1.  Every evaluated state goes through the second, so a step
+calls the first three times, not four.  They repeat the float operations
+of a term-by-term evaluation in order, except that products with a
+structurally zero factor (a zero entry of h, of its derivatives, or of its
+adjugate) are left out of the sums that start from the int 0, where adding
+such a +-0.0 changes nothing for finite operands, and the scale max(1,
+max|h_ij|) reads h00 and then each distinct nonzero entry once.  Traces therefore do not
+depend on this compilation.  A metric that leaves the float range (an
+overflowing power, or a non-finite det h) is a DomainError at a single
+point and ends a trace as diverged.
 """
 
 from __future__ import annotations
@@ -100,10 +103,13 @@ def _singular(det: float) -> MetricSingularError:
 # each have a zero entry of h as a factor.  A product with such a factor is
 # +-0.0 for finite operands, and a sum that starts from the int 0 is never
 # -0.0, so adding +-0.0 leaves it unchanged; the products are left out of
-# the sums w = h^{-1} p, pdot, H and qdot, and the dropped a_ij and
-# derivative entries are never computed.  The determinant, scale, invariants
-# and singular test keep their full templates, since the sign of a zero and
-# the order of NaN inside max() matter there.
+# the sums w = h^{-1} p, pdot and H, and the dropped a_ij and derivative
+# entries are never computed.  The scale s = max(1.0, max(|h00|, ...)) reads
+# h00 and then each other entry whose source is neither zero nor an alias:
+# max() keeps NaN only in first place, and a repeated or +0.0 operand never
+# beats a value already taken, so s keeps its bits.  The determinant,
+# invariants and singular test keep their full templates, since the sign of
+# a zero matters there.
 
 def _poly_source(poly: Poly) -> str:
     # One product per term, coefficient first, in the order of poly.terms.
@@ -144,11 +150,8 @@ _COFACTORS = (
     ("h12 * h20 - h10 * h22", "h00 * h22 - h02 * h20", "h02 * h10 - h00 * h12"),
     ("h10 * h21 - h11 * h20", "h01 * h20 - h00 * h21", "h00 * h11 - h01 * h10"),
 )
-_DET_AND_SCALE = (
-    "det = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20)"
-    " + h02 * (h10 * h21 - h11 * h20)",
-    "s = max(1.0, max({}))".format(", ".join(f"abs({n})" for row in _H for n in row)),
-)
+_DET = ("det = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20)"
+        " + h02 * (h10 * h21 - h11 * h20)")
 _INVARIANTS = (
     "i1 = h00 + h11 + h22",
     "i2 = h00 * h11 - h01 * h10 + h00 * h22 - h02 * h20 + h11 * h22 - h12 * h21",
@@ -183,76 +186,74 @@ def _function_source(signature: str, body) -> str:
     return f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
 
 
+def _scale_source(scaled) -> str:
+    # s = max(1, max |h_ij|) over the names in ``scaled``, h00 first.
+    if len(scaled) == 1:
+        return f"s = max(1.0, abs({scaled[0]}))"
+    return "s = max(1.0, max({}))".format(", ".join(f"abs({n})" for n in scaled))
+
+
 def _compile_kernels(entries, d_entries):
-    """Generate ``rhs``, ``state`` and ``state_rhs`` for the metric with these exact entries.
+    """Generate ``rhs`` and ``state_rhs`` for the metric with these exact entries.
 
     ``rhs(q0, q1, q2, p0, p1, p2)`` returns Hamilton's right-hand side
     (qdot0, qdot1, qdot2, pdot0, pdot1, pdot2), with qdot = 2w, w = h^{-1} p
     and pdot_k = w^T (d_k h) w; it raises MetricSingularError when h is
-    singular (see ``SINGULAR_TOL``).
+    singular (see ``SINGULAR_TOL``).  A NaN det passes that test, and the
+    result is then NaN.
 
-    ``state(q0, q1, q2, p0, p1, p2)`` returns what an accepted state needs:
-    (det, s, i1, i2, H, qdot0, qdot1, qdot2), where s = max(1, max|h_ij|) and
-    i1, i2 are the trace and second invariant of h.  It makes no singular
-    test, so that callers run their own guards first (see ``_check_regular``);
-    H and qdot are None when det is exactly 0.  It evaluates no derivatives.
-
-    ``state_rhs(q0, q1, q2, p0, p1, p2)`` returns (det, s, i1, i2, H, k1)
-    with the values of ``state`` and k1 the 6-tuple ``rhs`` would return
-    (qdot first), for the next RK4 step; H and k1 are None when det is
-    exactly 0.  It skips the singular test of ``rhs``: a trace accepts a
-    state only after ``_check_regular``, the same test.
+    ``state_rhs(q0, q1, q2, p0, p1, p2)`` returns what an evaluated state
+    needs: (det, s, i1, i2, H, k1), where s = max(1, max|h_ij|), i1 and i2
+    are the trace and second invariant of h, and k1 is the 6-tuple ``rhs``
+    would return, so the state's velocity is k1[:3] and the next RK4 step
+    reuses k1.  H and k1 are None when det is exactly 0.  It makes no
+    singular test, so that callers run their own guards first (see
+    ``_check_regular``).
     """
-    zero = _zero_names(_H, entries)
-    zero |= _zero_inverse(zero)
+    zero_h = _zero_names(_H, entries)
+    zero = zero_h | _zero_inverse(zero_h)
     for k in range(3):
         zero |= _zero_names(_D[k], d_entries[k])
     known: dict = {}
     h_lines = _entry_lines(_H, entries, known)
+    # h00 comes first; of the other entries, those with their own nonzero source.
+    scaled = [n for n in known.values() if n == "h00" or n not in zero_h]
+    head = [*h_lines, _DET, _scale_source(scaled)]
     dh_lines = [line for k in range(3)
                 for line in _entry_lines(_D[k], d_entries[k], known, zero)]
     inverse = [f"{_A[i][j]} = ({_COFACTORS[i][j]}) / det"
                for i in range(3) for j in range(3) if _A[i][j] not in zero]
     w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i, zero)}" for i in range(3)]
     k1 = ", ".join([f"2.0 * {w}" for w in _W] + [_quadform_source(d, _W, zero) for d in _D])
-    H = _quadform_source(_A, _P, zero)
-    qdot = ", ".join(f"2.0 * ({_matvec_source(_A, _P, i, zero)})" for i in range(3))
     rhs = _function_source("rhs(q0, q1, q2, p0, p1, p2)", [
-        *h_lines, *_DET_AND_SCALE,
+        *head,
         f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
         "    raise _singular(det)",
         *inverse, *w_lines, *dh_lines,
         f"return ({k1})",
     ])
-    state = _function_source("state(q0, q1, q2, p0, p1, p2)", [
-        *h_lines, *_DET_AND_SCALE, *_INVARIANTS,
-        "if det == 0:",
-        "    return det, s, i1, i2, None, None, None, None",
-        *inverse,
-        f"return (det, s, i1, i2, {H}, {qdot})",
-    ])
     state_rhs = _function_source("state_rhs(q0, q1, q2, p0, p1, p2)", [
-        *h_lines, *_DET_AND_SCALE, *_INVARIANTS,
+        *head, *_INVARIANTS,
         "if det == 0:",
         "    return det, s, i1, i2, None, None",
         *inverse, *w_lines, *dh_lines,
-        f"return det, s, i1, i2, {H}, ({k1})",
+        f"return det, s, i1, i2, {_quadform_source(_A, _P, zero)}, ({k1})",
     ])
     namespace = {"_singular": _singular}
-    code = compile(rhs + state + state_rhs, "<sgma metric kernels>", "exec")
+    code = compile(rhs + state_rhs, "<sgma metric kernels>", "exec")
     exec(code, namespace)  # noqa: S102 - generated from our own Poly
-    return namespace["rhs"], namespace["state"], namespace["state_rhs"]
+    return namespace["rhs"], namespace["state_rhs"]
 
 
 class _MetricField:
     """The pull-back metric of one generating function, compiled for RK4.
 
-    Holds the kernels generated from the exact entries of h and their exact
-    derivatives (see ``_compile_kernels``): ``rhs`` for RK4 stages,
-    ``state_rhs`` for candidate states of a trace, whose k1 the next step
-    reuses, and ``state`` for single-point evaluations.  ``cyclic``
-    tells whether h has the cyclic diagonal structure of the canonical fold
-    metric, whose conserved quantities the trace log then records.
+    Holds the two kernels generated from the exact entries of h and their
+    exact derivatives (see ``_compile_kernels``): ``rhs`` for RK4 stages and
+    ``state_rhs`` for every evaluated state, single points and a trace's
+    states alike, whose k1 the next step reuses.  ``cyclic`` tells whether h
+    has the cyclic diagonal structure of the canonical fold metric, whose
+    conserved quantities the trace log then records.
     """
 
     def __init__(self, gf: GeneratingFunction):
@@ -262,7 +263,7 @@ class _MetricField:
             tuple(tuple(entries[i][j].diff(v) for j in range(3)) for i in range(3))
             for v in cs
         )
-        self.rhs, self.state, self.state_rhs = _compile_kernels(entries, d_entries)
+        self.rhs, self.state_rhs = _compile_kernels(entries, d_entries)
         self.cyclic = self._detect_cyclic(entries, cs)
 
     @staticmethod
@@ -295,42 +296,34 @@ def _metric_field(gf: GeneratingFunction) -> _MetricField:
 
 def _check_regular(det, s, H) -> None:
     # The singular test of SINGULAR_TOL.  An exactly singular h (no H)
-    # counts as singular under any tolerance.
+    # counts as singular under any tolerance.  Where h leaves the float
+    # range, OverflowError: det is not finite (every h_ij is a factor of
+    # it), or s ** 3 overflows (max |h_ij| > ~5.6e102).
+    if not math.isfinite(det):
+        raise OverflowError("the metric is not finite")
     if abs(det) <= SINGULAR_TOL * s ** 3 or H is None:
         raise _singular(det)
 
 
 def _overflow(q, p) -> DomainError:
-    return DomainError(f"metric evaluation overflows at q = {tuple(q)}, p = {tuple(p)}")
+    return DomainError(
+        f"metric evaluation overflows or is not finite at q = {tuple(q)}, p = {tuple(p)}")
 
 
 def _evaluate_state(field_: _MetricField, q, p) -> tuple:
-    # The singular test's s ** 3 overflows where max |h_ij| > ~5.6e102.
+    # (det, s, i1, i2, H, k1) at a regular state; the velocity is k1[:3].
     try:
-        out = field_.state(*q, *p)
-        det, s, _, _, H, _, _, _ = out
+        out = field_.state_rhs(*q, *p)
+        det, s, _, _, H, _ = out
         _check_regular(det, s, H)
     except OverflowError:
         raise _overflow(q, p) from None
     return out
 
 
-def _candidate(field_: _MetricField, q, p) -> tuple:
-    # (det, s, i1, i2, H, qdot, k1) at a candidate state of a trace, with
-    # k1 = rhs(q, p) for the next step.  Where only the derivative part of
-    # state_rhs overflows, k1 is None: the state may still be accepted, and
-    # the trace then ends as it did when the next step's rhs overflowed.
-    try:
-        det, s, i1, i2, H, k1 = field_.state_rhs(*q, *p)
-        return det, s, i1, i2, H, k1, k1
-    except OverflowError:
-        det, s, i1, i2, H, *qdot = field_.state(*q, *p)
-        return det, s, i1, i2, H, qdot, None
-
-
 def hamiltonian(gf: GeneratingFunction, state: BicharState) -> float:
     """H(q, p) = p^T h(q)^{-1} p; raises MetricSingularError at parabolic points."""
-    _, _, _, _, H, _, _, _ = _evaluate_state(_metric_field(gf), state.q, state.p)
+    _, _, _, _, H, _ = _evaluate_state(_metric_field(gf), state.q, state.p)
     return H
 
 
@@ -338,8 +331,8 @@ def _inverse_metric(field_: _MetricField, q) -> list:
     # Column j of h^{-1} is half of qdot = 2 h^{-1} p at the unit momentum e_j.
     cols = []
     for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
-        _, _, _, _, _, *qdot = _evaluate_state(field_, q, e)
-        cols.append([0.5 * v for v in qdot])
+        _, _, _, _, _, k1 = _evaluate_state(field_, q, e)
+        cols.append([0.5 * v for v in k1[:3]])
     return [[cols[j][i] for j in range(3)] for i in range(3)]
 
 
@@ -388,9 +381,15 @@ def ham_rhs(gf: GeneratingFunction, state: BicharState):
     """Hamilton's equations: qdot = 2 h^{-1} p, pdot_k = w^T (d_k h) w, w = h^{-1} p.
 
     The momentum law uses d_k(h^{-1}) = -h^{-1} (d_k h) h^{-1}, with the
-    metric's entry gradients taken from exact polynomial derivatives.
+    metric's entry gradients taken from exact polynomial derivatives.  A
+    result that leaves the float range is a DomainError.
     """
-    out = _metric_field(gf).rhs(*state.q, *state.p)
+    try:
+        out = _metric_field(gf).rhs(*state.q, *state.p)
+    except OverflowError:
+        raise _overflow(state.q, state.p) from None
+    if not all(map(math.isfinite, out)):
+        raise _overflow(state.q, state.p)
     return out[:3], out[3:]
 
 
@@ -442,11 +441,11 @@ def _sign_counts(i1, i2, i3, s):
     return n_pos, n_neg
 
 
-def _log_entry(cyclic: bool, q, H, det, qdot0, qdot1) -> dict:
+def _log_entry(cyclic: bool, q, H, det, k1) -> dict:
     entry = {"H": H, "det_h": det}
     if cyclic:
-        entry["xdotZ"] = qdot0 * q[2]
-        entry["ydot"] = qdot1
+        entry["xdotZ"] = k1[0] * q[2]
+        entry["ydot"] = k1[1]
     return entry
 
 
@@ -483,29 +482,22 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
         raise DomainError(f"initial state is not finite: q = {q}, p = {p}")
     field_ = _metric_field(gf)
     rhs, cyclic = field_.rhs, field_.cyclic
-    try:
-        det0, scale, i1, i2, H0, qdot, k1 = _candidate(field_, q, p)
-        _check_regular(det0, scale, H0)
-    except OverflowError:
-        raise _overflow(q, p) from None
+    det0, scale, i1, i2, H0, k1 = _evaluate_state(field_, q, p)
     if abs(H0) > 1e-10:
         raise DomainError(f"initial condition is not null: H = {H0:g}")
     if stop_tol is None:
         stop_tol = 1e-6 * abs(det0)
     counts0 = _sign_counts(i1, i2, det0, scale)
     states = [initial]
-    log = [_log_entry(cyclic, q, H0, det0, qdot[0], qdot[1])]
+    log = [_log_entry(cyclic, q, H0, det0, k1)]
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
-        if k1 is None:
-            termination = Termination.DIVERGED
-            break
         try:
             qn, pn = _rk4_step(rhs, q, p, k1, step)
         except MetricSingularError:
             termination = Termination.PARABOLIC_BOUNDARY
             break
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             termination = Termination.DIVERGED
             break
         if not all(map(math.isfinite, qn + pn)):
@@ -515,14 +507,16 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
             termination = Termination.DOMAIN_EXIT
             break
         try:
-            det, scale, i1, i2, H, qdot, k1n = _candidate(field_, qn, pn)
+            det, scale, i1, i2, H, k1n = field_.state_rhs(*qn, *pn)
+            # A non-finite det is a float-range failure, not a boundary.
+            if math.isfinite(det) and (abs(det) < stop_tol
+                                       or _sign_counts(i1, i2, det, scale) != counts0):
+                termination = Termination.PARABOLIC_BOUNDARY
+                break
+            _check_regular(det, scale, H)
         except OverflowError:
             termination = Termination.DIVERGED
             break
-        if abs(det) < stop_tol or _sign_counts(i1, i2, det, scale) != counts0:
-            termination = Termination.PARABOLIC_BOUNDARY
-            break
-        _check_regular(det, scale, H)
         if abs(H) > H_TOL:
             termination = (Termination.PARABOLIC_BOUNDARY
                            if abs(det) < 0.5 * abs(det0)
@@ -530,7 +524,7 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
             break
         q, p, s, k1 = qn, pn, s + step, k1n
         states.append(_trusted_state(q, p, s))
-        log.append(_log_entry(cyclic, q, H, det, qdot[0], qdot[1]))
+        log.append(_log_entry(cyclic, q, H, det, k1))
     return Trace(states=states, termination=termination, conserved_log=log)
 
 

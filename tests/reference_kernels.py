@@ -3,9 +3,10 @@
 The plain generator that ``sgma.characteristics._compile_kernels`` must
 reproduce: every entry of h and of its derivatives, all nine adjugate
 entries and every product of the sums, with no structural zero dropped.
-The tests require the generated ``rhs`` and ``state`` to return the same
-values (by ``repr``) and raise the same exception types.  It is the oracle,
-so keep it as it is rather than fast.
+The tests require the generated ``rhs`` to return the values of this ``rhs``
+and the generated ``state_rhs`` those of this ``state`` (its qdot as
+k1[:3]), by ``repr``, and to raise the same exception types.  It is the
+oracle, so keep it as it is rather than fast.
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ def test_trace_diverges_on_overflow_at_accepted_state(tripwire_gf):
                             field_.rhs(*start.q, *start.p), 1.0)
     assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
     with pytest.raises(OverflowError):
-        field_.state(*qn, *pn)
+        field_.state_rhs(*qn, *pn)
     trace = trace_bicharacteristic(tripwire_gf, start, step=1.0, box=2000.0)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -214,6 +214,47 @@ def test_signature_guard_runs_before_singular_test():
     assert len(trace.states) == 1
 
 
+def test_trace_diverges_when_singular_test_overflows():
+    # The first candidate has max |h_ij| ~ 5.67e102, so s ** 3 in the
+    # singular test overflows: the candidate is not accepted.
+    gf = GeneratingFunction(
+        ChartKind.DUAL_T,
+        parse_poly("10^102*(y^2/2 - x^2*Z/2 + Z^3/6)", ("x", "y", "Z")),
+        Fraction(1),
+    )
+    start = BicharState((0, 0, 1.6488469569017985),
+                        (-0.3048856730857161, 1.6836179406763991, -2.1402840480820995))
+    step = 1.0567547325165856e102
+    field_ = ch._metric_field(gf)
+    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
+                            field_.rhs(*start.q, *start.p), step)
+    det, s, *_ = field_.state_rhs(*qn, *pn)
+    assert math.isfinite(det) and 5.6e102 < s < math.inf
+    trace = trace_bicharacteristic(gf, start, step=step, max_steps=300, box=1e6)
+    assert trace.termination is Termination.DIVERGED
+    assert len(trace.states) == 1
+
+
+def test_trace_diverges_on_non_finite_metric_at_candidate():
+    # As for the tripwire, the first candidate lies at x ~ 176, where x**135
+    # is finite but 10^10 * x**135 in h_11 is not: det h is -inf there, a
+    # float-range failure that the signature guard must not call a boundary.
+    gf = GeneratingFunction(
+        ChartKind.DUAL_T,
+        parse_poly("y^2/2 - x^2*Z/2 + Z^3/6 + x^137*10^10", ("x", "y", "Z")),
+        Fraction(1),
+    )
+    start = _tripwire_start(gf)
+    field_ = ch._metric_field(gf)
+    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
+                            field_.rhs(*start.q, *start.p), 1.0)
+    assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
+    assert not math.isfinite(field_.state_rhs(*qn, *pn)[0])
+    trace = trace_bicharacteristic(gf, start, step=1.0, box=2000.0)
+    assert trace.termination is Termination.DIVERGED
+    assert len(trace.states) == 1
+
+
 def test_trace_diverges_when_candidate_leaves_null_cone(fold_gf):
     # Moving away from the boundary (det h grows), a step of 0.3 breaks the
     # null constraint at the first candidate.
@@ -224,7 +265,7 @@ def test_trace_diverges_when_candidate_leaves_null_cone(fold_gf):
     field_ = ch._metric_field(fold_gf)
     qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
                             field_.rhs(*start.q, *start.p), 0.3)
-    det, _, _, _, H, _, _, _ = field_.state(*qn, *pn)
+    det, _, _, _, H, _ = field_.state_rhs(*qn, *pn)
     assert ch.H_TOL < abs(H) <= 1.0
     assert abs(det) > abs(trace.conserved_log[0]["det_h"])
 
@@ -422,32 +463,38 @@ def kernel_pairs(fold_gf, convex_quadratic_gf, tripwire_gf, member_gf):
     """(generated field, dense reference (rhs, state)) for each kernel case.
 
     The fold (6 of 9 metric entries zero), a family member (non-diagonal,
-    4 zeros), a chart-P potential whose h has no zero entry, the convex
-    quadratic (constant h, every derivative zero) and the tripwire, whose
+    4 zeros), a chart-P potential whose h has no zero entry, one whose h00
+    and h12 are zero, the convex quadratic (constant h = 2I, every
+    derivative zero, so the scale reads h00 alone) and the tripwire, whose
     x**181 overflows for |x| > 50.
     """
-    dense = GeneratingFunction(
-        ChartKind.CLASSICAL_P,
-        parse_poly("x^4/12 + y^2/2 - z^2/2 + x*y*z/3 + x^2*y^2/5 + y*z^3/7",
-                   ("x", "y", "z")),
-        Fraction(1),
-    )
+    def chart_p(potential):
+        return GeneratingFunction(ChartKind.CLASSICAL_P,
+                                  parse_poly(potential, ("x", "y", "z")), Fraction(1))
+
+    dense = chart_p("x^4/12 + y^2/2 - z^2/2 + x*y*z/3 + x^2*y^2/5 + y*z^3/7")
+    zero_h00 = chart_p("x*y + y^2/2 + z^2/2 + y^3/6 + x*z^2/2")
     pairs = []
-    for gf in (fold_gf, member_gf, dense, convex_quadratic_gf, tripwire_gf):
+    for gf in (fold_gf, member_gf, dense, zero_h00, convex_quadratic_gf, tripwire_gf):
         entries = pullback_metric_polys(gf)
         d_entries = [[[e.diff(v) for e in row] for row in entries] for v in gf.chart.coords]
         pairs.append((ch._metric_field(gf), reference_kernels.compile_kernels(entries, d_entries)))
     assert sum(e.is_zero for row in pullback_metric_polys(dense) for e in row) == 0
+    zeros = [[e.is_zero for e in row] for row in pullback_metric_polys(zero_h00)]
+    assert zeros == [[True, False, False], [False, False, True], [False, True, False]]
     return pairs
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.tuples(*[_KERNEL_FLOATS] * 6))
 def test_kernels_match_dense_reference(kernel_pairs, point):
+    # state_rhs raises exactly where the derivative-free reference state
+    # raises, the tripwire's overflow range (|x| > 50) included: its
+    # derivative part never overflows alone, so a trace needs no fallback
+    # for a state whose k1 cannot be evaluated.
     for field_, (ref_rhs, ref_state) in kernel_pairs:
         assert _outcome(field_.rhs, point) == _outcome(ref_rhs, point)
         want = _outcome(ref_state, point)
-        assert _outcome(field_.state, point) == want
         if isinstance(want, type):
             assert _outcome(field_.state_rhs, point) is want
             continue
@@ -474,7 +521,7 @@ def test_fold_kernels_drop_structural_zeros(fold_gf):
              if entries[i][j].diff(coords[k]).is_zero}
     assert len(zero) == 6 + 25
     field_ = ch._metric_field(fold_gf)
-    for kernel in (field_.rhs, field_.state, field_.state_rhs):
+    for kernel in (field_.rhs, field_.state_rhs):
         code = kernel.__code__
         assert not zero & set(code.co_varnames + code.co_names), kernel.__name__
     assert field_.rhs(0.3, -0.1, 0.7, -0.4, 1.2, -0.5)[3:5] == (0.0, 0.0)
@@ -497,33 +544,6 @@ def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):
     trace = trace_bicharacteristic(fold_gf, _null_state(0.4, 1.2, 0.7), max_steps=25)
     assert trace.termination is Termination.MAX_STEPS and len(trace.states) == 26
     assert calls == {"rhs": 3 * 25, "state_rhs": 26}
-
-
-@pytest.mark.parametrize("fail_at", [1, 2, 5])
-def test_k1_overflow_ends_trace_after_accepting_state(fold_gf, monkeypatch, fail_at):
-    # A derivative-part overflow in state_rhs keeps the state (its values
-    # come from state) and ends the trace at the next step, as an overflow
-    # in that step's first rhs stage did; the initial state is no exception.
-    start = _null_state(0.4, 1.2, 0.7)
-    full = trace_bicharacteristic(fold_gf, start, max_steps=10)
-    field_ = ch._metric_field(fold_gf)
-    kernel, calls = field_.state_rhs, []
-
-    def failing(*args):
-        calls.append(args)
-        if len(calls) == fail_at:
-            raise OverflowError("derivative part")
-        return kernel(*args)
-
-    monkeypatch.setattr(field_, "state_rhs", failing)
-    trace = trace_bicharacteristic(fold_gf, start, max_steps=10)
-    assert trace.termination is Termination.DIVERGED
-    assert trace.states == full.states[:fail_at]
-    assert trace.conserved_log == full.conserved_log[:fail_at]
-    calls.clear()
-    last = trace_bicharacteristic(fold_gf, start, max_steps=fail_at - 1)
-    assert last.termination is Termination.MAX_STEPS
-    assert last.states == full.states[:fail_at]
 
 
 def test_trusted_states_equal_validated_states(fold_gf):
@@ -612,15 +632,18 @@ def test_metric_overflow_is_domain_error():
     # x^4 makes h_11 = 12 x^2, whose power overflows at x = 1e160; the
     # second metric's coefficient 2*10^400 itself lies beyond the float range;
     # the fold metric at Z = 1e200 is finite, but the cube of its largest
-    # entry in the singular test is not.
+    # entry in the singular test is not; at Z = 1e308, h_00 = -2 Z is -inf
+    # and det h is NaN, which the float singular test alone would pass.
     for chart, potential, q in (("P", "x^4 + y^2/2 - z^2/2", (1e160, 0.0, 0.0)),
                                 ("T", "(10^200)^2*Z^3 + y^2", (0.0, 0.0, 1.0)),
-                                ("T", "y^2/2 - x^2*Z/2 + Z^3/6", (0.0, 0.0, 1e200))):
+                                ("T", "y^2/2 - x^2*Z/2 + Z^3/6", (0.0, 0.0, 1e200)),
+                                ("T", "y^2/2 - x^2*Z/2 + Z^3/6", (0.0, 0.0, 1e308))):
         kind = ChartKind(chart)
         gf = GeneratingFunction(kind, parse_poly(potential, kind.coords), Fraction(1))
         calls = (lambda: hamiltonian(gf, BicharState(q, (0.0, 1.0, 1.0))),
                  lambda: null_project(gf, q, (0.0, 1.0), 2),
                  lambda: eikonal_residual_grad(gf, q, (0.0, 1.0, 1.0)),
+                 lambda: ham_rhs(gf, BicharState(q, (0.0, 1.0, 1.0))),
                  lambda: trace_bicharacteristic(gf, BicharState(q, (0.0, 1.0, 1.0))))
         for call in calls:
             with pytest.raises(DomainError, match="overflows"):

@@ -207,6 +207,19 @@ def test_trace_non_finite_parameter_exits_2(capsys, option):
     assert json.loads(err.strip())["error"]["code"] == 2
 
 
+def test_trace_singular_test_overflow_diverges(capsys):
+    # The first candidate's max |h_ij| ~ 5.67e102 overflows s ** 3 in the
+    # singular test: the trace ends there, with the initial state only.
+    code, out, err = _run(capsys, [
+        "trace", "--chart", "T", "--potential", "10^102*(y^2/2 - x^2*Z/2 + Z^3/6)",
+        "--q", "0,0,1.6488469569017985",
+        "--p=-0.3048856730857161,1.6836179406763991,-2.1402840480820995",
+        "--step", "1.0567547325165856e102", "--max-steps", "300", "--box", "1e6"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[-1] == "# termination=diverged"
+
+
 def test_trace_non_finite_start_exits_3(capsys):
     # p2^2 overflows, so the null completion of p3 is infinite.
     code, out, err = _run(capsys, ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1e200,?"])
@@ -366,6 +379,8 @@ def test_non_finite_grid_exits_2(capsys, argv):
     ["wind", *FOLD, "--x", "2:2:1", "--z=-1:0:2", "--eps-q", "1e400"],
     # Fiber evaluation overflows: an error, not an out-of-domain row.
     ["wind", *HUGE, "--x", "2:2:1", "--z=-1:0:2"],
+    # h_00 = -2e308 is -inf, so det h is NaN.
+    ["trace", *FOLD, "--q", "0,0,1e308", "--p", "0,1,0"],
 ])
 def test_float_range_overflow_exits_3(capsys, argv):
     code, out, err = _run(capsys, argv)
