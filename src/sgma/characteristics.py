@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from . import codegen
 from .errors import DomainError, MetricSingularError
 from .formatting import format_float
 from .ma_core import CACHE_SIZE, GeneratingFunction, _point_values, pullback_metric_polys
@@ -115,11 +116,9 @@ def _poly_source(poly: Poly) -> str:
     # One product per term, coefficient first, in the order of poly.terms.
     terms = []
     for exps, coeff in poly.terms.items():
-        try:
-            parts = [repr(float(coeff))]
-        except OverflowError:
-            raise DomainError("a metric coefficient overflows the float range") from None
-        parts += [f"q{i}**{e}" if e > 1 else f"q{i}" for i, e in enumerate(exps) if e]
+        parts = [codegen.float_literal(coeff.numerator, coeff.denominator)]
+        parts += [f"{codegen.arg(i)}**{e}" if e > 1 else codegen.arg(i)
+                  for i, e in enumerate(exps) if e]
         terms.append("*".join(parts))
     return " + ".join(terms) if terms else "0.0"
 
@@ -182,10 +181,6 @@ def _entry_lines(names, polys, known: dict, skip=frozenset()) -> list:
     return lines
 
 
-def _function_source(signature: str, body) -> str:
-    return f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
-
-
 def _scale_source(scaled) -> str:
     # s = max(1, max |h_ij|) over the names in ``scaled``, h00 first.
     if len(scaled) == 1:
@@ -225,24 +220,22 @@ def _compile_kernels(entries, d_entries):
                for i in range(3) for j in range(3) if _A[i][j] not in zero]
     w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i, zero)}" for i in range(3)]
     k1 = ", ".join([f"2.0 * {w}" for w in _W] + [_quadform_source(d, _W, zero) for d in _D])
-    rhs = _function_source("rhs(q0, q1, q2, p0, p1, p2)", [
+    rhs = codegen.function_source("rhs(q0, q1, q2, p0, p1, p2)", [
         *head,
         f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
         "    raise _singular(det)",
         *inverse, *w_lines, *dh_lines,
         f"return ({k1})",
     ])
-    state_rhs = _function_source("state_rhs(q0, q1, q2, p0, p1, p2)", [
+    state_rhs = codegen.function_source("state_rhs(q0, q1, q2, p0, p1, p2)", [
         *head, *_INVARIANTS,
         "if det == 0:",
         "    return det, s, i1, i2, None, None",
         *inverse, *w_lines, *dh_lines,
         f"return det, s, i1, i2, {_quadform_source(_A, _P, zero)}, ({k1})",
     ])
-    namespace = {"_singular": _singular}
-    code = compile(rhs + state_rhs, "<sgma metric kernels>", "exec")
-    exec(code, namespace)  # noqa: S102 - generated from our own Poly
-    return namespace["rhs"], namespace["state_rhs"]
+    return codegen.compile_functions(rhs + state_rhs, "<sgma metric kernels>",
+                                     ("rhs", "state_rhs"), {"_singular": _singular})
 
 
 class _MetricField:
@@ -311,13 +304,16 @@ def _overflow(q, p) -> DomainError:
 
 
 def _evaluate_state(field_: _MetricField, q, p) -> tuple:
-    # (det, s, i1, i2, H, k1) at a regular state; the velocity is k1[:3].
+    # (det, s, i1, i2, H, k1) at a regular state with a finite H (a finite
+    # metric can still meet a momentum too large for H); the velocity is k1[:3].
     try:
         out = field_.state_rhs(*q, *p)
         det, s, _, _, H, _ = out
         _check_regular(det, s, H)
     except OverflowError:
         raise _overflow(q, p) from None
+    if not math.isfinite(H):
+        raise DomainError(f"H is not finite at q = {tuple(q)}, p = {tuple(p)}")
     return out
 
 
@@ -365,16 +361,22 @@ def null_project(gf: GeneratingFunction, q, p_partial, free_index: int) -> list:
 
     if abs(a) <= 1e-15 * max(1.0, max(abs(v) for row in hinv for v in row)):
         if abs(b) <= 1e-15:
-            return [completed(0.0)] if abs(c) <= 1e-15 else []
-        return [completed(-c / b)]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [completed(-b / (2.0 * a))]
-    r = math.sqrt(disc)
-    roots = sorted(((-b - r) / (2.0 * a), (-b + r) / (2.0 * a)))
-    return [completed(v) for v in roots]
+            values = [0.0] if abs(c) <= 1e-15 else []
+        else:
+            values = [-c / b]
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            values = []
+        elif disc == 0.0:
+            values = [-b / (2.0 * a)]
+        else:
+            r = math.sqrt(disc)
+            values = sorted(((-b - r) / (2.0 * a), (-b + r) / (2.0 * a)))
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"null completion is not finite at q = {q}, "
+                          f"p_partial = {tuple(p_partial)}")
+    return [completed(v) for v in values]
 
 
 def ham_rhs(gf: GeneratingFunction, state: BicharState):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mat3 import adj3, det3
-from .polyexpr import Poly
+from .polyexpr import Poly, PolyVector
 
 AMBIENT_COORDS = ("x", "y", "z", "X", "Y", "Z")
 
@@ -147,8 +147,10 @@ class Sym3:
         return Sym3(*(a[i][j] for i, j in _UPPER))
 
 
-# The six independent entries of a symmetric 3x3, in Sym3 field order.
+# The six independent entries of a symmetric 3x3, in Sym3 field order, and
+# their positions among the row-major values of a 3x3 PolyVector.
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_UPPER_FLAT = tuple(3 * i + j for i, j in _UPPER)
 
 
 class SignatureLabel(str, enum.Enum):
@@ -211,15 +213,15 @@ CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def hessian_polys(gf: GeneratingFunction) -> tuple:
+def hessian_polys(gf: GeneratingFunction) -> PolyVector:
     """3x3 matrix of exact second-derivative polynomials of the potential."""
     cs = gf.chart.coords
     firsts = [gf.potential.diff(v) for v in cs]
-    return tuple(tuple(firsts[i].diff(cs[j]) for j in range(3)) for i in range(3))
+    return PolyVector(tuple(firsts[i].diff(cs[j]) for j in range(3)) for i in range(3))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def immersion_polys(gf: GeneratingFunction) -> tuple:
+def immersion_polys(gf: GeneratingFunction) -> PolyVector:
     """The six ambient coordinates as exact polynomials of the chart coordinates.
 
     Order follows AMBIENT_COORDS.  Chart coordinates map to themselves; the
@@ -234,24 +236,26 @@ def immersion_polys(gf: GeneratingFunction) -> tuple:
         return Poly.variable(cs, name)
 
     if gf.chart is ChartKind.CLASSICAL_P:
-        return (var("x"), var("y"), var("z"),
+        rows = (var("x"), var("y"), var("z"),
                 pot.diff("x"), pot.diff("y"), pot.diff("z"))
-    if gf.chart is ChartKind.DUAL_R:
-        return (pot.diff("X"), pot.diff("Y"), pot.diff("Z"),
+    elif gf.chart is ChartKind.DUAL_R:
+        rows = (pot.diff("X"), pot.diff("Y"), pot.diff("Z"),
                 var("X"), var("Y"), var("Z"))
-    if gf.chart is ChartKind.DUAL_S:
-        return (pot.diff("X"), pot.diff("Y"), var("z"),
+    elif gf.chart is ChartKind.DUAL_S:
+        rows = (pot.diff("X"), pot.diff("Y"), var("z"),
                 var("X"), var("Y"), -pot.diff("z"))
-    return (var("x"), var("y"), -pot.diff("Z"),
-            pot.diff("x"), pot.diff("y"), var("Z"))
+    else:
+        rows = (var("x"), var("y"), -pot.diff("Z"),
+                pot.diff("x"), pot.diff("y"), var("Z"))
+    return PolyVector(rows)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def immersion_jacobian_polys(gf: GeneratingFunction) -> tuple:
+def immersion_jacobian_polys(gf: GeneratingFunction) -> PolyVector:
     """6x3 matrix of exact partials: ambient coordinate by chart coordinate."""
     cs = gf.chart.coords
     rows = immersion_polys(gf)
-    return tuple(tuple(row.diff(v) for v in cs) for row in rows)
+    return PolyVector(tuple(row.diff(v) for v in cs) for row in rows)
 
 
 # The ambient quadratic form pairs (x, X), (y, Y), (z, Z).
@@ -259,7 +263,7 @@ _METRIC_PAIRS = ((0, 3), (1, 4), (2, 5))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def pullback_metric_polys(gf: GeneratingFunction) -> tuple:
+def pullback_metric_polys(gf: GeneratingFunction) -> PolyVector:
     """Exact 3x3 polynomial entries of the pull-back metric J^T G J."""
     jac = immersion_jacobian_polys(gf)
     eps = gf.eps_q
@@ -272,7 +276,7 @@ def pullback_metric_polys(gf: GeneratingFunction) -> tuple:
                 acc = acc + jac[a][i] * jac[b][j] + jac[b][i] * jac[a][j]
             row.append(eps * acc)
         out.append(tuple(row))
-    return tuple(out)
+    return PolyVector(out)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -297,10 +301,10 @@ def ma_residual_poly(gf: GeneratingFunction) -> Poly:
 # -- point evaluations -------------------------------------------------------
 
 
-def _sym3_at(gf: GeneratingFunction, polys, pt) -> Sym3:
-    # Float values of a symmetric matrix of exact polynomials at a chart point.
-    values = _point_values(gf, pt)
-    return Sym3(*(float(polys[i][j].eval(values)) for i, j in _UPPER))
+def _sym3_at(gf: GeneratingFunction, polys: PolyVector, pt) -> Sym3:
+    # Float values of a symmetric 3x3 PolyVector at a chart point.
+    values = polys.eval(_point_values(gf, pt))
+    return Sym3(*(float(values[k]) for k in _UPPER_FLAT))
 
 
 def hessian(gf: GeneratingFunction, pt) -> Sym3:
@@ -315,16 +319,13 @@ def ma_residual(gf: GeneratingFunction, pt):
 
 def immersion(gf: GeneratingFunction, pt) -> AmbientPoint:
     """The unique ambient point over the chart point under the chart relations."""
-    values = _point_values(gf, pt)
-    coords = [p.eval(values) for p in immersion_polys(gf)]
-    return AmbientPoint(*coords)
+    return AmbientPoint(*immersion_polys(gf).eval(_point_values(gf, pt)))
 
 
 def immersion_jacobian(gf: GeneratingFunction, pt) -> np.ndarray:
     """6x3 differential of the immersion at pt (exact derivatives, then evaluated)."""
-    values = _point_values(gf, pt)
-    jac = immersion_jacobian_polys(gf)
-    return np.array([[float(p.eval(values)) for p in row] for row in jac])
+    values = immersion_jacobian_polys(gf).eval(_point_values(gf, pt))
+    return np.array([float(v) for v in values]).reshape(6, 3)
 
 
 def pullback_metric(gf: GeneratingFunction, pt) -> Sym3:
@@ -409,14 +410,12 @@ def classification_grid(gf: GeneratingFunction, axes: Mapping[str, Sequence],
     shape = grids[0].shape
     flat = [g.reshape(-1) for g in grids]
     n = flat[0].size
-    hp = pullback_metric_polys(gf)
     H = np.empty((n, 3, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # _eigen_signs rejects inf/nan
-        for i in range(3):
-            for j in range(i, 3):
-                val = hp[i][j].eval(flat)
-                H[:, i, j] = val
-                H[:, j, i] = val
+        values = pullback_metric_polys(gf).eval(flat)
+    for i in range(3):
+        for j in range(3):
+            H[:, i, j] = values[3 * i + j]
     eigs, (n_pos, n_neg, n_zero) = _eigen_signs(H, tol)
     labels = np.empty(n, dtype=object)
     for k in range(n):

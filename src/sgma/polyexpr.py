@@ -11,6 +11,13 @@ appears only at the edges (:attr:`Poly.terms`, :meth:`Poly.constant_value`,
 results), and floating point only at evaluation time, when the caller
 supplies float values.
 
+Evaluation is compiled Horner: a :class:`Poly`, or a :class:`PolyVector`
+of them such as the cached builders of :mod:`sgma.ma_core` return, compiles
+on first use, once for exact and once for float inputs, one function from
+the nested Horner form of its entries (:mod:`sgma.codegen`).  It performs
+the operations of a recursive Horner walk in the same order, so its floats
+are those of that walk to the bit.
+
 Text grammar accepted by :func:`parse_poly`::
 
     expr   := term (('+' | '-') term)*
@@ -33,6 +40,7 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Sequence
 
+from . import codegen
 from .errors import DomainError
 
 # Input size budget of parse_poly, checked on bounds before each power or
@@ -157,7 +165,7 @@ class Poly:
     done explicitly via :meth:`with_variables` or :meth:`compose`.
     """
 
-    __slots__ = ("_variables", "_terms", "_den", "_hash", "_tree_int", "_tree_float")
+    __slots__ = ("_variables", "_terms", "_den", "_hash", "_float_fn", "_exact_fn")
 
     def __init__(self, variables: Sequence[str], terms: Mapping | None = None):
         vs = _checked_variables(variables)
@@ -182,8 +190,7 @@ class Poly:
                        for e, c in normalized.items() if c}
         self._den = den
         self._hash = None
-        self._tree_int = None
-        self._tree_float = None
+        self._float_fn = self._exact_fn = None
 
     @classmethod
     def _new(cls, variables: tuple, terms: dict, den: int) -> "Poly":
@@ -194,8 +201,7 @@ class Poly:
         p._terms = terms
         p._den = den
         p._hash = None
-        p._tree_int = None
-        p._tree_float = None
+        p._float_fn = p._exact_fn = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -371,29 +377,19 @@ class Poly:
 
         Exact ``Fraction`` result when every input is an int or Fraction;
         float (or numpy array) result otherwise.  Evaluation is Horner-style
-        per variable for floating stability.  Float overflow raises DomainError.
+        per variable for floating stability, compiled once per polynomial
+        and kind of input (see :func:`sgma.codegen.horner_function`) with the
+        operations, in the same order, of a recursive Horner walk.  Float
+        overflow, or a coefficient beyond the float range, raises DomainError.
         """
-        values = self._values_list(point)
-        if all(isinstance(v, (int, Fraction)) for v in values):
-            # Horner over the integer numerators, divided by den once.
-            if self._tree_int is None:
-                self._tree_int = _build_tree(list(self._terms.items()), 0,
-                                             len(self._variables), int)
-            if self._tree_int is _EMPTY:
-                return Fraction(0)
-            return Fraction(_eval_tree(self._tree_int, values), self._den)
-        try:
-            if self._tree_float is None:
-                den = self._den
-                # int / int is correctly rounded, as float(Fraction(n, den)); it
-                # overflows for a coefficient beyond the float range.
-                self._tree_float = _build_tree(list(self._terms.items()), 0,
-                                               len(self._variables), lambda n: n / den)
-            if self._tree_float is _EMPTY:
-                return 0.0
-            return _eval_tree(self._tree_float, values)
-        except OverflowError:
-            raise DomainError(f"polynomial evaluation overflows at {values!r}") from None
+        return _evaluate(self, self._values_list(point))[0]
+
+    def _entries(self) -> tuple:
+        return (self,)
+
+    def __reduce__(self):
+        # Compiled functions do not pickle; the value is the term map alone.
+        return Poly._new, (self._variables, self._terms, self._den)
 
     # -- substitution / renaming -------------------------------------------
 
@@ -512,43 +508,54 @@ class Poly:
         return f"Poly({self._variables!r}, {self!s})"
 
 
-_EMPTY = ("empty",)
+class PolyVector(tuple):
+    """A tuple of Polys over one variable tuple, evaluated all at once.
+
+    Items are Polys or rows (tuples) of Polys.  :meth:`eval` returns the
+    values of every entry, rows flattened in order, from one function
+    compiled on first use for each kind of input (exact or float).  The
+    functions are attributes of this tuple, so they live exactly as long as
+    it does: a cached builder output drops them with its cache entry.
+    """
+
+    _float_fn = _exact_fn = None
+
+    def eval(self, values) -> tuple:
+        """Values of all entries at ``values`` (a sequence in variable order).
+
+        Exact Fractions when every value is an int or Fraction, floats (or
+        numpy arrays) otherwise, each equal to the entry's :meth:`Poly.eval`.
+        """
+        return _evaluate(self, values)
+
+    def _entries(self) -> list:
+        return [p for item in self for p in (item if isinstance(item, tuple) else (item,))]
+
+    def __reduce__(self):
+        return PolyVector, (tuple(self),)
 
 
-def _build_tree(items, vi, nvars, leaf):
-    # Nested Horner grouping, built once per poly and cached; items have
-    # distinct exponent vectors, so a leaf holds one coefficient.
-    if not items:
-        return _EMPTY
-    if vi == nvars:
-        return (-1, leaf(items[0][1]))
-    groups: dict[int, list] = {}
-    for exps, c in items:
-        groups.setdefault(exps[vi], []).append((exps, c))
-    if len(groups) == 1 and 0 in groups:
-        return _build_tree(items, vi + 1, nvars, leaf)
-    entries = tuple(
-        (e, _build_tree(sub, vi + 1, nvars, leaf))
-        for e, sub in sorted(groups.items(), reverse=True)
-    )
-    return (vi, entries)
+def _evaluate(owner, values) -> tuple:
+    # owner: a Poly or PolyVector, which keeps its compiled functions.
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        fn = owner._exact_fn
+        if fn is None:
+            fn = owner._exact_fn = _compile(owner._entries(), len(values), True)
+        return fn(*values)
+    try:
+        fn = owner._float_fn
+        if fn is None:
+            fn = owner._float_fn = _compile(owner._entries(), len(values), False)
+        return fn(*values)
+    except OverflowError:
+        raise DomainError(f"polynomial evaluation overflows at {values!r}") from None
 
 
-def _eval_tree(node, values):
-    tag = node[0]
-    if tag == -1:
-        return node[1]
-    vi, entries = node
-    v = values[vi]
-    e0, sub0 = entries[0]
-    acc = _eval_tree(sub0, values)
-    prev = e0
-    for e, sub in entries[1:]:
-        acc = acc * v ** (prev - e) + _eval_tree(sub, values)
-        prev = e
-    if prev:
-        acc = acc * v ** prev
-    return acc
+def _compile(polys: list, nvars: int, exact: bool):
+    # Equal entries (such as h_ij and h_ji) are evaluated once.
+    slots: dict = {}
+    order = [slots.setdefault(p, len(slots)) for p in polys]
+    return codegen.horner_function([(p._terms, p._den) for p in slots], order, nvars, exact)
 
 
 # -- parser ----------------------------------------------------------------

@@ -30,6 +30,7 @@ from typing import NamedTuple
 from .errors import DomainError
 
 REFINE_TOL = 1e-13  # bisection stops at width <= REFINE_TOL * max(1, |left end|)
+_REFINE_TOL_RATIO = REFINE_TOL.as_integer_ratio()
 _U = 2.0 ** -53
 _TINY = 2.0 ** -1072
 _MIN_NORMAL = sys.float_info.min
@@ -292,9 +293,7 @@ def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
         sa = sign(a, q)
         if sa == 0:
             return Fraction(a, q)
-    # (b - a) / q and a / q round exactly like float(b - a) and float(a)
-    # of the corresponding Fractions: int true division is correctly rounded.
-    while (b - a) / q > REFINE_TOL * max(1.0, abs(a / q)):
+    while _wider_than_tol(a, b, q):
         mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
         sm = sign(mid, q)
         if sm == 0:
@@ -306,11 +305,28 @@ def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
     return Fraction(a + b, 2 * q)
 
 
+def _wider_than_tol(a: int, b: int, q: int) -> bool:
+    # The bisection's stop test on (a/q, b/q].  (b - a) / q and a / q round
+    # exactly like float(b - a) and float(a) of the corresponding Fractions:
+    # int true division is correctly rounded.  Where either leaves the float
+    # range (a wide bracket from a Cauchy bound beyond it), the same test in
+    # exact arithmetic: (b - a) > REFINE_TOL * max(q, |a|).
+    try:
+        return (b - a) / q > REFINE_TOL * max(1.0, abs(a / q))
+    except OverflowError:
+        num, den = _REFINE_TOL_RATIO
+        return (b - a) * den > num * max(q, abs(a))
+
+
 def _newton_polish(c: list, x: float, lo: float, hi: float) -> float:
     # Final float sharpening on the square-free factor (simple roots only).
-    # n / lead rounds correctly, so these are the floats of the monic factor.
-    cf = [v / c[-1] for v in c]
-    df = [v / c[-1] for v in _derivative(c)]
+    # n / lead rounds correctly, so these are the floats of the monic factor;
+    # a factor with a coefficient beyond the float range keeps x unpolished.
+    try:
+        cf = [v / c[-1] for v in c]
+        df = [v / c[-1] for v in _derivative(c)]
+    except OverflowError:
+        return x
 
     def ev(poly, t):
         acc = 0.0
@@ -334,8 +350,9 @@ def real_roots(coeffs: list) -> list:
 
     ``coeffs`` is an ascending rational coefficient list.  A constant
     nonzero polynomial has no roots; the zero polynomial is rejected
-    since every point would be a root.  Roots, or isolating intervals,
-    beyond the float range raise DomainError.
+    since every point would be a root.  Roots beyond the float range raise
+    DomainError; roots in it are found even where the Cauchy bound, and so
+    the isolating intervals, lie beyond it.
     """
     c = _strip([Fraction(v) for v in coeffs])
     if not c:
@@ -357,12 +374,16 @@ def real_roots(coeffs: list) -> list:
             found.extend(RootInfo(float(r), mult) for r in exact)
             for a, b in intervals:
                 x = float(_refine(sign, a, b))
-                span = float(b - a)
-                x = _newton_polish(reduced, x, x - 10 * span - REFINE_TOL,
-                                   x + 10 * span + REFINE_TOL)
-                found.append(RootInfo(x, mult))
+                try:
+                    span = float(b - a)
+                except OverflowError:
+                    # An isolating interval wider than the float range: the
+                    # Newton bracket is the float range itself.
+                    lo, hi = -sys.float_info.max, sys.float_info.max
+                else:
+                    lo, hi = x - 10 * span - REFINE_TOL, x + 10 * span + REFINE_TOL
+                found.append(RootInfo(_newton_polish(reduced, x, lo, hi), mult))
         except OverflowError:
-            raise DomainError("a real root or its isolating interval lies beyond "
-                              "the float range") from None
+            raise DomainError("a real root lies beyond the float range") from None
     found.sort(key=lambda r: r.value)
     return found

@@ -31,7 +31,7 @@ from .ma_core import AMBIENT_COORDS, CACHE_SIZE, ChartKind, GeneratingFunction, 
     immersion, immersion_jacobian, immersion_jacobian_polys, immersion_polys, \
     _point_values, _require_finite
 from .mat3 import det3, solve3
-from .polyexpr import Poly
+from .polyexpr import Poly, PolyVector
 from .realroots import real_roots
 
 
@@ -99,13 +99,13 @@ def singular_locus_poly(gf: GeneratingFunction) -> Poly:
     return det3(immersion_jacobian_polys(gf)[:3])
 
 
-def _by_powers(poly: Poly, var: str) -> tuple:
+def _by_powers(poly: Poly, var: str) -> PolyVector:
     # Coefficient polynomials of var^0, var^1, ... over the other variables.
     collected = poly.collect((var,))
     if not collected:
-        return ()
+        return PolyVector()
     zero = Poly.zero(next(iter(collected.values())).variables)
-    return tuple(collected.get((k,), zero) for k in range(max(collected)[0] + 1))
+    return PolyVector(collected.get((k,), zero) for k in range(max(collected)[0] + 1))
 
 
 _BASE = AMBIENT_COORDS[:3]
@@ -118,7 +118,7 @@ def _fiber_rows(gf: GeneratingFunction) -> list:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def fiber_equation_polys(gf: GeneratingFunction) -> tuple:
+def fiber_equation_polys(gf: GeneratingFunction) -> PolyVector:
     """Coefficients of u^0, u^1, ... in the fiber row of a one-unknown chart.
 
     The one such chart is dual-T: the row z = -T_Z collected in u = Z, each
@@ -132,7 +132,7 @@ def fiber_equation_polys(gf: GeneratingFunction) -> tuple:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def locus_coefficient_polys(gf: GeneratingFunction, free: str) -> tuple:
+def locus_coefficient_polys(gf: GeneratingFunction, free: str) -> PolyVector:
     """Coefficients of free^0, free^1, ... in the singular-locus polynomial.
 
     Each is an exact polynomial of the two other chart coordinates, in chart
@@ -141,12 +141,12 @@ def locus_coefficient_polys(gf: GeneratingFunction, free: str) -> tuple:
     return _by_powers(singular_locus_poly(gf), free)
 
 
-def _line_roots(polys: tuple, point: list, shift=0):
+def _line_roots(polys: PolyVector, point: list, shift=0):
     # The chart points, with multiplicities, where sum_k polys[k] t^k = shift
     # along the unknown (None) coordinate t of point, found exactly; None
     # where that polynomial vanishes identically.
     values = [Fraction(v) for v in point if v is not None]
-    coeffs = [p.eval(values) for p in polys] or [Fraction(0)]
+    coeffs = list(polys.eval(values)) or [Fraction(0)]
     coeffs[0] -= shift
     if not any(coeffs):
         return None
@@ -278,11 +278,13 @@ def _newton_fiber(gf: GeneratingFunction, base, point, rows, seeds):
         ok = False
         for _ in range(NEWTON_MAX_ITER):
             values = _placed(start, u)
-            r = np.array([float(imm[k].eval(values)) - t for k, t in zip(rows, targets)])
+            row_values = imm.eval(values)
+            r = np.array([float(row_values[k]) - t for k, t in zip(rows, targets)])
             if np.max(np.abs(r)) <= NEWTON_TOL * scale:
                 ok = True
                 break
-            Jm = np.array([[float(jac[k][i].eval(values)) for i in unknowns] for k in rows])
+            jac_values = jac.eval(values)
+            Jm = np.array([[float(jac_values[3 * k + i]) for i in unknowns] for k in rows])
             try:
                 u = u - np.linalg.solve(Jm, r)
             except np.linalg.LinAlgError:

@@ -76,10 +76,10 @@ def _c02_metric_closed_form():
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     flat = [gx.reshape(-1), gy.reshape(-1), gz.reshape(-1)]
     worst = 0.0
+    values = hp.eval(flat)
     for i in range(3):
         for j in range(3):
-            got = np.broadcast_to(np.asarray(hp[i][j].eval(flat), dtype=float),
-                                  flat[0].shape)
+            got = np.broadcast_to(np.asarray(values[3 * i + j], dtype=float), flat[0].shape)
             want = np.broadcast_to(np.asarray(expected[i][j].eval(flat), dtype=float),
                                    flat[0].shape)
             worst = max(worst, float(np.max(np.abs(got - want))))

@@ -628,6 +628,19 @@ def test_cusp_exponent_three_halves(fold_gf):
     assert abs(slope - 1.5) <= 0.015
 
 
+def test_momentum_overflow_is_domain_error(fold_gf):
+    # The metric at q = (0, 0, 1) is finite, but p2^2 = 1e400 is not: H and
+    # the null completions are infinite, which is an error, not a value.
+    q = (0.0, 0.0, 1.0)
+    for call in (lambda: hamiltonian(fold_gf, BicharState(q, (0.0, 1e200, 0.0))),
+                 lambda: eikonal_residual_grad(fold_gf, q, (0.0, 1e200, 0.0)),
+                 lambda: trace_bicharacteristic(fold_gf, BicharState(q, (0.0, 1e200, 0.0)))):
+        with pytest.raises(DomainError, match="H is not finite"):
+            call()
+    with pytest.raises(DomainError, match="null completion is not finite"):
+        null_project(fold_gf, q, (0.0, 1e200), 2)
+
+
 def test_metric_overflow_is_domain_error():
     # x^4 makes h_11 = 12 x^2, whose power overflows at x = 1e160; the
     # second metric's coefficient 2*10^400 itself lies beyond the float range;

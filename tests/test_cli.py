@@ -365,7 +365,8 @@ def test_non_finite_grid_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # Roots +-1e200 of the fiber polynomial, isolated in (-1e400, 1e400].
+    # The fiber's roots Z = +-1e200 are found, but x^2 and Z^2 in the
+    # immersion overflow there.
     ["fiber", *FOLD, "--base", "1e200,0,0"],
     # x^2 in the Hessian overflows a float.
     ["classify", "--chart", "P", "--potential", "x^4/12 + y^2/2 + z^2/2",

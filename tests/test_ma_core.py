@@ -1,12 +1,15 @@
 """Charts, immersions, metrics and classification against known closed forms."""
 
+import gc
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sgma import codegen
 from sgma.errors import DomainError
 from sgma.ma_core import (
     CACHE_SIZE,
@@ -408,3 +411,39 @@ def test_symbolic_builder_caches_are_bounded():
     for build in builders:
         info = build.cache_info()
         assert info.maxsize == CACHE_SIZE and info.currsize == CACHE_SIZE
+
+
+def test_compiled_evaluators_live_and_die_with_builder_cache_entries(monkeypatch):
+    # Each builder output owns its compiled float function: no other cache
+    # keeps one, so clearing a builder's cache compiles again, and no more
+    # functions stay alive than the builders' caches hold entries.
+    compiled = []
+    compile_functions = codegen.compile_functions
+
+    def spy(*args, **kwargs):
+        functions = compile_functions(*args, **kwargs)
+        compiled.extend(weakref.ref(f) for f in functions)
+        return functions
+
+    monkeypatch.setattr(codegen, "compile_functions", spy)
+    builders = (hessian_polys, pullback_metric_polys, immersion_polys, immersion_jacobian_polys)
+
+    def evaluate(gf):
+        pt = (0.5, -0.25, 2.0)
+        hessian(gf, pt), pullback_metric(gf, pt), immersion(gf, pt), immersion_jacobian(gf, pt)
+
+    gf = _gf("T", "y^2/2 - x^2*Z/2 + Z^3/6 + x^3*y/7")
+    evaluate(gf)
+    assert len(compiled) == len(builders)
+    evaluate(gf)
+    assert len(compiled) == len(builders)
+    for build in builders:
+        build.cache_clear()
+    evaluate(gf)
+    assert len(compiled) == 2 * len(builders)
+    for k in range(1, CACHE_SIZE + 11):
+        evaluate(_gf("T", f"y^2/2 - x^2*Z/2 + Z^3/6 + {k}*x^3*y"))
+    gc.collect()
+    assert len(compiled) == (CACHE_SIZE + 12) * len(builders)
+    assert sum(ref() is not None for ref in compiled) <= CACHE_SIZE * len(builders)
+

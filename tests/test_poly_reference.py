@@ -1,28 +1,38 @@
 """The integer-numerator Poly against the Fraction reference, and against sympy.
 
 ``tests/reference_poly.py`` keeps the plain Fraction term-map Poly and
-parser.  The same operation chains run on both; every result must have the
-same term map in the same insertion order (code generated from
-``Poly.terms`` sums terms in that order), the same printing, the same exact
-values and bit-identical float values.  The sympy properties check the
-algebra itself.
+parser, and the recursive Horner evaluation that the compiled evaluators
+of ``sgma.polyexpr`` must reproduce.  The same operation chains run on
+both; every result must have the same term map in the same insertion order
+(code generated from ``Poly.terms`` sums terms in that order), the same
+printing, the same exact values and bit-identical float values, at float
+points, numpy-array points and points where evaluation overflows.  The
+sympy properties check the algebra itself.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 import reference_poly as ref
 from hypothesis import given, settings, strategies as st
 
-from sgma import polyexpr as new
+from sgma import family as fam, ma_core as mc, polyexpr as new, singular as sing
+from sgma.errors import DomainError
 
 XYZ = ("x", "y", "Z")
 WIDE = ("Z", "w", "x", "y")  # a superset of XYZ in another order
 MAX_DEGREE = 12  # results above this degree are compared but not reused
 
 _EXACT_POINTS = ((2, -1, 3, 1), (Fraction(1, 3), Fraction(-5, 2), 7, Fraction(2, 9)))
-_FLOAT_POINTS = ((0.3, -1.7, 2.5, 1.1), (1e-3, 3.0, -0.6, 7.25))
+_FLOAT_POINTS = (
+    (0.3, -1.7, 2.5, 1.1), (1e-3, 3.0, -0.6, 7.25),
+    (1e200, -3e150, 2e120, 1e300),  # powers overflow: DomainError on both sides
+    tuple(np.array(v) for v in ((0.3, 1e-3, -40.0), (-1.7, 3.0, 2e100),
+                                (2.5, -0.6, 1e3), (1.1, 7.25, 0.0))),
+)
 
 _coeffs = st.one_of(
     st.fractions(min_value=-7, max_value=7, max_denominator=6),
@@ -51,7 +61,22 @@ def _assert_same(a, b):
         value = a.eval(point[:n])
         assert type(value) is Fraction and value == b.eval(point[:n])
     for point in _FLOAT_POINTS:
-        assert repr(a.eval(point[:n])) == repr(b.eval(point[:n]))
+        assert _float_outcome(a, point[:n]) == _float_outcome(b, point[:n], OverflowError)
+
+
+def _float_outcome(p, point, *errors):
+    """repr of a float evaluation (numpy arrays as lists), or "DomainError".
+
+    The reference converts its coefficients to floats outside the handler
+    that maps OverflowError to DomainError, so for it ``errors`` adds
+    OverflowError.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = p.eval(point)
+    except (DomainError, *errors):
+        return "DomainError"
+    return repr(np.asarray(value).tolist())
 
 
 def _apply(mod, pool, op, i, j, k):
@@ -218,3 +243,67 @@ def test_compose_against_sympy(p, q, r, c):
     want = sp.Poly(_sympy(sp, p).as_expr().subs(subs, simultaneous=True), x, y, z,
                    domain="QQ")
     assert _sympy(sp, got) == want
+
+
+# -- the compiled evaluators against the recursive reference ---------------------
+
+_wide_coeffs = st.one_of(
+    _coeffs,
+    # beyond the float range, and below its smallest subnormal
+    st.integers(-10 ** 400, 10 ** 400).filter(bool).map(Fraction),
+    st.integers(1, 10 ** 6).map(lambda n: Fraction(n, 10 ** 330)),
+)
+_float_values = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 6)] * 3), _wide_coeffs, max_size=8),
+       st.lists(st.tuples(*[_float_values] * 3), min_size=1, max_size=4),
+       st.tuples(*[st.fractions(max_denominator=50)] * 3))
+def test_compiled_evaluation_matches_reference(terms, points, exact):
+    a, b = new.Poly(XYZ, terms), ref.Poly(XYZ, terms)
+    arrays = tuple(np.array(column, dtype=float) for column in zip(*points))
+    for point in [*points, arrays]:
+        assert _float_outcome(a, point) == _float_outcome(b, point, OverflowError)
+    value = a.eval(exact)
+    assert type(value) is Fraction and value == b.eval(exact)
+
+
+def _builder_vectors(gf):
+    free = next(v for v in gf.chart.coords if v not in ("x", "y", "z"))
+    return [mc.hessian_polys(gf), mc.immersion_polys(gf), mc.immersion_jacobian_polys(gf),
+            mc.pullback_metric_polys(gf), sing.locus_coefficient_polys(gf, free),
+            sing.fiber_equation_polys(gf)]
+
+
+def test_builder_vectors_match_reference(fold_gf):
+    rng = random.Random(5)
+    gfs = [fold_gf] + [fam.build_family(fam.random_generic_spec(rng)).gf for _ in range(3)]
+    points = [tuple(rng.uniform(-3.0, 3.0) for _ in range(3)) for _ in range(20)]
+    points += [(1e120, 0.5, -2.0), (1e200, 0.0, 1e200)]  # overflowing powers
+    arrays = tuple(np.array(column) for column in zip(*points[:20]))
+    exact = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+             for _ in range(3)]
+    overflows = 0
+    for gf in gfs:
+        for vector in _builder_vectors(gf):
+            entries = [p for item in vector
+                       for p in (item if isinstance(item, tuple) else (item,))]
+            twins = [ref.Poly(p.variables, p.terms) for p in entries]
+            n = len(entries[0].variables) if entries else 3
+            for point in [*points, arrays]:
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got = [repr(np.asarray(v).tolist()) for v in vector.eval(point[:n])]
+                except DomainError:
+                    got = "DomainError"
+                want = [_float_outcome(t, point[:n]) for t in twins]
+                # The vector overflows exactly where one of its entries does.
+                assert got == ("DomainError" if "DomainError" in want else want)
+                overflows += got == "DomainError"
+            for point in exact:
+                values = vector.eval(point[:n])
+                assert all(type(v) is Fraction for v in values)
+                assert list(values) == [t.eval(point[:n]) for t in twins]
+    assert overflows

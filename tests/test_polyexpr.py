@@ -1,5 +1,6 @@
 """Parser, arithmetic, calculus and round-trip behavior of the exact polynomials."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,19 @@ def test_float_eval_overflow_raises_domain_error():
         with pytest.raises(DomainError, match="overflows"):
             q.eval([0.0, 1.0])
     assert q.eval([0, 1]) == 10 ** 400
+
+
+def test_evaluated_polynomials_pickle(fold_gf):
+    # Compiled evaluators stay behind; the copies compile their own.
+    from sgma.ma_core import pullback_metric_polys
+
+    p = parse_poly("x^4/3 + y", ("x", "y"))
+    vector = pullback_metric_polys(fold_gf)
+    point = [0.5, -1.25, 2.0]
+    want = (p.eval([0.5, 2.0]), p.eval([1, 2]), vector.eval(point))
+    p2, vector2 = pickle.loads(pickle.dumps((p, vector)))
+    assert p2 == p and vector2 == vector and type(vector2) is type(vector)
+    assert (p2.eval([0.5, 2.0]), p2.eval([1, 2]), vector2.eval(point)) == want
 
 
 def test_implicit_multiplication_rejected():

@@ -10,7 +10,8 @@ from reference_realroots import real_roots as reference_real_roots, \
     sturm_chain as reference_sturm_chain
 
 from sgma.errors import DomainError
-from sgma.realroots import _isolate_square_free, _refine, _Sign, real_roots, sturm_chain
+from sgma.realroots import REFINE_TOL, _isolate_square_free, _refine, _Sign, real_roots, \
+    sturm_chain
 
 
 def _coeffs(*values):
@@ -61,12 +62,25 @@ def test_constant_and_zero():
 
 @pytest.mark.parametrize("coeffs", [
     _coeffs(-10 ** 400, 1),  # root 1e400
-    _coeffs(-10 ** 400, 0, 1),  # roots +-1e200 in isolating intervals of width 1e400
-    _coeffs(0, -10 ** 400, 0, 1),  # also an exact root 0, found before the overflow
+    _coeffs(-10 ** 700, 0, 1),  # roots +-1e350
+    _coeffs(0, -10 ** 700, 0, 1),  # also an exact root 0, found before the overflow
 ])
 def test_roots_beyond_the_float_range_raise_domain_error(coeffs):
     with pytest.raises(DomainError, match="float range"):
         real_roots(coeffs)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    (_coeffs(-10 ** 400, 0, 1), [-1e200, 1e200]),
+    (_coeffs(0, -10 ** 400, 0, 1), [-1e200, 0.0, 1e200]),
+])
+def test_float_roots_of_a_cauchy_bound_beyond_the_float_range(coeffs, want):
+    # The isolating intervals start from (-1e400, 1e400]: the width test runs
+    # exactly until it fits a float, and x^2 - 10^400 has no float Newton step.
+    roots = real_roots(coeffs)
+    assert [r.multiplicity for r in roots] == [1] * len(want)
+    for r, w in zip(roots, want):
+        assert abs(r.value - w) <= REFINE_TOL * max(1.0, abs(w))
 
 
 def test_multiplicities_from_the_square_free_decomposition():
