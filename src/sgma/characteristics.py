@@ -40,7 +40,7 @@ from . import codegen
 from .errors import DomainError, MetricSingularError
 from .formatting import format_float
 from .ma_core import CACHE_SIZE, GeneratingFunction, _point_values, pullback_metric_polys
-from .polyexpr import Poly
+from .polyexpr import Poly, PolyVector
 
 # Fixed thresholds of the metric and trace decisions.
 SINGULAR_TOL = 1e-12  # h is singular where |det h| <= SINGULAR_TOL * max(1, max |h_ij|)^3
@@ -112,15 +112,25 @@ def _singular(det: float) -> MetricSingularError:
 # invariants and singular test keep their full templates, since the sign of
 # a zero matters there.
 
-def _poly_source(poly: Poly) -> str:
-    # One product per term, coefficient first, in the order of poly.terms.
+# Terms per statement of a long entry: the compiler recurses once per
+# operator of a flat sum, and fails on a sum of a few thousand products.
+_TERMS_PER_LINE = 200
+
+
+def _poly_source(poly: Poly) -> tuple:
+    # One product per term, coefficient first, in the order of poly.terms,
+    # as sums of up to _TERMS_PER_LINE terms that the entry adds up left to
+    # right (see _entry_lines), so that splitting leaves every bit as it is.
     terms = []
     for exps, coeff in poly.terms.items():
         parts = [codegen.float_literal(coeff.numerator, coeff.denominator)]
         parts += [f"{codegen.arg(i)}**{e}" if e > 1 else codegen.arg(i)
                   for i, e in enumerate(exps) if e]
         terms.append("*".join(parts))
-    return " + ".join(terms) if terms else "0.0"
+    if not terms:
+        return ("0.0",)
+    return tuple(" + ".join(terms[k:k + _TERMS_PER_LINE])
+                 for k in range(0, len(terms), _TERMS_PER_LINE))
 
 
 def _sum_source(products, zero: set) -> str:
@@ -175,9 +185,14 @@ def _entry_lines(names, polys, known: dict, skip=frozenset()) -> list:
         for j in range(3):
             if names[i][j] in skip:
                 continue
-            src = _poly_source(polys[i][j])
-            alias = known.setdefault(src, names[i][j])
-            lines.append(f"{names[i][j]} = {src if alias == names[i][j] else alias}")
+            name, src = names[i][j], _poly_source(polys[i][j])
+            alias = known.setdefault(src, name)
+            if alias != name:
+                lines.append(f"{name} = {alias}")
+                continue
+            # name + a + b is (name + a) + b: the chunks continue one sum.
+            lines.append(f"{name} = {src[0]}")
+            lines += [f"{name} = {name} + {chunk}" for chunk in src[1:]]
     return lines
 
 
@@ -550,8 +565,8 @@ def eikonal_residual(gf: GeneratingFunction, F: Poly, pt) -> float:
             f"F must be a polynomial over {gf.chart.coords!r}, got {F.variables!r}"
         )
     values = _point_values(gf, pt)
-    grad = [float(F.diff(v).eval(values)) for v in gf.chart.coords]
-    return eikonal_residual_grad(gf, values, grad)
+    grad = PolyVector(F.diff(v) for v in gf.chart.coords).eval(values)
+    return eikonal_residual_grad(gf, values, [float(g) for g in grad])
 
 
 def _sqrt_exact_or_float(value):

@@ -3,16 +3,20 @@
 Every operation is a subcommand taking a generating-function record
 (inline flags or a JSON file) plus numeric options, emitting CSV or JSON
 with a fixed float format so identical configurations produce
-byte-identical output.  A JSON config file may supply any of a command's
-long options (keys named like the flags, dashes or underscores); explicit
-flags override file values.  Exit codes: 0 success, 1 verification
-failure, 2 usage/config error, 3 domain/runtime error.  Every error path
-writes a single-line JSON record to standard error.
+byte-identical output.  Each option is declared once, with its converter
+and default, in :func:`build_parser`.  A JSON config file may supply any
+of a command's long options (keys named like the flags, dashes or
+underscores): flags take true or false, other options their text as a
+JSON string, which becomes the option's default and so passes through
+its converter; explicit flags override config values.  Exit codes: 0
+success, 1 verification failure, 2 usage/config error, 3 domain/runtime
+error.  Every error path writes a single-line JSON record to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -27,7 +31,6 @@ from . import verify
 from .errors import ConfigError, DomainError, SgmaError
 from .formatting import format_float, render_json
 from .grid import Axis, Grid
-from .polyexpr import ParseError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,69 +44,107 @@ def _emit_error(code: int, message: str) -> None:
     print(record, file=sys.stderr)
 
 
-def _number(text: str, what: str) -> float:
+# -- option converters: text -> value, argparse.ArgumentTypeError on bad text --
+
+
+def _checked(parse):
+    """``parse`` as a converter: its ValueError becomes a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _rational(text: str) -> Fraction:
+    """An exact decimal or rational literal, such as 0.1 or 1/3."""
     try:
-        return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"{what} value {text!r} is not a number in float range") from None
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"value {text!r} is not a finite number") from None
 
 
-def _parse_numbers(text: str, n: int, what: str) -> tuple:
-    parts = str(text).split(",")
-    if len(parts) != n:
-        raise ConfigError(f"{what} must have {n} comma-separated values, got {text!r}")
-    return tuple(_number(p, what) for p in parts)
+def _number(text: str) -> float:
+    """The float nearest a decimal or rational literal."""
+    try:
+        return float(_rational(text))
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"value {text!r} is beyond the float range") from None
+
+
+def _positive(text: str) -> float:
+    try:
+        value = _number(text)
+    except argparse.ArgumentTypeError:
+        value = 0.0
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"value {text!r} is not positive and finite")
+    return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"value {text!r} is not an integer") from None
+
+
+def _point(text: str, free: bool = False) -> tuple:
+    """Three comma-separated numbers; with ``free``, one may be '?' (None)."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected 3 comma-separated values, got {text!r}")
+    values = tuple(None if free and s.strip() == "?" else _number(s) for s in parts)
+    if values.count(None) > 1:
+        raise argparse.ArgumentTypeError("at most one value may be '?'")
+    return values
+
+
+def _seeds(text: str) -> tuple:
+    """Points of comma-separated numbers, separated by semicolons."""
+    return tuple(tuple(map(_number, chunk.split(",")))
+                 for chunk in text.split(";") if chunk.strip())
+
+
+def _branch(text: str):
+    return text if text == "convex" else _integer(text)
+
+
+def _json_file(path: str):
+    """The JSON value held in the file at ``path``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read JSON from {path}: {exc}") from None
+
+
+# -- subcommand implementations ---------------------------------------------
 
 
 def _resolve_gf(ns) -> mc.GeneratingFunction:
-    if getattr(ns, "gf_file", None):
-        try:
-            with open(ns.gf_file) as fh:
-                record = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read generating-function file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {ns.gf_file}: {exc}") from None
-        return mc.GeneratingFunction.from_dict(record)
-    if not getattr(ns, "chart", None) or not getattr(ns, "potential", None):
+    if ns.gf_file is not None:
+        return mc.GeneratingFunction.from_dict(ns.gf_file)
+    if not ns.chart or not ns.potential:
         raise ConfigError("supply --gf-file, or --chart and --potential")
-    return mc.GeneratingFunction.from_dict({
-        "chart": ns.chart,
-        "potential": ns.potential,
-        "eps_q": ns.eps_q if ns.eps_q is not None else "1",
-    })
+    return mc.GeneratingFunction.from_dict(
+        {"chart": ns.chart, "potential": ns.potential, "eps_q": ns.eps_q})
 
 
 def _write_output(ns, text: str) -> None:
-    if getattr(ns, "output", None):
+    if ns.output:
         with open(ns.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _add_gf_options(p) -> None:
-    p.add_argument("--chart", help="chart name: P, R, S or T")
-    p.add_argument("--potential", help="potential polynomial over the chart coordinates")
-    p.add_argument("--eps-q", dest="eps_q", help="positive rational constant, default 1")
-    p.add_argument("--gf-file", dest="gf_file",
-                   help="JSON file with {chart, potential, eps_q}")
-
-
-def _add_common(p) -> None:
-    p.add_argument("--config", help="JSON file of option defaults for this command")
-    p.add_argument("--output", help="output path (default: stdout)")
-
-
-# -- subcommand implementations ---------------------------------------------
-
-
 def _cmd_classify(ns) -> int:
     gf = _resolve_gf(ns)
-    tol = float(ns.tol) if ns.tol is not None else 1e-9
-    if ns.grid:
-        grid = Grid.parse(ns.grid).ordered(gf.chart.coords)
-        eigs, labels = mc.classification_grid(gf, grid.axes(), tol)
+    if ns.grid is not None:
+        grid = ns.grid.ordered(gf.chart.coords)
+        eigs, labels = mc.classification_grid(gf, grid.axes(), ns.tol)
         lines = [",".join(list(gf.chart.coords)
                           + ["eig1", "eig2", "eig3", "label"])]
         for node, eig, label in zip(grid.nodes(), eigs.reshape(-1, 3),
@@ -112,12 +153,11 @@ def _cmd_classify(ns) -> int:
                                   + [label.value]))
         _write_output(ns, "\n".join(lines) + "\n")
         return 0
-    if not ns.point:
+    if ns.point is None:
         raise ConfigError("supply --point or --grid")
-    point = _parse_numbers(ns.point, 3, "--point")
-    signature = mc.classify(gf, point, tol)
+    signature = mc.classify(gf, ns.point, ns.tol)
     report = {
-        "point": list(point),
+        "point": list(ns.point),
         "eigenvalues": list(signature.eigenvalues),
         "signature": {"n_pos": signature.n_pos, "n_neg": signature.n_neg,
                       "n_zero": signature.n_zero},
@@ -136,11 +176,10 @@ def _cmd_residual(ns) -> int:
                   "is_zero": poly.is_zero}
         _write_output(ns, render_json(report) + "\n")
         return 0
-    if not ns.point:
+    if ns.point is None:
         raise ConfigError("supply --point (or --symbolic)")
-    point = _parse_numbers(ns.point, 3, "--point")
-    value = float(mc.ma_residual(gf, point))
-    report = {"point": list(point), "residual": value}
+    value = float(mc.ma_residual(gf, ns.point))
+    report = {"point": list(ns.point), "residual": value}
     _write_output(ns, render_json(report) + "\n")
     return 0
 
@@ -156,11 +195,9 @@ def _cmd_singular(ns) -> int:
 
 def _cmd_caustic(ns) -> int:
     gf = _resolve_gf(ns)
-    if not ns.grid:
+    if ns.grid is None:
         raise ConfigError("supply --grid over two chart variables")
-    grid = Grid.parse(ns.grid)
-    tol = float(ns.tol) if ns.tol is not None else 1e-10
-    sweep = sing.caustic_sweep(gf, grid, tol)
+    sweep = sing.caustic_sweep(gf, ns.grid, ns.tol)
     buf = io.StringIO()
     sing.write_caustic_csv(sweep, buf)
     if sweep.degenerate_slices:
@@ -171,16 +208,9 @@ def _cmd_caustic(ns) -> int:
 
 def _cmd_fiber(ns) -> int:
     gf = _resolve_gf(ns)
-    if not ns.base:
+    if ns.base is None:
         raise ConfigError("supply --base x,y,z")
-    base = _parse_numbers(ns.base, 3, "--base")
-    seeds = ()
-    if ns.seeds:
-        seeds = tuple(
-            tuple(_number(v, "--seeds") for v in chunk.split(","))
-            for chunk in str(ns.seeds).split(";") if chunk.strip()
-        )
-    bp = sing.fiber_solve(gf, base, seeds)
+    bp = sing.fiber_solve(gf, ns.base, ns.seeds)
     choice = sing.branch_select_convex(bp)
     report = {
         "base": list(bp.base_point),
@@ -204,33 +234,21 @@ def _cmd_fiber(ns) -> int:
 
 def _cmd_trace(ns) -> int:
     gf = _resolve_gf(ns)
-    if not ns.q or not ns.p:
+    if ns.q is None or ns.p is None:
         raise ConfigError("supply --q and --p")
-    q = _parse_numbers(ns.q, 3, "--q")
-    p_parts = str(ns.p).split(",")
-    if len(p_parts) != 3:
-        raise ConfigError("--p must have 3 comma-separated values (one may be '?')")
-    p = [None if s.strip() == "?" else _number(s, "--p") for s in p_parts]
-    free = [i for i, v in enumerate(p) if v is None]
-    if len(free) > 1:
-        raise ConfigError("at most one component of --p may be '?'")
-    if free:
-        completions = ch.null_project(gf, q, [v for v in p if v is not None], free[0])
+    p = ns.p
+    if None in p:
+        free = p.index(None)
+        completions = ch.null_project(gf, ns.q, [v for v in p if v is not None], free)
         if not completions:
             raise DomainError("no real null completion at this point")
-        root = int(ns.null_root) if ns.null_root is not None else 0
-        if not 0 <= root < len(completions):
-            raise ConfigError(f"--null-root {root} out of range "
+        if not 0 <= ns.null_root < len(completions):
+            raise ConfigError(f"--null-root {ns.null_root} out of range "
                               f"({len(completions)} completions)")
-        p = completions[root]
-    trace = ch.trace_bicharacteristic(
-        gf,
-        ch.BicharState(q, p),
-        step=float(ns.step) if ns.step is not None else 1e-3,
-        max_steps=int(ns.max_steps) if ns.max_steps is not None else 1000,
-        stop_tol=float(ns.stop_tol) if ns.stop_tol is not None else None,
-        box=float(ns.box) if ns.box is not None else 10.0,
-    )
+        p = completions[ns.null_root]
+    trace = ch.trace_bicharacteristic(gf, ch.BicharState(ns.q, p), step=ns.step,
+                                      max_steps=ns.max_steps, stop_tol=ns.stop_tol,
+                                      box=ns.box)
     buf = io.StringIO()
     ch.write_trace_csv(trace, buf)
     _write_output(ns, buf.getvalue())
@@ -238,20 +256,9 @@ def _cmd_trace(ns) -> int:
 
 
 def _cmd_family(ns) -> int:
-    if not ns.spec:
+    if ns.spec is None:
         raise ConfigError("supply --spec FILE (JSON family spec)")
-    try:
-        with open(ns.spec) as fh:
-            record = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {ns.spec}: {exc}") from None
-    try:
-        spec = fam.FamilySpec.from_dict(record)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    sol = fam.build_family(spec)
+    sol = fam.build_family(fam.FamilySpec.from_dict(ns.spec))
     report = {
         "potential": str(sol.gf.potential),
         "chart": sol.gf.chart.value,
@@ -270,19 +277,11 @@ def _cmd_family(ns) -> int:
 
 def _cmd_wind(ns) -> int:
     gf = _resolve_gf(ns)
-    if not ns.x or not ns.z:
+    if ns.x is None or ns.z is None:
         raise ConfigError("supply --x lo:hi:n and --z lo:hi:n")
-    y = float(ns.y) if ns.y is not None else 0.0
-    grid = Grid((Axis.parse("x", ns.x), Axis("y", y, y, 1), Axis.parse("z", ns.z)))
-    branch = ns.branch if ns.branch is not None else "convex"
-    if branch != "convex":
-        try:
-            branch = int(branch)
-        except ValueError:
-            raise ConfigError("--branch must be 'convex' or an integer index") from None
-    epsilon = Fraction(str(ns.epsilon)) if ns.epsilon is not None else Fraction(1)
-    eps = sg.EpsilonChoice.for_gf(gf, epsilon)
-    samples = sg.wind_field_sweep(gf, branch, grid, eps)
+    grid = Grid((ns.x, Axis("y", ns.y, ns.y, 1), ns.z))
+    eps = sg.EpsilonChoice.for_gf(gf, ns.epsilon)
+    samples = sg.wind_field_sweep(gf, ns.branch, grid, eps)
     buf = io.StringIO()
     sg.write_wind_csv(samples, buf)
     _write_output(ns, buf.getvalue())
@@ -298,136 +297,129 @@ def _cmd_verify_paper(ns) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-COMMANDS = {
-    "classify": _cmd_classify,
-    "residual": _cmd_residual,
-    "singular": _cmd_singular,
-    "caustic": _cmd_caustic,
-    "fiber": _cmd_fiber,
-    "trace": _cmd_trace,
-    "family": _cmd_family,
-    "wind": _cmd_wind,
-    "verify-paper": _cmd_verify_paper,
-}
-
-
 def build_parser() -> _Parser:
+    """The sgma parser; ``parser.commands`` maps each subcommand to its parser."""
     parser = _Parser(prog="sgma",
                      description="Monge-Ampere geometry toolkit for "
                                  "semigeostrophic balance")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    p = sub.add_parser("classify", help="metric signature at a point or over a grid")
-    _add_common(p); _add_gf_options(p)
-    p.add_argument("--point", help="chart point, e.g. 0,0,1")
-    p.add_argument("--grid", help="three axes, e.g. x=-2:2:41,y=-2:2:41,Z=-2:2:41")
-    p.add_argument("--tol", help="eigenvalue zero tolerance (default 1e-9)")
+    def command(name: str, run, help: str, gf: bool = True) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--config", type=_json_file,
+                       help="JSON file of option defaults for this command")
+        p.add_argument("--output", help="output path (default: stdout)")
+        if gf:
+            p.add_argument("--chart", help="chart name: P, R, S or T")
+            p.add_argument("--potential",
+                           help="potential polynomial over the chart coordinates")
+            p.add_argument("--eps-q", type=_rational, default=Fraction(1),
+                           help="positive rational constant (default %(default)s)")
+            p.add_argument("--gf-file", type=_json_file,
+                           help="JSON file with {chart, potential, eps_q}")
+        return p
 
-    p = sub.add_parser("residual", help="balance-equation residual")
-    _add_common(p); _add_gf_options(p)
-    p.add_argument("--point", help="chart point, e.g. 0,0,1")
+    p = command("classify", _cmd_classify, "metric signature at a point or over a grid")
+    p.add_argument("--point", type=_point, help="chart point, e.g. 0,0,1")
+    p.add_argument("--grid", type=_checked(Grid.parse),
+                   help="three axes, e.g. x=-2:2:41,y=-2:2:41,Z=-2:2:41")
+    p.add_argument("--tol", type=_positive, default=1e-9,
+                   help="eigenvalue zero tolerance (default %(default)s)")
+
+    p = command("residual", _cmd_residual, "balance-equation residual")
+    p.add_argument("--point", type=_point, help="chart point, e.g. 0,0,1")
     p.add_argument("--symbolic", action="store_true",
                    help="report the exact residual polynomial instead")
 
-    p = sub.add_parser("singular", help="exact singular-locus polynomial")
-    _add_common(p); _add_gf_options(p)
+    command("singular", _cmd_singular, "exact singular-locus polynomial")
 
-    p = sub.add_parser("caustic", help="caustic sweep over two chart variables")
-    _add_common(p); _add_gf_options(p)
-    p.add_argument("--grid", help="two axes, e.g. x=-2:2:41,y=-1:1:5")
-    p.add_argument("--tol", help="residual determinant tolerance (default 1e-10)")
+    p = command("caustic", _cmd_caustic, "caustic sweep over two chart variables")
+    p.add_argument("--grid", type=_checked(Grid.parse),
+                   help="two axes, e.g. x=-2:2:41,y=-1:1:5")
+    p.add_argument("--tol", type=_positive, default=1e-10,
+                   help="residual determinant tolerance (default %(default)s)")
 
-    p = sub.add_parser("fiber", help="chart preimages over a physical base point")
-    _add_common(p); _add_gf_options(p)
-    p.add_argument("--base", help="base point, e.g. 2,0,0")
-    p.add_argument("--seeds", help="Newton seeds for R/S charts, e.g. 0,0;1,1")
+    p = command("fiber", _cmd_fiber, "chart preimages over a physical base point")
+    p.add_argument("--base", type=_point, help="base point, e.g. 2,0,0")
+    p.add_argument("--seeds", type=_seeds, default=(),
+                   help="Newton seeds for R/S charts, e.g. 0,0;1,1")
 
-    p = sub.add_parser("trace", help="integrate one bicharacteristic")
-    _add_common(p); _add_gf_options(p)
-    p.add_argument("--q", help="initial chart point, e.g. 0,0,1")
-    p.add_argument("--p", help="initial momentum; one component may be '?' "
-                               "to complete onto the null cone")
-    p.add_argument("--null-root", dest="null_root",
-                   help="which null completion to take (default 0)")
-    p.add_argument("--step", help="RK4 step (default 1e-3)")
-    p.add_argument("--max-steps", dest="max_steps", help="step budget (default 1000)")
-    p.add_argument("--stop-tol", dest="stop_tol",
+    p = command("trace", _cmd_trace, "integrate one bicharacteristic")
+    p.add_argument("--q", type=_point, help="initial chart point, e.g. 0,0,1")
+    p.add_argument("--p", type=functools.partial(_point, free=True),
+                   help="initial momentum; one component may be '?' "
+                        "to complete onto the null cone")
+    p.add_argument("--null-root", type=_integer, default=0,
+                   help="which null completion to take (default %(default)s)")
+    p.add_argument("--step", type=_positive, default=1e-3,
+                   help="RK4 step (default %(default)s)")
+    p.add_argument("--max-steps", type=_integer, default=1000,
+                   help="step budget (default %(default)s)")
+    p.add_argument("--stop-tol", type=_number,
                    help="absolute |det h| stop threshold (default 1e-6 x initial)")
-    p.add_argument("--box", help="domain box half-width (default 10)")
+    p.add_argument("--box", type=_number, default=10.0,
+                   help="domain box half-width (default %(default)s)")
 
-    p = sub.add_parser("family", help="build a polynomial solution-family member")
-    _add_common(p)
-    p.add_argument("--spec", help="JSON family-spec file")
+    p = command("family", _cmd_family, "build a polynomial solution-family member", gf=False)
+    p.add_argument("--spec", type=_json_file, help="JSON family-spec file")
     p.add_argument("--check", action="store_true",
                    help="include the recursion cross-check report")
 
-    p = sub.add_parser("wind", help="wind reconstruction on an (x, z) section")
-    _add_common(p); _add_gf_options(p)
-    p.add_argument("--x", help="x range lo:hi:n")
-    p.add_argument("--z", help="z range lo:hi:n")
-    p.add_argument("--y", help="section y value (default 0)")
-    p.add_argument("--branch", help="'convex' (default) or a fiber index")
-    p.add_argument("--epsilon", help="Rossby number (default 1)")
+    p = command("wind", _cmd_wind, "wind reconstruction on an (x, z) section")
+    p.add_argument("--x", type=_checked(functools.partial(Axis.parse, "x")),
+                   help="x range lo:hi:n")
+    p.add_argument("--z", type=_checked(functools.partial(Axis.parse, "z")),
+                   help="z range lo:hi:n")
+    p.add_argument("--y", type=_number, default=0.0,
+                   help="section y value (default %(default)s)")
+    p.add_argument("--branch", type=_branch, default="convex",
+                   help="'convex' (default) or a fiber index")
+    p.add_argument("--epsilon", type=_rational, default=Fraction(1),
+                   help="Rossby number (default %(default)s)")
 
-    p = sub.add_parser("verify-paper",
-                       help="run the end-to-end verification suite")
-    _add_common(p)
+    p = command("verify-paper", _cmd_verify_paper, "run the end-to-end verification suite",
+                gf=False)
     p.add_argument("--list", action="store_true",
                    help="list criteria without running them")
 
     return parser
 
 
-def _allowed_keys(parser: _Parser, command: str) -> set:
-    # Option dests of one subcommand, for config-file validation.
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    cmd_parser = sub.choices[command]
-    dests = {a.dest for a in cmd_parser._actions}
-    return dests - {"help", "config"}
-
-
-def _merge_config(parser: _Parser, ns) -> None:
-    if not getattr(ns, "config", None):
-        return
-    try:
-        with open(ns.config) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {ns.config}: {exc}") from None
-    if not isinstance(config, dict):
-        raise ConfigError("config file must hold a JSON object")
-    allowed = _allowed_keys(parser, ns.command)
-    for key, value in config.items():
-        dest = str(key).replace("-", "_")
-        if dest not in allowed:
-            raise ConfigError(f"unknown config key {key!r} for command {ns.command!r}")
-        current = getattr(ns, dest)
-        if current is None or current is False:
-            setattr(ns, dest, value)
+def _apply_config(command: _Parser, ns) -> None:
+    # The --config values become defaults of the command's parser.  The
+    # first parse's namespace names every option, and a bool marks a flag.
+    if not isinstance(ns.config, dict):
+        command.error("config file must hold a JSON object")
+    for key, value in ns.config.items():
+        dest = key.replace("-", "_")
+        if dest in ("command", "config", "run") or dest not in vars(ns):
+            command.error(f"unknown config key {key!r} for command {ns.command!r}")
+        kind = bool if isinstance(getattr(ns, dest), bool) else str
+        if not isinstance(value, kind):
+            expected = "true or false" if kind is bool else "a string"
+            command.error(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+        command.set_defaults(**{dest: value})
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.config is not None:
+            # String defaults go through the options' converters on the
+            # second parse, and flags given in argv still win.
+            _apply_config(parser.commands[ns.command], ns)
+            ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _merge_config(parser, ns)
-        return COMMANDS[ns.command](ns)
-    except ConfigError as exc:
+        return ns.run(ns)
+    except (ConfigError, ValueError) as exc:
         _emit_error(2, str(exc))
         return 2
-    except (ParseError, ValueError) as exc:
-        _emit_error(2, str(exc))
-        return 2
-    except SgmaError as exc:
-        _emit_error(3, str(exc))
-        return 3
-    except OSError as exc:
+    except (SgmaError, OSError) as exc:
         _emit_error(3, str(exc))
         return 3
 

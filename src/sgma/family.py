@@ -116,7 +116,15 @@ def _as_z_poly(value) -> Poly:
         return value
     if isinstance(value, str):
         return parse_poly(value, _Z)
-    return Poly.constant(_Z, value)
+    if isinstance(value, (int, Fraction)):
+        return Poly.constant(_Z, value)
+    raise ValueError(f"t3 entries must be polynomials in Z, got {value!r}")
+
+
+def _constant_pair(value, label: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{label} must be a (slope, intercept) pair, got {value!r}")
+    return tuple(Fraction(str(c)) for c in value)
 
 
 @dataclass
@@ -136,6 +144,8 @@ class FamilySpec:
     t0_constants: tuple = (Fraction(0), Fraction(0))
 
     def __post_init__(self):
+        if not isinstance(self.t3, Mapping):
+            raise ValueError(f"t3 must map tensor keys to polynomials, got {self.t3!r}")
         t3 = {}
         for key in T3_KEYS:
             entry = _as_z_poly(self.t3.get(key, 0))
@@ -149,19 +159,17 @@ class FamilySpec:
         self.t3 = t3
 
         def pairs(raw, keys, label):
+            if not isinstance(raw, Mapping):
+                raise ValueError(f"{label} must map keys to pairs, got {raw!r}")
             unknown = set(raw) - set(keys)
             if unknown:
                 raise ValueError(f"unknown {label} keys {sorted(unknown)!r}")
-            out = {}
-            for key in keys:
-                c1, c0 = raw.get(key, (0, 0))
-                out[key] = (Fraction(str(c1)), Fraction(str(c0)))
-            return out
+            return {key: _constant_pair(raw.get(key, (0, 0)), f"{label}[{key!r}]")
+                    for key in keys}
 
         self.t2_constants = pairs(self.t2_constants, T2_KEYS, "t2_constants")
         self.t1_constants = pairs(self.t1_constants, T1_KEYS, "t1_constants")
-        c1, c0 = self.t0_constants
-        self.t0_constants = (Fraction(str(c1)), Fraction(str(c0)))
+        self.t0_constants = _constant_pair(self.t0_constants, "t0_constants")
 
     def to_dict(self) -> dict:
         return {
@@ -173,14 +181,16 @@ class FamilySpec:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "FamilySpec":
+        if not isinstance(record, Mapping):
+            raise ValueError("a family spec must be a JSON object")
         unknown = set(record) - {"t3", "t2_constants", "t1_constants", "t0_constants"}
         if unknown:
             raise ValueError(f"unknown family-spec keys {sorted(unknown)!r}")
         return cls(
-            t3=dict(record.get("t3", {})),
-            t2_constants={k: tuple(v) for k, v in record.get("t2_constants", {}).items()},
-            t1_constants={k: tuple(v) for k, v in record.get("t1_constants", {}).items()},
-            t0_constants=tuple(record.get("t0_constants", (0, 0))),
+            t3=record.get("t3", {}),
+            t2_constants=record.get("t2_constants", {}),
+            t1_constants=record.get("t1_constants", {}),
+            t0_constants=record.get("t0_constants", (0, 0)),
         )
 
 

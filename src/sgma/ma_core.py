@@ -88,6 +88,8 @@ class GeneratingFunction:
     def from_dict(cls, record: Mapping) -> "GeneratingFunction":
         from .polyexpr import parse_poly
 
+        if not isinstance(record, Mapping):
+            raise ValueError("a generating-function record must be a JSON object")
         unknown = set(record) - {"chart", "potential", "eps_q"}
         if unknown:
             raise ValueError(f"unknown generating-function keys {sorted(unknown)!r}")
@@ -97,6 +99,8 @@ class GeneratingFunction:
             raise ValueError(
                 f"chart must be one of {[k.value for k in ChartKind]!r}"
             ) from None
+        if not isinstance(record.get("potential"), str):
+            raise ValueError("potential must be a polynomial string")
         potential = parse_poly(record["potential"], chart.coords)
         eps_q = Fraction(str(record.get("eps_q", 1)))
         return cls(chart, potential, eps_q)

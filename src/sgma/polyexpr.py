@@ -48,6 +48,9 @@ from .errors import DomainError
 MAX_DEGREE = 256
 MAX_TERMS = 1000
 MAX_COEFF_BITS = 4096  # bit length of any numerator or of the denominator
+# Parentheses deeper than this are a ParseError, well before the parser's
+# recursion (five frames per level) reaches the interpreter's limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -608,6 +611,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -662,11 +666,12 @@ class _Parser:
         return result
 
     def unary(self) -> tuple:
-        if self.peek()[0] == "-":
+        negate = False
+        while self.peek()[0] == "-":
             self.advance()
-            terms, den = self.unary()
-            return {e: -n for e, n in terms.items()}, den
-        return self.power()
+            negate = not negate
+        terms, den = self.power()
+        return ({e: -n for e, n in terms.items()} if negate else terms), den
 
     def power(self) -> tuple:
         base = self.atom()
@@ -719,7 +724,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return {tuple(int(v == value) for v in self.variables): 1}, 1
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the limit of {MAX_NESTING}",
+                                 pos)
+            self.depth += 1
             result = self.expr()
+            self.depth -= 1
             kind, _, pos = self.advance()
             if kind != ")":
                 raise ParseError("expected ')'", pos)
@@ -733,8 +743,9 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     """Parse polynomial text over the given ordered variable names.
 
     Raises :class:`ParseError` (with position) on syntax errors, unknown
-    variables, negative or non-integer exponents, and input beyond the size
-    budget (``MAX_DEGREE``, ``MAX_TERMS``, ``MAX_COEFF_BITS``).
+    variables, negative or non-integer exponents, input beyond the size
+    budget (``MAX_DEGREE``, ``MAX_TERMS``, ``MAX_COEFF_BITS``) and
+    parentheses nested deeper than ``MAX_NESTING``.
     """
     tokens = _tokenize(text)
     vs = _checked_variables(variables)

@@ -46,7 +46,10 @@ class CausticSample:
 
 def GridSpec2D(var1: str, lo1: float, hi1: float, n1: int,
                var2: str, lo2: float, hi2: float, n2: int) -> Grid:
-    """Grid over two chart coordinates, row-major (var1 outer)."""
+    """Grid over two chart coordinates, row-major (var1 outer).
+
+    Kept for the benchmark workloads only; the package builds a ``Grid``.
+    """
     return Grid((Axis(var1, lo1, hi1, n1), Axis(var2, lo2, hi2, n2)))
 
 

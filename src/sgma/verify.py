@@ -29,6 +29,7 @@ from . import family as fam
 from . import ma_core as mc
 from . import sg
 from . import singular as sing
+from .grid import Axis, Grid
 from .polyexpr import Poly, parse_poly
 
 EXAMPLE_POTENTIAL = "y^2/2 - x^2*Z/2 + Z^3/6"
@@ -160,7 +161,7 @@ def _c05_prop33_equivalence():
 def _c06_caustic_law():
     """Every caustic sample satisfies z = x^2/2 within 1e-12."""
     gf = example_gf()
-    grid = sing.GridSpec2D("x", -2.0, 2.0, 41, "y", -1.0, 1.0, 5)
+    grid = Grid((Axis("x", -2.0, 2.0, 41), Axis("y", -1.0, 1.0, 5)))
     sweep = sing.caustic_sweep(gf, grid, tol=1e-10)
     if not sweep.samples or sweep.rejected:
         return False, f"samples = {len(sweep.samples)}, rejected = {sweep.rejected}"

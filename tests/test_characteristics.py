@@ -1,9 +1,11 @@
 """Hamiltonian structure, null projection, ray tracing and eikonal residuals."""
 
+import functools
 import hashlib
 import io
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import reference_kernels
 from hypothesis import given, settings, strategies as st
 
 from sgma import characteristics as ch
+from sgma import codegen
 from sgma.characteristics import (
     BicharState,
     Termination,
@@ -28,7 +31,9 @@ from sgma.characteristics import (
 from sgma.errors import DomainError, MetricSingularError
 from sgma.family import build_family, random_generic_spec
 from sgma.ma_core import ChartKind, GeneratingFunction, pullback_metric_polys
-from sgma.polyexpr import parse_poly
+from sgma.polyexpr import Poly, parse_poly
+
+XYZ = ("x", "y", "Z")
 
 
 def _null_state(C1, C2, Z0, x0=0.0, y0=0.0, downhill=False):
@@ -527,6 +532,48 @@ def test_fold_kernels_drop_structural_zeros(fold_gf):
     assert field_.rhs(0.3, -0.1, 0.7, -0.4, 1.2, -0.5)[3:5] == (0.0, 0.0)
 
 
+def _long_metric(n_terms, seed):
+    # h = diag(P, 1, 1) for a P of n_terms terms with coefficients of mixed
+    # sign and size, and the derivatives of h (only d_k h00 nonzero).
+    rng = random.Random(seed)
+    exps = [e for e in itertools.product(range(26), repeat=3) if sum(e) <= 25][:n_terms]
+    P = Poly(XYZ, {e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 999), rng.randint(1, 99))
+                   for e in exps})
+    zero, one = Poly(XYZ), Poly.constant(XYZ, 1)
+    entries = ((P, zero, zero), (zero, one, zero), (zero, zero, one))
+    d_entries = tuple(((P.diff(v), zero, zero), (zero, zero, zero), (zero, zero, zero))
+                      for v in XYZ)
+    return P, entries, d_entries
+
+
+def test_long_metric_entries_compile_with_their_sum_order(monkeypatch):
+    # A flat sum of a few thousand products exceeds the compiler's recursion
+    # limit, so long entries are emitted as chained partial sums: h00 must
+    # still be the left-to-right sum of its products, to the bit.
+    P, entries, d_entries = _long_metric(3000, 7)
+    rhs, state_rhs = ch._compile_kernels(entries, d_entries)
+    q = (0.61, -0.83, 0.97)
+    products = []
+    for exps, coeff in P.terms.items():
+        value = float(coeff)
+        for qi, e in zip(q, exps):
+            if e:
+                value = value * (qi ** e if e > 1 else qi)
+        products.append(value)
+    h00 = functools.reduce(operator.add, products)
+    det, s, i1, *_ = state_rhs(*q, 1.0, 0.5, 0.25)
+    assert repr(i1) == repr(h00 + 1.0 + 1.0)
+    assert all(math.isfinite(v) for v in rhs(*q, 1.0, 0.5, 0.25))
+    # Splitting changes no bit of either kernel.
+    P, entries, d_entries = _long_metric(450, 8)
+    split = ch._compile_kernels(entries, d_entries)
+    monkeypatch.setattr(ch, "_TERMS_PER_LINE", 10 ** 6)
+    flat = ch._compile_kernels(entries, d_entries)
+    for point in [(0.61, -0.83, 0.97, 1.0, 0.5, 0.25), (-1.3, 0.2, 0.4, 0.0, -2.0, 1.5)]:
+        for kernel in range(2):
+            assert repr(split[kernel](*point)) == repr(flat[kernel](*point))
+
+
 def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):
     field_ = ch._metric_field(fold_gf)
     calls = {"rhs": 0, "state_rhs": 0}
@@ -572,6 +619,26 @@ def test_eikonal_constant_and_x_plane(fold_gf):
     assert abs(eikonal_residual(fold_gf, fx, (0, 0, 1)) + 0.5) < 1e-15
     for z in np.linspace(0.5, 2.0, 7):
         assert abs(eikonal_residual(fold_gf, fx, (0, 0, float(z)))) >= 0.1
+
+
+def test_eikonal_residual_compiles_its_gradient_once(fold_gf, monkeypatch):
+    # The three derivatives of F are fresh polynomials on every call, so
+    # they are evaluated as one vector: one compile per call.
+    F = parse_poly("y - 2/3*Z^3 + x^2*Z/5", XYZ)
+    pt = (0.5, 0.25, 1.5)
+    eikonal_residual(fold_gf, F, pt)
+    compiled = []
+    compile_functions = codegen.compile_functions
+
+    def spy(source, filename, *args, **kwargs):
+        compiled.append(filename)
+        return compile_functions(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(codegen, "compile_functions", spy)
+    value = eikonal_residual(fold_gf, F, pt)
+    assert compiled == ["<sgma polynomial vector>"]
+    grad = [float(F.diff(v).eval(pt)) for v in XYZ]
+    assert repr(value) == repr(eikonal_residual_grad(fold_gf, pt, grad))
 
 
 def test_eikonal_requires_chart_variables(fold_gf):

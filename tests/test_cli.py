@@ -159,6 +159,34 @@ def test_readme_example_digest_golden(tmp_path, monkeypatch, capsys, name, argv,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _as_config(argv):
+    # The options of argv as a config record: flags as true, others as text.
+    config, rest = {}, list(argv[1:])
+    while rest:
+        key, sep, value = rest.pop(0).removeprefix("--").partition("=")
+        if not sep:
+            value = rest.pop(0) if rest and not rest[0].startswith("--") else True
+        config[key] = value
+    return config
+
+
+@pytest.mark.parametrize("name,argv,n_lines,digest", README_GOLDENS,
+                         ids=[g[0] for g in README_GOLDENS])
+def test_readme_example_from_config_file(tmp_path, monkeypatch, capsys, name, argv,
+                                         n_lines, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(README_SPEC))
+    config = _as_config(argv)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, out, err = _run(capsys, [argv[0], "--config", "cfg.json"])
+    assert code == 0 and err == ""
+    if "output" in config:
+        assert out == ""
+        out = (tmp_path / config["output"]).read_text()
+    assert len(out.splitlines()) == n_lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # A family member whose fiber over the base point below has three sheets.
 MEMBER_SPEC = {
     "t3": {"111": "-5/2*Z - 1/2", "112": "-5*Z + 4/3", "122": "-5/2*Z - 3/4",
@@ -325,6 +353,65 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "potentail" in json.loads(err.strip())["error"]["message"]
 
 
+FOLD_CONFIG = {"chart": "T", "potential": "y^2/2 - x^2*Z/2 + Z^3/6"}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("classify", {**FOLD_CONFIG, "point": "0,0,1", "tol": [1]}),
+    ("caustic", {**FOLD_CONFIG, "grid": "x=0:1:2,y=0:0:1", "tol": [1]}),
+    ("trace", {**FOLD_CONFIG, "q": "0,0,1", "p": "0,1,?", "max_steps": [3]}),
+    ("trace", {**FOLD_CONFIG, "q": "0,0,1", "p": "0,1,?", "step": {}}),
+    ("trace", {**FOLD_CONFIG, "q": "0,0,1", "p": "0,1,?", "null_root": [0]}),
+    ("wind", {**FOLD_CONFIG, "x": "2:2:1", "z": "-1:0:2", "y": [2]}),
+    ("wind", {**FOLD_CONFIG, "x": "2:2:1", "z": "-1:0:2", "branch": [0]}),
+    ("wind", {"chart": "T", "potential": 5, "x": "2:2:1", "z": "-1:0:2"}),
+    ("residual", {**FOLD_CONFIG, "symbolic": "no"}),
+    ("residual", {**FOLD_CONFIG, "point": "0,0,1", "symbolic": None}),
+    # Config text goes through the flag's converter.
+    ("trace", {**FOLD_CONFIG, "q": "0,0,1", "p": "0,1,?", "max-steps": "many"}),
+    ("classify", {**FOLD_CONFIG, "point": "0,0,1", "tol": "0"}),
+    ("classify", {**FOLD_CONFIG, "point": "1e400,0,0"}),
+    ("wind", {**FOLD_CONFIG, "x": "2:2", "z": "-1:0:2"}),
+])
+def test_wrong_config_value_exits_2(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert code == 2 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 2
+
+
+def test_config_flag_takes_a_json_bool_and_flags_win(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FOLD_CONFIG, "symbolic": False, "point": "0,0,1"}))
+    code, out, _ = _run(capsys, ["residual", "--config", str(cfg)])
+    assert code == 0 and "point" in json.loads(out)
+    code, out, _ = _run(capsys, ["residual", "--config", str(cfg), "--symbolic"])
+    assert code == 0 and json.loads(out)["residual"] == "0"
+    cfg.write_text(json.dumps({**FOLD_CONFIG, "symbolic": True}))
+    code, out, _ = _run(capsys, ["residual", "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["residual"] == "0"
+
+
+@pytest.mark.parametrize("argv,name,record", [
+    (["classify", "--gf-file", "in.json", "--point", "0,0,1"], "in.json",
+     {"chart": "T", "potential": 5}),
+    (["classify", "--gf-file", "in.json", "--point", "0,0,1"], "in.json", ["T", "Z"]),
+    (["family", "--spec", "in.json"], "in.json", {**README_SPEC, "t0_constants": 5}),
+    (["family", "--spec", "in.json"], "in.json", {**README_SPEC, "t3": {"111": [1]}}),
+    (["family", "--spec", "in.json"], "in.json", {**README_SPEC, "t2_constants": 5}),
+    (["family", "--spec", "in.json"], "in.json", "spec"),
+])
+def test_wrong_type_in_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, name, record):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(record))
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 2
+
+
 def test_output_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -408,8 +495,9 @@ def test_number_beyond_float_range_exits_2(capsys, argv):
 
 
 def test_oversized_potential_exits_2_fast(capsys):
-    # Too many terms, and too many coefficient bits.
-    for potential in ("(x+y+Z)^80", "((10^200)^200)^200"):
+    # Too many terms, too many coefficient bits, and parentheses nested
+    # too deep.
+    for potential in ("(x+y+Z)^80", "((10^200)^200)^200", "(" * 200 + "Z" + ")" * 200):
         start = time.perf_counter()
         code, out, err = _run(capsys, ["singular", "--chart", "T", "--potential",
                                        potential])

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgma.errors import DomainError
-from sgma.polyexpr import MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, ParseError, Poly, \
-    parse_poly
+from sgma.polyexpr import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERMS, ParseError, \
+    Poly, parse_poly
 
 XYZ = ("x", "y", "Z")
 
@@ -172,6 +172,19 @@ def test_division_restrictions():
 
 def test_unary_minus_binds_looser_than_power():
     assert parse_poly("-x^2", ("x",)).eval((3,)) == -9
+
+
+def test_long_and_deep_input_needs_no_recursion():
+    # A chain of unary minuses is read in a loop; parentheses nest up to a
+    # fixed bound, far below the interpreter's recursion limit.
+    assert parse_poly("x*" + "-" * 3000 + "x", XYZ) == parse_poly("x^2", XYZ)
+    assert parse_poly("x*" + "-" * 3001 + "x", XYZ) == parse_poly("-x^2", XYZ)
+    nested = "(" * MAX_NESTING + "x + 1" + ")" * MAX_NESTING
+    assert parse_poly(nested, XYZ) == parse_poly("x + 1", XYZ)
+    for depth in (MAX_NESTING + 1, 200, 5000):
+        with pytest.raises(ParseError, match="nest deeper") as info:
+            parse_poly("(" * depth + "x" + ")" * depth, XYZ)
+        assert info.value.position == MAX_NESTING
 
 
 def test_variable_mismatch_requires_explicit_renaming():
