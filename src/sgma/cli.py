@@ -31,6 +31,7 @@ from . import verify
 from .errors import ConfigError, DomainError, SgmaError
 from .formatting import format_float, render_json
 from .grid import Axis, Grid
+from .polyexpr import exact_number
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,12 +58,8 @@ def _checked(parse):
     return convert
 
 
-def _rational(text: str) -> Fraction:
-    """An exact decimal or rational literal, such as 0.1 or 1/3."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"value {text!r} is not a finite number") from None
+# An exact decimal or rational literal, such as 0.1 or 1/3.
+_rational = _checked(exact_number)
 
 
 def _number(text: str) -> float:

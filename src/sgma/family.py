@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import SgmaError
 from .ma_core import ChartKind, GeneratingFunction, ma_residual_poly
-from .polyexpr import Poly, parse_poly
+from .polyexpr import Poly, exact_number, parse_poly
 
 T3_KEYS = ("111", "112", "122", "222")
 T2_KEYS = ("11", "12", "22")
@@ -103,7 +103,7 @@ _Z = ("Z",)
 
 def _double_integral(d2: Poly, constants) -> Poly:
     """Twice the antiderivative (zero-constant convention) plus c1*Z + c0."""
-    c1, c0 = (Fraction(v) if not isinstance(v, Fraction) else v for v in constants)
+    c1, c0 = constants
     once = d2.antiderivative("Z")
     twice = once.antiderivative("Z")
     return twice + c1 * Poly.variable(_Z, "Z") + Poly.constant(_Z, c0)
@@ -124,7 +124,7 @@ def _as_z_poly(value) -> Poly:
 def _constant_pair(value, label: str) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{label} must be a (slope, intercept) pair, got {value!r}")
-    return tuple(Fraction(str(c)) for c in value)
+    return tuple(map(exact_number, value))
 
 
 @dataclass

@@ -9,6 +9,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Most nodes a grid may have: 100^3, about 14.5 times the largest grid the
+# package and its examples sample (41^3).
+MAX_NODES = 10 ** 6
+
 
 class Axis(NamedTuple):
     """``n`` evenly spaced values from ``lo`` to ``hi``, both included."""
@@ -52,6 +56,9 @@ class Grid:
                 raise ValueError("grid sizes must be at least 1")
             if a.lo > a.hi:
                 raise ValueError("grid bounds must be well ordered")
+        nodes = math.prod(a.n for a in dims)
+        if nodes > MAX_NODES:
+            raise ValueError(f"grid of {nodes} nodes exceeds the limit of {MAX_NODES}")
 
     @classmethod
     def parse(cls, text: str) -> "Grid":

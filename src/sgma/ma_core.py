@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mat3 import adj3, det3
-from .polyexpr import Poly, PolyVector
+from .polyexpr import Poly, PolyVector, exact_number, parse_poly
 
 AMBIENT_COORDS = ("x", "y", "z", "X", "Y", "Z")
 
@@ -67,7 +67,7 @@ class GeneratingFunction:
     eps_q: Fraction
 
     def __post_init__(self):
-        eps = self.eps_q if isinstance(self.eps_q, Fraction) else Fraction(self.eps_q)
+        eps = exact_number(self.eps_q)
         object.__setattr__(self, "eps_q", eps)
         if eps <= 0:
             raise ValueError(f"eps_q must be positive, got {eps}")
@@ -86,8 +86,6 @@ class GeneratingFunction:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "GeneratingFunction":
-        from .polyexpr import parse_poly
-
         if not isinstance(record, Mapping):
             raise ValueError("a generating-function record must be a JSON object")
         unknown = set(record) - {"chart", "potential", "eps_q"}
@@ -102,8 +100,7 @@ class GeneratingFunction:
         if not isinstance(record.get("potential"), str):
             raise ValueError("potential must be a polynomial string")
         potential = parse_poly(record["potential"], chart.coords)
-        eps_q = Fraction(str(record.get("eps_q", 1)))
-        return cls(chart, potential, eps_q)
+        return cls(chart, potential, record.get("eps_q", 1))
 
 
 @dataclass(frozen=True)

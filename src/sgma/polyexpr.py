@@ -34,9 +34,10 @@ implicit multiplication is rejected.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, log2
 from operator import add
 from typing import Sequence
 
@@ -52,6 +53,85 @@ MAX_COEFF_BITS = 4096  # bit length of any numerator or of the denominator
 # recursion (five frames per level) reaches the interpreter's limit.
 MAX_NESTING = 100
 
+# A whole number of more decimal digits than 2^MAX_COEFF_BITS has exceeds it.
+_MAX_DIGITS = len(str(1 << MAX_COEFF_BITS))
+# The grammar of Fraction(str): a sign, then a/b, or digits with an optional
+# fractional part and exponent; underscores between digits; outer whitespace.
+_NUMBER = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<den>\d+(_\d+)*))?
+     |(?:\.(?P<frac>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z""", re.VERBOSE | re.IGNORECASE)
+
+
+def exact_number(value) -> Fraction:
+    """The exact value of an int, a Fraction or a number written as text.
+
+    This is the one reader of numbers given from outside.  ints and
+    Fractions are returned at once, whatever their size.  Text follows the
+    grammar of ``Fraction(str)`` (an integer, a decimal with an optional
+    exponent, or ``a/b``), and its value in lowest terms must have a
+    numerator and a denominator of at most ``MAX_COEFF_BITS`` bits; the
+    digit counts and the exponent are measured before anything is
+    converted, so no text asks for unbounded work.  Everything else (bool,
+    float) and every text that is no finite number or does not fit raises
+    ValueError.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ValueError(f"value {value!r} is not a finite number: write it as an "
+                         f"integer or a string, not a {type(value).__name__}")
+    match = _NUMBER.match(value)
+    if match is None:
+        raise ValueError(f"value {value!r} is not a finite number")
+    num = match["num"].replace("_", "").lstrip("0")
+    sign = -1 if match["sign"] == "-" else 1
+    if match["den"] is not None:
+        den = match["den"].replace("_", "").lstrip("0")
+        if not den:
+            raise ValueError(f"value {value!r} is not a finite number")
+        # a and b as written must fit; reduced, they are no larger.
+        if max(len(num), len(den)) > _MAX_DIGITS:
+            raise _beyond_bits(value)
+        result = Fraction(sign * int(num or "0"), int(den))
+    else:
+        frac = (match["frac"] or "").replace("_", "")
+        digits = (num + frac).lstrip("0")
+        if not digits:
+            return Fraction(0)
+        # The value is m * 10^shift, m being ``significand``, no multiple of 10.
+        significand = digits.rstrip("0")
+        shift = len(digits) - len(significand) - len(frac)
+        exp = (match["exp"] or "0").replace("_", "")
+        # An exponent of more digits than this puts |shift| past MAX_COEFF_BITS.
+        if len(exp.lstrip("+-0")) > len(str(MAX_COEFF_BITS + len(value))):
+            raise _beyond_bits(value)
+        shift += int(exp)
+        n = len(significand)
+        if shift >= 0:
+            if n + shift > _MAX_DIGITS:  # m * 10^shift >= 10^(n - 1 + shift)
+                raise _beyond_bits(value)
+            result = Fraction(sign * int(significand) * 10 ** shift)
+        else:
+            # The reduced denominator keeps 2^-shift or 5^-shift, and the
+            # numerator is at least m / 5^-shift >= 10^(n - 1) / 5^-shift.
+            if -shift > MAX_COEFF_BITS or (
+                    (n - 1) * log2(10) + shift * log2(5) > MAX_COEFF_BITS + 1):
+                raise _beyond_bits(value)
+            result = Fraction(sign * int(significand), 10 ** -shift)
+    if max(result.numerator.bit_length(), result.denominator.bit_length()) > MAX_COEFF_BITS:
+        raise _beyond_bits(value)
+    return result
+
+
+def _beyond_bits(value: str) -> ValueError:
+    return ValueError(f"value {value!r} exceeds the limit of {MAX_COEFF_BITS} bits "
+                      f"for a numerator or a denominator")
+
 
 class ParseError(ValueError):
     """Raised on malformed polynomial text; carries the character offset."""
@@ -59,16 +139,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
 
 
 def _checked_variables(variables: Sequence[str]) -> tuple:
@@ -182,7 +252,7 @@ class Poly:
                 )
             if any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers: {exps!r}")
-            c = _coerce(coeff)
+            c = exact_number(coeff)
             if c:
                 normalized[exps] = normalized.get(exps, Fraction(0)) + c
         # Over the lcm of reduced denominators the numerators share no factor
@@ -216,7 +286,7 @@ class Poly:
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Poly":
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): _coerce(value)})
+        return cls(vs, {(0,) * len(vs): exact_number(value)})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Poly":
@@ -281,7 +351,7 @@ class Poly:
                     f"variable mismatch: {self._variables!r} vs {other._variables!r}"
                 )
             return other
-        c = _coerce(other)
+        c = exact_number(other)
         terms = {(0,) * len(self._variables): c.numerator} if c else {}
         return Poly._new(self._variables, terms, c.denominator)
 
@@ -328,7 +398,7 @@ class Poly:
             if c is None:
                 raise ValueError("division is only defined by a nonzero constant")
         else:
-            c = _coerce(other)
+            c = exact_number(other)
         if c == 0:
             raise ZeroDivisionError("polynomial division by zero")
         return Poly._new(self._variables,
@@ -572,9 +642,9 @@ def _tokenize(text: str) -> list:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -683,7 +753,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer literal", pos)
             self.advance()
-            k = int(value)
+            k = self.integer(value, pos)
             if k > MAX_DEGREE:
                 raise ParseError(f"exponent {k} exceeds the limit of {MAX_DEGREE}", pos)
             terms, den = base
@@ -714,10 +784,19 @@ class _Parser:
             raise ParseError(
                 f"coefficients of up to {bits} bits exceed the limit of {MAX_COEFF_BITS}", pos)
 
+    def integer(self, digits: str, pos: int) -> int:
+        # The length test comes first: int() takes time quadratic in the digits.
+        if len(digits.lstrip("0")) > _MAX_DIGITS:
+            raise ParseError(f"integer of {len(digits)} digits exceeds the limit of "
+                             f"{MAX_COEFF_BITS} bits", pos)
+        n = int(digits)
+        self.check_bits(n.bit_length(), pos)
+        return n
+
     def atom(self) -> tuple:
         kind, value, pos = self.advance()
         if kind == "int":
-            n = int(value)
+            n = self.integer(value, pos)
             return ({(0,) * len(self.variables): n} if n else {}), 1
         if kind == "name":
             if value not in self.variables:

@@ -21,7 +21,15 @@ from .formatting import format_float
 from .grid import Axis, Grid
 from .ma_core import GeneratingFunction, SignatureLabel, classify, immersion
 from .mat3 import solve3
+from .polyexpr import exact_number
 from .singular import BranchPoint, branch_hessian, branch_select_convex, fiber_solve
+
+
+def _positive_epsilon(value) -> Fraction:
+    eps = exact_number(value)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -37,12 +45,10 @@ class EpsilonChoice:
     q_g: Fraction
 
     def __post_init__(self):
-        eps = self.epsilon if isinstance(self.epsilon, Fraction) else Fraction(str(self.epsilon))
-        qg = self.q_g if isinstance(self.q_g, Fraction) else Fraction(str(self.q_g))
+        eps = _positive_epsilon(self.epsilon)
+        qg = exact_number(self.q_g)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "q_g", qg)
-        if eps <= 0:
-            raise ValueError("epsilon must be positive")
         try:  # the wind formulas use q_g as a float
             float(qg)
         except OverflowError:
@@ -50,7 +56,7 @@ class EpsilonChoice:
 
     @classmethod
     def for_gf(cls, gf: GeneratingFunction, epsilon=1) -> "EpsilonChoice":
-        eps = Fraction(str(epsilon))
+        eps = _positive_epsilon(epsilon)
         return cls(epsilon=eps, q_g=gf.eps_q / eps)
 
 

@@ -306,9 +306,10 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
 
     The number of unknown chart coordinates picks the path (module
     docstring): none keeps exact input exact; one finds fold tangencies with
-    their multiplicity; more runs Newton from ``seeds`` and records the
-    failed ones.  An empty fiber means the base point lies outside the
-    solution domain.  Each preimage's convexity is decided here, once.
+    their multiplicity; more runs Newton from ``seeds``, which must not be
+    empty, and records the failed ones.  An empty fiber means the base point
+    lies outside the solution domain.  Each preimage's convexity is decided
+    here, once.
     """
     base = tuple(base)
     if len(base) != 3:
@@ -326,6 +327,9 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
         if preimages is None:
             raise DomainError("fiber equation vanishes identically over this base point")
     else:
+        if not seeds:
+            raise ValueError(f"fibers of chart {gf.chart.value} have {len(rows)} unknowns "
+                             f"and are found by Newton from seeds; none were given")
         preimages, bp.failed_seeds = _newton_fiber(gf, base, point, rows, seeds)
     for point, multiplicity in preimages:
         chart_pt = tuple(float(v) for v in point)

@@ -402,6 +402,14 @@ def test_config_flag_takes_a_json_bool_and_flags_win(tmp_path, capsys):
     (["family", "--spec", "in.json"], "in.json", {**README_SPEC, "t3": {"111": [1]}}),
     (["family", "--spec", "in.json"], "in.json", {**README_SPEC, "t2_constants": 5}),
     (["family", "--spec", "in.json"], "in.json", "spec"),
+    # Numbers are JSON strings or integers: a float is not the number it shows.
+    (["classify", "--gf-file", "in.json", "--point", "0,0,1"], "in.json",
+     {"chart": "T", "potential": "Z^3", "eps_q": 0.5}),
+    (["classify", "--gf-file", "in.json", "--point", "0,0,1"], "in.json",
+     {"chart": "T", "potential": "Z^3", "eps_q": True}),
+    (["family", "--spec", "in.json"], "in.json", {**README_SPEC, "t0_constants": [0.5, 1]}),
+    (["family", "--spec", "in.json"], "in.json", {**README_SPEC, "t0_constants": [True, 1]}),
+    (["family", "--spec", "in.json"], "in.json", {**README_SPEC, "t3": {"111": True}}),
 ])
 def test_wrong_type_in_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, name, record):
     monkeypatch.chdir(tmp_path)
@@ -504,3 +512,90 @@ def test_oversized_potential_exits_2_fast(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "limit" in json.loads(err.strip())["error"]["message"]
+
+
+NEWTON_R = ["--chart", "R", "--potential", "X^3/3 + (Y^2 + Z^2)/2"]
+# Every channel through which a number enters: argv for a value ``v``, and
+# the input file it reads, if any.
+NUMBER_CHANNELS = {
+    "eps-q": (["classify", *FOLD, "--point", "0,0,1", "--eps-q", "{v}"], None),
+    "epsilon": (["wind", *FOLD, "--x", "2:2:1", "--z=-1:0:2", "--epsilon", "{v}"], None),
+    "point": (["classify", *FOLD, "--point", "{v},0,0"], None),
+    "base": (["fiber", *FOLD, "--base", "0,{v},0"], None),
+    "seeds": (["fiber", *NEWTON_R, "--base", "1,1,1", "--seeds", "0,0,0;0,{v},0"], None),
+    "step": (["trace", *FOLD, "--q", "0,0,1", "--p", "0,1,?", "--step", "{v}"], None),
+    "stop-tol": (["trace", *FOLD, "--q", "0,0,1", "--p", "0,1,?", "--stop-tol", "{v}"],
+                 None),
+    "gf-file": (["classify", "--gf-file", "in.json", "--point", "0,0,1"],
+                {"chart": "T", "potential": "Z^3", "eps_q": "{v}"}),
+    "spec": (["family", "--spec", "in.json"],
+             {**README_SPEC, "t0_constants": ["{v}", "1"]}),
+    "potential": (["singular", "--chart", "T", "--potential", "({v})*Z"], None),
+}
+
+
+def _filled(template, value):
+    if isinstance(template, str):
+        return template.replace("{v}", value)
+    if isinstance(template, dict):
+        return {k: _filled(v, value) for k, v in template.items()}
+    return [_filled(v, value) for v in template]
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1e-999999999", "1/0"])
+@pytest.mark.parametrize("channel", sorted(NUMBER_CHANNELS))
+def test_bad_number_on_every_channel_exits_2_fast(tmp_path, monkeypatch, capsys, channel,
+                                                  value):
+    argv, record = NUMBER_CHANNELS[channel]
+    monkeypatch.chdir(tmp_path)
+    if record is not None:
+        (tmp_path / "in.json").write_text(json.dumps(_filled(record, value)))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, _filled(argv, value))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 2
+
+
+def test_eps_q_gets_one_answer_from_flag_and_file(tmp_path, monkeypatch, capsys):
+    # One value gets one answer, whether it comes from a flag or a record.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(json.dumps(
+        {"chart": "T", "potential": "Z^3", "eps_q": "1e4000000"}))
+    messages = []
+    for argv in (["classify", *FOLD, "--point", "0,0,1", "--eps-q", "1e4000000"],
+                 ["classify", "--gf-file", "in.json", "--point", "0,0,1"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        messages.append(json.loads(err)["error"]["message"])
+    assert all("'1e4000000' exceeds the limit of 4096 bits" in m for m in messages)
+
+
+def test_zero_epsilon_exits_2(capsys):
+    code, out, err = _run(capsys, ["wind", *FOLD, "--x", "2:2:1", "--z=-1:0:2",
+                                   "--epsilon", "0"])
+    assert code == 2 and out == ""
+    assert "epsilon must be positive" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["wind", "--chart", "R", "--potential", "(X^2+Y^2+Z^2)/2", "--x=0:1:2", "--z=0:1:2"],
+    ["fiber", "--chart", "R", "--potential", "(X^2+Y^2+Z^2)/2", "--base", "1,1,1"],
+    ["fiber", "--chart", "S", "--potential", "(X^2 + Y^2)/2 - z^2/2", "--base", "0.5,0,2"],
+])
+def test_newton_fiber_without_seeds_exits_2(capsys, argv):
+    # An empty fiber would read as "outside the domain".
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert f"fibers of chart {argv[2]}" in message and "seeds" in message
+
+
+def test_grid_beyond_node_limit_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["classify", "--chart", "T", "--potential", "Z", "--grid",
+                                   "x=0:1:100000,y=0:1:100000,Z=0:1:1000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "exceeds the limit of 1000000" in json.loads(err)["error"]["message"]

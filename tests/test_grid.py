@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sgma.grid import Axis, Grid
+from sgma.grid import MAX_NODES, Axis, Grid
 
 
 def test_parse_keeps_text_order_and_nodes_run_row_major():
@@ -47,3 +47,11 @@ def test_exact_bounds_are_not_checked_as_floats():
     # math.isfinite would overflow on a bound this large.
     grid = Grid((Axis("x", Fraction(-10 ** 400), Fraction(10 ** 400), 1),))
     assert grid.dims[0].hi == Fraction(10 ** 400)
+
+
+def test_node_limit():
+    side = round(MAX_NODES ** (1 / 3))
+    assert side ** 3 == MAX_NODES
+    assert Grid.parse(f"x=0:1:{side},y=0:1:{side},Z=0:1:{side}").dims[0].n == side
+    with pytest.raises(ValueError, match=f"{MAX_NODES + side * side} nodes exceeds the limit"):
+        Grid.parse(f"x=0:1:{side + 1},y=0:1:{side},Z=0:1:{side}")

@@ -367,6 +367,12 @@ def test_generating_function_validation():
         GeneratingFunction.from_dict({"chart": "Q", "potential": "x", "eps_q": "1"})
     with pytest.raises(ValueError):
         GeneratingFunction.from_dict({"chart": "T", "potential": "Z", "bogus": 1})
+    # eps_q is read exactly: a float, whose value is not 0.1, is refused.
+    z = parse_poly("Z", ("x", "y", "Z"))
+    assert GeneratingFunction(ChartKind.DUAL_T, z, "0.1").eps_q == Fraction(1, 10)
+    for eps_q in (0.1, True, "1/0"):
+        with pytest.raises(ValueError, match="not a finite number"):
+            GeneratingFunction(ChartKind.DUAL_T, z, eps_q)
 
 
 @pytest.mark.parametrize("pt", [(0, 0, float("inf")), (float("nan"), 0, 0),

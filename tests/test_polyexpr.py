@@ -1,6 +1,8 @@
 """Parser, arithmetic, calculus and round-trip behavior of the exact polynomials."""
 
 import pickle
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from sgma.errors import DomainError
 from sgma.polyexpr import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERMS, ParseError, \
-    Poly, parse_poly
+    Poly, exact_number, parse_poly
 
 XYZ = ("x", "y", "Z")
 
@@ -185,6 +187,83 @@ def test_long_and_deep_input_needs_no_recursion():
         with pytest.raises(ParseError, match="nest deeper") as info:
             parse_poly("(" * depth + "x" + ")" * depth, XYZ)
         assert info.value.position == MAX_NESTING
+
+
+def test_long_integer_literals_are_parse_errors():
+    # The length test runs before int(): a literal of 4000 digits in a sum
+    # and one past the interpreter's 4300-digit conversion limit both fail
+    # at their own position.
+    for text, position in [("9" * 4000 + " + x", 0), ("x + " + "9" * 4301, 4),
+                           ("x^" + "9" * 5000, 2)]:
+        with pytest.raises(ParseError, match=f"limit of {MAX_COEFF_BITS} bits") as info:
+            parse_poly(text, XYZ)
+        assert info.value.position == position
+    largest = 2 ** MAX_COEFF_BITS - 1
+    assert parse_poly(f"{largest} + x", XYZ).terms[(0, 0, 0)] == largest
+    with pytest.raises(ParseError, match="bits") as info:
+        parse_poly(f"x - {largest + 1}", XYZ)
+    assert info.value.position == 4
+    # Digits that int() cannot read are no integer token.
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_poly("x^\u00b2", XYZ)
+
+
+def _literal(sign, whole, frac, exp):
+    text = sign + whole + ("." + frac if frac is not None else "")
+    return text + (f"e{exp:+d}" if exp is not None else "")
+
+
+_digits = st.text("0123456789", max_size=25)
+# Fraction's grammar needs a digit, or a point and a digit, after the sign.
+_decimals = st.builds(_literal, st.sampled_from(["", "+", "-"]), _digits,
+                      st.none() | _digits, st.none() | st.integers(-300, 300)).filter(
+    lambda text: re.match(r"[+-]?\.?\d", text))
+_ratios = st.builds(lambda sign, a, b: f"{sign}{a}/{b}", st.sampled_from(["", "-"]),
+                    st.integers(0, 10 ** 30), st.integers(1, 10 ** 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decimals | _ratios)
+def test_exact_number_reads_text_as_fraction_does(text):
+    assert exact_number(text) == Fraction(text)
+
+
+def test_exact_number_types_and_limits():
+    assert exact_number(3) == 3 and type(exact_number(3)) is Fraction
+    big = Fraction(10) ** 5000  # library values carry no budget
+    assert exact_number(big) is big
+    assert exact_number(" -1_000.5E-3 ") == Fraction(-2001, 2000)
+    assert exact_number("0e999999999") == 0
+    # The budget holds for the value in lowest terms.
+    assert exact_number("1" + "0" * 5000 + "e-5000") == 1
+    assert exact_number(f"{2 ** MAX_COEFF_BITS - 1}/3") == Fraction(2 ** MAX_COEFF_BITS - 1, 3)
+    assert exact_number("1e1233") == 10 ** 1233
+    for value in (True, 0.1, 1.0, None, [1]):
+        with pytest.raises(ValueError, match="is not a finite number: write it as"):
+            exact_number(value)
+    for text in ("1/0", "0/0", "nan", "inf", "1 / 2", "0x10", "", "1.d"):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            exact_number(text)
+    for text in ("1e999999999", "1e-999999999", "-1e4000000", "1e1234", "1e-1234",
+                 str(2 ** MAX_COEFF_BITS), "1/" + "9" * 2000, "0." + "1" * 5000,
+                 "1" * 5000 + "e-5000"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"limit of {MAX_COEFF_BITS} bits"):
+            exact_number(text)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_poly_reads_coefficients_through_exact_number():
+    assert Poly.constant(XYZ, "1/3") == Poly.constant(XYZ, Fraction(1, 3))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bits"):
+        Poly.constant(XYZ, "1e2000000")
+    assert time.perf_counter() - start < 0.1
+    x = Poly.variable(XYZ, "x")
+    for bad in (lambda: Poly.constant(XYZ, True), lambda: Poly(XYZ, {(0, 0, 0): 0.5}),
+                lambda: x + 0.5, lambda: x / 2.0):
+        with pytest.raises(ValueError, match="not a finite number"):
+            bad()
 
 
 def test_variable_mismatch_requires_explicit_renaming():

@@ -33,6 +33,18 @@ def test_epsilon_choice_split(fold_gf):
         EpsilonChoice(epsilon=Fraction(0), q_g=Fraction(1))
 
 
+def test_epsilon_is_read_exactly_and_checked_before_dividing(fold_gf):
+    assert EpsilonChoice.for_gf(fold_gf, "1/10").q_g == 10
+    for epsilon in (0, "0", "-1/2"):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            EpsilonChoice.for_gf(fold_gf, epsilon)
+    for epsilon in (0.1, True):
+        with pytest.raises(ValueError, match="not a finite number"):
+            EpsilonChoice.for_gf(fold_gf, epsilon)
+    with pytest.raises(ValueError, match="not a finite number"):
+        EpsilonChoice(epsilon=Fraction(1), q_g=0.5)
+
+
 def test_branch_state_momenta_and_wind(fold_gf):
     state = branch_state(fold_gf, (1, 0, 0))
     assert abs(state.M - 1) < 1e-12
