@@ -31,7 +31,7 @@ from . import verify
 from .errors import ConfigError, DomainError, SgmaError
 from .formatting import format_float, render_json
 from .grid import Axis, Grid
-from .polyexpr import exact_number
+from .polyexpr import exact_number, float_number
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,12 +62,8 @@ def _checked(parse):
 _rational = _checked(exact_number)
 
 
-def _number(text: str) -> float:
-    """The float nearest a decimal or rational literal."""
-    try:
-        return float(_rational(text))
-    except OverflowError:
-        raise argparse.ArgumentTypeError(f"value {text!r} is beyond the float range") from None
+# The float nearest a decimal or rational literal.
+_number = _checked(float_number)
 
 
 def _positive(text: str) -> float:

@@ -2,23 +2,26 @@
 
 Truncating the potential at third order in the horizontal coordinates,
 
-    T = T0(Z) + T1_a(Z) x^a + (1/2) T2_ab(Z) x^a x^b + (1/6) T3_abc(Z) x^a x^b x^c,
+    T = sum of T_ab(Z) x^a y^b / (a! b!)   over 0 <= a + b <= 3,
 
-with (x^1, x^2) = (x, y) and fully symmetric coefficient tensors, reduces
-T_xx T_yy - T_xy^2 + T_ZZ = 0 to a hierarchy of second-order ODEs in Z:
-the cubic coefficients must be affine in Z, and each lower level is a
-double integration of polynomial combinations of the levels above.
-Generic members have Z-degrees (1, 4, 6, 10) at levels (3, 2, 1, 0): naive
-degree counting would allow degree 7 at the first-order level, but the
-leading (degree-5) coefficient of its second derivative cancels
-identically, an algebraic consequence of the symmetric index structure.
+written with fully symmetric coefficient tensors (T2_12 multiplies x*y,
+T3_112 multiplies x^2*y/2), reduces T_xx T_yy - T_xy^2 + T_ZZ = 0 to a
+hierarchy of second-order ODEs in Z: the cubic coefficients must be affine
+in Z, and each lower level is a double integration of polynomial
+combinations of the levels above.  Generic members have Z-degrees
+(1, 4, 6, 10) at levels (3, 2, 1, 0): naive degree counting would allow
+degree 7 at the first-order level, but the leading (degree-5) coefficient
+of its second derivative cancels identically, an algebraic consequence of
+the symmetric index structure.
 
-The hierarchy used by :func:`build_family` is not transcribed from a
-printed source: :func:`derive_recursions` re-derives it symbolically by
-substituting the truncated expansion with opaque coefficient symbols and
-collecting horizontal monomials.  A hand-transcribed reference version is
-kept for cross-checking (see :func:`reference_recursion_report`); it is
-known to disagree with the derivation in one first-order identity, and the
+The expansion is stated once, in :func:`_expansion`, over one table of
+levels (``_LEVELS``).  :func:`derive_recursions` re-derives the hierarchy
+from it symbolically: it expands opaque coefficient symbols, takes the x/y
+derivatives with ``Poly.diff``, and collects horizontal monomials;
+:func:`build_family` integrates that hierarchy and assembles the potential
+with the same expansion.  A hand-transcribed reference version is kept for
+cross-checking (see :func:`reference_recursion_report`); it is known to
+disagree with the derivation in one first-order identity, and the
 derivation is authoritative.
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Mapping, NamedTuple
 
 from .errors import SgmaError
@@ -36,17 +40,32 @@ from .polyexpr import Poly, exact_number, parse_poly
 T3_KEYS = ("111", "112", "122", "222")
 T2_KEYS = ("11", "12", "22")
 T1_KEYS = ("1", "2")
+# The levels of the truncation, from the scalar up.  A key's counts of 1s
+# and 2s are the powers a and b of x and y in its monomial.
+_LEVELS = (("T0", ("",)), ("T1", T1_KEYS), ("T2", T2_KEYS), ("T3", T3_KEYS))
+
+
+def _table(levels=_LEVELS):
+    """(level, key, name, (a, b)) for each coefficient of ``levels``, in order."""
+    for level, keys in levels:
+        for key in keys:
+            name = f"{level}_{key}" if key else level
+            yield level, key, name, (key.count("1"), key.count("2"))
+
 
 # Symbol variables for the derivation: coefficient values that appear
 # algebraically, second derivatives (D2...), and the horizontal coordinates.
-_VALUE_SYMBOLS = tuple(f"T2_{k}" for k in T2_KEYS) + tuple(f"T3_{k}" for k in T3_KEYS)
-_D2_SYMBOLS = (
-    ("D2T0",)
-    + tuple(f"D2T1_{k}" for k in T1_KEYS)
-    + tuple(f"D2T2_{k}" for k in T2_KEYS)
-    + tuple(f"D2T3_{k}" for k in T3_KEYS)
-)
+_VALUE_SYMBOLS = tuple(name for _, _, name, _ in _table(_LEVELS[2:]))
+_D2_SYMBOLS = tuple("D2" + name for _, _, name, _ in _table())
 _SYMBOLS = ("x", "y") + _VALUE_SYMBOLS + _D2_SYMBOLS
+
+
+def _expansion(coefficient, x: Poly, y: Poly) -> Poly:
+    """The truncation: coefficient(name) * x^a * y^b / (a! b!), summed level 0 first."""
+    total = Poly.zero(x.variables)
+    for _, _, name, (a, b) in _table():
+        total += coefficient(name) * x ** a * y ** b / (factorial(a) * factorial(b))
+    return total
 
 
 class FamilyError(SgmaError):
@@ -65,37 +84,36 @@ def derive_recursions() -> dict:
     recursion set for :func:`build_family`.
     """
     v = {name: Poly.variable(_SYMBOLS, name) for name in _SYMBOLS}
+    zero = Poly.zero(_SYMBOLS)
     x, y = v["x"], v["y"]
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-
-    t_xx = v["T2_11"] + v["T3_111"] * x + v["T3_112"] * y
-    t_xy = v["T2_12"] + v["T3_112"] * x + v["T3_122"] * y
-    t_yy = v["T2_22"] + v["T3_122"] * x + v["T3_222"] * y
-    t_zz = (
-        v["D2T0"]
-        + v["D2T1_1"] * x + v["D2T1_2"] * y
-        + half * v["D2T2_11"] * x ** 2 + v["D2T2_12"] * x * y
-        + half * v["D2T2_22"] * y ** 2
-        + sixth * v["D2T3_111"] * x ** 3 + half * v["D2T3_112"] * x ** 2 * y
-        + half * v["D2T3_122"] * x * y ** 2 + sixth * v["D2T3_222"] * y ** 3
-    )
-    residual = t_xx * t_yy - t_xy ** 2 + t_zz
+    # T0 and T1 are no symbols: they vanish from the second x/y derivatives.
+    t = _expansion(lambda name: v.get(name, zero), x, y)
+    t_x, t_y = t.diff("x"), t.diff("y")
+    t_zz = _expansion(lambda name: v["D2" + name], x, y)
+    residual = t_x.diff("x") * t_y.diff("y") - t_x.diff("y") ** 2 + t_zz
     return residual.collect(("x", "y"))
 
 
-def _normalized_identity(identity: Poly, d2_symbol: str):
-    """Split c * D2 + rest into (rest / c) so that D2 = -(rest / c)."""
-    groups = identity.collect((d2_symbol,))
-    if set(groups) - {(0,), (1,)}:
-        raise FamilyError(f"identity is not linear in {d2_symbol}")
-    c = groups.get((1,), None)
-    if c is None or c.constant_value() is None or c.constant_value() == 0:
-        raise FamilyError(f"{d2_symbol} does not appear with a constant coefficient")
-    rest = groups.get((0,))
-    if rest is None:
-        rest = Poly.zero(c.variables)
-    return rest / c.constant_value()
+@lru_cache(maxsize=None)
+def _solved_identities() -> dict:
+    """Each derived identity c * D2 + rest, solved as D2 = -(rest / c).
+
+    Maps the monomial (a, b) to the D2 symbol of the coefficient of
+    x^a y^b, which its identity determines, and to rest / c.
+    """
+    identities = derive_recursions()
+    solved = {}
+    for _, _, name, monomial in _table():
+        symbol = "D2" + name
+        groups = identities[monomial].collect((symbol,))
+        if set(groups) - {(0,), (1,)}:
+            raise FamilyError(f"identity is not linear in {symbol}")
+        c = groups.get((1,))
+        if c is None or c.constant_value() is None or c.constant_value() == 0:
+            raise FamilyError(f"{symbol} does not appear with a constant coefficient")
+        rest = groups.get((0,), Poly.zero(c.variables))
+        solved[monomial] = symbol, rest / c.constant_value()
+    return solved
 
 
 _Z = ("Z",)
@@ -210,20 +228,9 @@ class FamilySolution:
     coefficients: Mapping
 
 
-# Which derived identity determines which second derivative.
-_LEVEL2 = {(2, 0): "D2T2_11", (1, 1): "D2T2_12", (0, 2): "D2T2_22"}
-_LEVEL1 = {(1, 0): "D2T1_1", (0, 1): "D2T1_2"}
-_LEVEL0 = {(0, 0): "D2T0"}
-
-
 def _substitute(rest: Poly, values: Mapping) -> Poly:
-    mapping = {}
-    for name in rest.variables:
-        if name in values:
-            mapping[name] = values[name]
-        else:
-            mapping[name] = Fraction(0)  # symbols of not-yet-built levels never occur
-    return rest.compose(mapping, _Z)
+    # Symbols of levels not built yet never occur in ``rest``; they map to 0.
+    return rest.compose({name: values.get(name, 0) for name in rest.variables}, _Z)
 
 
 def build_family(spec: FamilySpec) -> FamilySolution:
@@ -236,39 +243,17 @@ def build_family(spec: FamilySpec) -> FamilySolution:
     residual; failure would mean the derivation and the integration
     disagree, which is impossible for valid specs and raises FamilyError.
     """
-    identities = derive_recursions()
-    values: dict[str, Poly] = {f"T3_{k}": spec.t3[k] for k in T3_KEYS}
-
-    for monomial, symbol in _LEVEL2.items():
-        rest = _normalized_identity(identities[monomial], symbol)
-        d2 = -_substitute(rest, values)
-        key = symbol.removeprefix("D2T2_")
-        values[f"T2_{key}"] = _double_integral(d2, spec.t2_constants[key])
-    for monomial, symbol in _LEVEL1.items():
-        rest = _normalized_identity(identities[monomial], symbol)
-        d2 = -_substitute(rest, values)
-        key = symbol.removeprefix("D2T1_")
-        values[f"T1_{key}"] = _double_integral(d2, spec.t1_constants[key])
-    rest = _normalized_identity(identities[(0, 0)], "D2T0")
-    values["T0"] = _double_integral(-_substitute(rest, values), spec.t0_constants)
+    solved = _solved_identities()
+    values: dict[str, Poly] = {name: spec.t3[key] for _, key, name, _ in _table(_LEVELS[3:])}
+    constants = {"T2": spec.t2_constants, "T1": spec.t1_constants,
+                 "T0": {"": spec.t0_constants}}
+    for level, key, name, monomial in _table(reversed(_LEVELS[:3])):
+        _, rest = solved[monomial]
+        values[name] = _double_integral(-_substitute(rest, values), constants[level][key])
 
     tvars = ("x", "y", "Z")
-    x = Poly.variable(tvars, "x")
-    y = Poly.variable(tvars, "y")
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-
-    def lift(name: str) -> Poly:
-        return values[name].with_variables(tvars)
-
-    potential = (
-        lift("T0")
-        + lift("T1_1") * x + lift("T1_2") * y
-        + half * lift("T2_11") * x ** 2 + lift("T2_12") * x * y
-        + half * lift("T2_22") * y ** 2
-        + sixth * lift("T3_111") * x ** 3 + half * lift("T3_112") * x ** 2 * y
-        + half * lift("T3_122") * x * y ** 2 + sixth * lift("T3_222") * y ** 3
-    )
+    potential = _expansion(lambda name: values[name].with_variables(tvars),
+                           Poly.variable(tvars, "x"), Poly.variable(tvars, "y"))
     gf = GeneratingFunction(ChartKind.DUAL_T, potential, Fraction(1))
     residual = ma_residual_poly(gf)
     if not residual.is_zero:
@@ -276,17 +261,12 @@ def build_family(spec: FamilySpec) -> FamilySolution:
             f"assembled potential does not solve the balance equation: {residual}"
         )
 
-    def level_degree(names) -> int | None:
-        degs = [values[n].degree("Z") for n in names]
+    def level_degree(level) -> int | None:
+        degs = [values[name].degree("Z") for _, _, name, _ in _table([level])]
         degs = [d for d in degs if d is not None]
         return max(degs) if degs else None
 
-    degrees = DegreeReport(
-        t3=level_degree([f"T3_{k}" for k in T3_KEYS]),
-        t2=level_degree([f"T2_{k}" for k in T2_KEYS]),
-        t1=level_degree([f"T1_{k}" for k in T1_KEYS]),
-        t0=level_degree(["T0"]),
-    )
+    degrees = DegreeReport(*map(level_degree, reversed(_LEVELS)))
     return FamilySolution(gf=gf, degrees=degrees, coefficients=dict(values))
 
 
@@ -349,16 +329,12 @@ def reference_recursion_report() -> dict:
     the hierarchy); mismatches are reported, never silently patched, and
     :func:`build_family` always uses the derived form.
     """
-    derived = derive_recursions()
-    reference = _reference_identities()
+    solved = _solved_identities()
     report = {}
-    for monomial, ref in reference.items():
-        d2 = next(s for s in _D2_SYMBOLS
-                  if not ref.collect((s,)).get((1,), Poly.zero(_SYMBOLS)).is_zero)
-        lhs = derived[monomial]
-        scale = lhs.collect((d2,))[(1,)].constant_value()
-        normalized = (lhs / scale).with_variables(_SYMBOLS)
-        difference = normalized - ref
+    for monomial, ref in _reference_identities().items():
+        symbol, rest = solved[monomial]
+        derived = Poly.variable(_SYMBOLS, symbol) + rest.with_variables(_SYMBOLS)
+        difference = derived - ref
         report[f"x^{monomial[0]}*y^{monomial[1]}"] = {
             "matches_derivation": difference.is_zero,
             "difference": str(difference),

@@ -9,6 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .polyexpr import float_number
+
 # Most nodes a grid may have: 100^3, about 14.5 times the largest grid the
 # package and its examples sample (41^3).
 MAX_NODES = 10 ** 6
@@ -24,14 +26,18 @@ class Axis(NamedTuple):
 
     @classmethod
     def parse(cls, name: str, text: str) -> "Axis":
-        """Axis from the text ``lo:hi:n`` (checked when a Grid is built)."""
+        """Axis from the text ``lo:hi:n`` (checked when a Grid is built).
+
+        The bounds take the number grammar of every other input (see
+        :func:`sgma.polyexpr.float_number`), such as 0.25 or 1/3.
+        """
         parts = str(text).split(":")
         if len(parts) != 3:
             raise ValueError(f"range of {name} must look like lo:hi:n, got {text!r}")
         try:
-            return cls(name, float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ValueError(f"cannot parse range {text!r}") from None
+            return cls(name, float_number(parts[0]), float_number(parts[1]), int(parts[2]))
+        except ValueError as exc:
+            raise ValueError(f"cannot parse range {text!r}: {exc}") from None
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)

@@ -128,6 +128,18 @@ def exact_number(value) -> Fraction:
     return result
 
 
+def float_number(value) -> float:
+    """The float nearest ``exact_number(value)``: one grammar for float inputs too.
+
+    Raises ValueError where :func:`exact_number` does, and for a value
+    beyond the float range.
+    """
+    try:
+        return float(exact_number(value))
+    except OverflowError:
+        raise ValueError(f"value {value!r} is beyond the float range") from None
+
+
 def _beyond_bits(value: str) -> ValueError:
     return ValueError(f"value {value!r} exceeds the limit of {MAX_COEFF_BITS} bits "
                       f"for a numerator or a denominator")
@@ -674,6 +686,14 @@ def _bits(terms: dict, den: int) -> int:
     return max(den.bit_length(), max(map(int.bit_length, terms.values()), default=0))
 
 
+def _factor_bits(terms: dict, den: int) -> int:
+    # What a factor adds to the bits of a product: a factor whose
+    # coefficients are all +-1 over 1 (x, x*y*Z, -x) multiplies none.
+    if den == 1 and all(abs(n) == 1 for n in terms.values()):
+        return 0
+    return _bits(terms, den)
+
+
 class _Parser:
     # Values are canonical (terms, den) pairs; parse_poly wraps the result once.
 
@@ -723,7 +743,7 @@ class _Parser:
                 if t1 and t2:
                     (lo1, hi1), (lo2, hi2) = _degree_range(t1), _degree_range(t2)
                     self.check_size(lo1 + lo2, hi1 + hi2, len(t1) * len(t2), op_pos)
-                    self.check_bits(_bits(t1, d1) + _bits(t2, d2)
+                    self.check_bits(_factor_bits(t1, d1) + _factor_bits(t2, d2)
                                     + (min(len(t1), len(t2)) - 1).bit_length(), op_pos)
                 result = _mul(t1, d1, t2, d2)
             else:

@@ -492,6 +492,8 @@ def test_float_range_overflow_exits_3(capsys, argv):
     ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1e400,1"],
     ["fiber", "--chart", "R", "--potential", "X^3/3 + (Y^2 + Z^2)/2",
      "--base", "1,1,1", "--seeds", "1e400,0,0"],
+    ["caustic", *FOLD, "--grid", "x=1e400:1e400:2,y=0:0:1"],
+    ["wind", *FOLD, "--x", "2:2:1", "--z=-1e400:0:2"],
 ])
 def test_number_beyond_float_range_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -500,6 +502,16 @@ def test_number_beyond_float_range_exits_2(capsys, argv):
     assert len(lines) == 1
     record = json.loads(lines[0])["error"]
     assert record["code"] == 2 and "1e400" in record["message"]
+
+
+def test_grid_bounds_take_the_number_grammar(capsys):
+    # A rational bound is the float nearest its value, as for --point.
+    outputs = []
+    for grid in ("x=1/3:1:2,y=0:0:1", "x=0.3333333333333333:1:2,y=0:0:1"):
+        code, out, _ = _run(capsys, ["caustic", *FOLD, "--grid", grid])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") > 1
 
 
 def test_oversized_potential_exits_2_fast(capsys):

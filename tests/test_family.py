@@ -1,5 +1,6 @@
 """Recursion derivation, family building, degrees, and the transcription cross-check."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -174,6 +175,36 @@ def _sympy_hierarchy_member(sp, x_partner):
     residual = sp.expand(d(potential, x, 2) * d(potential, y, 2)
                          - d(potential, x, y) ** 2 + d(potential, Z, 2))
     return (sp.degree(t["T1_1"], Z), sp.degree(t["T1_2"], Z)), residual
+
+
+# The README's family spec (docs and tests/test_cli.py).
+README_SPEC = {
+    "t3": {"111": "Z", "112": "0", "122": "1/2", "222": "-Z + 1"},
+    "t2_constants": {"11": ["-1", "0"], "12": ["0", "0"], "22": ["0", "1"]},
+    "t1_constants": {"1": ["0", "0"], "2": ["0", "0"]},
+    "t0_constants": ["0", "0"],
+}
+
+
+def _term_listing(poly):
+    # Poly's repr sorts its terms; the listing keeps insertion order.
+    return poly.variables, list(poly.terms.items())
+
+
+def test_family_term_order_digest():
+    # The RK4 kernels sum each metric entry's terms in Poly.terms order, so
+    # the identities, the integrated coefficients and the potential are
+    # pinned in their dict order, not only in value.
+    parts = [[(k, _term_listing(v)) for k, v in derive_recursions().items()],
+             reference_recursion_report()]
+    specs = [EXAMPLE_SPEC, FamilySpec.from_dict(README_SPEC)]
+    specs += [random_generic_spec(random.Random(seed)) for seed in range(4)]
+    for spec in specs:
+        sol = build_family(spec)
+        parts.append(list(sol.gf.potential.terms.items()))
+        parts.append([(k, _term_listing(v)) for k, v in sol.coefficients.items()])
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
+        "7a9ae6a7373149d074554b4a54c9004461ad9146498146229a6e1807443ecfd2")
 
 
 def test_sympy_oracle_first_order_degree_is_six_not_seven():

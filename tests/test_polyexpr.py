@@ -208,6 +208,26 @@ def test_long_integer_literals_are_parse_errors():
         parse_poly("x^\u00b2", XYZ)
 
 
+def test_unit_factors_add_no_coefficient_bits():
+    # A factor whose coefficients are all +-1 over 1 multiplies none, so a
+    # literal of MAX_COEFF_BITS bits may multiply variables; any other
+    # factor still adds its bits.
+    from sgma.ma_core import ChartKind, GeneratingFunction
+
+    c = 10 ** 1233 - 1
+    assert c.bit_length() == MAX_COEFF_BITS
+    for text, exps, value in [(f"{c}*Z", (0, 0, 1), c), (f"Z*{c}", (0, 0, 1), c),
+                              (f"{c}*x*y*Z", (1, 1, 1), c), (f"-x*{c}", (1, 0, 0), -c)]:
+        assert parse_poly(text, XYZ).terms == {exps: value}
+    with pytest.raises(ParseError, match="4098 bits") as info:
+        parse_poly(f"{c}*3*x", XYZ)
+    assert info.value.position == 1233
+    gf = GeneratingFunction(ChartKind.DUAL_T, parse_poly(f"{c}*x*y*Z + y^2/2", XYZ),
+                            Fraction(1))
+    again = GeneratingFunction.from_dict(gf.to_dict())
+    assert (again.potential, again.eps_q) == (gf.potential, gf.eps_q)
+
+
 def _literal(sign, whole, frac, exp):
     text = sign + whole + ("." + frac if frac is not None else "")
     return text + (f"e{exp:+d}" if exp is not None else "")
