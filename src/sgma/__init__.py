@@ -17,7 +17,6 @@ from .ma_core import (
     GeneratingFunction,
     Signature,
     SignatureLabel,
-    Sym3,
     classification_grid,
     classify,
     hessian,

@@ -290,8 +290,9 @@ def _cmd_verify_paper(ns) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """The sgma parser; ``parser.commands`` maps each subcommand to its parser."""
+    """The sgma parser, built once; ``parser.commands`` maps each subcommand to its parser."""
     parser = _Parser(prog="sgma",
                      description="Monge-Ampere geometry toolkit for "
                                  "semigeostrophic balance")
@@ -380,11 +381,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(command: _Parser, ns) -> None:
-    # The --config values become defaults of the command's parser.  The
-    # first parse's namespace names every option, and a bool marks a flag.
+def _apply_config(command: _Parser, ns) -> dict:
+    # The --config values become defaults of the command's parser; returns
+    # the defaults they replace.  The first parse's namespace names every
+    # option, and a bool marks a flag.
     if not isinstance(ns.config, dict):
         command.error("config file must hold a JSON object")
+    values = {}
     for key, value in ns.config.items():
         dest = key.replace("-", "_")
         if dest in ("command", "config", "run") or dest not in vars(ns):
@@ -393,7 +396,10 @@ def _apply_config(command: _Parser, ns) -> None:
         if not isinstance(value, kind):
             expected = "true or false" if kind is bool else "a string"
             command.error(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-        command.set_defaults(**{dest: value})
+        values[dest] = value
+    replaced = {dest: command.get_default(dest) for dest in values}
+    command.set_defaults(**values)
+    return replaced
 
 
 def main(argv=None) -> int:
@@ -402,9 +408,14 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.config is not None:
             # String defaults go through the options' converters on the
-            # second parse, and flags given in argv still win.
-            _apply_config(parser.commands[ns.command], ns)
-            ns = parser.parse_args(argv)
+            # second parse, and flags given in argv still win.  The parser
+            # is kept for the process, so it gets its own defaults back.
+            command = parser.commands[ns.command]
+            replaced = _apply_config(command, ns)
+            try:
+                ns = parser.parse_args(argv)
+            finally:
+                command.set_defaults(**replaced)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -121,39 +121,6 @@ class AmbientPoint:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
-class Sym3:
-    """Symmetric 3x3 real matrix stored by its six independent entries."""
-
-    xx: float
-    xy: float
-    xz: float
-    yy: float
-    yz: float
-    zz: float
-
-    def _rows(self) -> tuple:
-        return ((self.xx, self.xy, self.xz),
-                (self.xy, self.yy, self.yz),
-                (self.xz, self.yz, self.zz))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self._rows())
-
-    def det(self) -> float:
-        return det3(self._rows())
-
-    def adjugate(self) -> "Sym3":
-        a = adj3(self._rows())
-        return Sym3(*(a[i][j] for i, j in _UPPER))
-
-
-# The six independent entries of a symmetric 3x3, in Sym3 field order, and
-# their positions among the row-major values of a 3x3 PolyVector.
-_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_UPPER_FLAT = tuple(3 * i + j for i, j in _UPPER)
-
-
 class SignatureLabel(str, enum.Enum):
     ELLIPTIC = "elliptic"
     HYPERBOLIC = "hyperbolic"
@@ -302,15 +269,15 @@ def ma_residual_poly(gf: GeneratingFunction) -> Poly:
 # -- point evaluations -------------------------------------------------------
 
 
-def _sym3_at(gf: GeneratingFunction, polys: PolyVector, pt) -> Sym3:
-    # Float values of a symmetric 3x3 PolyVector at a chart point.
+def _matrix_at(gf: GeneratingFunction, polys: PolyVector, pt) -> np.ndarray:
+    # Float values of a matrix PolyVector at a chart point, one row per item.
     values = polys.eval(_point_values(gf, pt))
-    return Sym3(*(float(values[k]) for k in _UPPER_FLAT))
+    return np.array([float(v) for v in values]).reshape(len(polys), -1)
 
 
-def hessian(gf: GeneratingFunction, pt) -> Sym3:
-    """Hessian of the potential in the chart's own variables, evaluated at pt."""
-    return _sym3_at(gf, hessian_polys(gf), pt)
+def hessian(gf: GeneratingFunction, pt) -> np.ndarray:
+    """3x3 Hessian of the potential in the chart's own variables, evaluated at pt."""
+    return _matrix_at(gf, hessian_polys(gf), pt)
 
 
 def ma_residual(gf: GeneratingFunction, pt):
@@ -325,13 +292,12 @@ def immersion(gf: GeneratingFunction, pt) -> AmbientPoint:
 
 def immersion_jacobian(gf: GeneratingFunction, pt) -> np.ndarray:
     """6x3 differential of the immersion at pt (exact derivatives, then evaluated)."""
-    values = immersion_jacobian_polys(gf).eval(_point_values(gf, pt))
-    return np.array([float(v) for v in values]).reshape(6, 3)
+    return _matrix_at(gf, immersion_jacobian_polys(gf), pt)
 
 
-def pullback_metric(gf: GeneratingFunction, pt) -> Sym3:
-    """Pull-back metric at a chart point, from the exact J^T G J entries."""
-    return _sym3_at(gf, pullback_metric_polys(gf), pt)
+def pullback_metric(gf: GeneratingFunction, pt) -> np.ndarray:
+    """3x3 pull-back metric at a chart point, from the exact J^T G J entries."""
+    return _matrix_at(gf, pullback_metric_polys(gf), pt)
 
 
 def _eigen_signs(metrics: np.ndarray, tol: float) -> tuple:
@@ -356,7 +322,7 @@ def _eigen_signs(metrics: np.ndarray, tol: float) -> tuple:
 
 def classify(gf: GeneratingFunction, pt, tol: float = 1e-9) -> Signature:
     """Signature of the pull-back metric at pt (zero test: see _eigen_signs)."""
-    eigs, counts = _eigen_signs(pullback_metric(gf, pt).as_array(), tol)
+    eigs, counts = _eigen_signs(pullback_metric(gf, pt), tol)
     n_pos, n_neg, n_zero = (int(n) for n in counts)
     return Signature(
         n_pos=n_pos,
@@ -368,7 +334,7 @@ def classify(gf: GeneratingFunction, pt, tol: float = 1e-9) -> Signature:
     )
 
 
-def linearization_matrix(gf: GeneratingFunction, pt) -> Sym3:
+def linearization_matrix(gf: GeneratingFunction, pt) -> np.ndarray:
     """Coefficient matrix of the balance equation linearized about the potential.
 
     Classical chart: adjugate of the Hessian.  Dual-T chart: block matrix of
@@ -377,14 +343,10 @@ def linearization_matrix(gf: GeneratingFunction, pt) -> Sym3:
     generic pull-back covers them.
     """
     if gf.chart is ChartKind.CLASSICAL_P:
-        return hessian(gf, pt).adjugate()
+        return np.array(adj3(hessian(gf, pt).tolist()))
     if gf.chart is ChartKind.DUAL_T:
-        h = hessian(gf, pt)
-        return Sym3(
-            xx=h.yy, xy=-h.xy, xz=0.0,
-            yy=h.xx, yz=0.0,
-            zz=float(gf.eps_q),
-        )
+        (xx, xy, _), (_, yy, _), _ = hessian(gf, pt).tolist()
+        return np.array([[yy, -xy, 0.0], [-xy, xx, 0.0], [0.0, 0.0, float(gf.eps_q)]])
     raise ValueError(
         f"linearization matrix is only defined for charts "
         f"{ChartKind.CLASSICAL_P.value!r} and {ChartKind.DUAL_T.value!r}, "

@@ -57,6 +57,10 @@ def test_workload_call_shapes(fold_gf):
     assert ch.hamiltonian(fold_gf, start) == 0.0
     trace = ch.trace_bicharacteristic(fold_gf, start, step=1e-3, max_steps=3, box=10.0)
     assert len(trace.states) == 4
+    for matrix in (mc.pullback_metric(fold_gf, (0.5, -0.25, 0.75)),
+                   mc.linearization_matrix(fold_gf, (0.5, -0.25, 0.75))):
+        assert isinstance(matrix, np.ndarray)
+        assert matrix.dtype == np.float64 and matrix.shape == (3, 3)
 
 
 def test_cached_builders_expose_cache_controls(monkeypatch):

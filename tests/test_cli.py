@@ -394,6 +394,21 @@ def test_config_flag_takes_a_json_bool_and_flags_win(tmp_path, capsys):
     assert code == 0 and json.loads(out)["residual"] == "0"
 
 
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
+    # One parser serves every call in a process; a config call, whether it
+    # succeeds or fails on its second parse, leaves no defaults behind.
+    plain = ["classify", *FOLD, "--point", "0,0,1"]
+    cfg = tmp_path / "cfg.json"
+    for config, expected in (({"tol": "1e-3"}, 0), ({"tol": "1e-3", "grid": "x=1"}, 2)):
+        cfg.write_text(json.dumps(config))
+        code, out, _ = _run(capsys, [*plain, "--config", str(cfg)])
+        assert code == expected
+        if code == 0:
+            assert json.loads(out)["tol"] == 1e-3
+        code, out, _ = _run(capsys, plain)
+        assert code == 0 and json.loads(out)["tol"] == 1e-9
+
+
 @pytest.mark.parametrize("argv,name,record", [
     (["classify", "--gf-file", "in.json", "--point", "0,0,1"], "in.json",
      {"chart": "T", "potential": 5}),

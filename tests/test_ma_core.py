@@ -11,6 +11,7 @@ import pytest
 
 from sgma import codegen
 from sgma.errors import DomainError
+from sgma.family import build_family, random_generic_spec
 from sgma.ma_core import (
     CACHE_SIZE,
     ChartKind,
@@ -30,6 +31,7 @@ from sgma.ma_core import (
     pullback_metric,
     pullback_metric_polys,
 )
+from sgma.mat3 import adj3, det3
 from sgma.polyexpr import Poly, parse_poly
 from sgma.singular import singular_locus_poly
 
@@ -45,17 +47,17 @@ def _gf(chart, text, eps=1):
 
 def test_hessian_quadratic_is_identity(convex_quadratic_gf):
     h = hessian(convex_quadratic_gf, (0.3, -1.2, 0.7))
-    assert np.allclose(h.as_array(), np.eye(3))
+    assert np.allclose(h, np.eye(3))
 
 
 def test_hessian_fold_example(fold_gf):
     h = hessian(fold_gf, (0, 0, 1))
-    assert np.allclose(h.as_array(), np.diag([-1.0, 1.0, 1.0]))
+    assert np.allclose(h, np.diag([-1.0, 1.0, 1.0]))
 
 
 def test_hessian_saddle_quadratic():
     gf = _gf("P", "-x^2/2 - y^2/2 + z^2/2")
-    assert np.allclose(hessian(gf, (1, 2, 3)).as_array(), np.diag([-1, -1, 1]))
+    assert np.allclose(hessian(gf, (1, 2, 3)), np.diag([-1, -1, 1]))
 
 
 def test_hessian_matches_central_differences_at_second_order():
@@ -63,7 +65,7 @@ def test_hessian_matches_central_differences_at_second_order():
     # truncation term is visible and the convergence order is measurable.
     gf = _gf("P", "(x + 2*y + 3*z)^4/24 + x^2/2 + y^2/2 + z^2/2")
     pt = (0.3, -0.2, 0.15)
-    exact = hessian(gf, pt).as_array()
+    exact = hessian(gf, pt)
 
     def fd_hessian(step):
         def f(q):
@@ -137,7 +139,7 @@ def test_immersion_classical_gradient(convex_quadratic_gf):
 def test_immersion_jacobian_classical_structure(convex_quadratic_gf):
     J = immersion_jacobian(convex_quadratic_gf, (0.5, -0.4, 1.1))
     assert np.allclose(J[:3], np.eye(3))
-    assert np.allclose(J[3:], hessian(convex_quadratic_gf, (0.5, -0.4, 1.1)).as_array())
+    assert np.allclose(J[3:], hessian(convex_quadratic_gf, (0.5, -0.4, 1.1)))
 
 
 def test_immersion_jacobian_dual_r_structure():
@@ -145,7 +147,7 @@ def test_immersion_jacobian_dual_r_structure():
     pt = (0.3, 0.7, -0.2)
     J = immersion_jacobian(gf, pt)
     assert np.allclose(J[3:], np.eye(3))
-    assert np.allclose(J[:3], hessian(gf, pt).as_array())
+    assert np.allclose(J[:3], hessian(gf, pt))
 
 
 def test_immersion_jacobian_fold_example(fold_gf):
@@ -180,9 +182,9 @@ def test_pullback_fold_closed_form_symbolic(fold_gf):
 
 
 def test_pullback_fold_points(fold_gf):
-    assert np.allclose(pullback_metric(fold_gf, (0, 0, 1)).as_array(),
+    assert np.allclose(pullback_metric(fold_gf, (0, 0, 1)),
                        2 * np.diag([-1.0, 1.0, -1.0]))
-    assert np.allclose(pullback_metric(fold_gf, (0, 0, -1)).as_array(), 2 * np.eye(3))
+    assert np.allclose(pullback_metric(fold_gf, (0, 0, -1)), 2 * np.eye(3))
 
 
 def test_pullback_classical_is_twice_eps_hessian():
@@ -190,8 +192,8 @@ def test_pullback_classical_is_twice_eps_hessian():
     rng = random.Random(11)
     for _ in range(20):
         pt = tuple(rng.uniform(-2, 2) for _ in range(3))
-        h = pullback_metric(gf, pt).as_array()
-        hess = hessian(gf, pt).as_array()
+        h = pullback_metric(gf, pt)
+        hess = hessian(gf, pt)
         assert np.allclose(h, 2 * float(gf.eps_q) * hess, atol=1e-12)
 
 
@@ -201,13 +203,12 @@ def test_pullback_dual_t_block_form_on_solutions(fold_gf):
     rng = random.Random(12)
     for _ in range(20):
         pt = tuple(rng.uniform(-2, 2) for _ in range(3))
-        h = pullback_metric(fold_gf, pt).as_array()
+        h = pullback_metric(fold_gf, pt)
         hess = hessian(fold_gf, pt)
         eps = float(fold_gf.eps_q)
-        block = 2 * eps * np.array([[hess.xx, hess.xy], [hess.xy, hess.yy]])
-        assert np.allclose(h[:2, :2], block, atol=1e-12)
-        det_h2 = hess.xx * hess.yy - hess.xy ** 2
-        assert abs(h[2, 2] - (-2 * eps * hess.zz)) < 1e-12
+        assert np.allclose(h[:2, :2], 2 * eps * hess[:2, :2], atol=1e-12)
+        det_h2 = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
+        assert abs(h[2, 2] - (-2 * eps * hess[2, 2])) < 1e-12
         assert abs(h[2, 2] - 2 * det_h2) < 1e-12
 
 
@@ -227,8 +228,8 @@ def test_pullback_dual_r_matches_legendre_dual_of_classical():
     for _ in range(10):
         q = np.array([rng.uniform(-2, 2) for _ in range(3)])
         x_pt = m @ q
-        h_p = pullback_metric(gf_p, tuple(q)).as_array()
-        h_r = pullback_metric(gf_r, tuple(x_pt)).as_array()
+        h_p = pullback_metric(gf_p, tuple(q))
+        h_r = pullback_metric(gf_r, tuple(x_pt))
         assert np.allclose(h_p, 2 * float(eps) * m, atol=1e-12)
         assert np.allclose(h_r, 2 * float(eps) * np.linalg.inv(m), atol=1e-12)
         # the two coordinate expressions of one metric: h_q = M h_X M
@@ -245,8 +246,8 @@ def test_pullback_dual_s_matches_classical_for_shared_plane():
     gf_s = _gf("S", "(X^2 + Y^2)/2 - z^2/2")
     gf_p = _gf("P", "(x^2 + y^2 + z^2)/2")
     for pt in [(0.3, -0.7, 1.2), (1.0, 2.0, -0.5)]:
-        h_s = pullback_metric(gf_s, pt).as_array()
-        h_p = pullback_metric(gf_p, pt).as_array()
+        h_s = pullback_metric(gf_s, pt)
+        h_p = pullback_metric(gf_p, pt)
         assert np.allclose(h_s, h_p, atol=1e-12)
         assert np.allclose(h_s, 2 * np.eye(3), atol=1e-12)
 
@@ -301,19 +302,19 @@ def test_determinant_law_on_classical_solutions():
         target = 8.0 * float(Fraction(eps)) ** 4
         for _ in range(10):
             pt = tuple(rng.uniform(-2, 2) for _ in range(3))
-            assert abs(pullback_metric(gf, pt).det() - target) <= 1e-10 * target
+            assert abs(det3(pullback_metric(gf, pt)) - target) <= 1e-10 * target
 
 
 # -- linearization matrix --------------------------------------------------------
 
 def test_linearization_classical_adjugate(convex_quadratic_gf):
     A = linearization_matrix(convex_quadratic_gf, (0.2, 0.4, -0.6))
-    assert np.allclose(A.as_array(), np.eye(3))
+    assert np.allclose(A, np.eye(3))
 
 
 def test_linearization_fold_block(fold_gf):
     A = linearization_matrix(fold_gf, (0, 0, 1))
-    assert np.allclose(A.as_array(), np.diag([1.0, -1.0, 1.0]))
+    assert np.allclose(A, np.diag([1.0, -1.0, 1.0]))
 
 
 def test_linearization_unsupported_chart():
@@ -328,10 +329,54 @@ def test_adjugate_identity_both_charts(fold_gf):
     for gf in (fold_gf, classical):
         for _ in range(30):
             pt = tuple(rng.uniform(-2, 2) for _ in range(3))
-            h = pullback_metric(gf, pt).as_array()
-            a2 = 2 * linearization_matrix(gf, pt).adjugate().as_array()
+            h = pullback_metric(gf, pt)
+            a2 = 2 * np.array(adj3(linearization_matrix(gf, pt)))
             scale = max(1.0, np.max(np.abs(h)))
             assert np.max(np.abs(h - a2)) <= 1e-10 * scale
+
+
+_POINT_MATRIX_CASES = {
+    "fold-T": lambda: _gf("T", "y^2/2 - x^2*Z/2 + Z^3/6"),
+    "member-T": lambda: build_family(random_generic_spec(random.Random(3))).gf,
+    "quadratic-P": lambda: _gf("P", "(x^2 + y^2 + z^2)/2 + x*y/2", Fraction(3, 4)),
+    "dual-R": lambda: _gf("R", "2*X^2/3 - 2*X*Y/3 + 2*Y^2/3 + Z^2/2", Fraction(3, 4)),
+    "dual-S": lambda: _gf("S", "(X^2 + Y^2)/2 - z^2/2"),
+}
+
+
+def _reprs(matrix) -> list:
+    return [[repr(float(v)) for v in row] for row in matrix]
+
+
+@pytest.mark.parametrize("case", sorted(_POINT_MATRIX_CASES))
+def test_point_matrices_are_float_arrays(case):
+    # Each point matrix is a float ndarray holding float(Poly.eval) of its
+    # entries, and a symmetric matrix is symmetric bit for bit.
+    gf = _POINT_MATRIX_CASES[case]()
+    evaluators = [(hessian, hessian_polys(gf), (3, 3)),
+                  (pullback_metric, pullback_metric_polys(gf), (3, 3)),
+                  (immersion_jacobian, immersion_jacobian_polys(gf), (6, 3))]
+    rng = random.Random(17)
+    for _ in range(5):
+        pt = tuple(rng.uniform(-1.5, 1.5) for _ in range(3))
+        for evaluate, polys, shape in evaluators:
+            m = evaluate(gf, pt)
+            assert type(m) is np.ndarray and m.dtype == np.float64 and m.shape == shape
+            assert _reprs(m) == _reprs([[float(p.eval(pt)) for p in row] for row in polys])
+            if shape == (3, 3):
+                assert all(polys[i][j] == polys[j][i] for i in range(3) for j in range(3))
+                assert _reprs(m) == _reprs(m.T)
+        if gf.chart in (ChartKind.CLASSICAL_P, ChartKind.DUAL_T):
+            a = linearization_matrix(gf, pt)
+            assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (3, 3)
+            h = [[float(p.eval(pt)) for p in row] for row in hessian_polys(gf)]
+            if gf.chart is ChartKind.CLASSICAL_P:
+                want = adj3(h)
+            else:
+                want = [[h[1][1], -h[0][1], 0.0], [-h[0][1], h[0][0], 0.0],
+                        [0.0, 0.0, float(gf.eps_q)]]
+            assert _reprs(a) == _reprs(want)
+            assert _reprs(a) == _reprs(a.T)
 
 
 # -- grids and serialization ------------------------------------------------------
