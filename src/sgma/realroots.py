@@ -4,17 +4,21 @@ The input is converted once to primitive integer coefficients; everything
 after that works on integer lists.  One primitive remainder sequence
 (``_prs``) gives the Sturm chain and the gcds of Yun's decomposition, which
 recovers multiplicities; roots are isolated with the Sturm chain of each
-square-free factor and refined by bisection on rational endpoints.  Exact
-isolation is what guarantees that tangent double roots -- fold points where
-a fiber equation grazes zero -- are reported instead of silently missed by
-a float root finder.
+square-free factor.  Exact isolation is what guarantees that tangent double
+roots -- fold points where a fiber equation grazes zero -- are reported
+instead of silently missed by a float root finder.
+
+Each simple root is refined to the rational that bisection of its
+isolating interval down to ``REFINE_TOL`` returns, without the halvings: a
+float Newton estimate predicts the dyadic cell where bisection stops, and
+exact signs at the cell's two ends certify it (see ``_jump``).  Where the
+certificate fails, the bisection itself runs.
 
 Isolation and refinement only ever need the sign of an exact polynomial at
 a rational point.  Each sign is first tried in floats, with a rigorous
 bound on the rounding error, and computed in integer arithmetic only when
 the float value does not clear that bound (see ``_Sign``).  Every sign is
-exact either way, so the bisection visits the same brackets as a purely
-exact one.
+exact either way, so the results are those of purely exact arithmetic.
 
 Coefficient lists are ascending: ``[c0, c1, ...]`` represents ``c0 + c1*x + ...``.
 """
@@ -35,6 +39,8 @@ _U = 2.0 ** -53
 _TINY = 2.0 ** -1072
 _MIN_NORMAL = sys.float_info.min
 _FLOAT_BITS = 960  # the float view of a _Sign scales its coefficients below 2**960
+_ESTIMATE_STEPS = 100  # iterations of _estimate before it settles for its last iterate
+_ESTIMATE_STEP = REFINE_TOL / 256  # _estimate stops at a step below 1/256 of a final cell
 
 
 class RootInfo(NamedTuple):
@@ -280,8 +286,10 @@ def _isolate_square_free(c: list, chain: list):
 
 
 def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
-    # One simple root in (a, b]; bisection on the exact sign change, with
-    # both endpoints held as integer numerators over one denominator q.
+    # One simple root in (a, b]: what bisection on the exact sign change
+    # returns, with both endpoints held as integer numerators over one
+    # denominator q.  _jump usually finds it in two signs; the loop is the
+    # fallback.
     q = math.lcm(a.denominator, b.denominator)
     a, b = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
     if sign(b, q) == 0:
@@ -293,6 +301,9 @@ def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
         sa = sign(a, q)
         if sa == 0:
             return Fraction(a, q)
+    jumped = _jump(sign, sa, a, b, q)
+    if jumped is not None:
+        return jumped
     while _wider_than_tol(a, b, q):
         mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
         sm = sign(mid, q)
@@ -303,6 +314,96 @@ def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
         else:
             b = mid
     return Fraction(a + b, 2 * q)
+
+
+def _jump(sign: _Sign, sa: int, a: int, b: int, q: int):
+    # The bisection's answer on (a/q, b/q], sign sa at a and nonzero at b,
+    # without its halvings; None where a float estimate cannot be certified.
+    #
+    # Level k of the bisection splits (a, b] into 2^k cells of width
+    # w = b - a over q 2^k; cell j is (a 2^k + j w, a 2^k + (j + 1) w].
+    # Bisection follows the cells that hold the root and stops at the first
+    # level K whose cell passes the stop test.  The cell that holds the
+    # float estimate x is predicted, and its level K is right when the test
+    # fails on its parent at level K - 1 and passes at K.  Two levels are
+    # enough because the test is monotone along a path.  If it passes at
+    # level k, W_k <= tol M_k with W_k the width and M_k = max(1, |a_k|) for
+    # the left end a_k, then the child has M_(k+1) >= M_k - W_k / 2, so
+    # W_(k+1) = W_k / 2 <= tol M_(k+1) / (2 - tol): a factor-2 margin that
+    # the rounding of the float test cannot close.  So failing at K - 1
+    # means failing at every coarser level of the path.
+    if not _wider_than_tol(a, b, q):
+        return None  # the loop returns the midpoint at once
+    w = b - a
+    try:
+        lo, hi, width = a / q, b / q, w / q
+    except OverflowError:
+        return None
+    x = _estimate(sign, sa, lo, hi)
+    if x is None:
+        return None
+    n, d = x.as_integer_ratio()
+    k = max(1, _level(width, x))
+    while True:
+        j = min(max(((n * q - a * d) << k) // (d * w), 0), (1 << k) - 1)
+        left, scale = (a << k) + j * w, q << k
+        if _wider_than_tol(left, left + w, scale):
+            k += 1
+        elif not _wider_than_tol((a << (k - 1)) + (j >> 1) * w,
+                                 (a << (k - 1)) + ((j >> 1) + 1) * w, q << (k - 1)):
+            k -= 1  # never below 1: level 0, (a, b], fails the test
+        else:
+            break
+    # The cell holds the root when its ends have opposite signs, sa on the
+    # left, as (a, b] holds only one root.  An end with sign 0 is the root:
+    # a level-K grid point strictly inside (a, b), so the midpoint of a
+    # coarser cell of the path, where bisection stops on the exact zero.
+    sl = sign(left, scale)
+    if sl == 0:
+        return Fraction(left, scale)
+    if sl != sa:
+        return None
+    sr = sign(left + w, scale)
+    if sr == 0:
+        return Fraction(left + w, scale)
+    if sr == sa:
+        return None
+    return Fraction(2 * left + w, 2 * scale)
+
+
+def _level(width: float, x: float) -> int:
+    # The level where cells of this width about x first pass the stop test,
+    # up to float rounding: _jump checks it and moves it by one on a miss.
+    return math.ceil(math.log2(width) - math.log2(REFINE_TOL * max(1.0, abs(x))))
+
+
+def _estimate(sign: _Sign, sa: int, lo: float, hi: float):
+    # A float root of sign's polynomial in [lo, hi], where its sign at lo is
+    # sa: Newton steps inside a bracket that each iterate shrinks, with a
+    # bisection step wherever Newton would leave it.  None without a float
+    # view.  Only a guess: _jump certifies the cell it points to.
+    if sign._floats is None:
+        return None
+    desc = [f for f, _ in sign._floats]
+    n = len(desc) - 1
+    deriv = [f * (n - i) for i, f in enumerate(desc[:-1])]
+    x = 0.5 * lo + 0.5 * hi
+    for _ in range(_ESTIMATE_STEPS):
+        v = _horner(desc, x)
+        if v == 0.0:
+            return x
+        if (v > 0.0) == (sa > 0):
+            lo = x
+        else:
+            hi = x
+        dv = _horner(deriv, x)
+        nxt = x - v / dv if dv else math.nan
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * lo + 0.5 * hi
+        if abs(nxt - x) <= _ESTIMATE_STEP * max(1.0, abs(x)):
+            return nxt
+        x = nxt
+    return x
 
 
 def _wider_than_tol(a: int, b: int, q: int) -> bool:
@@ -318,27 +419,28 @@ def _wider_than_tol(a: int, b: int, q: int) -> bool:
         return (b - a) * den > num * max(q, abs(a))
 
 
+def _horner(coeffs: list, t: float) -> float:
+    # Float value at t of the polynomial with descending coefficients.
+    acc = 0.0
+    for coeff in coeffs:
+        acc = acc * t + coeff
+    return acc
+
+
 def _newton_polish(c: list, x: float, lo: float, hi: float) -> float:
     # Final float sharpening on the square-free factor (simple roots only).
     # n / lead rounds correctly, so these are the floats of the monic factor;
     # a factor with a coefficient beyond the float range keeps x unpolished.
     try:
-        cf = [v / c[-1] for v in c]
-        df = [v / c[-1] for v in _derivative(c)]
+        cf = [v / c[-1] for v in reversed(c)]
+        df = [v / c[-1] for v in reversed(_derivative(c))]
     except OverflowError:
         return x
-
-    def ev(poly, t):
-        acc = 0.0
-        for coeff in reversed(poly):
-            acc = acc * t + coeff
-        return acc
-
     for _ in range(3):
-        d = ev(df, x)
+        d = _horner(df, x)
         if d == 0.0:
             break
-        nxt = x - ev(cf, x) / d
+        nxt = x - _horner(cf, x) / d
         if not (lo <= nxt <= hi):
             break
         x = nxt

@@ -181,7 +181,7 @@ def _refine(c: list, a: Fraction, b: Fraction, tol: float) -> Fraction:
         fa = _eval(c, a)
         if fa == 0:
             return a
-    while float(b - a) > tol * max(1.0, abs(float(a))):
+    while _wider_than_tol(a, b, tol):
         mid = (a + b) / 2
         fm = _eval(c, mid)
         if fm == 0:
@@ -191,6 +191,14 @@ def _refine(c: list, a: Fraction, b: Fraction, tol: float) -> Fraction:
         else:
             b = mid
     return (a + b) / 2
+
+
+def _wider_than_tol(a: Fraction, b: Fraction, tol: float) -> bool:
+    # The stop test in floats; in exact arithmetic where a float overflows.
+    try:
+        return float(b - a) > tol * max(1.0, abs(float(a)))
+    except OverflowError:
+        return b - a > Fraction(tol) * max(1, abs(a))
 
 
 def _newton_polish(c: list, x: float, lo: float, hi: float) -> float:

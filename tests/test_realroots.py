@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from reference_realroots import real_roots as reference_real_roots, \
+from reference_realroots import _isolate_square_free as reference_isolate, \
+    _refine as reference_refine, _wider_than_tol as reference_wider_than_tol, \
+    real_roots as reference_real_roots, square_free_decomposition, \
     sturm_chain as reference_sturm_chain
 
+from sgma import realroots
 from sgma.errors import DomainError
 from sgma.realroots import REFINE_TOL, _isolate_square_free, _refine, _Sign, real_roots, \
     sturm_chain
@@ -148,16 +151,16 @@ def _ints(coeffs):
     return [int(v * den) for v in coeffs]
 
 
-class _Spy:
+class _Spy(_Sign):
     """Sign oracle that records every point it is asked about."""
 
     def __init__(self, coeffs):
-        self.sign = _Sign(coeffs)
+        super().__init__(coeffs)
         self.points = []
 
     def __call__(self, p, q):
         self.points.append(Fraction(p, q))
-        return self.sign(p, q)
+        return super().__call__(p, q)
 
 
 def test_refine_root_at_right_endpoint():
@@ -182,7 +185,7 @@ def test_refine_nudged_endpoint_can_be_the_root():
 def test_refine_stops_at_an_exact_midpoint_root():
     spy = _Spy([-3, 8])  # 8 (Z - 3/8) on (0, 1]
     assert _refine(spy, Fraction(0), Fraction(1)) == Fraction(3, 8)
-    assert spy.points == [1, 0, Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)]
+    assert spy.points == [1, 0, Fraction(3, 8)]
 
 
 def test_isolation_restarts_at_exact_rational_midpoints():
@@ -233,6 +236,113 @@ def _outcome(fn, coeffs):
 @given(_polys())
 def test_real_roots_bit_identical_to_reference(coeffs):
     assert _outcome(real_roots, coeffs) == _outcome(reference_real_roots, coeffs)
+
+
+def _reference_intervals(coeffs):
+    # (square-free reduced factor, isolating interval) triples, as the
+    # reference refines them.
+    for factor, _ in square_free_decomposition(_strip_zeros(coeffs)):
+        _, intervals, reduced = reference_isolate(factor)
+        for a, b in intervals:
+            yield reduced, a, b
+
+
+def _final_cell_width(a, b, root):
+    # Width of the cell where the reference bisection of (a, b] stops around root.
+    w = b - a
+    while True:
+        left = a + (root - a) // w * w
+        if not reference_wider_than_tol(left, left + w, REFINE_TOL):
+            return w
+        w /= 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_polys(), st.sampled_from([0, -1, 1]), st.sampled_from([0, -1, 1]))
+def test_refine_matches_reference_bisection(coeffs, cells_off, levels_off):
+    # cells_off != 0 swaps the float estimate for the midpoint of a cell
+    # beside the bisection's final one, which the jump must not certify;
+    # levels_off != 0 makes it start one level off the right one.
+    level = realroots._level
+    for reduced, a, b in _reference_intervals(coeffs):
+        want = reference_refine(reduced, a, b, REFINE_TOL)
+        with pytest.MonkeyPatch.context() as mp:
+            if cells_off:
+                x = float(want + cells_off * _final_cell_width(a, b, want))
+                mp.setattr(realroots, "_estimate", lambda *args: x)
+            mp.setattr(realroots, "_level", lambda *args: level(*args) + levels_off)
+            assert _refine(_Sign(_ints(reduced)), a, b) == want
+
+
+_NO_FLOAT_VIEW = [Fraction(-3 * 2 ** 2200), 0, 0, 0, Fraction(1)]  # root 3^(1/4) 2^550
+
+
+@pytest.mark.parametrize("coeffs, a, b, cells_off, probes", [
+    # Probes: the two end checks, then the jump's cell ends, then one per
+    # halving of a fallback bisection.
+    # The leading coefficient scales to 0.0 in the float view: no estimate.
+    (_NO_FLOAT_VIEW, Fraction(2 ** 550), Fraction(2 ** 551), 0, 2 + 43),
+    # (0, 10^400] leaves the float range: no estimate either.
+    (_coeffs(-10 ** 400, 0, 1), Fraction(0), Fraction(10 ** 400), 0, 2 + 708),
+    # A dyadic root is the predicted cell's left end, or, from an estimate
+    # half a cell lower, its right end: bisection meets it as a midpoint.
+    (_coeffs(-3, 8), Fraction(0), Fraction(1), 0, 2 + 1),
+    (_coeffs(-3, 8), Fraction(0), Fraction(1), Fraction(-1, 2), 2 + 2),
+    # An estimate one cell off fails the certificate and falls back; one to
+    # the right is refuted by the cell's left end alone.
+    (_coeffs(-2, 0, 1), Fraction(1), Fraction(2), 1, 2 + 1 + 43),
+    (_coeffs(-2, 0, 1), Fraction(1), Fraction(2), -1, 2 + 2 + 43),
+])
+def test_refine_fallback_paths_match_reference_bisection(monkeypatch, coeffs, a, b, cells_off,
+                                                          probes):
+    want = reference_refine(coeffs, a, b, REFINE_TOL)
+    if cells_off:
+        x = float(want + cells_off * _final_cell_width(a, b, want))
+        monkeypatch.setattr(realroots, "_estimate", lambda *args: x)
+    spy = _Spy(_ints(coeffs))
+    assert (spy._floats is None) == (coeffs is _NO_FLOAT_VIEW)
+    assert _refine(spy, a, b) == want
+    assert len(spy.points) == probes
+
+
+def test_refine_clamps_an_estimate_at_the_right_end(monkeypatch):
+    # An estimate equal to b lies on the edge of the last cell, which holds
+    # the root: sqrt(2) is within 2^-44 of b, less than the final width.
+    b = Fraction(math.ceil(math.sqrt(2) * 2 ** 44), 2 ** 44)
+    monkeypatch.setattr(realroots, "_estimate", lambda *args: float(b))
+    spy = _Spy([-2, 0, 1])
+    assert _refine(spy, Fraction(1), b) == reference_refine(_coeffs(-2, 0, 1), Fraction(1), b,
+                                                            REFINE_TOL)
+    assert len(spy.points) == 2 + 2
+
+
+# The fiber polynomial of the sections benchmark's base family member
+# (perfbench/workloads.py) over x = 1/2, y = -1/4.  With a height z taken
+# from its constant term it has three real roots at each z used below.
+_MEMBER_FIBER = [Fraction(-1889, 384), Fraction(-6065, 2304), Fraction(4237, 1152),
+                 Fraction(9541, 5184), Fraction(-17827, 3456), Fraction(-87263, 17280),
+                 Fraction(72895, 20736), Fraction(-294053, 72576), Fraction(-6455, 4608),
+                 Fraction(4775, 5184)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    # Fold fibers Z^2/2 - c, c = x^2/2 - z, at rational and at float nodes.
+    _coeffs(Fraction(-3, 10), 0, Fraction(1, 2)),
+    _coeffs(-Fraction(1.7) ** 2 / 2 + Fraction(-0.4), 0, Fraction(1, 2)),
+    _coeffs(-10 ** 6, 0, Fraction(1, 2)),
+    _coeffs(-Fraction(1, 10 ** 9), 0, Fraction(1, 2)),
+    *([_MEMBER_FIBER[0] - z] + _MEMBER_FIBER[1:] for z in (Fraction(-2), Fraction(0.3),
+                                                            Fraction(1))),
+])
+def test_refine_asks_few_exact_signs_per_root(coeffs):
+    # Two end checks and the final cell's two ends; bisection asks about 45.
+    intervals = list(_reference_intervals(coeffs))
+    assert len(intervals) in (2, 3)
+    for reduced, a, b in intervals:
+        spy = _Spy(_ints(reduced))
+        assert _refine(spy, a, b) == reference_refine(reduced, a, b, REFINE_TOL)
+        assert len(spy.points) <= 6
 
 
 _TINY = Fraction(10) ** -12
