@@ -12,11 +12,12 @@ results), and floating point only at evaluation time, when the caller
 supplies float values.
 
 Evaluation is compiled Horner: a :class:`Poly`, or a :class:`PolyVector`
-of them such as the cached builders of :mod:`sgma.ma_core` return, compiles
-on first use, once for exact and once for float inputs, one function from
-the nested Horner form of its entries (:mod:`sgma.codegen`).  It performs
-the operations of a recursive Horner walk in the same order, so its floats
-are those of that walk to the bit.
+of them such as the cached builders of :mod:`sgma.ma_core` return, gets on
+first use, once for exact and once for float inputs, one function from the
+nested Horner form of its entries (:mod:`sgma.codegen`): code shared by
+every vector of the same shape, with its own coefficients as defaults.  It
+performs the operations of a recursive Horner walk in the same order, so
+its floats are those of that walk to the bit.
 
 Text grammar accepted by :func:`parse_poly`::
 
@@ -740,6 +741,16 @@ class _Parser:
             rhs = self.unary()
             if op == "*":
                 (t1, d1), (t2, d2) = result, rhs
+                if len(t1) == 1 == len(t2):
+                    # Two single terms: the general checks below with one
+                    # term each, then one product of numerators.
+                    (e1, n1), = t1.items()
+                    (e2, n2), = t2.items()
+                    degree = sum(e1) + sum(e2)
+                    self.check_size(degree, degree, 1, op_pos)
+                    self.check_bits(_factor_bits(t1, d1) + _factor_bits(t2, d2), op_pos)
+                    result = _reduced({tuple(map(add, e1, e2)): n1 * n2}, d1 * d2)
+                    continue
                 if t1 and t2:
                     (lo1, hi1), (lo2, hi2) = _degree_range(t1), _degree_range(t2)
                     self.check_size(lo1 + lo2, hi1 + hi2, len(t1) * len(t2), op_pos)
@@ -784,6 +795,10 @@ class _Parser:
                 # the base's coefficient sum: less than len(terms) * 2^bits.
                 self.check_bits(k * (_bits(terms, den) + (len(terms) - 1).bit_length()),
                                 pos)
+                if len(terms) == 1:
+                    # n^k and den^k share no factor, as n and den do not.
+                    (exps, n), = terms.items()
+                    return {tuple(e * k for e in exps): n ** k}, den ** k
             return _pow(terms, den, k, len(self.variables))
         return base
 

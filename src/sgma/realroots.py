@@ -255,12 +255,14 @@ def _isolate_square_free(c: list, chain: list):
         bound = cauchy_bound(poly)
         n, max_depth = _degree(poly), _max_depth(poly, bound)
         intervals = []
-        stack = [(-bound, bound, 0)]
+        # Each interval carries the sign variations at its two ends, so
+        # that every point is counted once.
+        stack = [(-bound, bound, 0, _variations(signs, -bound.numerator, bound.denominator),
+                  _variations(signs, bound.numerator, bound.denominator))]
         restarted = False
         while stack:
-            a, b, depth = stack.pop()
-            count = (_variations(signs, a.numerator, a.denominator)
-                     - _variations(signs, b.numerator, b.denominator))
+            a, b, depth, va, vb = stack.pop()
+            count = va - vb
             if not 0 <= count <= n:
                 raise ArithmeticError(f"Sturm count {count} outside [0, {n}] on ({a}, {b}]")
             if count == 0:
@@ -278,8 +280,9 @@ def _isolate_square_free(c: list, chain: list):
                 chain = sturm_chain(poly)
                 restarted = True
                 break
-            stack.append((a, mid, depth + 1))
-            stack.append((mid, b, depth + 1))
+            vm = _variations(signs, mid.numerator, mid.denominator)
+            stack.append((a, mid, depth + 1, va, vm))
+            stack.append((mid, b, depth + 1, vm, vb))
         if not restarted:
             return exact, intervals, poly
     return exact, [], poly

@@ -19,7 +19,7 @@ import pytest
 import reference_poly as ref
 from hypothesis import given, settings, strategies as st
 
-from sgma import family as fam, ma_core as mc, polyexpr as new, singular as sing
+from sgma import codegen, family as fam, ma_core as mc, polyexpr as new, singular as sing
 from sgma.errors import DomainError
 
 XYZ = ("x", "y", "Z")
@@ -182,6 +182,37 @@ def test_parse_matches_reference(text):
         _assert_same(got, want)
 
 
+# Products and powers of single terms, which the parser multiplies directly:
+# large coefficients, high exponents (some past MAX_DEGREE, whose errors must
+# match too) and negations, with coefficient bits kept inside the budget.
+@st.composite
+def _single_term_texts(draw):
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = [v if e == 1 else f"{v}^{e}"
+                 for v, e in zip(XYZ, draw(st.lists(st.integers(0, 60), min_size=3, max_size=3)))
+                 if e]
+        if draw(st.booleans()):
+            num, den = draw(st.integers(0, 10 ** 30)), draw(st.integers(1, 10 ** 6))
+            parts.insert(0, f"{num}/{den}" if den > 1 else str(num))
+        text = "*".join(draw(st.sampled_from(["", "-", "--"])) + part
+                        for part in parts or ["1"])
+        if draw(st.booleans()):
+            text = f"{draw(st.sampled_from(['', '-']))}({text})^{draw(st.integers(0, 5))}"
+        factors.append(text)
+    return "*".join(factors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_single_term_texts())
+def test_single_term_products_and_powers_match_reference(text):
+    got, want = _parsed(new, text), _parsed(ref, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same(got, want)
+
+
 def test_cancelled_terms_reenter_at_the_end():
     # A term that cancels leaves the map; when it comes back it is appended.
     for text in ["x - x + y + x", "Z^2 + x - Z^2 + y + Z^2/2", "(x + 1)*(x - 1) - x^2 + y + x^2"]:
@@ -307,3 +338,49 @@ def test_builder_vectors_match_reference(fold_gf):
                 assert all(type(v) is Fraction for v in values)
                 assert list(values) == [t.eval(point[:n]) for t in twins]
     assert overflows
+
+
+def test_vectors_of_one_shape_share_code_and_keep_their_values():
+    # Two members of the README spec's sparsity, which leaves gaps in the
+    # powers of Z: their metric vectors differ only in the coefficients.
+    def member(slope, intercept):
+        return fam.build_family(fam.FamilySpec.from_dict({
+            "t3": {"111": f"{slope}*Z", "112": "0", "122": "1/2", "222": f"-Z + {intercept}"},
+            "t2_constants": {"11": ["-1", "0"], "12": ["0", "0"], "22": ["0", "1"]}})).gf
+
+    vectors = [mc.pullback_metric_polys(member(1, 1)), mc.pullback_metric_polys(member(3, "2/5"))]
+    assert vectors[0] != vectors[1]
+    rng = random.Random(11)
+    points = [tuple(rng.uniform(-3.0, 3.0) for _ in range(3)) for _ in range(200)]
+    exact = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+             for _ in range(5)]
+    for vector in vectors:
+        twins = [ref.Poly(p.variables, p.terms) for p in vector._entries()]
+        for point in points:
+            assert [repr(v) for v in vector.eval(point)] == [_float_outcome(t, point)
+                                                             for t in twins]
+        overflowing = (0.5, 0.5, 1e200)  # a power of Z overflows
+        assert "DomainError" in [_float_outcome(t, overflowing, OverflowError) for t in twins]
+        with pytest.raises(DomainError, match="overflows"):
+            vector.eval(overflowing)
+        for point in exact:
+            values = vector.eval(point)
+            assert all(type(v) is Fraction for v in values)
+            assert [repr(v) for v in values] == [repr(t.eval(point)) for t in twins]
+    a, b = vectors
+    for name in ("_float_fn", "_exact_fn"):
+        fa, fb = getattr(a, name), getattr(b, name)
+        assert fa is not fb and fa.__code__ is fb.__code__
+        assert fa.__defaults__ != fb.__defaults__
+
+
+def test_code_map_stays_at_its_bound():
+    bound = codegen._code.cache_info().maxsize
+    shapes = [(i, j) for i in range(18) for j in range(18)]
+    assert len(shapes) > bound
+    for exps in shapes:
+        terms = {exps: Fraction(3, 7)}
+        p, twin = new.Poly(("x", "y"), terms), ref.Poly(("x", "y"), terms)
+        assert repr(p.eval((1.5, -0.75))) == repr(twin.eval((1.5, -0.75)))
+    info = codegen._code.cache_info()
+    assert info.currsize == info.maxsize == bound

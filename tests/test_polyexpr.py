@@ -122,6 +122,12 @@ def test_size_budget():
         ("(10^200)^7", 9, "4655 bits"),
         ("10^200*10^200*10^200*10^200*10^200*10^200*10^200", 41, "4652 bits"),
         ("(10^100*x + y + 1)^13", 19, "4355 bits"),
+        # Limits met where both factors of * or the base of ^ are single terms.
+        ("x^200*y^50*Z^7", 10, f"degree 257 exceeds the limit of {MAX_DEGREE}"),
+        ("(x^2*y)^86", 8, "degree 258"),
+        (f"{'9' * 700}*x*{'9' * 700}*y^2", 702, "4652 bits"),
+        ("(10^200*x^2)^7", 13, "4655 bits"),
+        ("(-x/10^200)^7", 12, "4655 bits"),
     ]:
         with pytest.raises(ParseError, match=message) as info:
             parse_poly(text, xyz)

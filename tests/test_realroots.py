@@ -345,6 +345,24 @@ def test_refine_asks_few_exact_signs_per_root(coeffs):
         assert len(spy.points) <= 6
 
 
+@pytest.mark.parametrize("coeffs, count", [
+    (_coeffs(Fraction(-3, 10), 0, Fraction(1, 2)), 3),  # a fold fiber
+    ([_MEMBER_FIBER[0] - Fraction(0.3)] + _MEMBER_FIBER[1:], 5),  # three roots of nine
+])
+def test_isolation_counts_sign_variations_once_per_point(monkeypatch, coeffs, count):
+    # The two ends of the Cauchy interval, then one midpoint per split.
+    points = []
+    variations = realroots._variations
+
+    def spy(signs, p, q):
+        points.append(Fraction(p, q))
+        return variations(signs, p, q)
+
+    monkeypatch.setattr(realroots, "_variations", spy)
+    assert repr(real_roots(coeffs)) == repr(reference_real_roots(coeffs))
+    assert len(points) == len(set(points)) == count
+
+
 _TINY = Fraction(10) ** -12
 _FOLD_X = Fraction(0.1)
 _FIXED = {
