@@ -7,10 +7,11 @@ byte-identical output.  Each option is declared once, with its converter
 and default, in :func:`build_parser`.  A JSON config file may supply any
 of a command's long options (keys named like the flags, dashes or
 underscores): flags take true or false, other options their text as a
-JSON string, which becomes the option's default and so passes through
-its converter; explicit flags override config values.  Exit codes: 0
-success, 1 verification failure, 2 usage/config error, 3 domain/runtime
-error.  Every error path writes a single-line JSON record to stderr.
+JSON string.  Each key is read as the option it names, placed before the
+command line's own options, so it passes through the option's converter
+and explicit flags override it.  Exit codes: 0 success, 1 verification
+failure, 2 usage/config error, 3 domain/runtime error.  Every error path
+writes a single-line JSON record to stderr.
 """
 
 from __future__ import annotations
@@ -292,12 +293,11 @@ def _cmd_verify_paper(ns) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The sgma parser, built once; ``parser.commands`` maps each subcommand to its parser."""
+    """The sgma parser, built once per process and never changed after."""
     parser = _Parser(prog="sgma",
                      description="Monge-Ampere geometry toolkit for "
                                  "semigeostrophic balance")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
 
     def command(name: str, run, help: str, gf: bool = True) -> _Parser:
         p = sub.add_parser(name, help=help)
@@ -381,41 +381,36 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(command: _Parser, ns) -> dict:
-    # The --config values become defaults of the command's parser; returns
-    # the defaults they replace.  The first parse's namespace names every
-    # option, and a bool marks a flag.
+def _config_options(parser: _Parser, ns) -> list:
+    # The --config values as the options they name: text becomes
+    # --name=text, true a bare flag, false nothing.  The first parse's
+    # namespace names every option, and a bool marks a flag.
     if not isinstance(ns.config, dict):
-        command.error("config file must hold a JSON object")
+        parser.error("config file must hold a JSON object")
     values = {}
     for key, value in ns.config.items():
         dest = key.replace("-", "_")
         if dest in ("command", "config", "run") or dest not in vars(ns):
-            command.error(f"unknown config key {key!r} for command {ns.command!r}")
+            parser.error(f"unknown config key {key!r} for command {ns.command!r}")
         kind = bool if isinstance(getattr(ns, dest), bool) else str
         if not isinstance(value, kind):
             expected = "true or false" if kind is bool else "a string"
-            command.error(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+            parser.error(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
         values[dest] = value
-    replaced = {dest: command.get_default(dest) for dest in values}
-    command.set_defaults(**values)
-    return replaced
+    return ["--" + dest.replace("_", "-") + ("" if value is True else f"={value}")
+            for dest, value in values.items() if value is not False]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         ns = parser.parse_args(argv)
         if ns.config is not None:
-            # String defaults go through the options' converters on the
-            # second parse, and flags given in argv still win.  The parser
-            # is kept for the process, so it gets its own defaults back.
-            command = parser.commands[ns.command]
-            replaced = _apply_config(command, ns)
-            try:
-                ns = parser.parse_args(argv)
-            finally:
-                command.set_defaults(**replaced)
+            # The config's options go right after the command name, so the
+            # options written in argv come later and win.
+            at = argv.index(ns.command) + 1
+            ns = parser.parse_args(argv[:at] + _config_options(parser, ns) + argv[at:])
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

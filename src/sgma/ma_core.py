@@ -140,20 +140,26 @@ class Signature:
     eigenvalues: tuple
 
 
-def _label_for(n_pos: int, n_neg: int, n_zero: int) -> SignatureLabel:
-    if n_zero >= 1:
-        return SignatureLabel.PARABOLIC
-    if (n_pos, n_neg) == (3, 0):
-        return SignatureLabel.ELLIPTIC
-    if (n_pos, n_neg) == (1, 2):
-        return SignatureLabel.HYPERBOLIC
-    return SignatureLabel.OTHER
+# The label of each signature, indexed [n_pos, n_neg]: a zero eigenvalue
+# (n_pos + n_neg < 3) makes the metric degenerate.  The cells below the
+# antidiagonal cannot occur.
+_E, _H, _P, _O = SignatureLabel
+_LABELS = np.array([[_P, _P, _P, _O],
+                    [_P, _P, _H, _O],
+                    [_P, _O, _O, _O],
+                    [_E, _O, _O, _O]], dtype=object)
 
 
 def _require_finite(values, what: str) -> None:
     # Only floats can be non-finite; isfinite overflows on huge exact values.
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
         raise DomainError(f"{what} is not finite: {tuple(values)!r}")
+
+
+def _finite(values) -> bool:
+    # The values of one evaluation are all floats, all exact or all arrays,
+    # and only floats can be non-finite.
+    return not isinstance(values[0], float) or all(map(math.isfinite, values))
 
 
 def _point_values(gf: GeneratingFunction, pt) -> list:
@@ -269,15 +275,24 @@ def ma_residual_poly(gf: GeneratingFunction) -> Poly:
 # -- point evaluations -------------------------------------------------------
 
 
-def _matrix_at(gf: GeneratingFunction, polys: PolyVector, pt) -> np.ndarray:
-    # Float values of a matrix PolyVector at a chart point, one row per item.
-    values = polys.eval(_point_values(gf, pt))
-    return np.array([float(v) for v in values]).reshape(len(polys), -1)
+def _matrix_at(gf: GeneratingFunction, polys: PolyVector, pt, what: str) -> np.ndarray:
+    # Float values of a matrix PolyVector at a chart point, one row per item;
+    # a value that is not finite, or beyond the float range, is a DomainError.
+    point = _point_values(gf, pt)
+    values = polys.eval(point)
+    if not isinstance(values[0], float):  # exact values
+        try:
+            values = [float(v) for v in values]
+        except OverflowError:
+            values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} is not finite at chart point {tuple(point)!r}")
+    return np.array(values).reshape(len(polys), -1)
 
 
 def hessian(gf: GeneratingFunction, pt) -> np.ndarray:
     """3x3 Hessian of the potential in the chart's own variables, evaluated at pt."""
-    return _matrix_at(gf, hessian_polys(gf), pt)
+    return _matrix_at(gf, hessian_polys(gf), pt, "Hessian")
 
 
 def ma_residual(gf: GeneratingFunction, pt):
@@ -287,17 +302,21 @@ def ma_residual(gf: GeneratingFunction, pt):
 
 def immersion(gf: GeneratingFunction, pt) -> AmbientPoint:
     """The unique ambient point over the chart point under the chart relations."""
-    return AmbientPoint(*immersion_polys(gf).eval(_point_values(gf, pt)))
+    point = _point_values(gf, pt)
+    values = immersion_polys(gf).eval(point)
+    if not _finite(values):
+        raise DomainError(f"immersion is not finite at chart point {tuple(point)!r}")
+    return AmbientPoint(*values)
 
 
 def immersion_jacobian(gf: GeneratingFunction, pt) -> np.ndarray:
     """6x3 differential of the immersion at pt (exact derivatives, then evaluated)."""
-    return _matrix_at(gf, immersion_jacobian_polys(gf), pt)
+    return _matrix_at(gf, immersion_jacobian_polys(gf), pt, "immersion Jacobian")
 
 
 def pullback_metric(gf: GeneratingFunction, pt) -> np.ndarray:
     """3x3 pull-back metric at a chart point, from the exact J^T G J entries."""
-    return _matrix_at(gf, pullback_metric_polys(gf), pt)
+    return _matrix_at(gf, pullback_metric_polys(gf), pt, "pull-back metric")
 
 
 def _eigen_signs(metrics: np.ndarray, tol: float) -> tuple:
@@ -328,7 +347,7 @@ def classify(gf: GeneratingFunction, pt, tol: float = 1e-9) -> Signature:
         n_pos=n_pos,
         n_neg=n_neg,
         n_zero=n_zero,
-        label=_label_for(n_pos, n_neg, n_zero),
+        label=_LABELS[n_pos, n_neg],
         tol=tol,
         eigenvalues=tuple(float(v) for v in eigs),
     )
@@ -379,8 +398,5 @@ def classification_grid(gf: GeneratingFunction, axes: Mapping[str, Sequence],
     for i in range(3):
         for j in range(3):
             H[:, i, j] = values[3 * i + j]
-    eigs, (n_pos, n_neg, n_zero) = _eigen_signs(H, tol)
-    labels = np.empty(n, dtype=object)
-    for k in range(n):
-        labels[k] = _label_for(int(n_pos[k]), int(n_neg[k]), int(n_zero[k]))
-    return eigs.reshape(shape + (3,)), labels.reshape(shape)
+    eigs, (n_pos, n_neg, _) = _eigen_signs(H, tol)
+    return eigs.reshape(shape + (3,)), _LABELS[n_pos, n_neg].reshape(shape)

@@ -465,8 +465,9 @@ class Poly:
         float (or numpy array) result otherwise.  Evaluation is Horner-style
         per variable for floating stability, compiled once per polynomial
         and kind of input (see :func:`sgma.codegen.horner_function`) with the
-        operations, in the same order, of a recursive Horner walk.  Float
-        overflow, or a coefficient beyond the float range, raises DomainError.
+        operations, in the same order, of a recursive Horner walk.  A power
+        that overflows, or a coefficient beyond the float range, raises
+        DomainError; a sum or product that overflows gives inf or NaN.
         """
         return _evaluate(self, self._values_list(point))[0]
 

@@ -66,7 +66,8 @@ class SGState:
 
     (M, N, theta_eps) is the branch geopotential gradient; u, v, w are None
     until reconstructed.  branch_label records the metric type at the
-    underlying chart point ('elliptic', 'hyperbolic' or 'degenerate').
+    underlying chart point ('elliptic', 'hyperbolic', 'degenerate' or
+    'other').
     """
 
     base: tuple

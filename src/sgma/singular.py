@@ -29,7 +29,7 @@ from .formatting import format_float
 from .grid import Axis, Grid
 from .ma_core import AMBIENT_COORDS, CACHE_SIZE, ChartKind, GeneratingFunction, \
     immersion, immersion_jacobian, immersion_jacobian_polys, immersion_polys, \
-    _point_values, _require_finite
+    _finite, _point_values, _require_finite
 from .mat3 import det3, solve3
 from .polyexpr import Poly, PolyVector
 from .realroots import real_roots
@@ -163,8 +163,15 @@ def _placed(point, values) -> list:
 
 
 def dpi_det(gf: GeneratingFunction, pt):
-    """Determinant of the projection differential at a chart point."""
-    return singular_locus_poly(gf).eval(_point_values(gf, pt))
+    """Determinant of the projection differential at a chart point.
+
+    Exact for exact inputs; a float value that is not finite raises DomainError.
+    """
+    point = _point_values(gf, pt)
+    det = singular_locus_poly(gf).eval(point)
+    if not _finite((det,)):
+        raise DomainError(f"projection determinant is not finite at chart point {tuple(point)!r}")
+    return det
 
 
 def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> CausticSweep:
@@ -226,6 +233,8 @@ def multivalued_P(gf: GeneratingFunction, pt):
         P = X * x + Y * y - pot
     else:
         P = Z * z + pot
+    if not _finite((P,)):
+        raise DomainError(f"geopotential is not finite at chart point {tuple(values)!r}")
     return P, (x, y, z)
 
 

@@ -1,12 +1,18 @@
 """Subcommand behavior, exit codes, error records, and output determinism."""
 
+import argparse
 import hashlib
 import json
+import random
 import time
 
 import pytest
 
+from sgma import characteristics as ch
+from sgma import cli
 from sgma.cli import main
+from sgma.errors import MetricSingularError
+from sgma.family import build_family, random_generic_spec
 
 FOLD = ["--chart", "T", "--potential", "y^2/2 - x^2*Z/2 + Z^3/6"]
 # A potential whose coefficient 10^400 the parser admits but no float holds;
@@ -69,6 +75,17 @@ def test_caustic_csv(capsys):
     assert lines[0].startswith("chart_1,")
     fields = lines[1].split(",")
     assert fields[3:6] == ["2", "0", "2"]  # base point (2, 0, 2)
+
+
+def test_caustic_degenerate_slices_trailer_golden(capsys):
+    # The locus -x*Z vanishes identically in Z on the x = 0 slice.
+    code, out, _ = _run(capsys, ["caustic", "--chart", "T", "--potential",
+                                 "y^2/2 - x^2*Z/2 + x*Z^3/6", "--grid", "x=-1:1:3,y=0:0:1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4 and lines[-1] == "# degenerate_slices=1"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9e0a9fa38b75b8e68f1aef78a5860958b72f5da08956ffd43324fc694bb2855c"
 
 
 def test_fiber_report(capsys):
@@ -409,6 +426,50 @@ def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
         assert code == 0 and json.loads(out)["tol"] == 1e-9
 
 
+def test_config_call_leaves_the_parser_unchanged(tmp_path, monkeypatch, capsys):
+    # A parse that runs while a config call is under way, here on each read
+    # of its config file, sees the parser's own defaults.
+    plain = ["classify", *FOLD, "--point", "0,0,1"]
+    read, tols = cli._json_file, []
+
+    def spy(path):
+        tols.append(cli.build_parser().parse_args(plain).tol)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_json_file", spy)
+    cli.build_parser.cache_clear()
+    try:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": "1e-3"}))
+        code, out, _ = _run(capsys, [*plain, "--config", str(cfg)])
+    finally:
+        cli.build_parser.cache_clear()
+    assert code == 0 and json.loads(out)["tol"] == 1e-3
+    assert len(tols) == 2 and all(tol == 1e-9 for tol in tols)
+
+
+def test_malformed_config_value_under_a_flag_exits_2(tmp_path, capsys):
+    # The flag wins, but the config value is still read as the option.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": "abc"}))
+    code, out, err = _run(capsys, ["classify", *FOLD, "--point", "0,0,1",
+                                   "--config", str(cfg), "--tol", "1e-3"])
+    assert code == 2 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 2
+
+
+def test_every_option_is_named_after_its_dest():
+    # A config key is read as "--" + dest with dashes, argparse's own rule inverted.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in commands.values():
+        for action in command._actions:
+            long = [s for s in action.option_strings if s.startswith("--")]
+            assert long == ["--" + action.dest.replace("_", "-")]
+
+
 @pytest.mark.parametrize("argv,name,record", [
     (["classify", "--gf-file", "in.json", "--point", "0,0,1"], "in.json",
      {"chart": "T", "potential": 5}),
@@ -495,6 +556,41 @@ def test_non_finite_grid_exits_2(capsys, argv):
 ])
 def test_float_range_overflow_exits_3(capsys, argv):
     code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 3
+
+
+def test_trace_ends_at_the_boundary_inside_a_step(monkeypatch, capsys):
+    # The first step's stage k2 lands on Z = 0, where the fold metric is singular.
+    step, stages = ch._rk4_step, []
+
+    def spy(rhs, *args):
+        calls = []
+
+        def counted(*state):
+            calls.append(state)
+            return rhs(*state)
+
+        try:
+            return step(counted, *args)
+        except MetricSingularError:
+            stages.append((len(calls) + 1, calls[-1][2]))  # k1 is not an rhs call here
+            raise
+
+    monkeypatch.setattr(ch, "_rk4_step", spy)
+    code, out, _ = _run(capsys, ["trace", *FOLD, "--q", "0,0,0.5", "--p", "0,?,500",
+                                 "--null-root", "1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[-1] == "# termination=parabolic_boundary"
+    assert stages == [(2, 0.0)]
+
+
+def test_non_finite_metric_of_a_member_exits_3(capsys):
+    gf = build_family(random_generic_spec(random.Random(0))).gf
+    code, out, err = _run(capsys, ["classify", "--chart", gf.chart.value, "--potential",
+                                   str(gf.potential), "--point", "1e160,1e160,1e160"])
     assert code == 3 and out == ""
     lines = err.strip().split("\n")
     assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 3

@@ -1,6 +1,7 @@
 """Charts, immersions, metrics and classification against known closed forms."""
 
 import gc
+import itertools
 import random
 import warnings
 import weakref
@@ -276,6 +277,34 @@ def test_classify_rejects_bad_tol(fold_gf):
             classification_grid(fold_gf, {"x": [0.0], "y": [0.0], "Z": [1.0]}, tol)
 
 
+def _label_for(n_pos, n_neg, n_zero):
+    # The classification rule, case by case.
+    if n_zero >= 1:
+        return SignatureLabel.PARABOLIC
+    return {(3, 0): SignatureLabel.ELLIPTIC,
+            (1, 2): SignatureLabel.HYPERBOLIC}.get((n_pos, n_neg), SignatureLabel.OTHER)
+
+
+def test_every_signature_gets_the_rule_s_label():
+    # On the classical chart h = 2*eps_q*Hess, so sum(s_i * x_i^2/2) with
+    # signs s_i in {1, -1, 0} reaches each of the ten (n_pos, n_neg, n_zero).
+    cells, labels_seen = set(), set()
+    for signs in itertools.combinations_with_replacement((1, -1, 0), 3):
+        text = " + ".join(f"({s})*{v}^2/2" for s, v in zip(signs, "xyz") if s) or "0"
+        gf = _gf("P", text)
+        counts = (signs.count(1), signs.count(-1), signs.count(0))
+        sig = classify(gf, (0.5, -0.25, 1.0))
+        assert (sig.n_pos, sig.n_neg, sig.n_zero) == counts
+        assert sig.n_pos + sig.n_neg + sig.n_zero == 3
+        assert sig.label is _label_for(*counts)
+        _, labels = classification_grid(gf, {"x": [-1.0, 0.5], "y": [0.0], "z": [2.0, 3.0]})
+        assert labels.shape == (2, 1, 2)
+        assert all(label is sig.label for label in labels.reshape(-1))
+        cells.add(counts)
+        labels_seen.add(sig.label)
+    assert len(cells) == 10 and labels_seen == set(SignatureLabel)
+
+
 def test_classical_solutions_are_never_parabolic():
     # det Hess = eps_q > 0 pins the eigenvalues away from zero.
     cases = [
@@ -443,6 +472,14 @@ def test_metric_overflow_is_domain_error(fold_gf):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="not finite"):
             classification_grid(fold_gf, {"x": [0.0], "y": [0.0], "Z": [1.0, 1e308]})
+
+
+def test_exact_point_beyond_float_range_is_domain_error():
+    # h_11 = x^2 = 10^400 is exact, but no float holds it.
+    gf = _gf("P", "x^4/12 + y^2/2 + z^2/2")
+    for evaluate in (hessian, pullback_metric):
+        with pytest.raises(DomainError, match="not finite"):
+            evaluate(gf, (Fraction(10 ** 200), 0, 0))
 
 
 def test_huge_exact_point_is_evaluated_exactly(fold_gf):

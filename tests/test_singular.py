@@ -1,6 +1,7 @@
 """Singular locus, caustics, fibers and branch selection."""
 
 import io
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from sgma.errors import DomainError
+from sgma.grid import Grid
 from sgma.ma_core import CACHE_SIZE, ChartKind, GeneratingFunction, SignatureLabel, \
-    classify, immersion
+    classify, hessian, immersion, pullback_metric
 from sgma.polyexpr import Poly, parse_poly
 from sgma.singular import (
     CAUSTIC_CSV_COLUMNS,
@@ -89,6 +91,15 @@ def test_caustic_degenerate_slice_reported():
     assert (0.0, 0.0) in sweep.degenerate_slices
     # nonzero-x slices have no roots in Z (constant nonzero restriction)
     assert sweep.samples == []
+
+
+def test_caustic_sweep_rejects_roots_off_the_locus():
+    # The locus 10^8*(2 - Z^2) has the roots +-sqrt(2); rounded to floats
+    # they leave |det| = 3e-8 > tol, so every root is rejected.
+    gf = _gf("T", "10^8*(Z^4/12 - Z^2) + y^2/2")
+    sweep = caustic_sweep(gf, Grid.parse("x=-1:1:3,y=0:0:1"))
+    assert sweep.samples == [] and not sweep.degenerate_slices
+    assert sweep.rejected == 6
 
 
 def _substituted(poly, fixed, free):
@@ -457,3 +468,24 @@ def test_non_finite_input_is_domain_error(fold_gf):
     with pytest.raises(DomainError, match="not finite"):
         branch_hessian(fold_gf, (0, 0, float("nan")))
     assert branch_is_convex(fold_gf, (0, 0, float("inf"))) is False
+
+
+@pytest.mark.parametrize("pt", [(1e160, 1e160, 1e160), (0.5, 0.5, 1e200)])
+def test_non_finite_value_at_a_point_is_domain_error(pt):
+    # Huge float terms overflow to inf in sums and products, with no
+    # OverflowError, and inf - inf is NaN; NaN would pass both the caustic
+    # test and the degenerate test of dpi_det unnoticed.
+    from sgma.family import build_family, random_generic_spec
+
+    gf = build_family(random_generic_spec(random.Random(0))).gf
+    for evaluate in (hessian, pullback_metric, immersion, multivalued_P, dpi_det):
+        with pytest.raises(DomainError, match="not finite"):
+            evaluate(gf, pt)
+
+
+def test_non_finite_geopotential_over_a_finite_immersion_is_domain_error(fold_gf):
+    # z = 5e299 and X = -1e160 are floats, but Z*z and -x^2*Z/2 are not.
+    pt = (1e150, 0.0, 1e10)
+    assert all(math.isfinite(v) for v in immersion(fold_gf, pt).as_tuple())
+    with pytest.raises(DomainError, match="geopotential is not finite"):
+        multivalued_P(fold_gf, pt)
