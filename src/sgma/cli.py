@@ -3,9 +3,11 @@
 Every operation is a subcommand taking a generating-function record
 (inline flags or a JSON file) plus numeric options, emitting CSV or JSON
 with a fixed float format so identical configurations produce
-byte-identical output.  Each option is declared once, with its converter
-and default, in :func:`build_parser`.  A JSON config file may supply any
-of a command's long options (keys named like the flags, dashes or
+byte-identical output.  Each command returns its exit code and its text,
+and :func:`main` writes the text in one place, to ``--output`` or stdout.
+Each option is declared once, with its converter and default, in
+:func:`build_parser`.  A JSON config file, read once per call, may supply
+any of a command's long options (keys named like the flags, dashes or
 underscores): flags take true or false, other options their text as a
 JSON string.  Each key is read as the option it names, placed before the
 command line's own options, so it passes through the option's converter
@@ -115,6 +117,7 @@ def _json_file(path: str):
 
 
 # -- subcommand implementations ---------------------------------------------
+# Each returns its exit code and its output text, which main writes.
 
 
 def _resolve_gf(ns) -> mc.GeneratingFunction:
@@ -126,15 +129,7 @@ def _resolve_gf(ns) -> mc.GeneratingFunction:
         {"chart": ns.chart, "potential": ns.potential, "eps_q": ns.eps_q})
 
 
-def _write_output(ns, text: str) -> None:
-    if ns.output:
-        with open(ns.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_classify(ns) -> int:
+def _cmd_classify(ns) -> tuple:
     gf = _resolve_gf(ns)
     if ns.grid is not None:
         grid = ns.grid.ordered(gf.chart.coords)
@@ -145,8 +140,7 @@ def _cmd_classify(ns) -> int:
                                     labels.reshape(-1)):
             lines.append(",".join([format_float(v) for v in (*node, *eig)]
                                   + [label.value]))
-        _write_output(ns, "\n".join(lines) + "\n")
-        return 0
+        return 0, "\n".join(lines) + "\n"
     if ns.point is None:
         raise ConfigError("supply --point or --grid")
     signature = mc.classify(gf, ns.point, ns.tol)
@@ -158,36 +152,32 @@ def _cmd_classify(ns) -> int:
         "label": signature.label.value,
         "tol": signature.tol,
     }
-    _write_output(ns, render_json(report) + "\n")
-    return 0
+    return 0, render_json(report) + "\n"
 
 
-def _cmd_residual(ns) -> int:
+def _cmd_residual(ns) -> tuple:
     gf = _resolve_gf(ns)
     if ns.symbolic:
         poly = mc.ma_residual_poly(gf)
         report = {"chart": gf.chart.value, "residual": str(poly),
                   "is_zero": poly.is_zero}
-        _write_output(ns, render_json(report) + "\n")
-        return 0
+        return 0, render_json(report) + "\n"
     if ns.point is None:
         raise ConfigError("supply --point (or --symbolic)")
     value = float(mc.ma_residual(gf, ns.point))
     report = {"point": list(ns.point), "residual": value}
-    _write_output(ns, render_json(report) + "\n")
-    return 0
+    return 0, render_json(report) + "\n"
 
 
-def _cmd_singular(ns) -> int:
+def _cmd_singular(ns) -> tuple:
     gf = _resolve_gf(ns)
     poly = sing.singular_locus_poly(gf)
     report = {"chart": gf.chart.value, "variables": list(gf.chart.coords),
               "locus": str(poly)}
-    _write_output(ns, render_json(report) + "\n")
-    return 0
+    return 0, render_json(report) + "\n"
 
 
-def _cmd_caustic(ns) -> int:
+def _cmd_caustic(ns) -> tuple:
     gf = _resolve_gf(ns)
     if ns.grid is None:
         raise ConfigError("supply --grid over two chart variables")
@@ -196,11 +186,10 @@ def _cmd_caustic(ns) -> int:
     sing.write_caustic_csv(sweep, buf)
     if sweep.degenerate_slices:
         buf.write(f"# degenerate_slices={len(sweep.degenerate_slices)}\n")
-    _write_output(ns, buf.getvalue())
-    return 0
+    return 0, buf.getvalue()
 
 
-def _cmd_fiber(ns) -> int:
+def _cmd_fiber(ns) -> tuple:
     gf = _resolve_gf(ns)
     if ns.base is None:
         raise ConfigError("supply --base x,y,z")
@@ -222,11 +211,10 @@ def _cmd_fiber(ns) -> int:
         "ambiguous": choice.ambiguous,
         "failed_seeds": [list(s) for s in bp.failed_seeds],
     }
-    _write_output(ns, render_json(report) + "\n")
-    return 0
+    return 0, render_json(report) + "\n"
 
 
-def _cmd_trace(ns) -> int:
+def _cmd_trace(ns) -> tuple:
     gf = _resolve_gf(ns)
     if ns.q is None or ns.p is None:
         raise ConfigError("supply --q and --p")
@@ -245,11 +233,10 @@ def _cmd_trace(ns) -> int:
                                       box=ns.box)
     buf = io.StringIO()
     ch.write_trace_csv(trace, buf)
-    _write_output(ns, buf.getvalue())
-    return 0
+    return 0, buf.getvalue()
 
 
-def _cmd_family(ns) -> int:
+def _cmd_family(ns) -> tuple:
     if ns.spec is None:
         raise ConfigError("supply --spec FILE (JSON family spec)")
     sol = fam.build_family(fam.FamilySpec.from_dict(ns.spec))
@@ -265,11 +252,10 @@ def _cmd_family(ns) -> int:
     }
     if ns.check:
         report["recursion_crosscheck"] = fam.reference_recursion_report()
-    _write_output(ns, render_json(report) + "\n")
-    return 0
+    return 0, render_json(report) + "\n"
 
 
-def _cmd_wind(ns) -> int:
+def _cmd_wind(ns) -> tuple:
     gf = _resolve_gf(ns)
     if ns.x is None or ns.z is None:
         raise ConfigError("supply --x lo:hi:n and --z lo:hi:n")
@@ -278,17 +264,15 @@ def _cmd_wind(ns) -> int:
     samples = sg.wind_field_sweep(gf, ns.branch, grid, eps)
     buf = io.StringIO()
     sg.write_wind_csv(samples, buf)
-    _write_output(ns, buf.getvalue())
-    return 0
+    return 0, buf.getvalue()
 
 
-def _cmd_verify_paper(ns) -> int:
+def _cmd_verify_paper(ns) -> tuple:
     if ns.list:
-        _write_output(ns, "\n".join(verify.criteria_names()) + "\n")
-        return 0
+        return 0, "\n".join(verify.criteria_names()) + "\n"
     results = verify.run_all()
-    _write_output(ns, render_json(verify.summary_dict(results)) + "\n")
-    return 0 if all(r.passed for r in results) else 1
+    code = 0 if all(r.passed for r in results) else 1
+    return code, render_json(verify.summary_dict(results)) + "\n"
 
 
 @functools.cache
@@ -302,7 +286,7 @@ def build_parser() -> _Parser:
     def command(name: str, run, help: str, gf: bool = True) -> _Parser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p.add_argument("--config", type=_json_file,
+        p.add_argument("--config",
                        help="JSON file of option defaults for this command")
         p.add_argument("--output", help="output path (default: stdout)")
         if gf:
@@ -382,13 +366,17 @@ def build_parser() -> _Parser:
 
 
 def _config_options(parser: _Parser, ns) -> list:
-    # The --config values as the options they name: text becomes
-    # --name=text, true a bare flag, false nothing.  The first parse's
-    # namespace names every option, and a bool marks a flag.
-    if not isinstance(ns.config, dict):
+    # The values of the --config file, read once, as the options they name:
+    # text becomes --name=text, true a bare flag, false nothing.  The first
+    # parse's namespace names every option, and a bool marks a flag.
+    try:
+        config = _json_file(ns.config)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"argument --config: {exc}")
+    if not isinstance(config, dict):
         parser.error("config file must hold a JSON object")
     values = {}
-    for key, value in ns.config.items():
+    for key, value in config.items():
         dest = key.replace("-", "_")
         if dest in ("command", "config", "run") or dest not in vars(ns):
             parser.error(f"unknown config key {key!r} for command {ns.command!r}")
@@ -414,7 +402,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return ns.run(ns)
+        code, text = ns.run(ns)
+        if ns.output:
+            with open(ns.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ConfigError, ValueError) as exc:
         _emit_error(2, str(exc))
         return 2

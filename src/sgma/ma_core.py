@@ -156,12 +156,6 @@ def _require_finite(values, what: str) -> None:
         raise DomainError(f"{what} is not finite: {tuple(values)!r}")
 
 
-def _finite(values) -> bool:
-    # The values of one evaluation are all floats, all exact or all arrays,
-    # and only floats can be non-finite.
-    return not isinstance(values[0], float) or all(map(math.isfinite, values))
-
-
 def _point_values(gf: GeneratingFunction, pt) -> list:
     if isinstance(pt, Mapping):
         missing = [v for v in gf.chart.coords if v not in pt]
@@ -275,18 +269,27 @@ def ma_residual_poly(gf: GeneratingFunction) -> Poly:
 # -- point evaluations -------------------------------------------------------
 
 
-def _matrix_at(gf: GeneratingFunction, polys: PolyVector, pt, what: str) -> np.ndarray:
-    # Float values of a matrix PolyVector at a chart point, one row per item;
-    # a value that is not finite, or beyond the float range, is a DomainError.
+def _values_at(gf: GeneratingFunction, polys, pt, what: str) -> tuple:
+    # A Poly's or PolyVector's values at a validated chart point: all exact,
+    # all floats or all arrays.  A float value that is not finite is a DomainError.
     point = _point_values(gf, pt)
     values = polys.eval(point)
-    if not isinstance(values[0], float):  # exact values
+    values = (values,) if isinstance(polys, Poly) else values
+    if isinstance(values[0], float) and not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} is not finite at chart point {tuple(point)!r}")
+    return values
+
+
+def _matrix_at(gf: GeneratingFunction, polys: PolyVector, pt, what: str) -> np.ndarray:
+    # Float values of a matrix PolyVector at a chart point, one row per item;
+    # an exact value beyond the float range is a DomainError too.
+    values = _values_at(gf, polys, pt, what)
+    if not isinstance(values[0], float):
         try:
             values = [float(v) for v in values]
         except OverflowError:
-            values = [math.inf]
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"{what} is not finite at chart point {tuple(point)!r}")
+            point = tuple(_point_values(gf, pt))
+            raise DomainError(f"{what} is not finite at chart point {point!r}") from None
     return np.array(values).reshape(len(polys), -1)
 
 
@@ -296,17 +299,16 @@ def hessian(gf: GeneratingFunction, pt) -> np.ndarray:
 
 
 def ma_residual(gf: GeneratingFunction, pt):
-    """Numeric balance residual at a chart point; exact for exact inputs."""
-    return ma_residual_poly(gf).eval(_point_values(gf, pt))
+    """Numeric balance residual at a chart point; exact for exact inputs.
+
+    A float value that is not finite raises DomainError.
+    """
+    return _values_at(gf, ma_residual_poly(gf), pt, "balance residual")[0]
 
 
 def immersion(gf: GeneratingFunction, pt) -> AmbientPoint:
     """The unique ambient point over the chart point under the chart relations."""
-    point = _point_values(gf, pt)
-    values = immersion_polys(gf).eval(point)
-    if not _finite(values):
-        raise DomainError(f"immersion is not finite at chart point {tuple(point)!r}")
-    return AmbientPoint(*values)
+    return AmbientPoint(*_values_at(gf, immersion_polys(gf), pt, "immersion"))
 
 
 def immersion_jacobian(gf: GeneratingFunction, pt) -> np.ndarray:

@@ -44,11 +44,16 @@ def solve3(a, b, message: str) -> np.ndarray:
     |det a| <= 1e-14 * max(1, max |a_ij|)^3 or its determinant is NaN: the
     callers solve for a branch's Hessian or velocity, which a singular ``a``
     leaves undefined (a degenerate branch).  Raises DomainError(message)
-    when an entry of ``a`` is not finite.
+    when an entry of ``a`` is not finite, or when the threshold itself
+    leaves the float range (max |a_ij| > ~5.6e102).
     """
     a = np.asarray(a, dtype=float)
     rows = a.tolist()  # float scalars: the same arithmetic, without numpy dispatch
     det = det3(rows)
-    if not abs(det) > 1e-14 * max(1.0, float(np.max(np.abs(a)))) ** 3:
+    try:
+        singular = not abs(det) > 1e-14 * max(1.0, float(np.max(np.abs(a)))) ** 3
+    except OverflowError:
+        raise DomainError(message) from None
+    if singular:
         raise (NoBranchError if np.isfinite(a).all() else DomainError)(message)
     return np.array(adj3(rows)) @ b / det

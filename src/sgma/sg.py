@@ -157,17 +157,19 @@ def velocity_system(gf: GeneratingFunction, state: SGState,
     return rows, rhs
 
 
-def velocity_reconstruct(state: SGState, gf: GeneratingFunction,
-                         eps: EpsilonChoice | None = None) -> tuple:
+def velocity_reconstruct(state: SGState, gf: GeneratingFunction) -> tuple:
     """Velocity (u, v, w) solving the momentum/temperature transport system.
 
-    The system matrix stacks the base-space gradients of M, N and theta
-    (rows of the branch Hessian, the third scaled by 1/epsilon); it is
-    invertible on nondegenerate branches since the Hessian determinant
-    equals eps_q > 0 there.
+    The system matrix stacks the base-space gradients of M, N and theta,
+    the rows of the branch Hessian; it is invertible on nondegenerate
+    branches since the Hessian determinant equals eps_q > 0 there.  The
+    1/epsilon scale of ``velocity_system``'s third row is left out: that
+    row's right-hand side is 0, so the scale cannot change the solution,
+    but it would enter the solve's relative singular test.
     """
-    rows, rhs = velocity_system(gf, state, eps)
-    solution = solve3(rows, rhs, "velocity system is singular (degenerate point)")
+    rhs = np.array([state.u_g, state.v_g, 0.0])
+    solution = solve3(branch_hessian(gf, state.chart_point), rhs,
+                      "velocity system is singular (degenerate point)")
     u, v, w = (float(c) for c in solution)
     return u, v, w
 
@@ -177,7 +179,7 @@ def reconstructed_state(gf: GeneratingFunction, base, branch="convex",
     """branch_state plus velocity_reconstruct in one call."""
     eps = eps or EpsilonChoice.for_gf(gf)
     state = branch_state(gf, base, branch, eps)
-    u, v, w = velocity_reconstruct(state, gf, eps)
+    u, v, w = velocity_reconstruct(state, gf)
     return replace(state, u=u, v=v, w=w)
 
 
@@ -212,15 +214,13 @@ def wind_field_sweep(gf: GeneratingFunction, branch, grid: Grid,
         raise ValueError(f"wind grid axes must be ('x', 'y', 'z'), got {grid.names!r}")
     eps = eps or EpsilonChoice.for_gf(gf)
     samples = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("once")
-        for x, y, z in grid.nodes():
-            try:
-                state = reconstructed_state(gf, (x, y, z), branch, eps)
-            except NoBranchError:
-                samples.append(WindSample(x, y, z, False, None))
-                continue
-            samples.append(WindSample(x, y, z, True, state))
+    for x, y, z in grid.nodes():
+        try:
+            state = reconstructed_state(gf, (x, y, z), branch, eps)
+        except NoBranchError:
+            samples.append(WindSample(x, y, z, False, None))
+            continue
+        samples.append(WindSample(x, y, z, True, state))
     return samples
 
 

@@ -29,7 +29,7 @@ from .formatting import format_float
 from .grid import Axis, Grid
 from .ma_core import AMBIENT_COORDS, CACHE_SIZE, ChartKind, GeneratingFunction, \
     immersion, immersion_jacobian, immersion_jacobian_polys, immersion_polys, \
-    _finite, _point_values, _require_finite
+    _require_finite, _values_at
 from .mat3 import det3, solve3
 from .polyexpr import Poly, PolyVector
 from .realroots import real_roots
@@ -167,11 +167,7 @@ def dpi_det(gf: GeneratingFunction, pt):
 
     Exact for exact inputs; a float value that is not finite raises DomainError.
     """
-    point = _point_values(gf, pt)
-    det = singular_locus_poly(gf).eval(point)
-    if not _finite((det,)):
-        raise DomainError(f"projection determinant is not finite at chart point {tuple(point)!r}")
-    return det
+    return _values_at(gf, singular_locus_poly(gf), pt, "projection determinant")[0]
 
 
 def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> CausticSweep:
@@ -223,18 +219,20 @@ def multivalued_P(gf: GeneratingFunction, pt):
     """
     if gf.chart is ChartKind.CLASSICAL_P:
         raise ValueError("the classical chart's potential is already the geopotential")
-    values = _point_values(gf, pt)
-    amb = immersion(gf, values).as_tuple()
+    amb = _values_at(gf, immersion_polys(gf), pt, "immersion")
     x, y, z, X, Y, Z = amb
-    pot = gf.potential.eval(values)
+    # The immersion maps each chart coordinate to itself, so amb holds the
+    # validated chart point as well.
+    point = [amb[AMBIENT_COORDS.index(v)] for v in gf.chart.coords]
+    pot = gf.potential.eval(point)
     if gf.chart is ChartKind.DUAL_R:
         P = X * x + Y * y + Z * z - pot
     elif gf.chart is ChartKind.DUAL_S:
         P = X * x + Y * y - pot
     else:
         P = Z * z + pot
-    if not _finite((P,)):
-        raise DomainError(f"geopotential is not finite at chart point {tuple(values)!r}")
+    if isinstance(P, float) and not math.isfinite(P):
+        raise DomainError(f"geopotential is not finite at chart point {tuple(point)!r}")
     return P, (x, y, z)
 
 
@@ -342,7 +340,8 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
         preimages, bp.failed_seeds = _newton_fiber(gf, base, point, rows, seeds)
     for point, multiplicity in preimages:
         chart_pt = tuple(float(v) for v in point)
-        P = multivalued_P(gf, chart_pt)[0] if rows else gf.potential.eval(point)
+        P = (multivalued_P(gf, chart_pt) if rows
+             else _values_at(gf, gf.potential, point, "geopotential"))[0]
         degenerate = multiplicity > 1 or abs(float(dpi_det(gf, chart_pt))) <= DEGENERATE_TOL
         bp.fiber_values.append(chart_pt)
         bp.P_values.append(float(P))

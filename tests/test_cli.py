@@ -9,7 +9,7 @@ import time
 import pytest
 
 from sgma import characteristics as ch
-from sgma import cli
+from sgma import cli, verify
 from sgma.cli import main
 from sgma.errors import MetricSingularError
 from sgma.family import build_family, random_generic_spec
@@ -445,7 +445,16 @@ def test_config_call_leaves_the_parser_unchanged(tmp_path, monkeypatch, capsys):
     finally:
         cli.build_parser.cache_clear()
     assert code == 0 and json.loads(out)["tol"] == 1e-3
-    assert len(tols) == 2 and all(tol == 1e-9 for tol in tols)
+    assert len(tols) == 1 and all(tol == 1e-9 for tol in tols)
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = _run(capsys, ["classify", *FOLD, "--point", "0,0,1",
+                                   "--config", str(missing)])
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith(f"argument --config: cannot read JSON from {missing}")
 
 
 def test_malformed_config_value_under_a_flag_exits_2(tmp_path, capsys):
@@ -504,6 +513,27 @@ def test_output_determinism(tmp_path, capsys):
     assert main(argv + [str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_output_file_receives_the_stdout_bytes(tmp_path, capsys):
+    for argv in (["classify", *FOLD, "--point", "0,0,1"],
+                 ["wind", *FOLD, "--x=-2:2:3", "--z=-2:1:3"]):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        path = tmp_path / "out.txt"
+        assert _run(capsys, [*argv, "--output", str(path)]) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+
+def test_verify_paper_failure_exits_1(monkeypatch, capsys):
+    name = verify.CRITERIA[0][1]
+    monkeypatch.setattr(verify, "CRITERIA", ((1, name, lambda: (False, "forced")),))
+    code, out, err = _run(capsys, ["verify-paper"])
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["all_passed"] is False
+    assert report["criteria"] == [{"id": 1, "name": name, "passed": False,
+                                   "detail": "forced"}]
 
 
 def test_verify_paper_list(capsys):
@@ -722,3 +752,37 @@ def test_grid_beyond_node_limit_exits_2_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "exceeds the limit of 1000000" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--chart", "P", "--potential", "x^2*y^2/4 + z^2/2",
+     "--point", "1e100,1e100,0"],
+    ["fiber", "--chart", "P", "--potential", "x^2*y^2/4 + z^2/2",
+     "--base", "1e100,1e100,0"],
+])
+def test_overflowing_value_at_a_finite_point_exits_3(capsys, argv):
+    # These values used to print as inf (invalid JSON) with exit code 0.
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and "not finite" in json.loads(lines[0])["error"]["message"]
+
+
+def test_fiber_beyond_the_singular_test_range_is_not_convex(capsys):
+    # The branch Hessian's singular threshold cubes max |a_ij| = 10^150.
+    code, out, err = _run(capsys, ["fiber", "--chart", "T", "--potential",
+                                   "10^150*x*Z^2/2 + y^2/2", "--base", "1,0,-1"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert [p["convex"] for p in report["fiber"]] == [False]
+    assert report["convex_branch"] is None
+
+
+@pytest.mark.parametrize("epsilon,v", [("1e-100", "3.6568542494923805e+100"),
+                                       ("1e-120", "3.6568542494923803e+120")])
+def test_wind_with_tiny_epsilon_stays_in_domain(capsys, epsilon, v):
+    code, out, err = _run(capsys, ["wind", *FOLD, "--x=2:2:1", "--z=-2:-2:1",
+                                   "--epsilon", epsilon])
+    assert code == 0 and err == ""
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert row["domain_flag"] == "1" and row["v"] == v and row["w"] == "0"

@@ -119,6 +119,14 @@ def test_dual_s_residual():
     assert ma_residual_poly(gf).is_zero
 
 
+def test_non_finite_residual_is_domain_error():
+    # x^2*y^2/4 is not a solution, and its residual overflows at a finite point.
+    gf = _gf("P", "x^2*y^2/4 + z^2/2")
+    with pytest.raises(DomainError, match="residual is not finite"):
+        ma_residual(gf, (1e100, 1e100, 0.0))
+    assert ma_residual(gf, (Fraction(10 ** 100), 10 ** 100, 0)) == -3 * 10 ** 400 // 4 - 1
+
+
 # -- immersion ----------------------------------------------------------------
 
 def test_immersion_fold_points(fold_gf):
@@ -251,6 +259,36 @@ def test_pullback_dual_s_matches_classical_for_shared_plane():
         h_p = pullback_metric(gf_p, pt)
         assert np.allclose(h_s, h_p, atol=1e-12)
         assert np.allclose(h_s, 2 * np.eye(3), atol=1e-12)
+
+
+def _determinant_law_holds(gf) -> bool:
+    # det h = 8 eps_q^4 L^2 as an identity of exact polynomials.
+    lhs = det3(pullback_metric_polys(gf))
+    return lhs == 8 * gf.eps_q ** 4 * singular_locus_poly(gf) ** 2
+
+
+def test_determinant_law_is_an_exact_identity_on_solutions(fold_gf):
+    solutions = [fold_gf, _gf("R", "X^2/2 + Y^2/2 + Z^2/2"),
+                 _gf("S", "X^2/2 + Y^2/2 - z^2/2")]
+    solutions += [build_family(random_generic_spec(random.Random(seed))).gf
+                  for seed in range(3)]
+    # Criterion 4's classical quadratics, where L = 1.
+    solutions += [_gf("P", text, eps) for text, eps in (
+        ("(x^2 + y^2 + z^2)/2", 1), ("(2*x^2 + y^2 + z^2)/2", 2),
+        ("x^2 + y^2/2 + z^2/4", 1), ("(x^2 - y^2 - z^2)/2", 1),
+        ("(-x^2 - y^2 + z^2)/2", 1), ("(x^2 + y^2 + z^2)/2 + x*y/2", Fraction(3, 4)),
+        ("(2*x^2 - y^2 - z^2)/2 + x*z/2", Fraction(9, 4)))]
+    for gf in solutions:
+        assert ma_residual_poly(gf).is_zero
+        assert _determinant_law_holds(gf), str(gf.potential)
+
+
+def test_determinant_law_fails_off_solutions():
+    # The fold plus x*y*Z: det h = 8Z^3 + 8Z^2 while L = -Z.
+    gf = _gf("T", "y^2/2 - x^2*Z/2 + Z^3/6 + x*y*Z")
+    assert det3(pullback_metric_polys(gf)) == parse_poly("8*Z^3 + 8*Z^2", XYZ_T)
+    assert singular_locus_poly(gf) == parse_poly("-Z", XYZ_T)
+    assert not _determinant_law_holds(gf)
 
 
 # -- classification -------------------------------------------------------------

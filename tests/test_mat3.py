@@ -61,3 +61,12 @@ def test_solve_rejects_singular_and_non_finite(m):
     # A singular finite matrix leaves the branch undefined; a non-finite
     # one is a float-range failure.
     assert isinstance(info.value, NoBranchError) == bool(np.isfinite(m).all())
+
+
+def test_solve_threshold_beyond_float_range_is_domain_error():
+    # The singular threshold max(1, max |a_ij|)^3 overflows once max |a_ij|
+    # exceeds ~5.6e102: a float-range failure, not a singular matrix.
+    m = np.diag([1e150, 1.0, 1.0])
+    with pytest.raises(DomainError, match="threshold") as info:
+        solve3(m, np.ones(3), "threshold")
+    assert not isinstance(info.value, NoBranchError)

@@ -3,11 +3,13 @@
 import io
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sgma import sg
 from sgma.errors import DomainError, NoBranchError
 from sgma.ma_core import ChartKind, GeneratingFunction
 from sgma.polyexpr import parse_poly
@@ -74,6 +76,19 @@ def test_velocity_examples(fold_gf):
     assert abs(u) < 1e-12 and abs(v - 2) < 1e-12 and abs(w) < 1e-12
     state1 = branch_state(fold_gf, (1, 0, 0))
     assert np.allclose(velocity_reconstruct(state1, fold_gf), (0, 0, 0), atol=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", ["1e-100", "1e-120"])
+def test_velocity_solve_does_not_depend_on_the_epsilon_row_scale(fold_gf, epsilon):
+    # z = -2 < x^2/2 is inside the domain whatever epsilon is; a tiny epsilon
+    # only scales q_g, so v = q_g (x sqrt(x^2 - 2z) - x).
+    eps = EpsilonChoice.for_gf(fold_gf, epsilon)
+    state = reconstructed_state(fold_gf, (2.0, 0.0, -2.0), eps=eps)
+    q_g = float(eps.q_g)
+    assert state.u == 0 and state.w == 0
+    assert state.v == pytest.approx(q_g * (2 * math.sqrt(8) - 2), rel=1e-15)
+    if epsilon == "1e-100":
+        assert state.v == 3.6568542494923805e+100
 
 
 def test_velocity_rest_state(convex_quadratic_gf):
@@ -197,6 +212,21 @@ def test_eps_q_not_one_warns():
     # the fiber; the warning fires before any residual question arises.
     with pytest.warns(UserWarning, match="verified regime"):
         branch_state(gf, (2, 0, 0))
+
+
+def test_wind_sweep_leaves_the_warning_filters_alone(monkeypatch, fold_gf):
+    # The filter list is process-wide state: a sweep that swapped it would
+    # race with any other thread's sweep.
+    filters, seen = warnings.filters, []
+    reconstruct = sg.reconstructed_state
+
+    def spy(*args):
+        seen.append(warnings.filters is filters)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(sg, "reconstructed_state", spy)
+    wind_field_sweep(fold_gf, "convex", PlaneGridSpec(0, 2, 3, -1, 1, 3))
+    assert seen == [True] * 9 and warnings.filters is filters
 
 
 def test_wind_sweep_grid_and_flags(fold_gf):

@@ -11,6 +11,7 @@ import pytest
 
 from sgma.errors import DomainError
 from sgma.grid import Grid
+from sgma import ma_core, singular
 from sgma.ma_core import CACHE_SIZE, ChartKind, GeneratingFunction, SignatureLabel, \
     classify, hessian, immersion, pullback_metric
 from sgma.polyexpr import Poly, parse_poly
@@ -489,3 +490,37 @@ def test_non_finite_geopotential_over_a_finite_immersion_is_domain_error(fold_gf
     assert all(math.isfinite(v) for v in immersion(fold_gf, pt).as_tuple())
     with pytest.raises(DomainError, match="geopotential is not finite"):
         multivalued_P(fold_gf, pt)
+
+
+def test_multivalued_p_validates_its_point_once(monkeypatch, fold_gf):
+    calls = []
+    validate = ma_core._point_values
+
+    def spy(gf, pt):
+        calls.append(pt)
+        return validate(gf, pt)
+
+    monkeypatch.setattr(ma_core, "_point_values", spy)
+    # Also where singular might hold its own reference.
+    monkeypatch.setattr(singular, "_point_values", spy, raising=False)
+    P, base = multivalued_P(fold_gf, {"x": 2, "y": 0, "Z": -1})
+    assert (P, base) == (Fraction(1, 3), (2, 0, Fraction(3, 2)))
+    assert len(calls) == 1
+
+
+def test_classical_geopotential_overflow_is_domain_error():
+    # x^2*y^2/4 overflows at a finite base point of the classical chart.
+    gf = _gf("P", "x^2*y^2/4 + z^2/2")
+    with pytest.raises(DomainError, match="geopotential is not finite"):
+        fiber_solve(gf, (1e100, 1e100, 0.0))
+
+
+def test_branch_hessian_beyond_the_singular_test_range_is_not_convex():
+    # T_xZ = 10^150 Z: the projection block's max |a_ij| = 10^150 makes the
+    # singular threshold max|a_ij|^3 overflow, a float-range failure.
+    gf = _gf("T", "10^150*x*Z^2/2 + y^2/2")
+    bp = fiber_solve(gf, (1.0, 0.0, -1.0))
+    assert bp.fiber_values == [(1.0, 0.0, 1e-150)]
+    with pytest.raises(DomainError):
+        branch_hessian(gf, bp.fiber_values[0])
+    assert bp.convex_flags == [False] and bp.degenerate_flags == [False]
