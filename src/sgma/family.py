@@ -60,12 +60,17 @@ _D2_SYMBOLS = tuple("D2" + name for _, _, name, _ in _table())
 _SYMBOLS = ("x", "y") + _VALUE_SYMBOLS + _D2_SYMBOLS
 
 
-def _expansion(coefficient, x: Poly, y: Poly) -> Poly:
+@lru_cache(maxsize=None)
+def _monomials(variables: tuple) -> tuple:
+    """(name, x^a * y^b / (a! b!)) for each coefficient of the truncation, in order."""
+    x, y = Poly.variable(variables, "x"), Poly.variable(variables, "y")
+    return tuple((name, x ** a * y ** b / (factorial(a) * factorial(b)))
+                 for _, _, name, (a, b) in _table())
+
+
+def _expansion(coefficient, variables: tuple) -> Poly:
     """The truncation: coefficient(name) * x^a * y^b / (a! b!), summed level 0 first."""
-    total = Poly.zero(x.variables)
-    for _, _, name, (a, b) in _table():
-        total += coefficient(name) * x ** a * y ** b / (factorial(a) * factorial(b))
-    return total
+    return Poly.sum([coefficient(name) * m for name, m in _monomials(variables)], variables)
 
 
 class FamilyError(SgmaError):
@@ -84,12 +89,10 @@ def derive_recursions() -> dict:
     recursion set for :func:`build_family`.
     """
     v = {name: Poly.variable(_SYMBOLS, name) for name in _SYMBOLS}
-    zero = Poly.zero(_SYMBOLS)
-    x, y = v["x"], v["y"]
     # T0 and T1 are no symbols: they vanish from the second x/y derivatives.
-    t = _expansion(lambda name: v.get(name, zero), x, y)
+    t = _expansion(lambda name: v.get(name, 0), _SYMBOLS)
     t_x, t_y = t.diff("x"), t.diff("y")
-    t_zz = _expansion(lambda name: v["D2" + name], x, y)
+    t_zz = _expansion(lambda name: v["D2" + name], _SYMBOLS)
     residual = t_x.diff("x") * t_y.diff("y") - t_x.diff("y") ** 2 + t_zz
     return residual.collect(("x", "y"))
 
@@ -252,8 +255,7 @@ def build_family(spec: FamilySpec) -> FamilySolution:
         values[name] = _double_integral(-_substitute(rest, values), constants[level][key])
 
     tvars = ("x", "y", "Z")
-    potential = _expansion(lambda name: values[name].with_variables(tvars),
-                           Poly.variable(tvars, "x"), Poly.variable(tvars, "y"))
+    potential = _expansion(lambda name: values[name].with_variables(tvars), tvars)
     gf = GeneratingFunction(ChartKind.DUAL_T, potential, Fraction(1))
     residual = ma_residual_poly(gf)
     if not residual.is_zero:

@@ -239,10 +239,10 @@ def pullback_metric_polys(gf: GeneratingFunction) -> PolyVector:
     for i in range(3):
         row = []
         for j in range(3):
-            acc = Poly.zero(gf.chart.coords)
-            for a, b in _METRIC_PAIRS:
-                acc = acc + jac[a][i] * jac[b][j] + jac[b][i] * jac[a][j]
-            row.append(eps * acc)
+            acc = Poly.sum([p for a, b in _METRIC_PAIRS
+                            for p in (jac[a][i] * jac[b][j], jac[b][i] * jac[a][j])],
+                           gf.chart.coords)
+            row.append(acc if eps == 1 else eps * acc)
         out.append(tuple(row))
     return PolyVector(out)
 

@@ -40,20 +40,22 @@ def adj3(m) -> tuple:
 def solve3(a, b, message: str) -> np.ndarray:
     """x = adj(a) b / det(a) for a float 3x3 ``a``; ``b`` is a vector or 3-row matrix.
 
-    Raises NoBranchError(message) when a finite ``a`` is singular within
-    |det a| <= 1e-14 * max(1, max |a_ij|)^3 or its determinant is NaN: the
-    callers solve for a branch's Hessian or velocity, which a singular ``a``
-    leaves undefined (a degenerate branch).  Raises DomainError(message)
-    when an entry of ``a`` is not finite, or when the threshold itself
-    leaves the float range (max |a_ij| > ~5.6e102).
+    Raises NoBranchError(message) when ``a`` is singular within |det a| <=
+    1e-14 * max(1, max |a_ij|)^3: the callers solve for a branch's Hessian
+    or velocity, which a singular ``a`` leaves undefined (a degenerate
+    branch).  Raises DomainError(message) when det a is not finite (an entry
+    is not, or det a overflows), or when the threshold itself leaves the
+    float range (max |a_ij| > ~5.6e102).
     """
     a = np.asarray(a, dtype=float)
     rows = a.tolist()  # float scalars: the same arithmetic, without numpy dispatch
     det = det3(rows)
+    if not abs(det) < np.inf:  # every entry enters det3: one that is not finite too
+        raise DomainError(message)
     try:
         singular = not abs(det) > 1e-14 * max(1.0, float(np.max(np.abs(a)))) ** 3
     except OverflowError:
         raise DomainError(message) from None
     if singular:
-        raise (NoBranchError if np.isfinite(a).all() else DomainError)(message)
+        raise NoBranchError(message)
     return np.array(adj3(rows)) @ b / det

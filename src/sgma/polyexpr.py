@@ -9,7 +9,8 @@ equal hashes.  All algebra is exact integer arithmetic.  ``fractions.Fraction``
 appears only at the edges (:attr:`Poly.terms`, :meth:`Poly.constant_value`,
 :meth:`Poly.univariate_coefficients`, printing and exact :meth:`Poly.eval`
 results), and floating point only at evaluation time, when the caller
-supplies float values.
+supplies float values.  Constants, variables and the n-ary :meth:`Poly.sum`
+are built as canonical pairs directly, not through ``Poly(variables, terms)``.
 
 Evaluation is compiled Horner: a :class:`Poly`, or a :class:`PolyVector`
 of them such as the cached builders of :mod:`sgma.ma_core` return, gets on
@@ -294,20 +295,30 @@ class Poly:
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls(variables, {})
+        return cls._new(_checked_variables(variables), {}, 1)
 
     @classmethod
     def constant(cls, variables: Sequence[str], value) -> "Poly":
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): exact_number(value)})
+        c = exact_number(value)
+        return cls._new(_checked_variables(vs), {(0,) * len(vs): c.numerator} if c else {},
+                        c.denominator)
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Poly":
         vs = tuple(variables)
         if name not in vs:
             raise ValueError(f"unknown variable {name!r} (have {vs!r})")
-        exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: 1})
+        return cls._new(_checked_variables(vs), {tuple(int(v == name) for v in vs): 1}, 1)
+
+    @classmethod
+    def sum(cls, polys, variables: Sequence[str]) -> "Poly":
+        """``zero + polys[0] + polys[1] + ...``, term order too: one map, reduced once."""
+        zero = cls.zero(variables)
+        acc, den = {}, 1
+        for p in map(zero._lift, polys):
+            den = _accumulate(acc, den, p._terms, p._den)
+        return cls._new(zero._variables, *_reduced(acc, den))
 
     # -- basic views -------------------------------------------------------
 
@@ -364,9 +375,7 @@ class Poly:
                     f"variable mismatch: {self._variables!r} vs {other._variables!r}"
                 )
             return other
-        c = exact_number(other)
-        terms = {(0,) * len(self._variables): c.numerator} if c else {}
-        return Poly._new(self._variables, terms, c.denominator)
+        return Poly.constant(self._variables, other)
 
     def _plus(self, other, sign: int) -> "Poly":
         other = self._lift(other)
@@ -703,6 +712,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.units = {v: tuple(int(w == v) for w in variables) for v in variables}
         self.depth = 0
 
     def peek(self):
@@ -835,9 +845,9 @@ class _Parser:
             n = self.integer(value, pos)
             return ({(0,) * len(self.variables): n} if n else {}), 1
         if kind == "name":
-            if value not in self.variables:
+            if value not in self.units:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            return {tuple(int(v == value) for v in self.variables): 1}, 1
+            return {self.units[value]: 1}, 1
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than the limit of {MAX_NESTING}",

@@ -344,7 +344,10 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
              else _values_at(gf, gf.potential, point, "geopotential"))[0]
         degenerate = multiplicity > 1 or abs(float(dpi_det(gf, chart_pt))) <= DEGENERATE_TOL
         bp.fiber_values.append(chart_pt)
-        bp.P_values.append(float(P))
+        try:
+            bp.P_values.append(float(P))
+        except OverflowError:  # an exact P beyond the float range
+            raise DomainError(f"geopotential is not finite at chart point {chart_pt!r}") from None
         bp.convex_flags.append(not degenerate and branch_is_convex(gf, chart_pt))
         bp.multiplicities.append(multiplicity)
         bp.degenerate_flags.append(degenerate)

@@ -1,20 +1,27 @@
 """Recursion derivation, family building, degrees, and the transcription cross-check."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from sgma.family import (
+    T1_KEYS,
+    T2_KEYS,
+    T3_KEYS,
     FamilySpec,
     build_family,
     derive_recursions,
     random_generic_spec,
     reference_recursion_report,
 )
-from sgma.ma_core import ma_residual_poly
+from sgma.ma_core import GeneratingFunction, hessian_polys, immersion_jacobian_polys, \
+    immersion_polys, ma_residual_poly, pullback_metric_polys
+from sgma.mat3 import det3
 from sgma.polyexpr import Poly, parse_poly
+from sgma.singular import singular_locus_poly
 
 EXAMPLE_SPEC = FamilySpec(t2_constants={"11": (-1, 0), "22": (0, 1)})
 
@@ -205,6 +212,88 @@ def test_family_term_order_digest():
         parts.append([(k, _term_listing(v)) for k, v in sol.coefficients.items()])
     assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
         "7a9ae6a7373149d074554b4a54c9004461ad9146498146229a6e1807443ecfd2")
+
+
+# The builders' formulas as repeated binary sums, with every variable and
+# zero made by the general constructor: the term maps of the builders, and
+# their order, which the generated RK4 kernels read, must match them.
+_EXPANSION = [("T0", (0, 0))] + [
+    (f"{level}_{key}", (key.count("1"), key.count("2")))
+    for level, keys in (("T1", T1_KEYS), ("T2", T2_KEYS), ("T3", T3_KEYS)) for key in keys]
+
+
+def _unit(vs, name):
+    return Poly(vs, {tuple(int(v == name) for v in vs): 1})
+
+
+def _chained_expansion(coefficient, vs):
+    x, y = _unit(vs, "x"), _unit(vs, "y")
+    total = Poly(vs, {})
+    for name, (a, b) in _EXPANSION:
+        total += coefficient(name) * x ** a * y ** b / (math.factorial(a) * math.factorial(b))
+    return total
+
+
+def _chained_dual_t_builders(potential, eps):
+    # (hessian, pull-back metric, singular locus) of a dual-T potential.
+    cs = potential.variables
+    firsts = [potential.diff(v) for v in cs]
+    hessian = [[firsts[i].diff(cs[j]) for j in range(3)] for i in range(3)]
+    rows = (_unit(cs, "x"), _unit(cs, "y"), -potential.diff("Z"),
+            potential.diff("x"), potential.diff("y"), _unit(cs, "Z"))
+    jac = [[row.diff(v) for v in cs] for row in rows]
+    metric = []
+    for i in range(3):
+        for j in range(3):
+            acc = Poly(cs, {})
+            for a, b in ((0, 3), (1, 4), (2, 5)):
+                acc = acc + jac[a][i] * jac[b][j] + jac[b][i] * jac[a][j]
+            metric.append(eps * acc)
+    return hessian, metric, det3(jac[:3])
+
+
+def _listings(polys):
+    return [_term_listing(p) for p in polys]
+
+
+def _assert_builders_match_chained_sums(gf):
+    # The builders' caches key on value: an equal potential with another
+    # term order, built by an earlier test, would answer for this one.
+    for builder in (hessian_polys, immersion_polys, immersion_jacobian_polys,
+                    pullback_metric_polys, singular_locus_poly):
+        builder.cache_clear()
+    hessian, metric, locus = _chained_dual_t_builders(gf.potential, gf.eps_q)
+    assert _listings(hessian_polys(gf)._entries()) == _listings(p for r in hessian for p in r)
+    assert _listings(pullback_metric_polys(gf)._entries()) == _listings(metric)
+    assert _term_listing(singular_locus_poly(gf)) == _term_listing(locus)
+
+
+def test_derived_identities_match_chained_sums():
+    vs = ("x", "y") + derive_recursions()[(0, 0)].variables
+    v = {name: _unit(vs, name) for name in vs}
+    zero = Poly(vs, {})
+    t = _chained_expansion(lambda name: v.get(name, zero), vs)
+    t_x, t_y = t.diff("x"), t.diff("y")
+    t_zz = _chained_expansion(lambda name: v["D2" + name], vs)
+    residual = t_x.diff("x") * t_y.diff("y") - t_x.diff("y") ** 2 + t_zz
+    expected = residual.collect(("x", "y"))
+    assert [(k, _term_listing(p)) for k, p in derive_recursions().items()] == \
+        [(k, _term_listing(p)) for k, p in expected.items()]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_member_term_maps_match_chained_sums(seed):
+    sol = build_family(random_generic_spec(random.Random(seed)))
+    vs = sol.gf.potential.variables
+    potential = _chained_expansion(lambda name: sol.coefficients[name].with_variables(vs), vs)
+    assert _term_listing(sol.gf.potential) == _term_listing(potential)
+    _assert_builders_match_chained_sums(sol.gf)
+
+
+def test_fold_metric_matches_chained_sums(fold_gf):
+    _assert_builders_match_chained_sums(fold_gf)
+    scaled = GeneratingFunction(fold_gf.chart, fold_gf.potential, Fraction(1, 3))
+    _assert_builders_match_chained_sums(scaled)
 
 
 def test_sympy_oracle_first_order_degree_is_six_not_seven():

@@ -70,3 +70,14 @@ def test_solve_threshold_beyond_float_range_is_domain_error():
     with pytest.raises(DomainError, match="threshold") as info:
         solve3(m, np.ones(3), "threshold")
     assert not isinstance(info.value, NoBranchError)
+
+
+def test_finite_matrix_whose_determinant_overflows_is_domain_error():
+    # det = 2 s^3 overflows to inf while the threshold 1e-14 s^3 stays
+    # finite; adj(a) b / inf would be (0, 0, 0) where numpy's solution is
+    # (-1.1e-119, 1.8e-103, 1.8e-103).
+    s = 5.5e102
+    m = [[s, s, 0.0], [-s, s, 0.0], [0.0, 0.0, s]]
+    with pytest.raises(DomainError, match="overflow") as info:
+        solve3(m, np.ones(3), "overflow")
+    assert not isinstance(info.value, NoBranchError)

@@ -292,6 +292,59 @@ def test_poly_reads_coefficients_through_exact_number():
             bad()
 
 
+@pytest.mark.parametrize("value", [0, "0", "-0.000", 10 ** 300, -10 ** 1000, Fraction(-7, 3),
+                                   "2/6", "1.5e3", "-12.25"])
+def test_direct_constant_equals_the_general_constructor(value):
+    c = Poly.constant(XYZ, value)
+    ref = Poly(XYZ, {(0, 0, 0): value})
+    assert c == ref and hash(c) == hash(ref)
+    assert list(c.terms.items()) == list(ref.terms.items())
+    assert c.constant_value() == exact_number(value)
+
+
+def test_direct_zero_and_variable_equal_the_general_constructor():
+    assert Poly.zero(XYZ) == Poly(XYZ, {}) and Poly.zero(XYZ).is_zero
+    assert Poly.zero(iter(XYZ)).variables == XYZ
+    for i, name in enumerate(XYZ):
+        unit = tuple(int(j == i) for j in range(3))
+        assert Poly.variable(XYZ, name) == Poly(XYZ, {unit: 1})
+        assert list(Poly.variable(XYZ, name).terms.items()) == [(unit, 1)]
+
+
+def test_direct_constructors_keep_their_messages_and_error_order():
+    dup = ("x", "x")
+    duplicate = re.escape("duplicate variable names in ('x', 'x')")
+    for make in (lambda: Poly.zero(dup), lambda: Poly.constant(dup, 1),
+                 lambda: Poly.variable(dup, "x")):
+        with pytest.raises(ValueError, match=duplicate):
+            make()
+    unknown = re.escape("unknown variable 'w' (have ('x', 'x'))")
+    with pytest.raises(ValueError, match=unknown):
+        Poly.variable(dup, "w")  # the unknown name is reported before the duplicate
+    not_finite = re.escape("value 0.5 is not a finite number: write it as an integer "
+                           "or a string, not a float")
+    for vs in (XYZ, dup):  # the value is read before the variables are checked
+        with pytest.raises(ValueError, match=not_finite):
+            Poly.constant(vs, 0.5)
+
+
+def test_sum_adds_in_one_map_with_the_chained_term_order():
+    p, q, r = (parse_poly(t, XYZ) for t in ("x + y/2 + 1", "Z^2/3 - y/2", "x^2 - 1/6"))
+    total = Poly.sum([p, q, r], XYZ)
+    chained = Poly.zero(XYZ) + p + q + r
+    assert total == chained
+    assert list(total.terms.items()) == list(chained.terms.items())
+    assert Poly.sum([], XYZ) == Poly.zero(XYZ)
+    assert Poly.sum(iter([p]), list(XYZ)) == p
+    cancelled = Poly.sum([p, -p, q], XYZ)
+    assert cancelled == q and list(cancelled.terms) == list(q.terms)
+    assert Poly.sum([p, -p], XYZ).is_zero
+    with pytest.raises(ValueError, match="variable mismatch"):
+        Poly.sum([p, parse_poly("x", ("x", "y"))], XYZ)
+    with pytest.raises(ValueError, match="duplicate"):
+        Poly.sum([], ("x", "x"))
+
+
 def test_variable_mismatch_requires_explicit_renaming():
     a = parse_poly("x", ("x",))
     b = parse_poly("x", ("x", "y"))

@@ -515,6 +515,12 @@ def test_classical_geopotential_overflow_is_domain_error():
         fiber_solve(gf, (1e100, 1e100, 0.0))
 
 
+def test_exact_classical_geopotential_beyond_float_range_is_domain_error(convex_quadratic_gf):
+    # The exact P = 10^400/2 is finite but has no float.
+    with pytest.raises(DomainError, match="geopotential is not finite"):
+        fiber_solve(convex_quadratic_gf, (10 ** 200, 0, 0))
+
+
 def test_branch_hessian_beyond_the_singular_test_range_is_not_convex():
     # T_xZ = 10^150 Z: the projection block's max |a_ij| = 10^150 makes the
     # singular threshold max|a_ij|^3 overflow, a float-range failure.
