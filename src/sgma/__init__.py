@@ -35,7 +35,6 @@ from .singular import (
     BranchPoint,
     CausticSample,
     CausticSweep,
-    GridSpec2D,
     branch_hessian,
     branch_is_convex,
     branch_select_convex,
@@ -69,7 +68,6 @@ from .family import (
 )
 from .sg import (
     EpsilonChoice,
-    PlaneGridSpec,
     SGState,
     WindSample,
     branch_state,

@@ -11,12 +11,6 @@ from fractions import Fraction
 
 
 def format_float(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        value = float(value)
     return format(float(value), ".17g")
 
 
@@ -30,8 +24,6 @@ def render_json(obj, indent: int = 0) -> str:
     inner = "  " * (indent + 1)
     if obj is None:
         return "null"
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        obj = obj.item()  # numpy scalars
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):

@@ -180,41 +180,28 @@ def _point_values(gf: GeneratingFunction, pt) -> list:
 CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def hessian_polys(gf: GeneratingFunction) -> PolyVector:
-    """3x3 matrix of exact second-derivative polynomials of the potential."""
-    cs = gf.chart.coords
-    firsts = [gf.potential.diff(v) for v in cs]
-    return PolyVector(tuple(firsts[i].diff(cs[j]) for j in range(3)) for i in range(3))
+# The (chart, ambient coordinate) pairs whose chart relation, the potential's
+# derivative by the conjugate coordinate (x <-> X, y <-> Y, z <-> Z), is negated.
+_NEGATED = {(ChartKind.DUAL_S, "Z"), (ChartKind.DUAL_T, "z")}
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def immersion_polys(gf: GeneratingFunction) -> PolyVector:
     """The six ambient coordinates as exact polynomials of the chart coordinates.
 
-    Order follows AMBIENT_COORDS.  Chart coordinates map to themselves; the
-    complementary coordinates are the defining first-derivative relations of
-    the chart (with the sign conventions of the two mixed charts: Z = -S_z
-    and z = -T_Z).
+    Order follows AMBIENT_COORDS.  Chart coordinates map to themselves; each
+    other coordinate is the potential's derivative by its conjugate (X = P_x
+    on the classical chart, x = R_X on dual-R), with the sign conventions of
+    the two mixed charts: Z = -S_z and z = -T_Z.
     """
     cs = gf.chart.coords
-    pot = gf.potential
-
-    def var(name: str) -> Poly:
-        return Poly.variable(cs, name)
-
-    if gf.chart is ChartKind.CLASSICAL_P:
-        rows = (var("x"), var("y"), var("z"),
-                pot.diff("x"), pot.diff("y"), pot.diff("z"))
-    elif gf.chart is ChartKind.DUAL_R:
-        rows = (pot.diff("X"), pot.diff("Y"), pot.diff("Z"),
-                var("X"), var("Y"), var("Z"))
-    elif gf.chart is ChartKind.DUAL_S:
-        rows = (pot.diff("X"), pot.diff("Y"), var("z"),
-                var("X"), var("Y"), -pot.diff("z"))
-    else:
-        rows = (var("x"), var("y"), -pot.diff("Z"),
-                pot.diff("x"), pot.diff("y"), var("Z"))
+    rows = []
+    for name in AMBIENT_COORDS:
+        if name in cs:
+            rows.append(Poly.variable(cs, name))
+        else:
+            first = gf.potential.diff(name.swapcase())
+            rows.append(-first if (gf.chart, name) in _NEGATED else first)
     return PolyVector(rows)
 
 
@@ -224,6 +211,22 @@ def immersion_jacobian_polys(gf: GeneratingFunction) -> PolyVector:
     cs = gf.chart.coords
     rows = immersion_polys(gf)
     return PolyVector(tuple(row.diff(v) for v in cs) for row in rows)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def hessian_polys(gf: GeneratingFunction) -> PolyVector:
+    """3x3 matrix of exact second-derivative polynomials of the potential.
+
+    Row i is the immersion Jacobian's row of the conjugate of chart
+    coordinate i, with the chart relation's sign undone.
+    """
+    jac = immersion_jacobian_polys(gf)
+    rows = []
+    for v in gf.chart.coords:
+        name = v.swapcase()
+        row = jac[AMBIENT_COORDS.index(name)]
+        rows.append(tuple(-p for p in row) if (gf.chart, name) in _NEGATED else row)
+    return PolyVector(rows)
 
 
 # The ambient quadratic form pairs (x, X), (y, Y), (z, Z).
@@ -251,19 +254,17 @@ def pullback_metric_polys(gf: GeneratingFunction) -> PolyVector:
 def ma_residual_poly(gf: GeneratingFunction) -> Poly:
     """Exact chart balance residual (LHS - RHS); the zero polynomial for solutions.
 
-    Chart forms: classical det Hess(P) = eps_q; dual-R det Hess(R) = 1/eps_q;
-    dual-S eps_q*(S_XX S_YY - S_XY^2) + S_zz = 0; dual-T
-    T_xx T_yy - T_xy^2 + eps_q T_ZZ = 0.
+    The balance equation is the Monge-Ampere form dX^dY^dZ - eps_q dx^dy^dz,
+    which reads det C - eps_q det B on every chart, with B the base and C the
+    momentum block of the immersion Jacobian.  Divided by one factor per
+    chart it takes the chart's conventional form: classical det Hess(P) =
+    eps_q; dual-R det Hess(R) = 1/eps_q; dual-S eps_q*(S_XX S_YY - S_XY^2) +
+    S_zz = 0; dual-T T_xx T_yy - T_xy^2 + eps_q T_ZZ = 0.
     """
-    h = hessian_polys(gf)
+    jac = immersion_jacobian_polys(gf)
     eps = gf.eps_q
-    if gf.chart is ChartKind.CLASSICAL_P or gf.chart is ChartKind.DUAL_R:
-        rhs = eps if gf.chart is ChartKind.CLASSICAL_P else 1 / eps
-        return det3(h) - Poly.constant(gf.chart.coords, rhs)
-    minor = h[0][0] * h[1][1] - h[0][1] * h[0][1]
-    if gf.chart is ChartKind.DUAL_S:
-        return eps * minor + h[2][2]
-    return minor + eps * h[2][2]
+    factor = {ChartKind.DUAL_R: -eps, ChartKind.DUAL_S: -1}.get(gf.chart, 1)
+    return (det3(jac[3:]) - eps * det3(jac[:3])) / factor
 
 
 # -- point evaluations -------------------------------------------------------

@@ -492,7 +492,8 @@ class Poly:
     def compose(self, mapping: Mapping[str, object], variables: Sequence[str]) -> "Poly":
         """Substitute every variable by a polynomial (or scalar) over new variables."""
         tvars = _checked_variables(variables)
-        lifted: dict[str, Poly] = {}
+        # Every entry is checked; a scalar becomes a Poly only if its variable occurs.
+        bases: dict[str, Poly | Fraction] = {}
         for name in self._variables:
             if name not in mapping:
                 raise ValueError(f"no substitution given for variable {name!r}")
@@ -502,9 +503,9 @@ class Poly:
                     raise ValueError(
                         f"substitution for {name!r} is over {v.variables!r}, expected {tvars!r}"
                     )
-                lifted[name] = v
+                bases[name] = v
             else:
-                lifted[name] = Poly.constant(tvars, v)
+                bases[name] = exact_number(v)
         # Sum coefficient * product of powers term by term, in term order;
         # the coefficients' common denominator is applied once at the end.
         one = (0,) * len(tvars)
@@ -517,7 +518,9 @@ class Poly:
                 if e:
                     key = (name, e)
                     if key not in powers:
-                        base = lifted[name]
+                        base = bases[name]
+                        if not isinstance(base, Poly):
+                            base = bases[name] = Poly.constant(tvars, base)
                         powers[key] = _pow(base._terms, base._den, e, len(tvars))
                     term = _mul(*term, *powers[key])
             den = _accumulate(acc, den, *term)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sgma.ma_core import ChartKind, GeneratingFunction
-from sgma.polyexpr import parse_poly
+from sgma.polyexpr import Poly, parse_poly
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +23,17 @@ def convex_quadratic_gf() -> GeneratingFunction:
         parse_poly("(x^2 + y^2 + z^2)/2", ("x", "y", "z")),
         Fraction(1),
     )
+
+
+@pytest.fixture
+def constant_calls(monkeypatch) -> list:
+    """The values of every ``Poly.constant`` call made after the fixture is set up."""
+    calls = []
+    constant = Poly.constant.__func__
+
+    def spy(cls, variables, value):
+        calls.append(value)
+        return constant(cls, variables, value)
+
+    monkeypatch.setattr(Poly, "constant", classmethod(spy))
+    return calls

@@ -331,6 +331,29 @@ def test_nonfinite_or_nonpositive_tol_exits_2(capsys, argv, tol):
     assert "positive and finite" in json.loads(err.strip())["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", *FOLD],
+    ["residual", *FOLD],
+    ["caustic", *FOLD],
+    ["fiber", *FOLD],
+    ["trace", *FOLD, "--q", "0,0,1"],
+    ["trace", *FOLD, "--p", "0,1,?"],
+    ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1,?", "--null-root", "5"],
+    ["trace", *FOLD, "--q", "0,0,1", "--p", "0,?,?"],
+    ["family"],
+    ["wind", *FOLD, "--x", "2:2:1"],
+    ["wind", *FOLD, "--z=-1:0:2"],
+    ["classify", "--config", "list.json"],
+])
+def test_usage_error_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text(json.dumps(["--point", "0,0,1"]))
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 2
+
+
 def test_bad_potential_exits_2(capsys):
     code, _, err = _run(capsys, ["classify", "--chart", "T", "--potential", "2x",
                                  "--point", "0,0,1"])

@@ -106,6 +106,19 @@ def test_random_members_solve_exactly_with_generic_degrees():
         assert tuple(sol.degrees) == (1, 4, 6, 10)
 
 
+@pytest.fixture
+def warm_build():
+    build_family(random_generic_spec(random.Random(0)))
+
+
+def test_member_build_lifts_only_the_constants_it_uses(warm_build, constant_calls):
+    # _substitute maps all 26 derivation symbols; compose lifts only those
+    # that occur (80 Poly.constant calls for this spec and build when every
+    # entry was lifted).
+    build_family(random_generic_spec(random.Random(0)))
+    assert len(constant_calls) == 20
+
+
 def test_t0_constants_change_potential_affinely_never_residual():
     rng = random.Random(42)
     base = random_generic_spec(rng)

@@ -1,6 +1,7 @@
 """Charts, immersions, metrics and classification against known closed forms."""
 
 import gc
+import hashlib
 import itertools
 import random
 import warnings
@@ -125,6 +126,69 @@ def test_non_finite_residual_is_domain_error():
     with pytest.raises(DomainError, match="residual is not finite"):
         ma_residual(gf, (1e100, 1e100, 0.0))
     assert ma_residual(gf, (Fraction(10 ** 100), 10 ** 100, 0)) == -3 * 10 ** 400 // 4 - 1
+
+
+# Potentials of every chart: solutions of the balance equation for some eps_q
+# in (1, 3/4, 2), and potentials that solve it for none.
+_CHART_POTENTIALS = [
+    ("P", "(x^2 + y^2 + z^2)/2"),
+    ("P", "(x^2 + y^2 + z^2)/2 + x*y/2"),
+    ("P", "(2*x^2 + y^2 + z^2)/2"),
+    ("P", "x^2*y^2/4 + z^2/2 + x*y*z - 3*x"),
+    ("R", "(X^2 + Y^2 + Z^2)/2"),
+    ("R", "2*X^2/3 - 2*X*Y/3 + 2*Y^2/3 + Z^2/2"),
+    ("R", "X^3*Y/6 + Y*Z^2 - X*Z + 3"),
+    ("S", "(X^2 + Y^2)/2 - z^2/2"),
+    ("S", "(X^2 + Y^2)/2 - z^2"),
+    ("S", "X^2*z/2 + Y^3/3 - z^3/6 + X*Y*z"),
+    ("T", "y^2/2 - x^2*Z/2 + Z^3/6"),
+    ("T", "y^2/2 - x^2*Z/2 + Z^3/6 + x*y*Z"),
+    ("T", "x^3*y/7 + Z^2 - x*Z^3"),
+]
+
+
+def test_residual_is_each_chart_s_hand_derived_form():
+    # The four conventional forms, restated over the Hessian entries.
+    def form(gf):
+        (a, b, _), (_, d, _), (_, _, f) = h = hessian_polys(gf)
+        eps = gf.eps_q
+        if gf.chart is ChartKind.CLASSICAL_P:
+            return det3(h) - eps
+        if gf.chart is ChartKind.DUAL_R:
+            return det3(h) - 1 / eps
+        if gf.chart is ChartKind.DUAL_S:
+            return eps * (a * d - b * b) + f
+        return a * d - b * b + eps * f
+
+    gfs = [_gf(chart, text, eps) for chart, text in _CHART_POTENTIALS
+           for eps in (1, Fraction(3, 4), 2)]
+    gfs += [build_family(random_generic_spec(random.Random(s))).gf for s in range(4)]
+    solved = set()
+    for gf in gfs:
+        residual = ma_residual_poly(gf)
+        assert residual == form(gf), (gf.chart, str(gf.potential), gf.eps_q)
+        solved.add((gf.chart, residual.is_zero))
+    assert solved == {(kind, zero) for kind in ChartKind for zero in (True, False)}
+
+
+def test_hessian_is_read_from_the_cached_jacobian(monkeypatch):
+    diffs = []
+    diff = Poly.diff
+
+    def spy(self, var):
+        diffs.append(var)
+        return diff(self, var)
+
+    monkeypatch.setattr(Poly, "diff", spy)
+    for chart, text in _CHART_POTENTIALS:
+        gf = _gf(chart, text, 3)
+        hessian_polys.cache_clear()
+        immersion_jacobian_polys(gf)
+        diffs.clear()
+        h = hessian_polys(gf)
+        assert diffs == []
+        firsts = [gf.potential.diff(v) for v in gf.chart.coords]
+        assert h == tuple(tuple(f.diff(v) for v in gf.chart.coords) for f in firsts)
 
 
 # -- immersion ----------------------------------------------------------------
@@ -573,3 +637,20 @@ def test_compiled_evaluators_live_and_die_with_builder_cache_entries(monkeypatch
     assert len(compiled) == (CACHE_SIZE + 12) * len(builders)
     assert sum(ref() is not None for ref in compiled) <= CACHE_SIZE * len(builders)
 
+
+def test_builder_term_order_digest():
+    # The RK4 kernels read the metric's terms in Poly.terms order, so every
+    # builder's term maps are pinned in their dict order, not only in value.
+    # The caches key on value, so an equal potential built by an earlier
+    # test with another term order would answer for these.
+    builders = (immersion_polys, immersion_jacobian_polys, hessian_polys,
+                pullback_metric_polys, singular_locus_poly)
+    for build in builders:
+        build.cache_clear()
+    gfs = [_gf(chart, text, eps) for chart, text in _CHART_POTENTIALS
+           for eps in (1, Fraction(3, 4))]
+    gfs += [build_family(random_generic_spec(random.Random(s))).gf for s in range(4)]
+    parts = [[list(p.terms.items()) for build in builders for p in build(gf)._entries()]
+             for gf in gfs]
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
+        "3dbf5379cba46b6806bf22980cbd2fde7ffd8d9fceaa313f3af337c312659053")

@@ -371,6 +371,27 @@ def test_compose():
         "Z^2 + 3", ("Z",))
 
 
+def test_compose_lifts_only_the_scalars_it_uses(constant_calls):
+    t = parse_poly("x^2 + 3*y", ("x", "y", "a", "b"))
+    z = Poly.variable(("Z",), "Z")
+    got = t.compose({"x": 2, "y": z, "a": 0, "b": Fraction(1, 2)}, ("Z",))
+    assert got == parse_poly("3*Z + 4", ("Z",))
+    assert constant_calls == [2]
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, "no substitution given for variable 'b'"),
+    (Poly.variable(("x",), "x"), "substitution for 'b' is over"),
+    (0.5, "not a finite number"),
+    ("1/0", "not a finite number"),
+])
+def test_compose_checks_the_entries_of_unused_variables(value, message):
+    t = parse_poly("a^2", ("a", "b"))
+    mapping = {"a": 1} if value is None else {"a": 1, "b": value}
+    with pytest.raises(ValueError, match=message):
+        t.compose(mapping, ("Z",))
+
+
 def test_antiderivative_zero_constant():
     p = parse_poly("Z^2", ("Z",))
     anti = p.antiderivative("Z")
