@@ -39,7 +39,8 @@ from math import isqrt
 from . import codegen
 from .errors import DomainError, MetricSingularError
 from .formatting import format_float
-from .ma_core import CACHE_SIZE, GeneratingFunction, _point_values, pullback_metric_polys
+from .ma_core import CACHE_SIZE, GeneratingFunction, _floats, _point_values, \
+    pullback_metric_polys
 from .polyexpr import Poly, PolyVector
 
 # Fixed thresholds of the metric and trace decisions.
@@ -356,10 +357,10 @@ def null_project(gf: GeneratingFunction, q, p_partial, free_index: int) -> list:
     """
     if free_index not in (0, 1, 2):
         raise ValueError("free_index must be 0, 1 or 2")
-    p_partial = [float(v) for v in p_partial]
+    p_partial = _floats(p_partial, "momentum")
     if len(p_partial) != 2:
         raise ValueError("p_partial must supply the two fixed components")
-    q = tuple(float(v) for v in q)
+    q = tuple(_floats(_point_values(gf, q), "chart point"))
     hinv = _inverse_metric(_metric_field(gf), q)
     fixed = [i for i in range(3) if i != free_index]
     p0 = [0.0, 0.0, 0.0]
@@ -547,7 +548,7 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
 
 def eikonal_residual_grad(gf: GeneratingFunction, pt, grad) -> float:
     """Residual (grad F)^T h^{-1} (grad F) = H(pt, grad F) for a numerical gradient."""
-    values = [float(v) for v in _point_values(gf, pt)]
+    values = _floats(_point_values(gf, pt), "chart point")
     g = [float(v) for v in grad]
     if len(g) != 3:
         raise ValueError("gradient must have 3 components")

@@ -156,19 +156,18 @@ def _require_finite(values, what: str) -> None:
         raise DomainError(f"{what} is not finite: {tuple(values)!r}")
 
 
+def _floats(values, what: str) -> list:
+    # The values as floats; one that is not finite, or an exact one beyond
+    # the float range, is a DomainError.
+    _require_finite(values, what)
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise DomainError(f"{what} is not finite: {tuple(values)!r}") from None
+
+
 def _point_values(gf: GeneratingFunction, pt) -> list:
-    if isinstance(pt, Mapping):
-        missing = [v for v in gf.chart.coords if v not in pt]
-        extra = set(pt) - set(gf.chart.coords)
-        if missing or extra:
-            raise ValueError(
-                f"point must supply exactly {gf.chart.coords!r}"
-            )
-        values = [pt[v] for v in gf.chart.coords]
-    else:
-        values = list(pt)
-        if len(values) != 3:
-            raise ValueError(f"expected 3 chart values, got {len(values)}")
+    values = gf.potential._values_list(pt)  # the potential's variables are the chart's
     _require_finite(values, "chart point")
     return values
 
@@ -214,6 +213,17 @@ def immersion_jacobian_polys(gf: GeneratingFunction) -> PolyVector:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def singular_locus_poly(gf: GeneratingFunction) -> Poly:
+    """Exact polynomial whose zero set (in chart coordinates) is the singular locus.
+
+    It is det B, B the immersion Jacobian's base block: constant 1 on the
+    classical chart, -T_ZZ on dual-T, S_XX*S_YY - S_XY^2 on dual-S, and
+    det Hess(R) on dual-R.
+    """
+    return det3(immersion_jacobian_polys(gf)[:3])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def hessian_polys(gf: GeneratingFunction) -> PolyVector:
     """3x3 matrix of exact second-derivative polynomials of the potential.
 
@@ -256,15 +266,16 @@ def ma_residual_poly(gf: GeneratingFunction) -> Poly:
 
     The balance equation is the Monge-Ampere form dX^dY^dZ - eps_q dx^dy^dz,
     which reads det C - eps_q det B on every chart, with B the base and C the
-    momentum block of the immersion Jacobian.  Divided by one factor per
-    chart it takes the chart's conventional form: classical det Hess(P) =
-    eps_q; dual-R det Hess(R) = 1/eps_q; dual-S eps_q*(S_XX S_YY - S_XY^2) +
-    S_zz = 0; dual-T T_xx T_yy - T_xy^2 + eps_q T_ZZ = 0.
+    momentum block of the immersion Jacobian (det B is singular_locus_poly).
+    Divided by one factor per chart it takes the chart's conventional form:
+    classical det Hess(P) = eps_q; dual-R det Hess(R) = 1/eps_q; dual-S
+    eps_q*(S_XX S_YY - S_XY^2) + S_zz = 0; dual-T T_xx T_yy - T_xy^2 +
+    eps_q T_ZZ = 0.
     """
     jac = immersion_jacobian_polys(gf)
     eps = gf.eps_q
     factor = {ChartKind.DUAL_R: -eps, ChartKind.DUAL_S: -1}.get(gf.chart, 1)
-    return (det3(jac[3:]) - eps * det3(jac[:3])) / factor
+    return (det3(jac[3:]) - eps * singular_locus_poly(gf)) / factor
 
 
 # -- point evaluations -------------------------------------------------------

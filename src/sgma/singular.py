@@ -17,9 +17,10 @@ one whose branch Hessian is positive definite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -27,9 +28,9 @@ import numpy as np
 from .errors import DomainError
 from .formatting import format_float
 from .grid import Axis, Grid
-from .ma_core import AMBIENT_COORDS, CACHE_SIZE, ChartKind, GeneratingFunction, \
-    immersion, immersion_jacobian, immersion_jacobian_polys, immersion_polys, \
-    _require_finite, _values_at
+from .ma_core import AMBIENT_COORDS, CACHE_SIZE, GeneratingFunction, immersion, \
+    immersion_jacobian, immersion_jacobian_polys, immersion_polys, singular_locus_poly, \
+    _NEGATED, _floats, _values_at
 from .mat3 import det3, solve3
 from .polyexpr import Poly, PolyVector
 from .realroots import real_roots
@@ -89,17 +90,6 @@ NEWTON_MAX_ITER = 60  # Newton steps per seed before the seed counts as failed
 DEDUPE_TOL = 1e-9  # Newton solutions closer than this in max norm are one preimage
 CONVEX_TOL = 1e-9  # convex: all leading principal minors of the branch Hessian exceed this
 DEGENERATE_TOL = 1e-9  # degenerate: |det dpi| <= DEGENERATE_TOL, or a multiple root
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def singular_locus_poly(gf: GeneratingFunction) -> Poly:
-    """Exact polynomial whose zero set (in chart coordinates) is the singular locus.
-
-    It is the symbolic determinant of the base-projection Jacobian:
-    constant 1 on the classical chart, -T_ZZ on the dual-T chart,
-    S_XX*S_YY - S_XY^2 on dual-S, and det Hess(R) on dual-R.
-    """
-    return det3(immersion_jacobian_polys(gf)[:3])
 
 
 def _by_powers(poly: Poly, var: str) -> PolyVector:
@@ -210,30 +200,27 @@ def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> Cau
 
 
 def multivalued_P(gf: GeneratingFunction, pt):
-    """Geopotential value and base point of the branch through a dual-chart point.
+    """Geopotential value and base point of the branch through a chart point.
 
-    Inverse Legendre formulas per chart: dual-R P = Xx + Yy + Zz - R;
-    dual-S P = Xx + Yy - S; dual-T P = Zz + T.  Exact for exact inputs.
-    On the classical chart the potential itself is the geopotential, so the
-    transform is not defined there.
+    The inverse Legendre transform sums momentum * base over the base
+    coordinates the chart lacks (x, y, z order), then adds the potential if
+    their relations are negated (or there are none) and subtracts it
+    otherwise: dual-R P = Xx + Yy + Zz - R, dual-S P = Xx + Yy - S, dual-T
+    P = Zz + T, classical P = P.  Exact for exact inputs.
     """
-    if gf.chart is ChartKind.CLASSICAL_P:
-        raise ValueError("the classical chart's potential is already the geopotential")
     amb = _values_at(gf, immersion_polys(gf), pt, "immersion")
-    x, y, z, X, Y, Z = amb
     # The immersion maps each chart coordinate to itself, so amb holds the
     # validated chart point as well.
     point = [amb[AMBIENT_COORDS.index(v)] for v in gf.chart.coords]
-    pot = gf.potential.eval(point)
-    if gf.chart is ChartKind.DUAL_R:
-        P = X * x + Y * y + Z * z - pot
-    elif gf.chart is ChartKind.DUAL_S:
-        P = X * x + Y * y - pot
-    else:
-        P = Z * z + pot
+    P = gf.potential.eval(point)
+    lacking = _fiber_rows(gf)
+    if lacking:  # reduce, not sum: sum starts at 0, and 0 + -0.0 is 0.0
+        products = reduce(operator.add, (amb[3 + k] * amb[k] for k in lacking))
+        negated = all((gf.chart, _BASE[k]) in _NEGATED for k in lacking)
+        P = products + P if negated else products - P
     if isinstance(P, float) and not math.isfinite(P):
         raise DomainError(f"geopotential is not finite at chart point {tuple(point)!r}")
-    return P, (x, y, z)
+    return P, tuple(amb[:3])
 
 
 def branch_hessian(gf: GeneratingFunction, chart_pt) -> np.ndarray:
@@ -321,8 +308,7 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
     base = tuple(base)
     if len(base) != 3:
         raise ValueError(f"base point must have 3 components, got {len(base)}")
-    _require_finite(base, "base point")
-    bp = BranchPoint(base_point=tuple(float(v) for v in base),
+    bp = BranchPoint(base_point=tuple(_floats(base, "base point")),
                      fiber_values=[], P_values=[], convex_flags=[])
     rows = _fiber_rows(gf)
     # The chart point as far as the base point fixes it (None where unknown).
@@ -339,9 +325,9 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
                              f"and are found by Newton from seeds; none were given")
         preimages, bp.failed_seeds = _newton_fiber(gf, base, point, rows, seeds)
     for point, multiplicity in preimages:
-        chart_pt = tuple(float(v) for v in point)
-        P = (multivalued_P(gf, chart_pt) if rows
-             else _values_at(gf, gf.potential, point, "geopotential"))[0]
+        chart_pt = tuple(_floats(point, "chart point"))
+        # An exact base point keeps its exact geopotential on the classical chart.
+        P, _ = multivalued_P(gf, chart_pt if rows else point)
         degenerate = multiplicity > 1 or abs(float(dpi_det(gf, chart_pt))) <= DEGENERATE_TOL
         bp.fiber_values.append(chart_pt)
         try:

@@ -13,9 +13,11 @@ family.reference_recursion_report and the sympy oracle in test_family).
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from sgma import cli, ma_core as mc, verify
 from sgma.polyexpr import parse_poly
@@ -92,9 +94,13 @@ def test_criterion_12_eikonal():
 
 
 def test_criterion_13_verify_paper_command_exits_zero():
+    # The child imports sgma from this source tree, installed or not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "sgma.cli", "verify-paper"],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=True, timeout=600, env=env,
     )
     summary = json.loads(proc.stdout)
     assert len(summary["criteria"]) == 12

@@ -95,6 +95,23 @@ def test_null_project_degenerate_free_component():
     assert null_project(gf, (0, 0, 0), (0, 0), 0) == [(0.0, 0.0, 0.0)]
 
 
+@pytest.mark.parametrize("q", [(0, 1), (0, 0, 1, 0)])
+def test_null_project_point_of_wrong_length_is_value_error(fold_gf, q):
+    with pytest.raises(ValueError, match="expected 3 values"):
+        null_project(fold_gf, q, (0, 1), 2)
+
+
+@pytest.mark.parametrize("q", [(math.nan, 0, 1), (0, math.inf, 1)])
+def test_null_project_non_finite_point_is_domain_error(fold_gf, q):
+    with pytest.raises(DomainError, match="chart point is not finite"):
+        null_project(fold_gf, q, (0, 1), 2)
+
+
+def test_null_project_exact_point_beyond_float_range_is_domain_error(fold_gf):
+    with pytest.raises(DomainError, match="chart point is not finite"):
+        null_project(fold_gf, (0, 0, 10 ** 400), (0, 1), 2)
+
+
 def test_ham_rhs_example(fold_gf):
     qdot, pdot = ham_rhs(fold_gf, BicharState((0, 0, 1), (0, 1, 1)))
     assert np.allclose(qdot, (0, 1, -1))

@@ -215,8 +215,13 @@ MEMBER_SPEC = {
 
 # Fibers on the Newton charts (one seed converging, one failing on dual-R)
 # and on a three-sheet member, recorded before the fiber rule was derived
-# from the immersion.  (name, argv, lines, sha256 of the output)
+# from the immersion, and on the classical chart, recorded before its
+# geopotential was read through the Legendre rule of the dual charts.
+# (name, argv, lines, sha256 of the output)
 FIBER_GOLDENS = [
+    ("classical", ["fiber", "--chart", "P", "--potential", "x^2 + x*y + y^2 + y*z + z^2",
+                   "--base", "0.1,-0.2,0.3"], 23,
+     "a47c7080e54cbad4c65ad459de49fad1cba6d3dbcb5345eb3e7321518df21104"),
     ("dual_s", ["fiber", "--chart", "S", "--potential", "(X^2 + Y^2)/2 - z^2/2",
                 "--base", "0.5,-0.25,2", "--seeds", "0,0;1,1"], 23,
      "b81f40f1317a572bf8320f3f5e15258ac1ab208397f09be606e24ce304171276"),
@@ -241,6 +246,15 @@ def test_fiber_digest_golden(tmp_path, monkeypatch, capsys, name, argv, n_lines,
     assert code == 0 and err == ""
     assert len(out.splitlines()) == n_lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_classical_fiber_with_non_finite_immersion_exits_3(capsys):
+    # The base point is finite, but Z = P_z = x*y = 1e310 is not.
+    code, out, err = _run(capsys, ["fiber", "--chart", "P", "--potential", "x*y*z",
+                                   "--base", "1e300,1e10,1e-300"])
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    record = json.loads(err)["error"]
+    assert record["code"] == 3 and "immersion is not finite" in record["message"]
 
 
 @pytest.mark.parametrize("option", [["--step", "nan"], ["--step", "inf"],

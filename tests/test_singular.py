@@ -45,6 +45,15 @@ def test_locus_poly_fold(fold_gf):
     assert singular_locus_poly(fold_gf) == parse_poly("-Z", T_VARS)
 
 
+def test_locus_poly_is_the_cached_det_b_of_the_balance_residual():
+    assert singular_locus_poly is ma_core.singular_locus_poly
+    gf = _gf("T", "y^2/2 - x^2*Z/2 + Z^3/6 + x*y*Z/7")
+    ma_core.ma_residual_poly(gf)
+    hits = singular_locus_poly.cache_info().hits
+    assert singular_locus_poly(gf) == parse_poly("-Z", T_VARS)
+    assert singular_locus_poly.cache_info().hits == hits + 1
+
+
 def test_locus_poly_classical_is_one(convex_quadratic_gf):
     assert singular_locus_poly(convex_quadratic_gf) == parse_poly("1", ("x", "y", "z"))
 
@@ -263,9 +272,29 @@ def test_multivalued_p_matches_parametric_form(fold_gf):
         assert abs(value - (pt[1] ** 2 / 2 - pt[2] ** 3 / 3)) < 1e-12
 
 
-def test_multivalued_p_classical_rejected(convex_quadratic_gf):
-    with pytest.raises(ValueError):
-        multivalued_P(convex_quadratic_gf, (0, 0, 0))
+# One Lagrangian plane with cross terms on all four charts: the classical
+# P = u^T A u / 2 with A = [[2, 1, 0], [1, 2, 1], [0, 1, 2]] (det A = 4) and
+# its partial Legendre transforms, each a quadratic.
+PLANE = {
+    "P": "x^2 + x*y + y^2 + y*z + z^2",
+    "T": "-Z^2/4 + Z*y/2 + x^2 + x*y + 3*y^2/4",
+    "S": "X^2/3 - X*Y/3 + X*z/3 + Y^2/3 - 2*Y*z/3 - 2*z^2/3",
+    "R": "3*X^2/8 - X*Y/2 + X*Z/4 + Y^2/2 - Y*Z/2 + 3*Z^2/8",
+}
+
+
+@pytest.mark.parametrize("base", [(1, 2, 3), (Fraction(-1, 3), Fraction(5, 7), 0)])
+def test_multivalued_p_is_one_geopotential_on_every_chart(base):
+    classical = _gf("P", PLANE["P"], 4)
+    amb = immersion(classical, base).as_tuple()
+    P, _ = multivalued_P(classical, base)
+    assert P == classical.potential.eval(base)
+    for chart, text in PLANE.items():
+        gf = _gf(chart, text, 4)
+        assert ma_core.ma_residual_poly(gf).is_zero
+        pt = tuple(amb[ma_core.AMBIENT_COORDS.index(v)] for v in gf.chart.coords)
+        assert immersion(gf, pt).as_tuple() == amb
+        assert multivalued_P(gf, pt) == (P, tuple(base))
 
 
 def test_multivalued_p_dual_s_and_r_agree_with_classical():
@@ -519,6 +548,21 @@ def test_exact_classical_geopotential_beyond_float_range_is_domain_error(convex_
     # The exact P = 10^400/2 is finite but has no float.
     with pytest.raises(DomainError, match="geopotential is not finite"):
         fiber_solve(convex_quadratic_gf, (10 ** 200, 0, 0))
+
+
+@pytest.mark.parametrize("base", [(10 ** 400, 0, -1), (0, 0, -10 ** 400)])
+def test_exact_base_point_beyond_float_range_is_domain_error(fold_gf, base):
+    with pytest.raises(DomainError, match="base point is not finite"):
+        fiber_solve(fold_gf, base)
+
+
+def test_classical_fiber_reads_p_through_the_legendre_rule():
+    # Z = P_z = x*y = 1e310 is not finite over a finite base point.
+    gf = _gf("P", "x*y*z")
+    with pytest.raises(DomainError, match="immersion is not finite"):
+        fiber_solve(gf, (1e300, 1e10, 1e-300))
+    bp = fiber_solve(gf, (Fraction(1, 3), 2, 3))
+    assert bp.P_values == [2.0] and bp.convex_flags == [False]
 
 
 def test_branch_hessian_beyond_the_singular_test_range_is_not_convex():
