@@ -57,8 +57,8 @@ class BicharState:
     s: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(map(float, self.q)))
-        object.__setattr__(self, "p", tuple(map(float, self.p)))
+        object.__setattr__(self, "q", tuple(_floats(tuple(self.q), "position")))
+        object.__setattr__(self, "p", tuple(_floats(tuple(self.p), "momentum")))
         if len(self.q) != 3 or len(self.p) != 3:
             raise ValueError("q and p must each have 3 components")
 
@@ -549,7 +549,7 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
 def eikonal_residual_grad(gf: GeneratingFunction, pt, grad) -> float:
     """Residual (grad F)^T h^{-1} (grad F) = H(pt, grad F) for a numerical gradient."""
     values = _floats(_point_values(gf, pt), "chart point")
-    g = [float(v) for v in grad]
+    g = _floats(grad, "gradient")
     if len(g) != 3:
         raise ValueError("gradient must have 3 components")
     return hamiltonian(gf, BicharState(values, g))
@@ -567,7 +567,7 @@ def eikonal_residual(gf: GeneratingFunction, F: Poly, pt) -> float:
         )
     values = _point_values(gf, pt)
     grad = PolyVector(F.diff(v) for v in gf.chart.coords).eval(values)
-    return eikonal_residual_grad(gf, values, [float(g) for g in grad])
+    return eikonal_residual_grad(gf, values, grad)
 
 
 def _sqrt_exact_or_float(value):

@@ -8,14 +8,15 @@ arguments ``q0, q1, ...`` (see :func:`arg`).  A polynomial vector's source
 names its coefficients as further parameters ``c0, c1, ...``, so vectors of
 one Horner shape share one source text and one compiled code object; each
 vector's function binds its own coefficients as the parameters' defaults.
+Exact functions are homogeneous integer arithmetic, with no ``Fraction``.
 The only compiled state kept here is a bounded map from source text to code
 object; every function belongs to the object that asked for it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import DomainError
 
@@ -125,33 +126,42 @@ def horner_function(entries, order, nvars: int, exact: bool):
 
     ``entries`` are distinct polynomials as (terms, den) pairs: a map from
     exponent tuples of length ``nvars`` to int numerators, over one positive
-    denominator.  The function takes the ``nvars`` values as positional
-    arguments and returns the tuple of ``entries[k]`` for k in ``order``.
-    It evaluates each entry's nested Horner form with the operations, and in
-    each sum the order, of a recursive Horner evaluation, so its values are
-    the same to the bit.  Float leaves (``exact`` false) are the correctly
+    denominator.  The float function takes the ``nvars`` values as
+    positional arguments and returns the tuple of ``entries[k]`` for k in
+    ``order``.  It evaluates each entry's nested Horner form with the
+    operations, and in each sum the order, of a recursive Horner evaluation,
+    so its values are the same to the bit.  Its leaves are the correctly
     rounded coefficients, and a coefficient beyond the float range raises
-    DomainError here; exact leaves are the numerators, and each value is
-    the Fraction of the numerator's Horner value over den.
+    DomainError here.  The ``exact`` function takes w > 0 and ``nvars`` ints
+    n_i, the point (n_i / w), and returns (numerators, scale): entry k's
+    value is its numerator over L w^D, for L the lcm of the denominators and
+    D the largest degree.  Each entry is homogenized to degree D by w, its
+    first variable, so no value is ever reduced.
 
     The coefficients are trailing parameters bound as ``__defaults__``, which
     frame set-up fills in about as fast as literals load, so vectors of one
-    shape share one code object; callers pass exactly ``nvars`` values.
+    shape share one code object; callers pass only the point (and w).
     """
     horner = _Horner()
-    results = []
-    for terms, den in entries:
-        if exact:
-            value = horner.value(list(terms.items()), 0, nvars, int) if terms else "0"
-            results.append(f"_F({value}, {horner.coefficient(den)})")
-        else:
-            results.append(horner.value(list(terms.items()), 0, nvars,
-                                        lambda n: _float(n, den)) if terms else "0.0")
+    if exact:
+        degree = max((sum(e) for terms, _ in entries for e in terms), default=0)
+        scale = lcm(*(den for _, den in entries))
+        results = [horner.value([((degree - sum(e),) + e, n * (scale // den))
+                                 for e, n in terms.items()], 0, nvars + 1, int)
+                   if terms else "0" for terms, den in entries]
+        scale = horner.coefficient(scale)
+        if degree:
+            scale = f"{scale} * {horner.power(0, degree)}"
+        nvars += 1
+    else:
+        results = [horner.value(list(terms.items()), 0, nvars, lambda n: _float(n, den))
+                   if terms else "0.0" for terms, den in entries]
+    values = f"({''.join(results[k] + ', ' for k in order)})"
     params = [arg(i) for i in range(nvars)]
     params += [f"c{k}" for k in range(len(horner.coefficients))]
     body = [*horner.powers.values(), *horner.lines,
-            f"return ({''.join(results[k] + ', ' for k in order)})"]
+            f"return {values}, {scale}" if exact else f"return {values}"]
     function = compile_functions(function_source(f"vector({', '.join(params)})", body),
-                                 "<sgma polynomial vector>", ("vector",), {"_F": Fraction})[0]
+                                 "<sgma polynomial vector>", ("vector",))[0]
     function.__defaults__ = tuple(horner.coefficients)
     return function

@@ -376,7 +376,9 @@ def linearization_matrix(gf: GeneratingFunction, pt) -> np.ndarray:
     generic pull-back covers them.
     """
     if gf.chart is ChartKind.CLASSICAL_P:
-        return np.array(adj3(hessian(gf, pt).tolist()))
+        adj = np.array(adj3(hessian(gf, pt).tolist()))  # may overflow a finite Hessian
+        _require_finite(adj.ravel().tolist(), "linearization matrix")
+        return adj
     if gf.chart is ChartKind.DUAL_T:
         (xx, xy, _), (_, yy, _), _ = hessian(gf, pt).tolist()
         return np.array([[yy, -xy, 0.0], [-xy, xx, 0.0], [0.0, 0.0, float(gf.eps_q)]])

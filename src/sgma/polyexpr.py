@@ -5,8 +5,9 @@ numerators over one positive common denominator, over an explicit ordered
 tuple of variable names.  The form is canonical: no numerator is zero, and
 the denominator shares no factor with all the numerators (the zero
 polynomial has denominator 1), so equal polynomials have equal maps and
-equal hashes.  All algebra is exact integer arithmetic.  ``fractions.Fraction``
-appears only at the edges (:attr:`Poly.terms`, :meth:`Poly.constant_value`,
+equal hashes.  All algebra, exact evaluation included, is integer
+arithmetic.  ``fractions.Fraction`` appears only at the edges
+(:attr:`Poly.terms`, :meth:`Poly.constant_value`,
 :meth:`Poly.univariate_coefficients`, printing and exact :meth:`Poly.eval`
 results), and floating point only at evaluation time, when the caller
 supplies float values.  Constants, variables and the n-ary :meth:`Poly.sum`
@@ -16,9 +17,10 @@ Evaluation is compiled Horner: a :class:`Poly`, or a :class:`PolyVector`
 of them such as the cached builders of :mod:`sgma.ma_core` return, gets on
 first use, once for exact and once for float inputs, one function from the
 nested Horner form of its entries (:mod:`sgma.codegen`): code shared by
-every vector of the same shape, with its own coefficients as defaults.  It
-performs the operations of a recursive Horner walk in the same order, so
-its floats are those of that walk to the bit.
+every vector of the same shape, with its own coefficients as defaults.  The
+float one performs the operations of a recursive Horner walk in the same
+order, so its floats are those of that walk to the bit.  The exact one
+returns integer numerators over one scale (:meth:`PolyVector.numerators`).
 
 Text grammar accepted by :func:`parse_poly`::
 
@@ -627,6 +629,12 @@ class PolyVector(tuple):
         """
         return _evaluate(self, values)
 
+    def numerators(self, values) -> tuple:
+        """Exact values of all entries, each an integer numerator over one
+        positive scale, as (numerators, scale), at ``values`` (floats, ints
+        or Fractions in variable order, each read exactly)."""
+        return _numerators(self, values)
+
     def _entries(self) -> list:
         return [p for item in self for p in (item if isinstance(item, tuple) else (item,))]
 
@@ -634,13 +642,22 @@ class PolyVector(tuple):
         return PolyVector, (tuple(self),)
 
 
+def _numerators(owner, values) -> tuple:
+    # owner: a Poly or PolyVector, which keeps its compiled functions.  The
+    # point is (n_i / w) over w, the lcm of its denominators: a power of two
+    # for floats.
+    ratios = [v.as_integer_ratio() for v in values]
+    w = lcm(*(d for _, d in ratios))
+    fn = owner._exact_fn
+    if fn is None:
+        fn = owner._exact_fn = _compile(owner._entries(), len(values), True)
+    return fn(w, *(n * (w // d) for n, d in ratios))
+
+
 def _evaluate(owner, values) -> tuple:
-    # owner: a Poly or PolyVector, which keeps its compiled functions.
     if all(isinstance(v, (int, Fraction)) for v in values):
-        fn = owner._exact_fn
-        if fn is None:
-            fn = owner._exact_fn = _compile(owner._entries(), len(values), True)
-        return fn(*values)
+        numerators, scale = _numerators(owner, values)
+        return tuple(Fraction(n, scale) for n in numerators)
     try:
         fn = owner._float_fn
         if fn is None:

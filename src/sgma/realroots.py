@@ -1,7 +1,9 @@
 """Real-root isolation for univariate polynomials with rational coefficients.
 
-The input is converted once to primitive integer coefficients; everything
-after that works on integer lists.  One primitive remainder sequence
+Integer input is used as it is, rational input is brought over its common
+denominator once, and everything after that, interval ends included, is
+integer arithmetic; int true division rounds a root to the float that
+``float(Fraction)`` gives.  One primitive remainder sequence
 (``_prs``) gives the Sturm chain and the gcds of Yun's decomposition, which
 recovers multiplicities; roots are isolated with the Sturm chain of each
 square-free factor.  Exact isolation is what guarantees that tangent double
@@ -214,23 +216,16 @@ def _variations(signs: list, p: int, q: int) -> int:
     return count
 
 
-def cauchy_bound(c: list) -> Fraction:
-    """Strict bound on the absolute value of all real roots."""
-    c = _strip(c)
-    if len(c) == 1:
-        return Fraction(1)
-    return 1 + Fraction(max(abs(a) for a in c[:-1]), abs(c[-1]))
-
-
-def _max_depth(c: list, bound: Fraction) -> int:
+def _max_depth(c: list, bound: int, q: int) -> int:
     # Bisection depth beyond which no interval can hold two roots: it is
     # then narrower than Mahler's separation bound for a square-free integer
     # polynomial of degree n, sep > sqrt(3) n^(-(n+2)/2) |c|_2^(1-n), and
-    # (-bound, bound] has width 2 bound.  All logarithms are rounded up.
+    # (-bound / q, bound / q] has width 2 bound / q.  All logarithms are
+    # rounded up.
     n = _degree(c)
     norm_bits = max(abs(v) for v in c).bit_length() + (n + 1).bit_length()
     sep_bits = (n + 2) * n.bit_length() // 2 + 1 + (n - 1) * norm_bits
-    return math.ceil(bound).bit_length() + 2 + sep_bits
+    return (-(-bound // q)).bit_length() + 2 + sep_bits
 
 
 def _isolate_square_free(c: list, chain: list):
@@ -240,9 +235,10 @@ def _isolate_square_free(c: list, chain: list):
     constant, which leaves every sign-variation count unchanged.
 
     Exact rational roots hit by bisection midpoints are divided out and the
-    sweep restarts on the quotient, so every returned interval (a, b]
-    contains exactly one root of the returned (reduced) polynomial and the
-    interval bookkeeping never refers to a stale chain.
+    sweep restarts on the quotient, so every returned interval (a/q, b/q],
+    given as (a, b, q), contains exactly one root of the returned (reduced)
+    polynomial and the interval bookkeeping never refers to a stale chain.
+    Exact roots are (numerator, denominator) pairs in lowest terms.
 
     A wrong chain raises ArithmeticError instead of bisecting forever: a
     root count outside [0, degree], or one of 2 or more past the depth at
@@ -252,58 +248,58 @@ def _isolate_square_free(c: list, chain: list):
     while _degree(poly) >= 1:
         signs = [_Sign(p) for p in chain]
         sign = signs[0]  # poly times a constant: the same zeros
-        bound = cauchy_bound(poly)
-        n, max_depth = _degree(poly), _max_depth(poly, bound)
+        q = abs(poly[-1])  # Cauchy's root bound 1 + max |c_i| / |c_n| = bound / q
+        bound = q + max(abs(v) for v in poly[:-1])
+        n, max_depth = _degree(poly), _max_depth(poly, bound, q)
         intervals = []
-        # Each interval carries the sign variations at its two ends, so
-        # that every point is counted once.
-        stack = [(-bound, bound, 0, _variations(signs, -bound.numerator, bound.denominator),
-                  _variations(signs, bound.numerator, bound.denominator))]
+        # Each interval (a/q, b/q] carries its depth and the sign variations
+        # at its two ends, so that every point is counted once.
+        stack = [(-bound, bound, q, 0, _variations(signs, -bound, q),
+                  _variations(signs, bound, q))]
         restarted = False
         while stack:
-            a, b, depth, va, vb = stack.pop()
+            a, b, q, depth, va, vb = stack.pop()
             count = va - vb
             if not 0 <= count <= n:
-                raise ArithmeticError(f"Sturm count {count} outside [0, {n}] on ({a}, {b}]")
+                raise ArithmeticError(f"Sturm count {count} outside [0, {n}] on "
+                                      f"({a}/{q}, {b}/{q}]")
             if count == 0:
                 continue
             if count == 1:
-                intervals.append((a, b))
+                intervals.append((a, b, q))
                 continue
             if depth >= max_depth:
-                raise ArithmeticError(f"{count} roots in ({a}, {b}], narrower than their "
+                raise ArithmeticError(f"{count} roots in ({a}/{q}, {b}/{q}], narrower than their "
                                       "separation bound")
-            mid = (a + b) / 2
-            if sign(mid.numerator, mid.denominator) == 0:
-                exact.append(mid)
-                poly = _quo(poly, [-mid.numerator, mid.denominator])
+            mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+            if sign(mid, q) == 0:
+                g = math.gcd(mid, q)
+                exact.append((mid // g, q // g))
+                poly = _quo(poly, [-mid // g, q // g])
                 chain = sturm_chain(poly)
                 restarted = True
                 break
-            vm = _variations(signs, mid.numerator, mid.denominator)
-            stack.append((a, mid, depth + 1, va, vm))
-            stack.append((mid, b, depth + 1, vm, vb))
+            vm = _variations(signs, mid, q)
+            stack.append((a, mid, q, depth + 1, va, vm))
+            stack.append((mid, b, q, depth + 1, vm, vb))
         if not restarted:
             return exact, intervals, poly
     return exact, [], poly
 
 
-def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
-    # One simple root in (a, b]: what bisection on the exact sign change
-    # returns, with both endpoints held as integer numerators over one
-    # denominator q.  _jump usually finds it in two signs; the loop is the
-    # fallback.
-    q = math.lcm(a.denominator, b.denominator)
-    a, b = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+def _refine(sign: _Sign, a: int, b: int, q: int) -> tuple:
+    # One simple root in (a/q, b/q]: what bisection on the exact sign change
+    # returns, as (numerator, denominator).  _jump usually finds it in two
+    # signs; the loop is the fallback.
     if sign(b, q) == 0:
-        return Fraction(b, q)
+        return b, q
     sa = sign(a, q)
     if sa == 0:
         # Root strictly inside (a, b]; nudge the left endpoint.
         a, b, q = a + b, 2 * b, 2 * q
         sa = sign(a, q)
         if sa == 0:
-            return Fraction(a, q)
+            return a, q
     jumped = _jump(sign, sa, a, b, q)
     if jumped is not None:
         return jumped
@@ -311,17 +307,18 @@ def _refine(sign: _Sign, a: Fraction, b: Fraction) -> Fraction:
         mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
         sm = sign(mid, q)
         if sm == 0:
-            return Fraction(mid, q)
+            return mid, q
         if sm == sa:
             a = mid
         else:
             b = mid
-    return Fraction(a + b, 2 * q)
+    return a + b, 2 * q
 
 
 def _jump(sign: _Sign, sa: int, a: int, b: int, q: int):
     # The bisection's answer on (a/q, b/q], sign sa at a and nonzero at b,
-    # without its halvings; None where a float estimate cannot be certified.
+    # without its halvings, as (numerator, denominator); None where a float
+    # estimate cannot be certified.
     #
     # Level k of the bisection splits (a, b] into 2^k cells of width
     # w = b - a over q 2^k; cell j is (a 2^k + j w, a 2^k + (j + 1) w].
@@ -363,15 +360,15 @@ def _jump(sign: _Sign, sa: int, a: int, b: int, q: int):
     # coarser cell of the path, where bisection stops on the exact zero.
     sl = sign(left, scale)
     if sl == 0:
-        return Fraction(left, scale)
+        return left, scale
     if sl != sa:
         return None
     sr = sign(left + w, scale)
     if sr == 0:
-        return Fraction(left + w, scale)
+        return left + w, scale
     if sr == sa:
         return None
-    return Fraction(2 * left + w, 2 * scale)
+    return 2 * left + w, 2 * scale
 
 
 def _level(width: float, x: float) -> int:
@@ -453,19 +450,23 @@ def _newton_polish(c: list, x: float, lo: float, hi: float) -> float:
 def real_roots(coeffs: list) -> list:
     """All real roots with multiplicities, ascending.
 
-    ``coeffs`` is an ascending rational coefficient list.  A constant
-    nonzero polynomial has no roots; the zero polynomial is rejected
-    since every point would be a root.  Roots beyond the float range raise
-    DomainError; roots in it are found even where the Cauchy bound, and so
-    the isolating intervals, lie beyond it.
+    ``coeffs`` is an ascending coefficient list: ints, used as they are, or
+    rationals (Fractions, floats), read exactly.  A constant nonzero
+    polynomial has no roots; the zero polynomial is rejected since every
+    point would be a root.  Roots beyond the float range raise DomainError;
+    roots in it are found even where the Cauchy bound, and so the isolating
+    intervals, lie beyond it.
     """
-    c = _strip([Fraction(v) for v in coeffs])
+    if not all(isinstance(v, int) for v in coeffs):
+        fractions = [Fraction(v) for v in coeffs]
+        den = math.lcm(*(v.denominator for v in fractions))
+        coeffs = [v.numerator * (den // v.denominator) for v in fractions]
+    c = _strip(coeffs)
     if not c:
         raise ValueError("the zero polynomial has no isolated roots")
     if _degree(c) < 1:
         return []
-    den = math.lcm(*(v.denominator for v in c))
-    c = _primitive([v.numerator * (den // v.denominator) for v in c])
+    c = _primitive(c)
     found = []
     chain = sturm_chain(c)
     square_free = _degree(chain[-1]) < 1
@@ -476,11 +477,12 @@ def real_roots(coeffs: list) -> list:
             factor, chain if square_free else sturm_chain(factor))
         sign = _Sign(reduced) if intervals else None
         try:
-            found.extend(RootInfo(float(r), mult) for r in exact)
-            for a, b in intervals:
-                x = float(_refine(sign, a, b))
+            found.extend(RootInfo(p / q, mult) for p, q in exact)
+            for a, b, q in intervals:
+                num, den = _refine(sign, a, b, q)
+                x = num / den
                 try:
-                    span = float(b - a)
+                    span = (b - a) / q
                 except OverflowError:
                     # An isolating interval wider than the float range: the
                     # Newton bracket is the float range itself.

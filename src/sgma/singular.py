@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -137,10 +136,12 @@ def locus_coefficient_polys(gf: GeneratingFunction, free: str) -> PolyVector:
 def _line_roots(polys: PolyVector, point: list, shift=0):
     # The chart points, with multiplicities, where sum_k polys[k] t^k = shift
     # along the unknown (None) coordinate t of point, found exactly; None
-    # where that polynomial vanishes identically.
-    values = [Fraction(v) for v in point if v is not None]
-    coeffs = list(polys.eval(values)) or [Fraction(0)]
-    coeffs[0] -= shift
+    # where that polynomial vanishes identically.  The coefficients stay
+    # integers throughout: numerators over one scale, times shift's denominator.
+    numerators, scale = polys.numerators([v for v in point if v is not None])
+    num, den = shift.as_integer_ratio()
+    coeffs = [n * den for n in numerators] or [0]
+    coeffs[0] -= num * scale
     if not any(coeffs):
         return None
     return [(_placed(point, [r.value]), r.multiplicity) for r in real_roots(coeffs)]
@@ -242,10 +243,12 @@ def branch_is_convex(gf: GeneratingFunction, chart_pt) -> bool:
         hp = branch_hessian(gf, chart_pt)
     except DomainError:
         return False
-    s = 0.5 * (hp + hp.T)
-    m1 = s[0, 0]
-    m2 = s[0, 0] * s[1, 1] - s[0, 1] ** 2
-    m3 = det3(s.tolist())
+    # Python floats, whose sums and products overflow to inf with no warning.
+    h = hp.tolist()
+    s = [[0.5 * (h[i][j] + h[j][i]) for j in range(3)] for i in range(3)]
+    m1 = s[0][0]
+    m2 = s[0][0] * s[1][1] - s[0][1] * s[0][1]
+    m3 = det3(s)
     return bool(m1 > CONVEX_TOL and m2 > CONVEX_TOL and m3 > CONVEX_TOL)
 
 
@@ -273,23 +276,23 @@ def _newton_fiber(gf: GeneratingFunction, base, point, rows, seeds):
             raise ValueError(f"seed must supply {len(unknowns)} values for {names!r}")
         u = np.array(seed, dtype=float)
         ok = False
-        for _ in range(NEWTON_MAX_ITER):
-            values = _placed(start, u)
-            row_values = imm.eval(values)
-            r = np.array([float(row_values[k]) - t for k, t in zip(rows, targets)])
-            if np.max(np.abs(r)) <= NEWTON_TOL * scale:
-                ok = True
-                break
-            jac_values = jac.eval(values)
-            Jm = np.array([[float(jac_values[3 * k + i]) for i in unknowns] for k in rows])
-            try:
+        try:  # a singular Jacobian or an overflowing power fails the seed
+            for _ in range(NEWTON_MAX_ITER):
+                values = _placed(start, u.tolist())  # Python floats raise on overflow
+                row_values = imm.eval(values)
+                r = np.array([float(row_values[k]) - t for k, t in zip(rows, targets)])
+                if np.max(np.abs(r)) <= NEWTON_TOL * scale:
+                    ok = True
+                    break
+                jac_values = jac.eval(values)
+                Jm = np.array([[float(jac_values[3 * k + i]) for i in unknowns] for k in rows])
                 u = u - np.linalg.solve(Jm, r)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(u)):
-                break
+                if not np.all(np.isfinite(u)):
+                    break
+        except (DomainError, np.linalg.LinAlgError):
+            pass
         if ok:
-            converged.append(tuple(u))
+            converged.append(tuple(u.tolist()))
         else:
             failed.append(seed)
     return [(_placed(start, u), 1) for u in _dedupe(sorted(converged))], failed
@@ -316,7 +319,7 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
     if not rows:
         preimages = [(point, 1)]
     elif len(rows) == 1:
-        preimages = _line_roots(fiber_equation_polys(gf), point, Fraction(base[rows[0]]))
+        preimages = _line_roots(fiber_equation_polys(gf), point, base[rows[0]])
         if preimages is None:
             raise DomainError("fiber equation vanishes identically over this base point")
     else:

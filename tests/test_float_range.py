@@ -3,19 +3,26 @@
 Over points whose components span the whole float range (subnormals, huge
 values, infinities and NaN) and exact integers beyond it, every call returns
 finite values or raises a typed ``SgmaError`` or a ``ValueError``; never an
-``OverflowError``, ``TypeError`` or ``ZeroDivisionError``.
+``OverflowError``, ``TypeError``, ``ZeroDivisionError`` or numpy
+``RuntimeWarning`` (the module turns those warnings into errors).
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgma.characteristics import null_project
+from sgma.characteristics import BicharState, eikonal_residual, eikonal_residual_grad, \
+    hamiltonian, null_project
 from sgma.errors import SgmaError
-from sgma.ma_core import ChartKind, GeneratingFunction, immersion, ma_residual
+from sgma.ma_core import ChartKind, GeneratingFunction, classify, hessian, immersion, \
+    linearization_matrix, ma_residual, pullback_metric
 from sgma.polyexpr import parse_poly
 from sgma.singular import dpi_det, fiber_solve, multivalued_P
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _gf(chart, text):
@@ -45,6 +52,8 @@ POINTS = st.tuples(COMPONENTS, COMPONENTS, COMPONENTS)
 
 
 def _finite(value) -> bool:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (tuple, list)):
         return all(map(_finite, value))
     if isinstance(value, (int, Fraction)):
@@ -63,10 +72,11 @@ def _returns_finite_or_typed_error(call) -> None:
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(gf=st.sampled_from(GFS), pt=POINTS)
 def test_chart_point_entry_points_stay_in_range(gf, pt):
-    _returns_finite_or_typed_error(lambda: multivalued_P(gf, pt))
-    _returns_finite_or_typed_error(lambda: dpi_det(gf, pt))
-    _returns_finite_or_typed_error(lambda: ma_residual(gf, pt))
+    for fn in (multivalued_P, dpi_det, ma_residual, hessian, pullback_metric,
+               linearization_matrix):
+        _returns_finite_or_typed_error(lambda: fn(gf, pt))
     _returns_finite_or_typed_error(lambda: immersion(gf, pt).as_tuple())
+    _returns_finite_or_typed_error(lambda: classify(gf, pt).eigenvalues)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -83,3 +93,41 @@ def test_fiber_solve_stays_in_range(gf, base):
        free=st.integers(0, 2))
 def test_null_project_stays_in_range(gf, q, p, free):
     _returns_finite_or_typed_error(lambda: null_project(gf, q, p, free))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gf=st.sampled_from(GFS), q=POINTS, p=POINTS)
+def test_hamiltonian_and_eikonal_residuals_stay_in_range(gf, q, p):
+    _returns_finite_or_typed_error(lambda: hamiltonian(gf, BicharState(q, p)))
+    _returns_finite_or_typed_error(lambda: eikonal_residual_grad(gf, q, p))
+    _returns_finite_or_typed_error(lambda: eikonal_residual(gf, gf.potential, q))
+
+
+def test_an_overflowing_newton_seed_fails_alone():
+    # X^2 overflows from the seed X = 1e200: that seed fails, with no numpy
+    # warning, and the other seed still finds the preimage X = 1.
+    gf = _gf("R", "X^3/3 + (Y^2 + Z^2)/2")
+    bp = fiber_solve(gf, (1.0, 1.0, 1.0), [(0.5, 0.0, 0.0), (1e200, 0.0, 0.0)])
+    assert bp.fiber_values == [(1.000000000000001, 1.0, 1.0)]
+    assert bp.failed_seeds == [(1e200, 0.0, 0.0)]
+    bp = fiber_solve(gf, (1e300, 1, 1), [(0, 0, 0), (1e200, 0, 0)])
+    assert bp.fiber_values == [] and bp.failed_seeds == [(0.0, 0.0, 0.0), (1e200, 0.0, 0.0)]
+
+
+def test_overflowing_branch_minors_are_not_convex():
+    # At z = -1e300 the branch Hessian of x*y*z has h_01 = -1e300, whose
+    # square overflows: the point is not convex, and numpy does not warn.
+    bp = fiber_solve(_gf("P", "x*y*z"), (0, 0, -1e300))
+    assert bp.convex_flags == [False] and bp.degenerate_flags == [False]
+
+
+def test_overflowing_adjugate_and_exact_momenta_are_domain_errors():
+    # A finite Hessian whose adjugate entry -z^2 overflows, and exact
+    # momentum or gradient components beyond the float range.
+    with pytest.raises(SgmaError, match="linearization matrix is not finite"):
+        linearization_matrix(GFS[1], (0, 0, 1.3407807929942597e+154))
+    fold = GFS[0]
+    with pytest.raises(SgmaError, match="momentum is not finite"):
+        hamiltonian(fold, BicharState((0, 0, 1), (0, 1, 10 ** 400)))
+    with pytest.raises(SgmaError, match="gradient is not finite"):
+        eikonal_residual_grad(fold, (0, 0, 1), (0, 1, 10 ** 400))

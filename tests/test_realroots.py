@@ -151,6 +151,14 @@ def _ints(coeffs):
     return [int(v * den) for v in coeffs]
 
 
+def _refine_fractions(sign, a, b):
+    # _refine on (a, b] for Fraction ends, over their common denominator;
+    # the root it returns as a Fraction.
+    q = math.lcm(a.denominator, b.denominator)
+    return Fraction(*_refine(sign, a.numerator * (q // a.denominator),
+                             b.numerator * (q // b.denominator), q))
+
+
 class _Spy(_Sign):
     """Sign oracle that records every point it is asked about."""
 
@@ -165,26 +173,26 @@ class _Spy(_Sign):
 
 def test_refine_root_at_right_endpoint():
     spy = _Spy([-1, 1])  # Z - 1 on (0, 1]
-    assert _refine(spy, Fraction(0), Fraction(1)) == 1
+    assert _refine_fractions(spy, Fraction(0), Fraction(1)) == 1
     assert spy.points == [1]
 
 
 def test_refine_nudges_a_root_at_the_left_endpoint():
     spy = _Spy([0, -1, 0, 2])  # 2 Z (Z^2 - 1/2) on (0, 1]
-    root = _refine(spy, Fraction(0), Fraction(1))
+    root = _refine_fractions(spy, Fraction(0), Fraction(1))
     assert spy.points[:3] == [1, 0, Fraction(1, 2)]
     assert abs(float(root) - math.sqrt(0.5)) < 1e-13
 
 
 def test_refine_nudged_endpoint_can_be_the_root():
     spy = _Spy([0, -1, 2])  # 2 Z (Z - 1/2) on (0, 1]
-    assert _refine(spy, Fraction(0), Fraction(1)) == Fraction(1, 2)
+    assert _refine_fractions(spy, Fraction(0), Fraction(1)) == Fraction(1, 2)
     assert spy.points == [1, 0, Fraction(1, 2)]
 
 
 def test_refine_stops_at_an_exact_midpoint_root():
     spy = _Spy([-3, 8])  # 8 (Z - 3/8) on (0, 1]
-    assert _refine(spy, Fraction(0), Fraction(1)) == Fraction(3, 8)
+    assert _refine_fractions(spy, Fraction(0), Fraction(1)) == Fraction(3, 8)
     assert spy.points == [1, 0, Fraction(3, 8)]
 
 
@@ -192,8 +200,8 @@ def test_isolation_restarts_at_exact_rational_midpoints():
     # Z^3 - 6 Z^2 + 11 Z - 6: bound 12 bisects onto 3, then bound 4 onto 2.
     poly = [-6, 11, -6, 1]
     exact, intervals, reduced = _isolate_square_free(poly, sturm_chain(poly))
-    assert exact == [3, 2]
-    assert intervals == [(-2, 2)]
+    assert [Fraction(p, q) for p, q in exact] == [3, 2]
+    assert [(Fraction(a, q), Fraction(b, q)) for a, b, q in intervals] == [(-2, 2)]
     assert reduced == [-1, 1]
 
 
@@ -235,7 +243,10 @@ def _outcome(fn, coeffs):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_polys())
 def test_real_roots_bit_identical_to_reference(coeffs):
-    assert _outcome(real_roots, coeffs) == _outcome(reference_real_roots, coeffs)
+    want = _outcome(reference_real_roots, coeffs)
+    assert _outcome(real_roots, coeffs) == want
+    # The same polynomial times a positive integer, given as ints.
+    assert _outcome(real_roots, _ints(coeffs)) == want
 
 
 def _reference_intervals(coeffs):
@@ -272,7 +283,7 @@ def test_refine_matches_reference_bisection(coeffs, cells_off, levels_off):
                 x = float(want + cells_off * _final_cell_width(a, b, want))
                 mp.setattr(realroots, "_estimate", lambda *args: x)
             mp.setattr(realroots, "_level", lambda *args: level(*args) + levels_off)
-            assert _refine(_Sign(_ints(reduced)), a, b) == want
+            assert _refine_fractions(_Sign(_ints(reduced)), a, b) == want
 
 
 _NO_FLOAT_VIEW = [Fraction(-3 * 2 ** 2200), 0, 0, 0, Fraction(1)]  # root 3^(1/4) 2^550
@@ -302,7 +313,7 @@ def test_refine_fallback_paths_match_reference_bisection(monkeypatch, coeffs, a,
         monkeypatch.setattr(realroots, "_estimate", lambda *args: x)
     spy = _Spy(_ints(coeffs))
     assert (spy._floats is None) == (coeffs is _NO_FLOAT_VIEW)
-    assert _refine(spy, a, b) == want
+    assert _refine_fractions(spy, a, b) == want
     assert len(spy.points) == probes
 
 
@@ -312,8 +323,8 @@ def test_refine_clamps_an_estimate_at_the_right_end(monkeypatch):
     b = Fraction(math.ceil(math.sqrt(2) * 2 ** 44), 2 ** 44)
     monkeypatch.setattr(realroots, "_estimate", lambda *args: float(b))
     spy = _Spy([-2, 0, 1])
-    assert _refine(spy, Fraction(1), b) == reference_refine(_coeffs(-2, 0, 1), Fraction(1), b,
-                                                            REFINE_TOL)
+    want = reference_refine(_coeffs(-2, 0, 1), Fraction(1), b, REFINE_TOL)
+    assert _refine_fractions(spy, Fraction(1), b) == want
     assert len(spy.points) == 2 + 2
 
 
@@ -341,7 +352,7 @@ def test_refine_asks_few_exact_signs_per_root(coeffs):
     assert len(intervals) in (2, 3)
     for reduced, a, b in intervals:
         spy = _Spy(_ints(reduced))
-        assert _refine(spy, a, b) == reference_refine(reduced, a, b, REFINE_TOL)
+        assert _refine_fractions(spy, a, b) == reference_refine(reduced, a, b, REFINE_TOL)
         assert len(spy.points) <= 6
 
 

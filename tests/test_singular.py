@@ -147,6 +147,48 @@ def test_coefficient_builders_match_substitution(fold_gf):
                     _substituted(locus, fixed, free)
 
 
+def _fraction_value(poly, values):
+    # The exact value from the Fraction term map: the oracle for the integer path.
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        for v, e in zip(values, exps):
+            c *= Fraction(v) ** e
+        total += c
+    return total
+
+
+# Subnormals, a huge float, an int beyond 2**1100 and non-dyadic Fractions.
+_LINE_POINTS = [(0.5, -0.25, 0.3), (5e-324, 1e300, -2.5e-320),
+                (2 ** 1100 + 3, -1e-300, Fraction(1, 3)),
+                (Fraction(1, 3), Fraction(-7, 5), 2 ** 1100)]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_line_coefficients_are_a_positive_multiple_of_the_fraction_values(monkeypatch,
+                                                                          fold_gf, seed):
+    from sgma.family import build_family, random_generic_spec
+
+    gf = fold_gf if seed is None else build_family(random_generic_spec(random.Random(seed))).gf
+    lines = []
+    monkeypatch.setattr(singular, "real_roots", lambda coeffs: lines.append(coeffs) or [])
+    for point in _LINE_POINTS:
+        # The fiber over (x, y, z) and the locus along each chart coordinate.
+        cases = [(fiber_equation_polys(gf), 2, point[2])]
+        cases += [(locus_coefficient_polys(gf, free), k, 0) for k, free in enumerate(T_VARS)]
+        for polys, k, shift in cases:
+            line = [None if i == k else v for i, v in enumerate(point)]
+            want = [_fraction_value(p, [v for v in line if v is not None]) for p in polys]
+            want[0] -= Fraction(shift)
+            lines.clear()
+            if singular._line_roots(polys, line, shift) is None:
+                assert not any(want)
+                continue
+            (coeffs,) = lines
+            assert all(type(c) is int for c in coeffs) and len(coeffs) == len(want)
+            ratio = next(Fraction(c) / w for c, w in zip(coeffs, want) if w)
+            assert ratio > 0 and all(c == ratio * w for c, w in zip(coeffs, want))
+
+
 def test_coefficient_builders_are_bounded(convex_quadratic_gf):
     for gf in (convex_quadratic_gf, _gf("S", "X*Y*z"), _gf("R", "X*Y*Z")):
         with pytest.raises(ValueError, match="dual-T"):
