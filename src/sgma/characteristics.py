@@ -399,16 +399,14 @@ def ham_rhs(gf: GeneratingFunction, state: BicharState):
     """Hamilton's equations: qdot = 2 h^{-1} p, pdot_k = w^T (d_k h) w, w = h^{-1} p.
 
     The momentum law uses d_k(h^{-1}) = -h^{-1} (d_k h) h^{-1}, with the
-    metric's entry gradients taken from exact polynomial derivatives.  A
-    result that leaves the float range is a DomainError.
+    metric's entry gradients taken from exact polynomial derivatives.  The
+    state is evaluated as by ``hamiltonian``, and a result that leaves the
+    float range is a DomainError too.
     """
-    try:
-        out = _metric_field(gf).rhs(*state.q, *state.p)
-    except OverflowError:
-        raise _overflow(state.q, state.p) from None
-    if not all(map(math.isfinite, out)):
+    k1 = _evaluate_state(_metric_field(gf), state.q, state.p)[5]
+    if not all(map(math.isfinite, k1)):
         raise _overflow(state.q, state.p)
-    return out[:3], out[3:]
+    return k1[:3], k1[3:]
 
 
 def _rk4_step(rhs, q, p, k1, step):
@@ -496,8 +494,6 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
     if not math.isfinite(box) or (stop_tol is not None and not math.isfinite(stop_tol)):
         raise ValueError("box and stop_tol must be finite")
     q, p, s = initial.q, initial.p, initial.s
-    if not all(math.isfinite(v) for v in q + p):
-        raise DomainError(f"initial state is not finite: q = {q}, p = {p}")
     field_ = _metric_field(gf)
     rhs, cyclic = field_.rhs, field_.cyclic
     det0, scale, i1, i2, H0, k1 = _evaluate_state(field_, q, p)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mat3 import adj3, det3
-from .polyexpr import Poly, PolyVector, exact_number, parse_poly
+from .polyexpr import Poly, PolyVector, _evaluate, exact_number, parse_poly
 
 AMBIENT_COORDS = ("x", "y", "z", "X", "Y", "Z")
 
@@ -159,11 +159,13 @@ def _require_finite(values, what: str) -> None:
 def _floats(values, what: str) -> list:
     # The values as floats; one that is not finite, or an exact one beyond
     # the float range, is a DomainError.
-    _require_finite(values, what)
     try:
-        return [float(v) for v in values]
+        floats = [float(v) for v in values]
+        if all(map(math.isfinite, floats)):
+            return floats
     except OverflowError:
-        raise DomainError(f"{what} is not finite: {tuple(values)!r}") from None
+        pass
+    raise DomainError(f"{what} is not finite: {tuple(values)!r}")
 
 
 def _point_values(gf: GeneratingFunction, pt) -> list:
@@ -285,8 +287,7 @@ def _values_at(gf: GeneratingFunction, polys, pt, what: str) -> tuple:
     # A Poly's or PolyVector's values at a validated chart point: all exact,
     # all floats or all arrays.  A float value that is not finite is a DomainError.
     point = _point_values(gf, pt)
-    values = polys.eval(point)
-    values = (values,) if isinstance(polys, Poly) else values
+    values = _evaluate(polys, point)  # the point is read already
     if isinstance(values[0], float) and not all(map(math.isfinite, values)):
         raise DomainError(f"{what} is not finite at chart point {tuple(point)!r}")
     return values

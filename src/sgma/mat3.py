@@ -44,18 +44,26 @@ def solve3(a, b, message: str) -> np.ndarray:
     1e-14 * max(1, max |a_ij|)^3: the callers solve for a branch's Hessian
     or velocity, which a singular ``a`` leaves undefined (a degenerate
     branch).  Raises DomainError(message) when det a is not finite (an entry
-    is not, or det a overflows), or when the threshold itself leaves the
-    float range (max |a_ij| > ~5.6e102).
+    is not, or det a overflows), when the threshold itself leaves the float
+    range (max |a_ij| > ~5.6e102), or when x is not finite (an entry of b is
+    not, or adj(a) b / det(a) overflows).
     """
-    a = np.asarray(a, dtype=float)
-    rows = a.tolist()  # float scalars: the same arithmetic, without numpy dispatch
+    rows = np.asarray(a, dtype=float).tolist()  # float scalars: no numpy dispatch
     det = det3(rows)
     if not abs(det) < np.inf:  # every entry enters det3: one that is not finite too
         raise DomainError(message)
+    s = max(1.0, *map(abs, rows[0] + rows[1] + rows[2]))
     try:
-        singular = not abs(det) > 1e-14 * max(1.0, float(np.max(np.abs(a)))) ** 3
+        singular = not abs(det) > 1e-14 * s ** 3
     except OverflowError:
         raise DomainError(message) from None
     if singular:
         raise NoBranchError(message)
-    return np.array(adj3(rows)) @ b / det
+    # Each |adj(a)_ij| <= 2 s^2, so below this bound (which NaN fails) no step of x overflows.
+    if 6.0 * s * s * float(np.abs(b).max()) / abs(det) < 1e300:
+        return np.array(adj3(rows)) @ b / det
+    with np.errstate(over="ignore", invalid="ignore"):  # x is checked instead
+        x = np.array(adj3(rows)) @ b / det
+    if not np.isfinite(x).all():
+        raise DomainError(message)
+    return x

@@ -42,6 +42,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, gcd, lcm, log2
+from numbers import Integral, Real
 from operator import add
 from typing import Sequence
 
@@ -142,6 +143,20 @@ def float_number(value) -> float:
         return float(exact_number(value))
     except OverflowError:
         raise ValueError(f"value {value!r} is beyond the float range") from None
+
+
+_PLAIN = frozenset((int, float, Fraction))
+
+
+def _plain_numbers(values) -> list:
+    # The values as a list, each numpy (or other numbers-registered) scalar
+    # read as the int or float it holds; Python numbers and arrays as they are.
+    values = list(values)
+    for v in values:
+        if type(v) not in _PLAIN:
+            return [v if isinstance(v, (int, Fraction)) or not isinstance(v, Real)
+                    else int(v) if isinstance(v, Integral) else float(v) for v in values]
+    return values
 
 
 def _beyond_bits(value: str) -> ValueError:
@@ -458,10 +473,10 @@ class Poly:
             if extra:
                 raise ValueError(f"unexpected values for {sorted(extra)!r}")
             try:
-                return [point[v] for v in self._variables]
+                return _plain_numbers(point[v] for v in self._variables)
             except KeyError as exc:
                 raise ValueError(f"missing value for variable {exc.args[0]!r}") from None
-        values = list(point)
+        values = _plain_numbers(point)
         if len(values) != len(self._variables):
             raise ValueError(
                 f"expected {len(self._variables)} values for {self._variables!r}, "
@@ -473,9 +488,10 @@ class Poly:
         """Evaluate at a point (sequence in variable order, or mapping by name).
 
         Exact ``Fraction`` result when every input is an int or Fraction;
-        float (or numpy array) result otherwise.  Evaluation is Horner-style
-        per variable for floating stability, compiled once per polynomial
-        and kind of input (see :func:`sgma.codegen.horner_function`) with the
+        float (or numpy array) result otherwise; a numpy scalar counts as
+        the int or float it holds.  Evaluation is Horner-style per variable
+        for floating stability, compiled once per polynomial and kind of
+        input (see :func:`sgma.codegen.horner_function`) with the
         operations, in the same order, of a recursive Horner walk.  A power
         that overflows, or a coefficient beyond the float range, raises
         DomainError; a sum or product that overflows gives inf or NaN.
@@ -627,13 +643,13 @@ class PolyVector(tuple):
         Exact Fractions when every value is an int or Fraction, floats (or
         numpy arrays) otherwise, each equal to the entry's :meth:`Poly.eval`.
         """
-        return _evaluate(self, values)
+        return _evaluate(self, _plain_numbers(values))
 
     def numerators(self, values) -> tuple:
         """Exact values of all entries, each an integer numerator over one
         positive scale, as (numerators, scale), at ``values`` (floats, ints
         or Fractions in variable order, each read exactly)."""
-        return _numerators(self, values)
+        return _numerators(self, _plain_numbers(values))
 
     def _entries(self) -> list:
         return [p for item in self for p in (item if isinstance(item, tuple) else (item,))]

@@ -10,6 +10,7 @@ a purely meridional geostrophic wind.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -85,16 +86,17 @@ class SGState:
 
 
 def _resolve_branch(bp: BranchPoint, branch) -> int:
-    if isinstance(branch, str):
-        if branch != "convex":
-            raise ValueError(f"branch must be 'convex' or an index, got {branch!r}")
+    if branch == "convex":
         choice = branch_select_convex(bp)
         if choice.index is None:
             raise NoBranchError("no convex branch over this base point")
         if choice.ambiguous:
             warnings.warn("multiple convex branches; using the first", stacklevel=3)
         return choice.index
-    index = int(branch)
+    try:
+        index = operator.index(branch)
+    except TypeError:
+        raise ValueError(f"branch must be 'convex' or an index, got {branch!r}") from None
     if not 0 <= index < len(bp.fiber_values):
         raise NoBranchError(
             f"branch index {index} out of range for a fiber of {len(bp.fiber_values)}"
@@ -120,29 +122,25 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
         )
     bp = fiber_solve(gf, base)
     if not bp.fiber_values:
-        raise NoBranchError(
-            f"base point {tuple(float(v) for v in base)} is outside the solution domain"
-        )
+        raise NoBranchError(f"base point {bp.base_point} is outside the solution domain")
     index = _resolve_branch(bp, branch)
     if bp.degenerate_flags and bp.degenerate_flags[index]:
         raise NoBranchError("selected branch is degenerate (caustic point)")
     chart_pt = bp.fiber_values[index]
-    amb = immersion(gf, chart_pt)
-    x, y = float(amb.x), float(amb.y)
-    M, N, theta_eps = float(amb.X), float(amb.Y), float(amb.Z)
+    amb = immersion(gf, chart_pt)  # floats, as the chart point is
     q_g = float(eps.q_g)
     sig = classify(gf, chart_pt)
     label = ("degenerate" if sig.label is SignatureLabel.PARABOLIC
              else sig.label.value)
     return SGState(
-        base=tuple(float(v) for v in bp.base_point),
+        base=bp.base_point,
         chart_point=chart_pt,
         P=bp.P_values[index],
-        M=M,
-        N=N,
-        theta_eps=theta_eps,
-        u_g=q_g * (y - N),
-        v_g=q_g * (M - x),
+        M=amb.X,
+        N=amb.Y,
+        theta_eps=amb.Z,
+        u_g=q_g * (amb.y - amb.Y),
+        v_g=q_g * (amb.X - amb.x),
         branch_label=label,
     )
 

@@ -31,7 +31,7 @@ from .ma_core import AMBIENT_COORDS, CACHE_SIZE, GeneratingFunction, immersion, 
     immersion_jacobian, immersion_jacobian_polys, immersion_polys, singular_locus_poly, \
     _NEGATED, _floats, _values_at
 from .mat3 import det3, solve3
-from .polyexpr import Poly, PolyVector
+from .polyexpr import Poly, PolyVector, _plain_numbers
 from .realroots import real_roots
 
 
@@ -186,15 +186,14 @@ def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> Cau
             sweep.degenerate_slices.append((v1, v2))
             continue
         for point, _ in roots:  # none if the slice is a nonzero constant
-            chart_point = tuple(float(v) for v in point)
-            det = float(dpi_det(gf, chart_point))
+            chart_point = tuple(point)  # floats: grid values and a float root
+            det = dpi_det(gf, chart_point)
             if abs(det) > tol:
                 sweep.rejected += 1
                 continue
-            base = immersion(gf, chart_point).base()
             sweep.samples.append(CausticSample(
                 chart_point=chart_point,
-                base_point=tuple(float(v) for v in base),
+                base_point=immersion(gf, chart_point).base(),
                 det_dpi=det,
             ))
     return sweep
@@ -266,8 +265,8 @@ def _newton_fiber(gf: GeneratingFunction, base, point, rows, seeds):
     imm, jac = immersion_polys(gf), immersion_jacobian_polys(gf)
     unknowns = [i for i, v in enumerate(point) if v is None]
     start = [v if v is None else float(v) for v in point]
-    targets = [float(base[k]) for k in rows]
-    scale = 1.0 + max(abs(float(v)) for v in base)
+    targets = [base[k] for k in rows]  # base: the base point as floats
+    scale = 1.0 + max(map(abs, base))
     converged, failed = [], []
     for seed in seeds:
         seed = tuple(float(s) for s in seed)
@@ -280,12 +279,12 @@ def _newton_fiber(gf: GeneratingFunction, base, point, rows, seeds):
             for _ in range(NEWTON_MAX_ITER):
                 values = _placed(start, u.tolist())  # Python floats raise on overflow
                 row_values = imm.eval(values)
-                r = np.array([float(row_values[k]) - t for k, t in zip(rows, targets)])
+                r = np.array([row_values[k] - t for k, t in zip(rows, targets)])
                 if np.max(np.abs(r)) <= NEWTON_TOL * scale:
                     ok = True
                     break
                 jac_values = jac.eval(values)
-                Jm = np.array([[float(jac_values[3 * k + i]) for i in unknowns] for k in rows])
+                Jm = np.array([[jac_values[3 * k + i] for i in unknowns] for k in rows])
                 u = u - np.linalg.solve(Jm, r)
                 if not np.all(np.isfinite(u)):
                     break
@@ -308,7 +307,7 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
     lies outside the solution domain.  Each preimage's convexity is decided
     here, once.
     """
-    base = tuple(base)
+    base = _plain_numbers(base)
     if len(base) != 3:
         raise ValueError(f"base point must have 3 components, got {len(base)}")
     bp = BranchPoint(base_point=tuple(_floats(base, "base point")),
@@ -326,7 +325,7 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
         if not seeds:
             raise ValueError(f"fibers of chart {gf.chart.value} have {len(rows)} unknowns "
                              f"and are found by Newton from seeds; none were given")
-        preimages, bp.failed_seeds = _newton_fiber(gf, base, point, rows, seeds)
+        preimages, bp.failed_seeds = _newton_fiber(gf, bp.base_point, point, rows, seeds)
     for point, multiplicity in preimages:
         chart_pt = tuple(_floats(point, "chart point"))
         # An exact base point keeps its exact geopotential on the classical chart.

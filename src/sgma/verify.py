@@ -176,26 +176,24 @@ def _c07_multivalued_geopotential():
     """Branch geopotential matches y^2/2 - Z^3/3 (1e-12) and the convex closed form (1e-10)."""
     gf = example_gf()
     worst_chart = 0.0
-    for x in np.linspace(-2.0, 2.0, 9):
-        for y in np.linspace(-1.0, 1.0, 5):
-            for z_coord in np.linspace(-2.0, 2.0, 9):
-                value, _ = sing.multivalued_P(gf, (float(x), float(y), float(z_coord)))
-                expected = y * y / 2.0 - z_coord ** 3 / 3.0
-                worst_chart = max(worst_chart, abs(float(value) - expected))
+    chart_grid = Grid((Axis("x", -2.0, 2.0, 9), Axis("y", -1.0, 1.0, 5), Axis("Z", -2.0, 2.0, 9)))
+    for x, y, z_coord in chart_grid.nodes():
+        value, _ = sing.multivalued_P(gf, (x, y, z_coord))
+        expected = y * y / 2.0 - z_coord ** 3 / 3.0
+        worst_chart = max(worst_chart, abs(value - expected))
     worst_branch = 0.0
     n_branch = 0
-    for x in np.linspace(-2.0, 2.0, 9):
-        for y in np.linspace(-1.0, 1.0, 3):
-            for z in np.linspace(-2.0, 0.4, 7):
-                if z >= x * x / 2.0 - 1e-3:
-                    continue
-                bp = sing.fiber_solve(gf, (float(x), float(y), float(z)))
-                choice = sing.branch_select_convex(bp)
-                if choice.index is None:
-                    return False, f"no convex branch at {(x, y, z)}"
-                expected = y * y / 2.0 + (x * x - 2.0 * z) ** 1.5 / 3.0
-                worst_branch = max(worst_branch, abs(bp.P_values[choice.index] - expected))
-                n_branch += 1
+    base_grid = Grid((Axis("x", -2.0, 2.0, 9), Axis("y", -1.0, 1.0, 3), Axis("z", -2.0, 0.4, 7)))
+    for x, y, z in base_grid.nodes():
+        if z >= x * x / 2.0 - 1e-3:
+            continue
+        bp = sing.fiber_solve(gf, (x, y, z))
+        choice = sing.branch_select_convex(bp)
+        if choice.index is None:
+            return False, f"no convex branch at {(x, y, z)}"
+        expected = y * y / 2.0 + (x * x - 2.0 * z) ** 1.5 / 3.0
+        worst_branch = max(worst_branch, abs(bp.P_values[choice.index] - expected))
+        n_branch += 1
     ok = worst_chart <= 1e-12 and worst_branch <= 1e-10
     return ok, (f"max chart-grid deviation = {worst_chart:.3g}, "
                 f"max convex-branch deviation = {worst_branch:.3g} ({n_branch} points)")
@@ -312,19 +310,18 @@ def _c11_sg_reconstruction():
     q_g = float(eps.q_g)
     worst_uw = worst_v = worst_res = 0.0
     n = 0
-    for x in np.linspace(-2.0, 2.0, 21):
-        for z in np.linspace(-2.0, 1.9, 21):
-            if z >= x * x / 2.0 - 1e-6:
-                continue
-            state = sg.reconstructed_state(gf, (float(x), 0.0, float(z)),
-                                           branch="convex", eps=eps)
-            worst_uw = max(worst_uw, abs(state.u), abs(state.w))
-            v_expected = q_g * (x * math.sqrt(x * x - 2 * z) - x)
-            worst_v = max(worst_v, abs(state.v - v_expected))
-            rows, rhs = sg.velocity_system(gf, state, eps)
-            res = rows @ np.array([state.u, state.v, state.w]) - rhs
-            worst_res = max(worst_res, float(np.max(np.abs(res))))
-            n += 1
+    for x, y, z in Grid((Axis("x", -2.0, 2.0, 21), Axis("y", 0.0, 0.0, 1),
+                         Axis("z", -2.0, 1.9, 21))).nodes():
+        if z >= x * x / 2.0 - 1e-6:
+            continue
+        state = sg.reconstructed_state(gf, (x, y, z), branch="convex", eps=eps)
+        worst_uw = max(worst_uw, abs(state.u), abs(state.w))
+        v_expected = q_g * (x * math.sqrt(x * x - 2 * z) - x)
+        worst_v = max(worst_v, abs(state.v - v_expected))
+        rows, rhs = sg.velocity_system(gf, state, eps)
+        res = rows @ np.array([state.u, state.v, state.w]) - rhs
+        worst_res = max(worst_res, float(np.max(np.abs(res))))
+        n += 1
     ok = worst_uw <= 1e-12 and worst_v <= 1e-10 and worst_res <= 1e-10
     return ok, (f"{n} nodes: max |u|,|w| = {worst_uw:.3g}, "
                 f"max |v - v_expected| = {worst_v:.3g}, max system residual = {worst_res:.3g}")
@@ -335,19 +332,16 @@ def _c12_eikonal():
     gf = example_gf()
     worst = 0.0
     count = 0
-    for x in np.linspace(-2.0, 2.0, 5):
-        for y in np.linspace(-1.0, 1.0, 5):
-            for z_val in (0.3, 0.8, 1.3, 1.9):
-                for sign in (+1.0, -1.0):
-                    grad = (0.0, 1.0, sign * math.sqrt(z_val))
-                    res = ch.eikonal_residual_grad(gf, (float(x), float(y), z_val), grad)
-                    worst = max(worst, abs(res))
-                    count += 1
+    for x, y in Grid((Axis("x", -2.0, 2.0, 5), Axis("y", -1.0, 1.0, 5))).nodes():
+        for z_val in (0.3, 0.8, 1.3, 1.9):
+            for sign in (+1.0, -1.0):
+                grad = (0.0, 1.0, sign * math.sqrt(z_val))
+                res = ch.eikonal_residual_grad(gf, (x, y, z_val), grad)
+                worst = max(worst, abs(res))
+                count += 1
     fx = parse_poly("x", ("x", "y", "Z"))
-    min_noncharacteristic = min(
-        abs(ch.eikonal_residual(gf, fx, (0.0, 0.0, float(z))))
-        for z in np.linspace(0.5, 2.0, 16)
-    )
+    plane = Grid((Axis("x", 0.0, 0.0, 1), Axis("y", 0.0, 0.0, 1), Axis("Z", 0.5, 2.0, 16)))
+    min_noncharacteristic = min(abs(ch.eikonal_residual(gf, fx, pt)) for pt in plane.nodes())
     ok = worst <= 1e-10 and min_noncharacteristic >= 0.1
     return ok, (f"max characteristic residual = {worst:.3g} over {count} points; "
                 f"min |residual| of the x-plane = {min_noncharacteristic:.3g}")

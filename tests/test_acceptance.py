@@ -12,6 +12,7 @@ from a defective transcription of the hierarchy (see
 family.reference_recursion_report and the sympy oracle in test_family).
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -23,6 +24,10 @@ from sgma import cli, ma_core as mc, verify
 from sgma.polyexpr import parse_poly
 
 _RESULTS = {}
+
+# sha256 of the verify-paper stdout: every criterion's verdict and detail line,
+# to the last printed digit.
+VERIFY_PAPER_SHA256 = "1229781120022ea9925cdcc36e3f5c0ea67f741cbe8648445c300f6acfec641d"
 
 
 def _criterion(cid: int) -> verify.CriterionResult:
@@ -114,6 +119,7 @@ def test_criterion_13_verify_paper_command_exits_zero():
         + "; ".join(f"criterion {e['id']} failed: {e['detail']}"
                     for e in summary["criteria"] if not e["passed"])
     )
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == VERIFY_PAPER_SHA256
 
 
 def test_perturbation_hook_fails_residual_criterion(monkeypatch, capsys):

@@ -725,6 +725,23 @@ def test_momentum_overflow_is_domain_error(fold_gf):
         null_project(fold_gf, q, (0.0, 1e200), 2)
 
 
+def test_overflowing_dense_metric_gets_one_verdict():
+    # At x = 1e10 the entry 6*10^300*x of this dense metric overflows, so
+    # det h is inf.  Every evaluation of the state reports the overflow; the
+    # RK4 stage kernel's own test would call the metric singular instead.
+    gf = GeneratingFunction(
+        ChartKind.CLASSICAL_P,
+        parse_poly("(10^150)^2*x^3 + (x^2+y^2+z^2)/2 + x*y/4 + y*z/4 + x*z/4",
+                   ("x", "y", "z")),
+        Fraction(1))
+    state = BicharState((1e10, 0.1, 0.2), (0, 1, 1))
+    for call in (lambda: ham_rhs(gf, state), lambda: hamiltonian(gf, state),
+                 lambda: trace_bicharacteristic(gf, state)):
+        with pytest.raises(DomainError, match="overflows") as info:
+            call()
+        assert not isinstance(info.value, MetricSingularError)
+
+
 def test_metric_overflow_is_domain_error():
     # x^4 makes h_11 = 12 x^2, whose power overflows at x = 1e160; the
     # second metric's coefficient 2*10^400 itself lies beyond the float range;

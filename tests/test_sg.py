@@ -183,6 +183,19 @@ def test_domain_and_degenerate_errors(fold_gf):
             branch_state(gf, base, branch)
 
 
+@pytest.mark.parametrize("branch", [1.5, 0.9, "1", None])
+def test_branch_index_must_be_an_integer(fold_gf, branch):
+    # int() would truncate 1.5 to branch 1 and 0.9 to branch 0.
+    with pytest.raises(ValueError, match="branch must be 'convex' or an index"):
+        branch_state(fold_gf, (2, 0, -1), branch)
+
+
+def test_numpy_branch_index_and_base_point(fold_gf):
+    state = branch_state(fold_gf, np.array([2, 0, -1]), np.int64(1))
+    assert state == branch_state(fold_gf, (2, 0, -1), 1)
+    assert type(state.base[0]) is float and type(state.M) is float
+
+
 def test_wind_sweep_propagates_float_range_errors():
     # (10^200)^2 has no float: evaluating the fiber overflows, which is no
     # statement about the domain, so the sweep raises instead of flagging.
