@@ -16,15 +16,16 @@ evaluates Hamilton's right-hand side for an RK4 stage, the other the
 determinant, scale, invariants and H of a state together with that
 right-hand side, which is the state's velocity and the next step's first
 RK4 stage k1.  Every evaluated state goes through the second, so a step
-calls the first three times, not four.  They repeat the float operations
-of a term-by-term evaluation in order, except that products with a
-structurally zero factor (a zero entry of h, of its derivatives, or of its
-adjugate) are left out of the sums that start from the int 0, where adding
-such a +-0.0 changes nothing for finite operands, and the scale max(1,
-max|h_ij|) reads h00 and then each distinct nonzero entry once.  Traces therefore do not
-depend on this compilation.  A metric that leaves the float range (an
-overflowing power, or a non-finite det h) is a DomainError at a single
-point and ends a trace as diverged.
+calls the first three times, not four.  Each entry of h and of its
+derivatives is evaluated as ``Poly.eval`` evaluates it, whatever the order
+of its terms, and the textbook sums over the entries in order, except that
+products with a structurally zero factor (a zero entry of h, of its
+derivatives, or of its adjugate) are left out of the sums that start from
+the int 0, where adding such a +-0.0 changes nothing for finite operands,
+and the scale max(1, max|h_ij|) reads h00 and then each distinct nonzero
+entry once.  So equal generating functions trace to equal bits.  A metric
+that leaves the float range (an overflowing power, or a non-finite det h)
+is a DomainError at a single point and ends a trace as diverged.
 """
 
 from __future__ import annotations
@@ -95,10 +96,12 @@ def _singular(det: float) -> MetricSingularError:
 # The metric entries are evaluated millions of times inside RK4 stages, where
 # generic Poly.eval dispatch and per-entry calls dominate.  Each metric field
 # therefore compiles straight-line functions from its exact entries.  They
-# evaluate each entry term by term, then the textbook 3x3 determinant,
-# adjugate inverse and sums.  Every sum starts from the int 0, as sum() does,
-# so a lone -0.0 becomes 0.0; products and terms keep a fixed order.  Traces
-# are thereby reproducible to the bit.
+# evaluate each distinct entry by codegen's Horner form, as Poly.eval does
+# (its coefficients are globals), then the textbook 3x3 determinant, adjugate
+# inverse and sums.  Every sum starts from the int 0, as sum() does, so a lone
+# -0.0 becomes 0.0; products keep a fixed order.  The entries of h and their
+# powers come before det; those of d_k h after the singular test of ``rhs``
+# and the det == 0 return of ``state_rhs``.
 #
 # Structural zeros are dropped: the zero entries of h and of its
 # derivatives, and every adjugate entry a_ij whose two cofactor products
@@ -112,27 +115,6 @@ def _singular(det: float) -> MetricSingularError:
 # beats a value already taken, so s keeps its bits.  The determinant,
 # invariants and singular test keep their full templates, since the sign of
 # a zero matters there.
-
-# Terms per statement of a long entry: the compiler recurses once per
-# operator of a flat sum, and fails on a sum of a few thousand products.
-_TERMS_PER_LINE = 200
-
-
-def _poly_source(poly: Poly) -> tuple:
-    # One product per term, coefficient first, in the order of poly.terms,
-    # as sums of up to _TERMS_PER_LINE terms that the entry adds up left to
-    # right (see _entry_lines), so that splitting leaves every bit as it is.
-    terms = []
-    for exps, coeff in poly.terms.items():
-        parts = [codegen.float_literal(coeff.numerator, coeff.denominator)]
-        parts += [f"{codegen.arg(i)}**{e}" if e > 1 else codegen.arg(i)
-                  for i, e in enumerate(exps) if e]
-        terms.append("*".join(parts))
-    if not terms:
-        return ("0.0",)
-    return tuple(" + ".join(terms[k:k + _TERMS_PER_LINE])
-                 for k in range(0, len(terms), _TERMS_PER_LINE))
-
 
 def _sum_source(products, zero: set) -> str:
     # products: tuples of factor names, multiplied left to right.
@@ -178,23 +160,21 @@ def _zero_inverse(zero_h: set) -> set:
                    for product in _COFACTORS[i][j].split(" - "))}
 
 
-def _entry_lines(names, polys, known: dict, skip=frozenset()) -> list:
-    # Entries with the same source (h_ij and h_ji, the zero entries) are
-    # computed once and aliased; entries named in ``skip`` are not computed.
-    lines = []
+def _entry_lines(horner, names, polys, known: dict, skip=frozenset()) -> list:
+    # Equal entries (h_ij and h_ji, the zero entries) are computed once and
+    # aliased; entries named in ``skip`` are not computed.  Returns the lines
+    # this adds to horner.lines, each entry after the powers it first uses.
+    start = len(horner.lines)
     for i in range(3):
         for j in range(3):
-            if names[i][j] in skip:
+            name, poly = names[i][j], polys[i][j]
+            if name in skip:
                 continue
-            name, src = names[i][j], _poly_source(polys[i][j])
-            alias = known.setdefault(src, name)
-            if alias != name:
-                lines.append(f"{name} = {alias}")
-                continue
-            # name + a + b is (name + a) + b: the chunks continue one sum.
-            lines.append(f"{name} = {src[0]}")
-            lines += [f"{name} = {name} + {chunk}" for chunk in src[1:]]
-    return lines
+            alias = known.setdefault(poly, name)
+            if alias == name:
+                alias = horner.float_value(poly._terms, poly._den, 3)
+            horner.lines.append(f"{name} = {alias}")
+    return horner.lines[start:]
 
 
 def _scale_source(scaled) -> str:
@@ -225,13 +205,13 @@ def _compile_kernels(entries, d_entries):
     zero = zero_h | _zero_inverse(zero_h)
     for k in range(3):
         zero |= _zero_names(_D[k], d_entries[k])
-    known: dict = {}
-    h_lines = _entry_lines(_H, entries, known)
-    # h00 comes first; of the other entries, those with their own nonzero source.
+    horner, known = codegen._Horner(), {}
+    h_lines = _entry_lines(horner, _H, entries, known)
+    # h00 comes first; of the other entries, those with their own nonzero value.
     scaled = [n for n in known.values() if n == "h00" or n not in zero_h]
     head = [*h_lines, _DET, _scale_source(scaled)]
     dh_lines = [line for k in range(3)
-                for line in _entry_lines(_D[k], d_entries[k], known, zero)]
+                for line in _entry_lines(horner, _D[k], d_entries[k], known, zero)]
     inverse = [f"{_A[i][j]} = ({_COFACTORS[i][j]}) / det"
                for i in range(3) for j in range(3) if _A[i][j] not in zero]
     w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i, zero)}" for i in range(3)]
@@ -250,8 +230,10 @@ def _compile_kernels(entries, d_entries):
         *inverse, *w_lines, *dh_lines,
         f"return det, s, i1, i2, {_quadform_source(_A, _P, zero)}, ({k1})",
     ])
+    namespace = {f"c{k}": c for k, c in enumerate(horner.coefficients)}
+    namespace["_singular"] = _singular
     return codegen.compile_functions(rhs + state_rhs, "<sgma metric kernels>",
-                                     ("rhs", "state_rhs"), {"_singular": _singular})
+                                     ("rhs", "state_rhs"), namespace)
 
 
 class _MetricField:

@@ -1,13 +1,13 @@
 """Python source emission and compilation for generated evaluators.
 
-Two generators share this module: the polynomial vectors of
-:mod:`sgma.polyexpr`, whose Horner source is emitted here, and the RK4
-metric kernels of :mod:`sgma.characteristics`, which keep their own
-templates.  Generated functions take the chart variables as positional
-arguments ``q0, q1, ...`` (see :func:`arg`).  A polynomial vector's source
-names its coefficients as further parameters ``c0, c1, ...``, so vectors of
-one Horner shape share one source text and one compiled code object; each
-vector's function binds its own coefficients as the parameters' defaults.
+Every polynomial is emitted here as a nested Horner form (:class:`_Horner`):
+the polynomial vectors of :mod:`sgma.polyexpr` and the metric entries of
+the RK4 kernels of :mod:`sgma.characteristics`.  Generated functions take
+the chart variables as positional arguments ``q0, q1, ...`` (see
+:func:`arg`) and name coefficients ``c0, c1, ...``: further parameters of a
+polynomial vector, so vectors of one Horner shape share one source text and
+one compiled code object, each binding its own coefficients as defaults;
+globals of the kernels.
 Exact functions are homogeneous integer arithmetic, with no ``Fraction``.
 The only compiled state kept here is a bounded map from source text to code
 object; every function belongs to the object that asked for it.
@@ -33,11 +33,6 @@ def _float(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         raise DomainError("a polynomial coefficient overflows the float range") from None
-
-
-def float_literal(num: int, den: int = 1) -> str:
-    """Source of the float nearest num / den; DomainError beyond the float range."""
-    return repr(_float(num, den))
 
 
 def function_source(signature: str, body) -> str:
@@ -68,13 +63,14 @@ def compile_functions(source: str, filename: str, names, namespace=None) -> tupl
 
 class _Horner:
     # Statements evaluating nested Horner forms, with each power q_i ** k
-    # (k >= 2) computed once, first.  Every operand an expression returns is
-    # a name or a left-to-right product, so the statements never nest sums,
-    # however large the polynomial.  Each use of a coefficient is the next
-    # parameter c0, c1, ...; the values collect in ``coefficients``.
+    # (k >= 2) computed once, just before its first use.  Every operand an
+    # expression returns is a name or a left-to-right product, so the
+    # statements never nest sums, however large the polynomial.  Each use of
+    # a coefficient is the next name c0, c1, ...; the values collect in
+    # ``coefficients``.
 
     def __init__(self):
-        self.powers: dict = {}
+        self.powers: set = set()
         self.lines: list = []
         self.temps = 0
         self.coefficients: list = []
@@ -89,7 +85,9 @@ class _Horner:
         if k == 1:
             return base
         name = f"{base}_{k}"
-        self.powers.setdefault(name, f"{name} = {base} ** {k}")
+        if name not in self.powers:
+            self.powers.add(name)
+            self.lines.append(f"{name} = {base} ** {k}")
         return name
 
     def value(self, items: list, vi: int, nvars: int, leaf) -> str:
@@ -119,6 +117,13 @@ class _Horner:
         if prev:
             acc = f"{acc} * {self.power(vi, prev)}"
         return acc
+
+    def float_value(self, terms: dict, den: int, nvars: int) -> str:
+        # The float value of the polynomial terms / den, as Poly.eval computes
+        # it: its leaves are the correctly rounded coefficients.
+        if not terms:
+            return "0.0"
+        return self.value(list(terms.items()), 0, nvars, lambda n: _float(n, den))
 
 
 def horner_function(entries, order, nvars: int, exact: bool):
@@ -154,12 +159,11 @@ def horner_function(entries, order, nvars: int, exact: bool):
             scale = f"{scale} * {horner.power(0, degree)}"
         nvars += 1
     else:
-        results = [horner.value(list(terms.items()), 0, nvars, lambda n: _float(n, den))
-                   if terms else "0.0" for terms, den in entries]
+        results = [horner.float_value(terms, den, nvars) for terms, den in entries]
     values = f"({''.join(results[k] + ', ' for k in order)})"
     params = [arg(i) for i in range(nvars)]
     params += [f"c{k}" for k in range(len(horner.coefficients))]
-    body = [*horner.powers.values(), *horner.lines,
+    body = [*horner.lines,
             f"return {values}, {scale}" if exact else f"return {values}"]
     function = compile_functions(function_source(f"vector({', '.join(params)})", body),
                                  "<sgma polynomial vector>", ("vector",))[0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .mat3 import adj3, det3
-from .polyexpr import Poly, PolyVector, _evaluate, exact_number, parse_poly
+from .polyexpr import Poly, PolyVector, _evaluate, _plain_numbers, exact_number, parse_poly
 
 AMBIENT_COORDS = ("x", "y", "z", "X", "Y", "Z")
 
@@ -157,8 +157,9 @@ def _require_finite(values, what: str) -> None:
 
 
 def _floats(values, what: str) -> list:
-    # The values as floats; one that is not finite, or an exact one beyond
-    # the float range, is a DomainError.
+    # The values, read by _plain_numbers, as floats; one that is not finite,
+    # or an exact one beyond the float range, is a DomainError.
+    values = _plain_numbers(values)
     try:
         floats = [float(v) for v in values]
         if all(map(math.isfinite, floats)):

@@ -46,6 +46,8 @@ from numbers import Integral, Real
 from operator import add
 from typing import Sequence
 
+import numpy as np
+
 from . import codegen
 from .errors import DomainError
 
@@ -148,14 +150,21 @@ def float_number(value) -> float:
 _PLAIN = frozenset((int, float, Fraction))
 
 
+def _plain_number(v):
+    if not isinstance(v, (Real, np.ndarray)):
+        raise ValueError(f"value {v!r} is not a number")
+    return (v if isinstance(v, (int, Fraction, np.ndarray))
+            else int(v) if isinstance(v, Integral) else float(v))
+
+
 def _plain_numbers(values) -> list:
-    # The values as a list, each numpy (or other numbers-registered) scalar
-    # read as the int or float it holds; Python numbers and arrays as they are.
+    # The values as a list: Python numbers and arrays as they are, each numpy
+    # (or other numbers-registered) scalar as the int or float it holds, and
+    # anything else, such as text, a ValueError.
     values = list(values)
     for v in values:
         if type(v) not in _PLAIN:
-            return [v if isinstance(v, (int, Fraction)) or not isinstance(v, Real)
-                    else int(v) if isinstance(v, Integral) else float(v) for v in values]
+            return [_plain_number(v) for v in values]
     return values
 
 
@@ -184,8 +193,7 @@ def _checked_variables(variables: Sequence[str]) -> tuple:
 # A polynomial's value is ``terms / den``: ``terms`` maps exponent tuples to
 # nonzero int numerators.  The kernels return fresh canonical pairs and keep
 # the dict insertion order of the textbook loops (first occurrence of each
-# exponent; a sum that cancels drops out), because code generated from
-# ``Poly.terms`` evaluates terms in that order.
+# exponent; a sum that cancels drops out), though no evaluation reads it.
 
 
 def _reduced(terms: dict, den: int) -> tuple:

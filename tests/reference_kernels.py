@@ -1,8 +1,10 @@
 """Reference RK4 kernels: the dense straight-line templates.
 
 The plain generator that ``sgma.characteristics._compile_kernels`` must
-reproduce: every entry of h and of its derivatives, all nine adjugate
-entries and every product of the sums, with no structural zero dropped.
+reproduce: every entry of h and of its derivatives, each evaluated by the
+recursive Horner walk of ``reference_poly`` (``_build_tree`` and
+``_eval_tree``), all nine adjugate entries and every product of the sums,
+with no structural zero dropped.
 The tests require the generated ``rhs`` to return the values of this ``rhs``
 and the generated ``state_rhs`` those of this ``state`` (its qdot as
 k1[:3]), by ``repr``, and to raise the same exception types.  It is the
@@ -11,21 +13,25 @@ oracle, so keep it as it is rather than fast.
 
 from __future__ import annotations
 
+from reference_poly import _EMPTY, _build_tree, _eval_tree
+
 from sgma.characteristics import SINGULAR_TOL, _singular
 from sgma.errors import DomainError
 
 
-def _poly_source(poly) -> str:
-    # One product per term, coefficient first, in the order of poly.terms.
-    terms = []
-    for exps, coeff in poly.terms.items():
-        try:
-            parts = [repr(float(coeff))]
-        except OverflowError:
-            raise DomainError("a metric coefficient overflows the float range") from None
-        parts += [f"q{i}**{e}" if e > 1 else f"q{i}" for i, e in enumerate(exps) if e]
-        terms.append("*".join(parts))
-    return " + ".join(terms) if terms else "0.0"
+def _entry_source(poly, trees: list) -> str:
+    # A call of the recursive Horner walk of reference_poly on poly's tree,
+    # which lets an overflowing power's OverflowError through.  Equal
+    # polynomials have equal trees, and so equal sources.
+    try:
+        tree = _build_tree(list(poly.terms.items()), 0, 3, float)
+    except OverflowError:
+        raise DomainError("a metric coefficient overflows the float range") from None
+    if tree is _EMPTY:
+        return "0.0"
+    if tree not in trees:
+        trees.append(tree)
+    return f"_eval_tree(_trees[{trees.index(tree)}], (q0, q1, q2))"
 
 
 def _sum_source(terms) -> str:
@@ -60,11 +66,11 @@ _INVERSE = tuple(f"a{i}{j} = ({_COFACTORS[i][j]}) / det"
                  for i in range(3) for j in range(3))
 
 
-def _entry_lines(names, polys, known: dict) -> list:
+def _entry_lines(names, polys, known: dict, trees: list) -> list:
     lines = []
     for i in range(3):
         for j in range(3):
-            src = _poly_source(polys[i][j])
+            src = _entry_source(polys[i][j], trees)
             alias = known.setdefault(src, names[i][j])
             lines.append(f"{names[i][j]} = {src if alias == names[i][j] else alias}")
     return lines
@@ -77,10 +83,11 @@ def _function_source(signature: str, body) -> str:
 def compile_kernels(entries, d_entries):
     """Dense ``rhs`` and ``state`` for the metric with these exact entries."""
     known: dict = {}
-    h_lines = _entry_lines(_H, entries, known)
+    trees: list = []
+    h_lines = _entry_lines(_H, entries, known, trees)
     dh_lines = []
     for k in range(3):
-        dh_lines += _entry_lines(_names(f"d{k}"), d_entries[k], known)
+        dh_lines += _entry_lines(_names(f"d{k}"), d_entries[k], known, trees)
     w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i)}" for i in range(3)]
     pdot = [_quadform_source(_names(f"d{k}"), _W) for k in range(3)]
     rhs = _function_source("rhs(q0, q1, q2, p0, p1, p2)", [
@@ -100,6 +107,6 @@ def compile_kernels(entries, d_entries):
         *_INVERSE,
         f"return (det, s, i1, i2, {_quadform_source(_A, _P)}, {', '.join(qdot)})",
     ])
-    namespace = {"_singular": _singular}
+    namespace = {"_singular": _singular, "_eval_tree": _eval_tree, "_trees": trees}
     exec(compile(rhs + state, "<reference metric kernels>", "exec"), namespace)
     return namespace["rhs"], namespace["state"]

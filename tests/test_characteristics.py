@@ -1,13 +1,15 @@
 """Hamiltonian structure, null projection, ray tracing and eikonal residuals."""
 
-import functools
 import hashlib
 import io
 import itertools
 import math
-import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import reference_kernels
 from hypothesis import given, settings, strategies as st
 
 from sgma import characteristics as ch
-from sgma import codegen
+from sgma import cli, codegen
 from sgma.characteristics import (
     BicharState,
     Termination,
@@ -30,7 +32,8 @@ from sgma.characteristics import (
 )
 from sgma.errors import DomainError, MetricSingularError
 from sgma.family import build_family, random_generic_spec
-from sgma.ma_core import ChartKind, GeneratingFunction, pullback_metric_polys
+from sgma.ma_core import ChartKind, GeneratingFunction, hessian_polys, immersion_jacobian_polys, \
+    immersion_polys, pullback_metric, pullback_metric_polys, singular_locus_poly
 from sgma.polyexpr import Poly, parse_poly
 
 XYZ = ("x", "y", "Z")
@@ -405,14 +408,29 @@ def test_trace_csv_omits_conserved_columns_for_noncyclic_metric(convex_quadratic
 
 # -- regression against recorded traces and an independent oracle -----------
 #
-# The digests were recorded from the per-entry evaluator that the generated
-# kernels replaced; the kernels repeat its float operations in order, so
-# every trace is bit-identical.
+# The kernels evaluate each metric entry as Poly.eval does, without reading
+# the order of its terms, so every generating function equal to the member,
+# however built or parsed, traces to the member digest.  Each fold entry is
+# one term, whose Horner form is the product a term-by-term sum takes.
 
 @pytest.fixture(scope="module")
 def member_gf():
     """A generic family member: its metric is non-diagonal and not cyclic."""
     return build_family(random_generic_spec(random.Random(3))).gf
+
+
+MEMBER_TRACE_SHA256 = "1c6b1c8488089d085582cee229946e3d4d987a192c17f8a4672c3a59634671bf"
+_MEMBER_Q = (-0.61, -0.79, 0.33)
+
+
+def _member_trace_text(gf) -> str:
+    p = null_project(gf, _MEMBER_Q, (0.5, 1.0), 2)[-1]
+    trace = trace_bicharacteristic(gf, BicharState(_MEMBER_Q, p), step=2e-3,
+                                   max_steps=600)
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    assert trace.termination is Termination.PARABOLIC_BOUNDARY
+    return buf.getvalue()
 
 
 def test_fold_ray_csv_digest(fold_gf):
@@ -428,19 +446,76 @@ def test_fold_ray_csv_digest(fold_gf):
 
 
 def test_member_trace_csv_digest(member_gf):
-    q = (-0.61, -0.79, 0.33)
-    p = null_project(member_gf, q, (0.5, 1.0), 2)[-1]
-    trace = trace_bicharacteristic(member_gf, BicharState(q, p), step=2e-3,
-                                   max_steps=600)
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    text = buf.getvalue()
+    text = _member_trace_text(member_gf)
     assert not pullback_metric_polys(member_gf)[0][1].is_zero
     assert text.startswith("s,q1,q2,q3,p1,p2,p3,H,det_h\n")
-    assert trace.termination is Termination.PARABOLIC_BOUNDARY
     assert len(text.splitlines()) == 241
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "472f5893da2b781aa33be991545f84a6deb42d47684de6b228d9eec7229a7b50")
+    assert hashlib.sha256(text.encode()).hexdigest() == MEMBER_TRACE_SHA256
+
+
+def _clear_metric_caches():
+    for cached in (hessian_polys, immersion_polys, immersion_jacobian_polys,
+                   pullback_metric_polys, singular_locus_poly, ch._metric_field):
+        cached.cache_clear()
+
+
+# The member's trace digest in a fresh process: first from a parse of its
+# text, which fills the caches, then from the built member, equal in value.
+_FRESH_TRACES = """
+import hashlib, io, random
+from sgma.characteristics import (BicharState, null_project, trace_bicharacteristic,
+                                  write_trace_csv)
+from sgma.family import build_family, random_generic_spec
+from sgma.ma_core import GeneratingFunction
+from sgma.polyexpr import parse_poly
+
+built = build_family(random_generic_spec(random.Random(3))).gf
+parsed = GeneratingFunction(built.chart, parse_poly(str(built.potential), built.chart.coords),
+                            built.eps_q)
+for gf in (parsed, built):
+    q = %r
+    p = null_project(gf, q, (0.5, 1.0), 2)[-1]
+    buf = io.StringIO()
+    write_trace_csv(trace_bicharacteristic(gf, BicharState(q, p), step=2e-3, max_steps=600), buf)
+    print(hashlib.sha256(buf.getvalue().encode()).hexdigest())
+""" % (_MEMBER_Q,)
+
+
+def test_member_trace_is_a_function_of_its_value_alone(member_gf, capsys):
+    # The term order of a potential parsed from the member's text differs
+    # from the built one's.  Filling the value-keyed caches from that parse,
+    # in a fresh process or here through the CLI, must not change the built
+    # member's trace.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_TRACES], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [MEMBER_TRACE_SHA256] * 2
+    potential = str(member_gf.potential)
+    assert list(parse_poly(potential, member_gf.chart.coords).terms) != list(
+        member_gf.potential.terms)
+    _clear_metric_caches()
+    assert cli.main(["classify", "--chart", "T", "--potential", potential,
+                     "--eps-q", str(member_gf.eps_q), "--point", "0.1,0.2,0.3"]) == 0
+    capsys.readouterr()
+    text = _member_trace_text(member_gf)
+    assert hashlib.sha256(text.encode()).hexdigest() == MEMBER_TRACE_SHA256
+
+
+def test_cli_trace_of_the_member_text_is_the_library_trace(member_gf, capsys):
+    # Each trace fills the caches from its own generating function.
+    completions = null_project(member_gf, _MEMBER_Q, (0.5, 1.0), 2)
+    _clear_metric_caches()
+    code = cli.main(["trace", "--chart", "T", "--potential", str(member_gf.potential),
+                     "--eps-q", str(member_gf.eps_q),
+                     "--q=" + ",".join(map(repr, _MEMBER_Q)), "--p", "0.5,1.0,?",
+                     "--null-root", str(len(completions) - 1),
+                     "--step", "2e-3", "--max-steps", "600"])
+    assert code == 0
+    _clear_metric_caches()
+    assert capsys.readouterr().out == _member_trace_text(member_gf)
 
 
 def test_ham_rhs_matches_exact_metric_and_linear_solve(member_gf):
@@ -563,32 +638,39 @@ def _long_metric(n_terms, seed):
     return P, entries, d_entries
 
 
-def test_long_metric_entries_compile_with_their_sum_order(monkeypatch):
-    # A flat sum of a few thousand products exceeds the compiler's recursion
-    # limit, so long entries are emitted as chained partial sums: h00 must
-    # still be the left-to-right sum of its products, to the bit.
+def _invariants(h) -> tuple:
+    # det, s, i1 and i2 of the kernel templates, over the matrix h.
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h
+    det = (h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20)
+           + h02 * (h10 * h21 - h11 * h20))
+    s = max(1.0, max(abs(v) for row in h for v in row))
+    i2 = h00 * h11 - h01 * h10 + h00 * h22 - h02 * h20 + h11 * h22 - h12 * h21
+    return det, s, h00 + h11 + h22, i2
+
+
+def test_long_entries_compile_and_kernels_read_h_as_pullback_metric(member_gf):
+    # A Horner statement never nests sums, so an entry of 3000 terms compiles
+    # as it is, and it is the value Poly.eval gives.
     P, entries, d_entries = _long_metric(3000, 7)
     rhs, state_rhs = ch._compile_kernels(entries, d_entries)
     q = (0.61, -0.83, 0.97)
-    products = []
-    for exps, coeff in P.terms.items():
-        value = float(coeff)
-        for qi, e in zip(q, exps):
-            if e:
-                value = value * (qi ** e if e > 1 else qi)
-        products.append(value)
-    h00 = functools.reduce(operator.add, products)
-    det, s, i1, *_ = state_rhs(*q, 1.0, 0.5, 0.25)
-    assert repr(i1) == repr(h00 + 1.0 + 1.0)
+    assert repr(state_rhs(*q, 1.0, 0.5, 0.25)[2]) == repr(P.eval(q) + 1.0 + 1.0)
     assert all(math.isfinite(v) for v in rhs(*q, 1.0, 0.5, 0.25))
-    # Splitting changes no bit of either kernel.
-    P, entries, d_entries = _long_metric(450, 8)
-    split = ch._compile_kernels(entries, d_entries)
-    monkeypatch.setattr(ch, "_TERMS_PER_LINE", 10 ** 6)
-    flat = ch._compile_kernels(entries, d_entries)
-    for point in [(0.61, -0.83, 0.97, 1.0, 0.5, 0.25), (-1.3, 0.2, 0.4, 0.0, -2.0, 1.5)]:
-        for kernel in range(2):
-            assert repr(split[kernel](*point)) == repr(flat[kernel](*point))
+    # On every chart the kernels' h is pullback_metric's, to the bit.
+    gfs = [member_gf] + [
+        GeneratingFunction(ChartKind(chart), parse_poly(text, ChartKind(chart).coords), eps)
+        for chart, text, eps in (
+            ("P", "x^4/12 + y^2/2 - z^2/2 + x*y*z/3 + x^2*y^2/5 + y*z^3/7", Fraction(1)),
+            ("S", "X^3/7 - X*Y*z/3 + Y^2/2 - z^2/2 + Y*z^2/5 + X^2*Y/4", Fraction(3, 4)),
+            ("R", "X^2*Y/5 + Y^3/9 - X*Z^2/3 + Z^4/11 + X^2/2 - Y*Z/7", Fraction(2)))]
+    assert {gf.chart for gf in gfs} == set(ChartKind)
+    rng = random.Random(41)
+    for gf in gfs:
+        field_ = ch._metric_field(gf)
+        for _ in range(25):
+            q = tuple(rng.uniform(-1.5, 1.5) for _ in range(3))
+            h = pullback_metric(gf, q).tolist()
+            assert repr(field_.state_rhs(*q, 1.0, -0.5, 0.25)[:4]) == repr(_invariants(h))
 
 
 def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):

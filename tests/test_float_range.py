@@ -5,10 +5,14 @@ values, infinities and NaN), exact integers beyond it, and numpy float64,
 float32 and int64 arrays, every call returns finite values or raises a
 typed ``SgmaError`` or a ``ValueError``; never an ``OverflowError``,
 ``TypeError``, ``AttributeError``, ``ZeroDivisionError`` or numpy
-``RuntimeWarning`` (the module turns those warnings into errors).
+``RuntimeWarning`` (the module turns those warnings into errors).  A
+component that is no number is a ``ValueError`` everywhere, and the CLI at
+the ends of the float range prints finite numbers or one error line.
 """
 
+import json
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -17,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgma import cli
 from sgma.characteristics import BicharState, eikonal_residual, eikonal_residual_grad, \
     ham_rhs, hamiltonian, null_project, trace_bicharacteristic
 from sgma.errors import DomainError, SgmaError
@@ -260,3 +265,46 @@ def test_numpy_float64_overflow_is_domain_error():
     for pt in (np.array([1e200, 0.0, 0.0]), [1e200, 0.0, 0.0]):
         with pytest.raises(DomainError, match="overflows"):
             immersion(FOLD, pt)
+
+
+def test_text_components_are_value_errors():
+    # A component that is no number (text, a complex) gets one answer from
+    # every reader of points, momenta and base points.
+    for bad in ("1", 1j):
+        pt = (bad, 0, 1)
+        calls = (lambda: immersion(FOLD, pt), lambda: dpi_det(FOLD, pt),
+                 lambda: fiber_solve(FOLD, pt), lambda: pullback_metric(FOLD, pt),
+                 lambda: classify(FOLD, pt), lambda: ma_residual(FOLD, pt),
+                 lambda: hamiltonian(FOLD, BicharState(pt, (0, 1, 1))),
+                 lambda: hamiltonian(FOLD, BicharState((0, 0, 1), pt)),
+                 lambda: null_project(FOLD, (0, 0, 1), (bad, 1), 2),
+                 lambda: eikonal_residual_grad(FOLD, (0, 0, 1), pt))
+        for call in calls:
+            with pytest.raises(ValueError, match="is not a number"):
+                call()
+
+
+_FOLD_ARGS = ["--chart", "T", "--potential", "y^2/2 - x^2*Z/2 + Z^3/6"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--point=1e300,-1e300,1e300"],
+    ["classify", "--point=1e-320,-1e-320,1e-320"],
+    ["fiber", "--base=1e300,1e300,1e300"],
+    ["fiber", "--base=1e-320,0,-1e-320"],
+    ["trace", "--q=1e-320,0,1e300", "--p=0,1,?", "--max-steps=5"],
+    ["wind", "--x=1e300:1e301:2", "--z=-2:1.9:2"],
+    ["caustic", "--grid=x=1e-320:1e300:3,y=-1e300:1e-320:3"],
+    ["residual", "--point=1e-320,1e300,-1e300"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_cli_at_the_ends_of_the_float_range(argv, capsys):
+    # Exit 0 with finite numbers only, or exit 3 with one JSON error line.
+    code = cli.main([argv[0], *_FOLD_ARGS, *argv[1:]])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out and not err
+        assert not re.search(r"\b(inf|infinity|nan)\b", out, re.IGNORECASE)
+    else:
+        assert code == 3 and not out
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["code"] == 3
