@@ -325,7 +325,13 @@ def _inverse_metric(field_: _MetricField, q) -> list:
     # Column j of h^{-1} is half of qdot = 2 h^{-1} p at the unit momentum e_j.
     cols = []
     for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
-        _, _, _, _, _, k1 = _evaluate_state(field_, q, e)
+        try:
+            _, _, _, _, _, k1 = _evaluate_state(field_, q, e)
+        except MetricSingularError:
+            raise
+        except DomainError:  # e_j is no momentum of the caller's: name q only
+            raise DomainError(f"metric evaluation overflows or is not finite at q = "
+                              f"{tuple(q)}") from None
         cols.append([0.5 * v for v in k1[:3]])
     return [[cols[j][i] for j in range(3)] for i in range(3)]
 

@@ -33,7 +33,11 @@ Text grammar accepted by :func:`parse_poly`::
 Division is defined only when the divisor reduces to a nonzero constant,
 which covers rational literals such as ``2/3`` as well as scaled monomials
 such as ``y^2/2``.  Exponents must be non-negative integer literals and
-implicit multiplication is rejected.
+implicit multiplication is rejected.  The text is tokenized by one regular
+expression scan.  A product of single terms is read as one running term
+(exponents, numerator, denominator), reduced after each factor and held to
+the size and bit checks of the general product, so a monomial builds one
+term map; products and powers of sums multiply term maps.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ MAX_DEGREE = 256
 MAX_TERMS = 1000
 MAX_COEFF_BITS = 4096  # bit length of any numerator or of the denominator
 # Parentheses deeper than this are a ParseError, well before the parser's
-# recursion (five frames per level) reaches the interpreter's limit.
+# recursion (three frames per level) reaches the interpreter's limit.
 MAX_NESTING = 100
 
 # A whole number of more decimal digits than 2^MAX_COEFF_BITS has exceeds it.
@@ -701,34 +705,18 @@ def _compile(polys: list, nvars: int, exact: bool):
 # -- parser ----------------------------------------------------------------
 
 
+# One alternative per token kind; whitespace matches none and is skipped.  A
+# name must start with a letter or "_", which no character class says
+# ([^\W\d] also takes "²" and "½"), so _tokenize checks its first character.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>\w+)|[-+*/^()]|(?P<bad>\S)")
+
+
 def _tokenize(text: str) -> list:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _TOKEN.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "bad" or kind == "name" and not (value[0].isalpha() or value[0] == "_"):
+            raise ParseError(f"unexpected character {value[0]!r}", pos)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -741,35 +729,32 @@ def _bits(terms: dict, den: int) -> int:
     return max(den.bit_length(), max(map(int.bit_length, terms.values()), default=0))
 
 
-def _factor_bits(terms: dict, den: int) -> int:
-    # What a factor adds to the bits of a product: a factor whose
-    # coefficients are all +-1 over 1 (x, x*y*Z, -x) multiplies none.
-    if den == 1 and all(abs(n) == 1 for n in terms.values()):
-        return 0
-    return _bits(terms, den)
+def _factor_bits(n: int, den: int) -> int:
+    # What a term n/den adds to the bits of a product: +-1 over 1 adds none,
+    # so a factor whose terms are all +-1 over 1 (x, x*y*Z, -x) multiplies none.
+    return 0 if den == 1 and abs(n) == 1 else max(den.bit_length(), n.bit_length())
+
+
+def _pair(exps, n: int, den: int) -> tuple:
+    return ({exps: n} if n else {}), den
 
 
 class _Parser:
-    # Values are canonical (terms, den) pairs; parse_poly wraps the result once.
+    # A sum is a canonical (terms, den) pair; parse_poly wraps the result
+    # once.  A factor is a monomial (exps, n, den), n/den in lowest terms and
+    # zero with exponents all 0, or (None, terms, den) if it has more terms.
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
         self.units = {v: tuple(int(w == v) for w in variables) for v in variables}
+        self.zeros = (0,) * len(variables)
         self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def parse(self) -> tuple:
         result = self.expr()
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.pos]
         if kind != "end":
             if kind in ("int", "name", "("):
                 raise ParseError(
@@ -779,93 +764,139 @@ class _Parser:
         return result
 
     def expr(self) -> tuple:
+        tokens = self.tokens
         result = self.term()
-        if self.peek()[0] not in ("+", "-"):
+        if tokens[self.pos][0] not in ("+", "-"):
             return result
         acc = dict(result[0])
         den = result[1]
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.advance()[0] == "+" else -1
+        while tokens[self.pos][0] in ("+", "-"):
+            sign = 1 if tokens[self.pos][0] == "+" else -1
+            self.pos += 1
             den = _accumulate(acc, den, *self.term(), sign)
         return _reduced(acc, den)
 
     def term(self) -> tuple:
-        result = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op, _, op_pos = self.advance()
-            rhs = self.unary()
-            if op == "*":
-                (t1, d1), (t2, d2) = result, rhs
-                if len(t1) == 1 == len(t2):
-                    # Two single terms: the general checks below with one
-                    # term each, then one product of numerators.
-                    (e1, n1), = t1.items()
-                    (e2, n2), = t2.items()
-                    degree = sum(e1) + sum(e2)
-                    self.check_size(degree, degree, 1, op_pos)
-                    self.check_bits(_factor_bits(t1, d1) + _factor_bits(t2, d2), op_pos)
-                    result = _reduced({tuple(map(add, e1, e2)): n1 * n2}, d1 * d2)
+        # While its factors are monomials, a product is one running monomial,
+        # reduced after each factor as _reduced does, so that its checks see
+        # the numbers of the general product of (terms, den) pairs, which the
+        # first factor of more terms switches to.  A quotient is a product by
+        # the divisor's reciprocal, unchecked.
+        tokens = self.tokens
+        exps, num, den = self.factor()
+        poly = None if exps is not None else (num, den)
+        while tokens[self.pos][0] in ("*", "/"):
+            op, _, op_pos = tokens[self.pos]
+            self.pos += 1
+            e, n, d = self.factor()
+            if op == "/":
+                if e is None or any(e):
+                    raise ParseError("divisor must be a nonzero constant", op_pos)
+                if not n:
+                    raise ParseError("division by zero", op_pos)
+                n, d = (d, n) if n > 0 else (-d, -n)
+                if poly:
+                    poly = _scaled(*poly, n, d)
                     continue
+            elif poly or e is None:
+                t1, d1 = poly or _pair(exps, num, den)
+                t2, d2 = (n, d) if e is None else _pair(e, n, d)
                 if t1 and t2:
                     (lo1, hi1), (lo2, hi2) = _degree_range(t1), _degree_range(t2)
                     self.check_size(lo1 + lo2, hi1 + hi2, len(t1) * len(t2), op_pos)
-                    self.check_bits(_factor_bits(t1, d1) + _factor_bits(t2, d2)
+                    self.check_bits(max(_factor_bits(c, d1) for c in t1.values())
+                                    + max(_factor_bits(c, d2) for c in t2.values())
                                     + (min(len(t1), len(t2)) - 1).bit_length(), op_pos)
-                result = _mul(t1, d1, t2, d2)
-            else:
-                c = _constant_of(*rhs)
-                if c is None:
-                    raise ParseError("divisor must be a nonzero constant", op_pos)
-                if c == 0:
-                    raise ParseError("division by zero", op_pos)
-                result = _scaled(*result, c.denominator, c.numerator)
-        return result
+                poly = _mul(t1, d1, t2, d2)
+                continue
+            elif num and n:
+                degree = sum(exps) + sum(e)
+                self.check_size(degree, degree, 1, op_pos)
+                self.check_bits(_factor_bits(num, den) + _factor_bits(n, d), op_pos)
+                exps = tuple(map(add, exps, e))
+            num, den = num * n, den * d
+            g = gcd(num, den)
+            num, den = num // g, den // g
+        return poly or _pair(exps, num, den)
 
-    def unary(self) -> tuple:
+    def factor(self) -> tuple:
+        # unary := '-' unary | power, and power := atom ('^' INT)?
+        tokens = self.tokens
         negate = False
-        while self.peek()[0] == "-":
-            self.advance()
+        while tokens[self.pos][0] == "-":
+            self.pos += 1
             negate = not negate
-        terms, den = self.power()
-        return ({e: -n for e, n in terms.items()} if negate else terms), den
+        kind, value, pos = tokens[self.pos]
+        self.pos += 1
+        if kind == "int":
+            exps, n, den = self.zeros, self.integer(value, pos), 1
+        elif kind == "name":
+            if value not in self.units:
+                raise ParseError(f"unknown variable {value!r}", pos)
+            exps, n, den = self.units[value], 1, 1
+        elif kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the limit of {MAX_NESTING}",
+                                 pos)
+            self.depth += 1
+            result = self.expr()
+            self.depth -= 1
+            kind, _, pos = tokens[self.pos]
+            self.pos += 1
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            exps, n, den = self.factor_of(*result)
+        elif kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        else:
+            raise ParseError(f"unexpected {value!r}", pos)
+        if tokens[self.pos][0] == "^":
+            exps, n, den = self.power(exps, n, den)
+        if negate:
+            n = -n if exps is not None else {e: -c for e, c in n.items()}
+        return exps, n, den
 
-    def power(self) -> tuple:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind == "-":
-                raise ParseError("negative exponents are not allowed", pos)
-            if kind != "int":
-                raise ParseError("exponent must be a non-negative integer literal", pos)
-            self.advance()
-            k = self.integer(value, pos)
-            if k > MAX_DEGREE:
-                raise ParseError(f"exponent {k} exceeds the limit of {MAX_DEGREE}", pos)
-            terms, den = base
-            if terms:
-                lo, hi = _degree_range(terms)
-                self.check_size(lo * k, hi * k, comb(len(terms) + k - 1, k), pos)
-                # Each coefficient of the power is at most the k-th power of
-                # the base's coefficient sum: less than len(terms) * 2^bits.
-                self.check_bits(k * (_bits(terms, den) + (len(terms) - 1).bit_length()),
-                                pos)
-                if len(terms) == 1:
-                    # n^k and den^k share no factor, as n and den do not.
-                    (exps, n), = terms.items()
-                    return {tuple(e * k for e in exps): n ** k}, den ** k
-            return _pow(terms, den, k, len(self.variables))
-        return base
+    def factor_of(self, terms: dict, den: int) -> tuple:
+        if len(terms) > 1:
+            return None, terms, den
+        exps, n = next(iter(terms.items()), (self.zeros, 0))
+        return exps, n, den
+
+    def power(self, exps, n, den) -> tuple:
+        kind, value, pos = self.tokens[self.pos + 1]
+        if kind == "-":
+            raise ParseError("negative exponents are not allowed", pos)
+        if kind != "int":
+            raise ParseError("exponent must be a non-negative integer literal", pos)
+        self.pos += 2
+        k = self.integer(value, pos)
+        if k > MAX_DEGREE:
+            raise ParseError(f"exponent {k} exceeds the limit of {MAX_DEGREE}", pos)
+        if exps is None:
+            lo, hi = _degree_range(n)
+            self.check_size(lo * k, hi * k, comb(len(n) + k - 1, k), pos)
+            # Each coefficient of the power is at most the k-th power of
+            # the base's coefficient sum: less than len(terms) * 2^bits.
+            self.check_bits(k * (_bits(n, den) + (len(n) - 1).bit_length()), pos)
+            return self.factor_of(*_pow(n, den, k, len(self.variables)))
+        if not n:
+            return exps, int(not k), 1
+        degree = sum(exps) * k
+        self.check_size(degree, degree, 1, pos)
+        self.check_bits(k * max(den.bit_length(), n.bit_length()), pos)
+        # n^k and den^k share no factor, as n and den do not.
+        return tuple([e * k for e in exps]), n ** k, den ** k
 
     def check_size(self, low: int, high: int, terms: int, pos: int) -> None:
         # A result of total degree low..high, with at most ``terms`` terms
         # by its factors, has no more terms than monomials of those degrees.
         if high > MAX_DEGREE:
             raise ParseError(f"degree {high} exceeds the limit of {MAX_DEGREE}", pos)
-        n = len(self.variables)
-        terms = min(terms, comb(n + high, n) - (comb(n + low - 1, n) if low else 0))
         if terms > MAX_TERMS:
-            raise ParseError(f"up to {terms} terms exceed the limit of {MAX_TERMS}", pos)
+            n = len(self.variables)
+            terms = min(terms, comb(n + high, n) - (comb(n + low - 1, n) if low else 0))
+            if terms > MAX_TERMS:
+                raise ParseError(f"up to {terms} terms exceed the limit of {MAX_TERMS}", pos)
 
     def check_bits(self, bits: int, pos: int) -> None:
         # ``bits`` bounds the bit length of the result's numerators and
@@ -882,30 +913,6 @@ class _Parser:
         n = int(digits)
         self.check_bits(n.bit_length(), pos)
         return n
-
-    def atom(self) -> tuple:
-        kind, value, pos = self.advance()
-        if kind == "int":
-            n = self.integer(value, pos)
-            return ({(0,) * len(self.variables): n} if n else {}), 1
-        if kind == "name":
-            if value not in self.units:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            return {self.units[value]: 1}, 1
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than the limit of {MAX_NESTING}",
-                                 pos)
-            self.depth += 1
-            result = self.expr()
-            self.depth -= 1
-            kind, _, pos = self.advance()
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
-            return result
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected {value!r}", pos)
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:

@@ -456,9 +456,9 @@ def _tokenize(text: str) -> list:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # "²" is a digit that int() cannot read: no int token
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

@@ -628,6 +628,19 @@ def test_float_range_overflow_exits_3(capsys, argv):
     assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 3
 
 
+def test_null_completion_overflow_names_the_point_only(capsys):
+    # null_project evaluates the metric at the unit momenta e_j; the error
+    # must not name one of them as if the caller had given it.
+    code, out, err = _run(capsys, ["trace", *FOLD, "--q=1e-320,0,1e300", "--p=0,1,?"])
+    assert code == 3 and out == ""
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == 3
+    assert error["message"] == ("metric evaluation overflows or is not finite at "
+                                "q = (1e-320, 0.0, 1e+300)")
+
+
 def test_trace_ends_at_the_boundary_inside_a_step(monkeypatch, capsys):
     # The first step's stage k2 lands on Z = 0, where the fold metric is singular.
     step, stages = ch._rk4_step, []
