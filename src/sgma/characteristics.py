@@ -39,7 +39,7 @@ from math import isqrt
 
 from . import codegen
 from .errors import DomainError, MetricSingularError
-from .formatting import format_float
+from .formatting import write_csv
 from .ma_core import CACHE_SIZE, GeneratingFunction, _floats, _point_values, \
     pullback_metric_polys
 from .polyexpr import Poly, PolyVector
@@ -317,8 +317,7 @@ def _evaluate_state(field_: _MetricField, q, p) -> tuple:
 
 def hamiltonian(gf: GeneratingFunction, state: BicharState) -> float:
     """H(q, p) = p^T h(q)^{-1} p; raises MetricSingularError at parabolic points."""
-    _, _, _, _, H, _ = _evaluate_state(_metric_field(gf), state.q, state.p)
-    return H
+    return _evaluate_state(_metric_field(gf), state.q, state.p)[4]
 
 
 def _inverse_metric(field_: _MetricField, q) -> list:
@@ -348,7 +347,7 @@ def null_project(gf: GeneratingFunction, q, p_partial, free_index: int) -> list:
     p_partial = _floats(p_partial, "momentum")
     if len(p_partial) != 2:
         raise ValueError("p_partial must supply the two fixed components")
-    q = tuple(_floats(_point_values(gf, q), "chart point"))
+    q = tuple(_floats(gf.potential._values_list(q), "chart point"))
     hinv = _inverse_metric(_metric_field(gf), q)
     fixed = [i for i in range(3) if i != free_index]
     p0 = [0.0, 0.0, 0.0]
@@ -429,8 +428,8 @@ def _sign_counts(i1, i2, i3, s):
     # (exact for real-rooted cubics): the sign variations of the coefficients
     # (1, -i1, i2, -i3) count positive roots, those of (1, i1, i2, i3)
     # negative ones.  Used only to detect signature changes across a step,
-    # so an invariant below 1e-12 s^k is simply skipped.
-    t1 = 1e-12 * s
+    # so an invariant below SINGULAR_TOL s^k is simply skipped.
+    t1 = SINGULAR_TOL * s
     t2 = t1 * s
     t3 = t2 * s
     n_pos = n_neg = 0
@@ -532,11 +531,15 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
 
 def eikonal_residual_grad(gf: GeneratingFunction, pt, grad) -> float:
     """Residual (grad F)^T h^{-1} (grad F) = H(pt, grad F) for a numerical gradient."""
-    values = _floats(_point_values(gf, pt), "chart point")
+    return _eikonal(gf, _floats(gf.potential._values_list(pt), "chart point"), grad)
+
+
+def _eikonal(gf: GeneratingFunction, q: list, grad) -> float:
+    # H(q, grad) at a chart point already read as finite floats.
     g = _floats(grad, "gradient")
     if len(g) != 3:
         raise ValueError("gradient must have 3 components")
-    return hamiltonian(gf, BicharState(values, g))
+    return _evaluate_state(_metric_field(gf), q, g)[4]
 
 
 def eikonal_residual(gf: GeneratingFunction, F: Poly, pt) -> float:
@@ -551,7 +554,7 @@ def eikonal_residual(gf: GeneratingFunction, F: Poly, pt) -> float:
         )
     values = _point_values(gf, pt)
     grad = PolyVector(F.diff(v) for v in gf.chart.coords).eval(values)
-    return eikonal_residual_grad(gf, values, grad)
+    return _eikonal(gf, _floats(values, "chart point"), grad)
 
 
 def _sqrt_exact_or_float(value):
@@ -603,20 +606,11 @@ def analytic_null_geodesic(C1, C2, Z0, Z):
     return s, dx, dy
 
 
-def trace_csv_columns(trace: Trace) -> tuple:
-    cols = ["s", "q1", "q2", "q3", "p1", "p2", "p3", "H", "det_h"]
-    if trace.conserved_log and "xdotZ" in trace.conserved_log[0]:
-        cols += ["xdotZ", "ydot"]
-    return tuple(cols)
-
-
 def write_trace_csv(trace: Trace, stream) -> None:
     """One row per accepted step; termination reason on a trailing comment line."""
-    cols = trace_csv_columns(trace)
-    stream.write(",".join(cols) + "\n")
-    for state, entry in zip(trace.states, trace.conserved_log):
-        row = [state.s, *state.q, *state.p, entry["H"], entry["det_h"]]
-        if "xdotZ" in cols:
-            row += [entry["xdotZ"], entry["ydot"]]
-        stream.write(",".join(format_float(v) for v in row) + "\n")
+    log = trace.conserved_log
+    keys = ["H", "det_h"] + (["xdotZ", "ydot"] if log and "xdotZ" in log[0] else [])
+    write_csv(stream, ["s", "q1", "q2", "q3", "p1", "p2", "p3", *keys],
+              ([st.s, *st.q, *st.p, *[entry[k] for k in keys]]
+               for st, entry in zip(trace.states, log)))
     stream.write(f"# termination={trace.termination.value}\n")

@@ -32,7 +32,7 @@ from . import sg
 from . import singular as sing
 from . import verify
 from .errors import ConfigError, DomainError, SgmaError
-from .formatting import format_float, render_json
+from .formatting import render_json, write_csv
 from .grid import Axis, Grid
 from .polyexpr import exact_number, float_number
 
@@ -134,13 +134,11 @@ def _cmd_classify(ns) -> tuple:
     if ns.grid is not None:
         grid = ns.grid.ordered(gf.chart.coords)
         eigs, labels = mc.classification_grid(gf, grid.axes(), ns.tol)
-        lines = [",".join(list(gf.chart.coords)
-                          + ["eig1", "eig2", "eig3", "label"])]
-        for node, eig, label in zip(grid.nodes(), eigs.reshape(-1, 3),
-                                    labels.reshape(-1)):
-            lines.append(",".join([format_float(v) for v in (*node, *eig)]
-                                  + [label.value]))
-        return 0, "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        write_csv(buf, [*gf.chart.coords, "eig1", "eig2", "eig3", "label"],
+                  ((*node, *eig, label.value) for node, eig, label
+                   in zip(grid.nodes(), eigs.reshape(-1, 3), labels.reshape(-1))))
+        return 0, buf.getvalue()
     if ns.point is None:
         raise ConfigError("supply --point or --grid")
     signature = mc.classify(gf, ns.point, ns.tol)

@@ -1,4 +1,4 @@
-"""Deterministic output formatting shared by the CSV and JSON emitters.
+"""Deterministic output formatting: the one CSV writer and the JSON renderer.
 
 Floats are always rendered with the printf pattern ``%.17g`` so that
 identical runs produce byte-identical files; 17 significant digits are
@@ -12,6 +12,14 @@ from fractions import Fraction
 
 def format_float(value) -> str:
     return format(float(value), ".17g")
+
+
+def write_csv(stream, columns, rows) -> None:
+    """Header, then one line per row: a str cell as it is, None empty, others %.17g."""
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join([c if isinstance(c, str) else "" if c is None
+                               else format_float(c) for c in row]) + "\n")
 
 
 def render_json(obj, indent: int = 0) -> str:

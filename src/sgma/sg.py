@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NoBranchError
-from .formatting import format_float
+from .formatting import write_csv
 from .grid import Axis, Grid
 from .ma_core import GeneratingFunction, SignatureLabel, classify, immersion
 from .mat3 import solve3
@@ -228,13 +228,7 @@ WIND_CSV_COLUMNS = ("x", "y", "z", "domain_flag", "P", "M", "N", "theta_eps",
 
 def write_wind_csv(samples: list, stream) -> None:
     """Fixed-column CSV; out-of-domain rows have domain_flag 0 and empty values."""
-    stream.write(",".join(WIND_CSV_COLUMNS) + "\n")
-    for s in samples:
-        head = [format_float(v) for v in (s.x, s.y, s.z)]
-        if not s.in_domain:
-            stream.write(",".join(head + ["0"] + [""] * 10) + "\n")
-            continue
-        st = s.state
-        body = [st.P, st.M, st.N, st.theta_eps, st.u_g, st.v_g,
-                st.u, st.v, st.w, abs(st.v)]
-        stream.write(",".join(head + ["1"] + [format_float(v) for v in body]) + "\n")
+    values = operator.attrgetter(*WIND_CSV_COLUMNS[4:13])  # the SGState fields P ... w
+    write_csv(stream, WIND_CSV_COLUMNS, (
+        (s.x, s.y, s.z, "1", *values(s.state), abs(s.state.v)) if s.in_domain
+        else (s.x, s.y, s.z, "0", *[None] * 10) for s in samples))

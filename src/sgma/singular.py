@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .formatting import format_float
+from .formatting import write_csv
 from .grid import Axis, Grid
 from .ma_core import AMBIENT_COORDS, CACHE_SIZE, GeneratingFunction, immersion, \
     immersion_jacobian, immersion_jacobian_polys, immersion_polys, singular_locus_poly, \
@@ -362,7 +362,5 @@ CAUSTIC_CSV_COLUMNS = ("chart_1", "chart_2", "chart_3",
 
 def write_caustic_csv(sweep: CausticSweep, stream) -> None:
     """CSV rows in sweep order: chart coordinates, base point, residual determinant."""
-    stream.write(",".join(CAUSTIC_CSV_COLUMNS) + "\n")
-    for s in sweep.samples:
-        row = list(s.chart_point) + list(s.base_point) + [s.det_dpi]
-        stream.write(",".join(format_float(v) for v in row) + "\n")
+    write_csv(stream, CAUSTIC_CSV_COLUMNS,
+              ((*s.chart_point, *s.base_point, s.det_dpi) for s in sweep.samples))

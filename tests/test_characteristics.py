@@ -115,6 +115,18 @@ def test_null_project_exact_point_beyond_float_range_is_domain_error(fold_gf):
         null_project(fold_gf, (0, 0, 10 ** 400), (0, 1), 2)
 
 
+def test_bichar_state_of_wrong_length_is_value_error():
+    with pytest.raises(ValueError, match="q and p must each have 3 components"):
+        BicharState((0, 0), (0, 0, 1))
+
+
+def test_null_project_argument_checks(fold_gf):
+    with pytest.raises(ValueError, match="free_index must be 0, 1 or 2"):
+        null_project(fold_gf, (0, 0, 1), (0, 1), 3)
+    with pytest.raises(ValueError, match="p_partial must supply the two fixed components"):
+        null_project(fold_gf, (0, 0, 1), (0, 1, 2), 2)
+
+
 def test_ham_rhs_example(fold_gf):
     qdot, pdot = ham_rhs(fold_gf, BicharState((0, 0, 1), (0, 1, 1)))
     assert np.allclose(qdot, (0, 1, -1))
@@ -740,6 +752,25 @@ def test_eikonal_residual_compiles_its_gradient_once(fold_gf, monkeypatch):
     assert repr(value) == repr(eikonal_residual_grad(fold_gf, pt, grad))
 
 
+def test_eikonal_gradient_of_wrong_length_is_value_error(fold_gf):
+    with pytest.raises(ValueError, match="gradient must have 3 components"):
+        eikonal_residual_grad(fold_gf, (0, 0, 1), (0, 1))
+
+
+def test_eikonal_residual_checks_point_before_and_after_the_gradient(fold_gf):
+    # The point is read once: a non-finite float fails before the gradient
+    # is evaluated, an exact value beyond the float range after it, unless
+    # the gradient's float evaluation overflows on it first.
+    F = parse_poly("x^3*Z + y", XYZ)
+    with pytest.raises(DomainError, match=r"^chart point is not finite: \(nan, 0, 1\)$"):
+        eikonal_residual(fold_gf, F, (math.nan, 0, 1))
+    with pytest.raises(DomainError, match=r"^chart point is not finite: \(1000"):
+        eikonal_residual(fold_gf, F, (10 ** 400, 1, 1))
+    with pytest.raises(DomainError, match=r"^polynomial evaluation overflows at \[1000"):
+        eikonal_residual(fold_gf, F, (10 ** 400, 0.5, 1.0))
+    assert eikonal_residual(fold_gf, F, (1, 2, -1)) == 5.5
+
+
 def test_eikonal_requires_chart_variables(fold_gf):
     with pytest.raises(ValueError):
         eikonal_residual(fold_gf, parse_poly("x", ("x",)), (0, 0, 1))
@@ -760,6 +791,13 @@ def test_analytic_geodesic_cusp_values_exact():
     _, dx4, dy4 = analytic_null_geodesic(Fraction(0), Fraction(1), Fraction(0),
                                          Fraction(4))
     assert dy4 * dy4 == Fraction(256, 9) and dx4 == 0
+
+
+def test_analytic_geodesic_inexact_root_is_float():
+    # sqrt(C2^2 Z - C1^2) = sqrt(2) is no rational square, so it is a float.
+    s, dx, dy = analytic_null_geodesic(Fraction(0), Fraction(1), Fraction(0), Fraction(2))
+    assert s == dy == 4 * math.sqrt(2) / 3 and type(s) is float
+    assert dx == 0
 
 
 def test_analytic_geodesic_coincident_endpoints():
@@ -822,6 +860,28 @@ def test_overflowing_dense_metric_gets_one_verdict():
         with pytest.raises(DomainError, match="overflows") as info:
             call()
         assert not isinstance(info.value, MetricSingularError)
+
+
+def test_overflowing_momentum_law_is_domain_error():
+    # h_33 = 2 at q = 0 but d_Z h_33 = -12*10^300: H is finite and
+    # pdot_3 = 3e309 is not, so ham_rhs reports the overflow.
+    gf = GeneratingFunction(ChartKind.DUAL_T,
+                            parse_poly("y^2/2 - x^2/2 - Z^2/2 + (10^150)^2*Z^3", XYZ),
+                            Fraction(1))
+    state = BicharState((0, 0, 0), (0, 0, 1e6))
+    assert hamiltonian(gf, state) == 5e11
+    with pytest.raises(DomainError, match=r"^metric evaluation overflows or is not finite "
+                                          r"at q = \(0.0, 0.0, 0.0\), p = \(0.0, 0.0, 1000000.0\)$"):
+        ham_rhs(gf, state)
+
+
+def test_rk4_step_leaving_the_float_range_diverges(fold_gf):
+    # At q = (0, 0, 1) the null momentum (0, a, a), a = 1.2e154, has H = 0
+    # and pdot_3 = a^2/2 = 7.2e307: every RK4 stage is finite, but their
+    # weighted sum k1 + 2 k2 + ... is not, so the step ends the trace.
+    a = 1.2e154
+    trace = trace_bicharacteristic(fold_gf, BicharState((0, 0, 1), (0, a, a)), step=1e-160)
+    assert trace.termination is Termination.DIVERGED and len(trace.states) == 1
 
 
 def test_metric_overflow_is_domain_error():

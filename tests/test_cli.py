@@ -2,10 +2,13 @@
 
 import argparse
 import hashlib
+import io
 import json
 import random
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sgma import characteristics as ch
@@ -13,6 +16,7 @@ from sgma import cli, verify
 from sgma.cli import main
 from sgma.errors import MetricSingularError
 from sgma.family import build_family, random_generic_spec
+from sgma.formatting import render_json, write_csv
 
 FOLD = ["--chart", "T", "--potential", "y^2/2 - x^2*Z/2 + Z^3/6"]
 # A potential whose coefficient 10^400 the parser admits but no float holds;
@@ -836,3 +840,44 @@ def test_wind_with_tiny_epsilon_stays_in_domain(capsys, epsilon, v):
     assert code == 0 and err == ""
     row = dict(zip(*(line.split(",") for line in out.splitlines())))
     assert row["domain_flag"] == "1" and row["v"] == v and row["w"] == "0"
+
+
+def test_fiber_with_vanishing_fiber_equation_exits_3(capsys):
+    code, out, err = _run(capsys, ["fiber", "--chart", "T", "--potential", "0",
+                                   "--base", "0,0,0"])
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": {
+        "code": 3, "message": "fiber equation vanishes identically over this base point"}}
+
+
+# -- formatting ------------------------------------------------------------------
+
+def test_write_csv_cells():
+    # A str cell as it is, None empty, and any number (a Fraction, a numpy
+    # scalar, a bool) by %.17g.
+    buf = io.StringIO()
+    write_csv(buf, ("a", "b", "c", "d"),
+              [(0.1, "x", None, 3), [Fraction(1, 3), np.float64(2.5), True, -0.0]])
+    assert buf.getvalue() == "a,b,c,d\n0.10000000000000001,x,,3\n0.33333333333333331,2.5,1,-0\n"
+
+
+def test_write_csv_writes_each_row_as_it_is_drawn():
+    buf = io.StringIO()
+    lines_before = []
+
+    def rows():
+        for k in range(3):
+            lines_before.append(buf.getvalue().count("\n"))
+            yield (k,)
+
+    write_csv(buf, ["k"], rows())
+    assert lines_before == [1, 2, 3] and buf.getvalue() == "k\n0\n1\n2\n"
+    buf = io.StringIO()
+    write_csv(buf, ["k"], iter(()))
+    assert buf.getvalue() == "k\n"
+
+
+def test_render_json_empty_containers_and_unknown_types():
+    assert render_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
+    with pytest.raises(TypeError, match="^cannot render object as JSON$"):
+        render_json(object())

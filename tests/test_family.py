@@ -147,6 +147,17 @@ def test_spec_validation():
         FamilySpec.from_dict({"bogus": 1})
 
 
+def test_spec_reads_t3_polys_over_other_variables():
+    # A Poly entry is re-expressed over (Z,); one that uses another
+    # variable is rejected, and so is a t3 that is no mapping.
+    spec = FamilySpec(t3={"111": parse_poly("2*Z + 1", ("x", "Z"))})
+    assert spec.t3["111"] == parse_poly("2*Z + 1", ("Z",))
+    with pytest.raises(ValueError, match=r"variables \['x'\] absent from target"):
+        FamilySpec(t3={"111": parse_poly("x*Z", ("x", "Z"))})
+    with pytest.raises(ValueError, match=r"^t3 must map tensor keys to polynomials, got \[1, 2\]$"):
+        FamilySpec(t3=[1, 2])
+
+
 def test_spec_serialization_roundtrip():
     rng = random.Random(43)
     spec = random_generic_spec(rng)

@@ -1,5 +1,6 @@
 """Grid parsing, validation, axis order and row-major nodes."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,11 @@ def test_exact_bounds_are_not_checked_as_floats():
     # math.isfinite would overflow on a bound this large.
     grid = Grid((Axis("x", Fraction(-10 ** 400), Fraction(10 ** 400), 1),))
     assert grid.dims[0].hi == Fraction(10 ** 400)
+
+
+def test_non_finite_float_bound_is_value_error():
+    with pytest.raises(ValueError, match="grid bounds of x must be finite"):
+        Grid((Axis("x", 0.0, math.inf, 2),))
 
 
 def test_node_limit():

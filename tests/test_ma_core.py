@@ -525,6 +525,11 @@ def test_classification_grid_matches_pointwise(fold_gf):
                 assert np.allclose(eigs[i, j, k], sig.eigenvalues)
 
 
+def test_classification_grid_needs_every_chart_axis(fold_gf):
+    with pytest.raises(ValueError, match=r"^axes must supply exactly \('x', 'y', 'Z'\)$"):
+        classification_grid(fold_gf, {"x": [0.0], "y": [0.0]})
+
+
 def test_generating_function_record_roundtrip(fold_gf):
     record = fold_gf.to_dict()
     assert record == {"chart": "T", "potential": str(fold_gf.potential), "eps_q": "1"}

@@ -353,6 +353,47 @@ def test_variable_mismatch_requires_explicit_renaming():
     assert a.with_variables(("x", "y")) + b == 2 * b
 
 
+def test_renaming_keeps_every_used_variable():
+    with pytest.raises(ValueError, match=r"^variables \['y'\] absent from target \('x',\)$"):
+        parse_poly("x*y", ("x", "y")).with_variables(("x",))
+
+
+def test_poly_constructor_checks_exponent_vectors():
+    with pytest.raises(ValueError, match=r"^exponent vector \(1,\) has length 1, expected 2$"):
+        Poly(("x", "y"), {(1,): 1})
+    for exps in ((-1,), (1.0,)):
+        with pytest.raises(ValueError, match="exponents must be non-negative integers"):
+            Poly(("x",), {exps: 1})
+
+
+def test_equality_with_exact_numbers_only():
+    # A constant Poly equals the int or Fraction it holds; a float or any
+    # other object is not an exact number, and compares unequal.
+    assert parse_poly("3", ("x",)) == 3
+    assert parse_poly("1/2", ("x",)) == Fraction(1, 2)
+    assert parse_poly("x", ("x",)) != 3
+    assert parse_poly("3", ("x",)) != 3.0
+    assert parse_poly("x", ("x",)) != "x"
+
+
+def test_power_and_division_restrictions():
+    x = parse_poly("x + 1", ("x",))
+    for exponent in (-1, 1.5):
+        with pytest.raises(ValueError, match="polynomial power must be a non-negative integer"):
+            x ** exponent
+    assert x.constant_value() is None and parse_poly("2*x", ("x",)).constant_value() is None
+    with pytest.raises(ValueError, match="division is only defined by a nonzero constant"):
+        x / x
+    for zero in (0, Poly.zero(("x",))):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            x / zero
+    assert x / parse_poly("2", ("x",)) == parse_poly("x/2 + 1/2", ("x",))
+
+
+def test_repr_names_variables_and_text():
+    assert repr(parse_poly("x + 1", ("x",))) == "Poly(('x',), x + 1)"
+
+
 def test_collect_and_univariate():
     t = parse_poly("y^2/2 - x^2*Z/2 + Z^3/6", XYZ)
     groups = t.collect(("x", "y"))

@@ -11,6 +11,7 @@ import pytest
 
 from sgma import sg
 from sgma.errors import DomainError, NoBranchError
+from sgma.grid import Grid
 from sgma.ma_core import ChartKind, GeneratingFunction
 from sgma.polyexpr import parse_poly
 from sgma.sg import (
@@ -183,6 +184,13 @@ def test_domain_and_degenerate_errors(fold_gf):
             branch_state(gf, base, branch)
 
 
+def test_degenerate_branch_by_index_is_no_branch(fold_gf):
+    # On the caustic z = x^2/2 the one preimage is a double root: index 0
+    # names it, but the branch is degenerate.
+    with pytest.raises(NoBranchError, match=r"^selected branch is degenerate \(caustic point\)$"):
+        branch_state(fold_gf, (1.0, 0.0, 0.5), 0)
+
+
 @pytest.mark.parametrize("branch", [1.5, 0.9, "1", None])
 def test_branch_index_must_be_an_integer(fold_gf, branch):
     # int() would truncate 1.5 to branch 1 and 0.9 to branch 0.
@@ -213,6 +221,12 @@ def test_wind_sweep_flags_missing_branch_index(fold_gf):
     grid = PlaneGridSpec(x_lo=1, x_hi=1, nx=1, z_lo=-1, z_hi=1, nz=2)
     flags = [s.in_domain for s in wind_field_sweep(fold_gf, 1, grid)]
     assert flags == [True, False]
+
+
+def test_wind_sweep_needs_xyz_axes(fold_gf):
+    with pytest.raises(ValueError, match=r"^wind grid axes must be \('x', 'y', 'z'\), "
+                                         r"got \('x', 'z', 'y'\)$"):
+        wind_field_sweep(fold_gf, "convex", Grid.parse("x=0:1:2,z=0:1:2,y=0:0:1"))
 
 
 def test_eps_q_not_one_warns():

@@ -286,6 +286,12 @@ def test_caustic_csv_format(fold_gf):
     assert len(lines) == 2
 
 
+def test_caustic_grid_variables_must_be_chart_coordinates(fold_gf):
+    with pytest.raises(ValueError, match=r"^grid variables must be two distinct of "
+                                         r"\('x', 'y', 'Z'\)$"):
+        caustic_sweep(fold_gf, Grid.parse("x=0:1:2,q=0:1:2"))
+
+
 def test_caustic_grid_validation(fold_gf):
     with pytest.raises(ValueError):
         caustic_sweep(fold_gf, GridSpec2D("x", 0, 1, 2, "x", 0, 1, 2))
@@ -418,6 +424,35 @@ def test_fiber_newton_failed_seed_reported():
     assert bp.failed_seeds == [(0.0, 0.0, 0.0)]
     assert len(bp.fiber_values) == 1
     assert max(abs(a - b) for a, b in zip(bp.fiber_values[0], (1, 1, 1))) < 1e-12
+
+
+def test_fiber_newton_seed_of_wrong_length_is_value_error():
+    gf_r = _gf("R", "X^3/3 + (Y^2 + Z^2)/2")
+    with pytest.raises(ValueError, match=r"^seed must supply 3 values for \['X', 'Y', 'Z'\]$"):
+        fiber_solve(gf_r, (1.0, 1.0, 1.0), ((0.0, 0.0),))
+
+
+def test_fiber_newton_step_leaving_the_float_range_fails_the_seed():
+    # At the subnormal X = 5e-311 the Jacobian diag(2X, 1, 1) is not
+    # singular, but the Newton step 1/(2X) of X^2 = 1 is not finite: the
+    # seed fails.
+    gf_r = _gf("R", "X^3/3 + (Y^2 + Z^2)/2")
+    bp = fiber_solve(gf_r, (1.0, 1.0, 1.0), ((5e-311, 0.0, 0.0),))
+    assert bp.fiber_values == [] and bp.failed_seeds == [(5e-311, 0.0, 0.0)]
+
+
+def test_fiber_base_point_of_wrong_length_is_value_error(fold_gf):
+    with pytest.raises(ValueError, match="^base point must have 3 components, got 2$"):
+        fiber_solve(fold_gf, (1.0, 0.0))
+
+
+def test_fiber_equation_vanishing_identically_is_domain_error():
+    # With T = 0 the fiber row z = -T_Z = 0 fixes no Z at any base point.
+    gf = _gf("T", "0")
+    assert fiber_equation_polys(gf) == ()
+    with pytest.raises(DomainError, match="^fiber equation vanishes identically over this "
+                                          "base point$"):
+        fiber_solve(gf, (0, 0, 0))
 
 
 def test_fiber_classical_trivial(convex_quadratic_gf):
