@@ -347,7 +347,7 @@ def null_project(gf: GeneratingFunction, q, p_partial, free_index: int) -> list:
     p_partial = _floats(p_partial, "momentum")
     if len(p_partial) != 2:
         raise ValueError("p_partial must supply the two fixed components")
-    q = tuple(_floats(gf.potential._values_list(q), "chart point"))
+    q = tuple(_floats(_point_values(gf, q), "chart point"))
     hinv = _inverse_metric(_metric_field(gf), q)
     fixed = [i for i in range(3) if i != free_index]
     p0 = [0.0, 0.0, 0.0]
@@ -531,7 +531,7 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
 
 def eikonal_residual_grad(gf: GeneratingFunction, pt, grad) -> float:
     """Residual (grad F)^T h^{-1} (grad F) = H(pt, grad F) for a numerical gradient."""
-    return _eikonal(gf, _floats(gf.potential._values_list(pt), "chart point"), grad)
+    return _eikonal(gf, _floats(_point_values(gf, pt), "chart point"), grad)
 
 
 def _eikonal(gf: GeneratingFunction, q: list, grad) -> float:
@@ -553,23 +553,17 @@ def eikonal_residual(gf: GeneratingFunction, F: Poly, pt) -> float:
             f"F must be a polynomial over {gf.chart.coords!r}, got {F.variables!r}"
         )
     values = _point_values(gf, pt)
-    grad = PolyVector(F.diff(v) for v in gf.chart.coords).eval(values)
-    return _eikonal(gf, _floats(values, "chart point"), grad)
+    q = _floats(values, "chart point")  # before the gradient, which keeps exact input exact
+    return _eikonal(gf, q, PolyVector(F.diff(v) for v in gf.chart.coords).eval(values))
 
 
 def _sqrt_exact_or_float(value):
-    # Keeps Fractions exact when the radicand is a perfect rational square.
+    # Keeps Fractions exact when the radicand (checked >= 0 by the caller) is a rational square.
     if isinstance(value, (int, Fraction)):
-        fr = Fraction(value)
-        if fr < 0:
-            raise DomainError(f"negative radicand {fr}")
-        n, d = fr.numerator, fr.denominator
+        n, d = value.as_integer_ratio()
         rn, rd = isqrt(n), isqrt(d)
         if rn * rn == n and rd * rd == d:
             return Fraction(rn, rd)
-        return math.sqrt(float(fr))
-    if value < 0:
-        raise DomainError(f"negative radicand {value}")
     return math.sqrt(value)
 
 

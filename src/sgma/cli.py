@@ -117,7 +117,8 @@ def _json_file(path: str):
 
 
 # -- subcommand implementations ---------------------------------------------
-# Each returns its exit code and its output text, which main writes.
+# Each takes the options, and those built with gf=True the generating function
+# that main resolves once; each returns its exit code and text, which main writes.
 
 
 def _resolve_gf(ns) -> mc.GeneratingFunction:
@@ -129,8 +130,7 @@ def _resolve_gf(ns) -> mc.GeneratingFunction:
         {"chart": ns.chart, "potential": ns.potential, "eps_q": ns.eps_q})
 
 
-def _cmd_classify(ns) -> tuple:
-    gf = _resolve_gf(ns)
+def _cmd_classify(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.grid is not None:
         grid = ns.grid.ordered(gf.chart.coords)
         eigs, labels = mc.classification_grid(gf, grid.axes(), ns.tol)
@@ -153,8 +153,7 @@ def _cmd_classify(ns) -> tuple:
     return 0, render_json(report) + "\n"
 
 
-def _cmd_residual(ns) -> tuple:
-    gf = _resolve_gf(ns)
+def _cmd_residual(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.symbolic:
         poly = mc.ma_residual_poly(gf)
         report = {"chart": gf.chart.value, "residual": str(poly),
@@ -167,16 +166,14 @@ def _cmd_residual(ns) -> tuple:
     return 0, render_json(report) + "\n"
 
 
-def _cmd_singular(ns) -> tuple:
-    gf = _resolve_gf(ns)
+def _cmd_singular(ns, gf: mc.GeneratingFunction) -> tuple:
     poly = sing.singular_locus_poly(gf)
     report = {"chart": gf.chart.value, "variables": list(gf.chart.coords),
               "locus": str(poly)}
     return 0, render_json(report) + "\n"
 
 
-def _cmd_caustic(ns) -> tuple:
-    gf = _resolve_gf(ns)
+def _cmd_caustic(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.grid is None:
         raise ConfigError("supply --grid over two chart variables")
     sweep = sing.caustic_sweep(gf, ns.grid, ns.tol)
@@ -187,8 +184,7 @@ def _cmd_caustic(ns) -> tuple:
     return 0, buf.getvalue()
 
 
-def _cmd_fiber(ns) -> tuple:
-    gf = _resolve_gf(ns)
+def _cmd_fiber(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.base is None:
         raise ConfigError("supply --base x,y,z")
     bp = sing.fiber_solve(gf, ns.base, ns.seeds)
@@ -212,8 +208,7 @@ def _cmd_fiber(ns) -> tuple:
     return 0, render_json(report) + "\n"
 
 
-def _cmd_trace(ns) -> tuple:
-    gf = _resolve_gf(ns)
+def _cmd_trace(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.q is None or ns.p is None:
         raise ConfigError("supply --q and --p")
     p = ns.p
@@ -253,8 +248,7 @@ def _cmd_family(ns) -> tuple:
     return 0, render_json(report) + "\n"
 
 
-def _cmd_wind(ns) -> tuple:
-    gf = _resolve_gf(ns)
+def _cmd_wind(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.x is None or ns.z is None:
         raise ConfigError("supply --x lo:hi:n and --z lo:hi:n")
     grid = Grid((ns.x, Axis("y", ns.y, ns.y, 1), ns.z))
@@ -400,7 +394,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, text = ns.run(ns)
+        code, text = ns.run(ns, _resolve_gf(ns)) if hasattr(ns, "gf_file") else ns.run(ns)
         if ns.output:
             with open(ns.output, "w") as fh:
                 fh.write(text)

@@ -150,12 +150,6 @@ _LABELS = np.array([[_P, _P, _P, _O],
                     [_E, _O, _O, _O]], dtype=object)
 
 
-def _require_finite(values, what: str) -> None:
-    # Only floats can be non-finite; isfinite overflows on huge exact values.
-    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-        raise DomainError(f"{what} is not finite: {tuple(values)!r}")
-
-
 def _floats(values, what: str) -> list:
     # The values, read by _plain_numbers, as floats; one that is not finite,
     # or an exact one beyond the float range, is a DomainError.
@@ -171,7 +165,9 @@ def _floats(values, what: str) -> list:
 
 def _point_values(gf: GeneratingFunction, pt) -> list:
     values = gf.potential._values_list(pt)  # the potential's variables are the chart's
-    _require_finite(values, "chart point")
+    # Only floats can be non-finite; isfinite overflows on huge exact values.
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise DomainError(f"chart point is not finite: {tuple(values)!r}")
     return values
 
 
@@ -379,7 +375,9 @@ def linearization_matrix(gf: GeneratingFunction, pt) -> np.ndarray:
     """
     if gf.chart is ChartKind.CLASSICAL_P:
         adj = np.array(adj3(hessian(gf, pt).tolist()))  # may overflow a finite Hessian
-        _require_finite(adj.ravel().tolist(), "linearization matrix")
+        if not np.isfinite(adj).all():
+            raise DomainError("linearization matrix is not finite: "
+                              f"{tuple(adj.ravel().tolist())!r}")
         return adj
     if gf.chart is ChartKind.DUAL_T:
         (xx, xy, _), (_, yy, _), _ = hessian(gf, pt).tolist()

@@ -650,18 +650,25 @@ class PolyVector(tuple):
     _float_fn = _exact_fn = None
 
     def eval(self, values) -> tuple:
-        """Values of all entries at ``values`` (a sequence in variable order).
+        """Values of all entries at ``values``, a point read as :meth:`Poly.eval` reads it.
 
         Exact Fractions when every value is an int or Fraction, floats (or
         numpy arrays) otherwise, each equal to the entry's :meth:`Poly.eval`.
         """
-        return _evaluate(self, _plain_numbers(values))
+        return _evaluate(self, self._values_list(values))
 
     def numerators(self, values) -> tuple:
         """Exact values of all entries, each an integer numerator over one
-        positive scale, as (numerators, scale), at ``values`` (floats, ints
-        or Fractions in variable order, each read exactly)."""
-        return _numerators(self, _plain_numbers(values))
+        positive scale, as (numerators, scale), at ``values`` read as by
+        :meth:`Poly.eval`, each exactly (one that is not finite: DomainError)."""
+        return _numerators(self, self._values_list(values))
+
+    def _values_list(self, point) -> list:
+        # The entries' own reader; an empty vector has no variables to count.
+        if not self:
+            return _plain_numbers(point)
+        first = self[0]
+        return (first[0] if isinstance(first, tuple) else first)._values_list(point)
 
     def _entries(self) -> list:
         return [p for item in self for p in (item if isinstance(item, tuple) else (item,))]
@@ -674,7 +681,10 @@ def _numerators(owner, values) -> tuple:
     # owner: a Poly or PolyVector, which keeps its compiled functions.  The
     # point is (n_i / w) over w, the lcm of its denominators: a power of two
     # for floats.
-    ratios = [v.as_integer_ratio() for v in values]
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except (OverflowError, ValueError):  # inf, nan
+        raise DomainError(f"point is not finite: {tuple(values)!r}") from None
     w = lcm(*(d for _, d in ratios))
     fn = owner._exact_fn
     if fn is None:

@@ -1,9 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from sgma.ma_core import ChartKind, GeneratingFunction
 from sgma.polyexpr import Poly, parse_poly
+
+# Every property test draws the same examples on every run; each keeps its
+# own max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -100,6 +100,16 @@ def test_fiber_report(capsys):
     assert report["convex_branch"] == 0 and report["ambiguous"] is False
 
 
+def test_fiber_reports_an_ambiguous_convex_branch(capsys):
+    gf = build_family(random_generic_spec(random.Random(1))).gf
+    code, out, _ = _run(capsys, ["fiber", "--chart", "T", "--potential", str(gf.potential),
+                                 "--eps-q", str(gf.eps_q), "--base=-1,-1,-2"])
+    assert code == 0
+    report = json.loads(out)
+    assert [f["convex"] for f in report["fiber"]] == [True, False, True]
+    assert report["convex_branch"] == 0 and report["ambiguous"] is True
+
+
 def test_trace_reaches_boundary(capsys):
     code, out, _ = _run(capsys, ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1,?",
                                  "--null-root", "1", "--max-steps", "5000"])

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import warnings
 import weakref
 from fractions import Fraction
@@ -35,7 +36,7 @@ from sgma.ma_core import (
 )
 from sgma.mat3 import adj3, det3
 from sgma.polyexpr import Poly, parse_poly
-from sgma.singular import singular_locus_poly
+from sgma.singular import fiber_equation_polys, singular_locus_poly
 
 XYZ_T = ("x", "y", "Z")
 
@@ -523,6 +524,29 @@ def test_classification_grid_matches_pointwise(fold_gf):
                 sig = classify(fold_gf, (float(x), float(y), float(z)))
                 assert labels[i, j, k] is sig.label
                 assert np.allclose(eigs[i, j, k], sig.eigenvalues)
+
+
+def test_a_wrong_length_point_leaves_the_cached_vectors_intact(fold_gf):
+    # Each builder's vector reads its point as its entries' Poly.eval does.
+    # The caches are cleared first, so the bad calls come before any good
+    # one: a vector compiled for their length would serve every later caller.
+    builders = (immersion_polys, immersion_jacobian_polys, pullback_metric_polys,
+                fiber_equation_polys)
+    for build in builders:
+        build.cache_clear()
+    for build in builders:
+        vector = build(fold_gf)
+        names = ("x", "y") if build is fiber_equation_polys else XYZ_T
+        for point in ([0.5] * (len(names) - 1), [0.5] * (len(names) + 1)):
+            message = f"expected {len(names)} values for {names!r}, got {len(point)}"
+            for read in (vector.eval, vector.numerators):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    read(point)
+    sig = classify(fold_gf, (0.5, 0, 1))
+    assert sig.label is SignatureLabel.HYPERBOLIC and sig.eigenvalues == (-2.0, -2.0, 2.0)
+    eigs, labels = classification_grid(fold_gf, {"x": [0.5], "y": [0.0], "Z": [1.0]})
+    assert labels[0, 0, 0] is SignatureLabel.HYPERBOLIC
+    assert eigs[0, 0, 0].tolist() == [-2.0, -2.0, 2.0]
 
 
 def test_classification_grid_needs_every_chart_axis(fold_gf):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sgma.errors import DomainError
 from sgma.polyexpr import MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERMS, ParseError, \
-    Poly, exact_number, parse_poly
+    Poly, PolyVector, exact_number, parse_poly
 
 XYZ = ("x", "y", "Z")
 
@@ -159,6 +159,31 @@ def test_evaluated_polynomials_pickle(fold_gf):
     p2, vector2 = pickle.loads(pickle.dumps((p, vector)))
     assert p2 == p and vector2 == vector and type(vector2) is type(vector)
     assert (p2.eval([0.5, 2.0]), p2.eval([1, 2]), vector2.eval(point)) == want
+
+
+def test_vector_reads_its_point_as_poly_eval_does():
+    # A short or a long point fails before a function is compiled for it,
+    # so the vector's compiled functions serve the right length afterwards.
+    p = parse_poly("2*x + 3*y", ("x", "y"))
+    vector = PolyVector([p, (p, p)])
+    for point in ([1.0], [1.0, 1.0, 7.0], [1, 1, 7], {"x": 1.0}, {"x": 1, "y": 1, "Z": 7}):
+        with pytest.raises(ValueError) as want:
+            p.eval(point)
+        for read in (vector.eval, vector.numerators):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                read(point)
+    assert vector.eval([1.0, 1.0]) == (5.0, 5.0, 5.0)
+    assert vector.eval({"y": 1, "x": 1}) == (5, 5, 5)
+    assert vector.numerators([0.5, 1]) == ((8, 8, 8), 2)
+    assert PolyVector().numerators([1.0, 2.0, 3.0]) == ((), 1)  # no variables to count
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_vector_numerators_of_a_non_finite_value_is_domain_error(value):
+    vector = PolyVector([parse_poly("2*x + 3*y", ("x", "y"))])
+    with pytest.raises(DomainError, match=r"^point is not finite: \((-?inf|nan), 0\.0\)$"):
+        vector.numerators([value, 0.0])
+    assert vector.numerators([0.25, 0.0]) == ((2,), 4)
 
 
 def test_implicit_multiplication_rejected():

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from sgma import sg
+from sgma.family import build_family, random_generic_spec
 from sgma.errors import DomainError, NoBranchError
 from sgma.grid import Grid
 from sgma.ma_core import ChartKind, GeneratingFunction
 from sgma.polyexpr import parse_poly
+from sgma.singular import fiber_solve
 from sgma.sg import (
     WIND_CSV_COLUMNS,
     EpsilonChoice,
@@ -292,3 +294,14 @@ def test_fig4_wind_profile(fold_gf):
     assert len(vs) == 8
     assert all(a > b for a, b in zip(vs, vs[1:]))
     assert vs[0] > 0 > vs[-1]
+
+
+def test_ambiguous_convex_branch_warns_and_takes_the_first():
+    # Over (-1, -1, -2) this member has three preimages, the first and the
+    # last convex: "convex" is ambiguous there and resolves to index 0.
+    gf = build_family(random_generic_spec(random.Random(1))).gf
+    assert fiber_solve(gf, (-1, -1, -2)).convex_flags == [True, False, True]
+    with pytest.warns(UserWarning, match="^multiple convex branches; using the first$"):
+        state = reconstructed_state(gf, (-1, -1, -2))
+    assert state.chart_point[2] == pytest.approx(-2.0311, abs=1e-4)
+    assert state.branch_label == "elliptic"
