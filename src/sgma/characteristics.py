@@ -262,22 +262,13 @@ class _MetricField:
         # Diagonal metric depending only on the third coordinate, with
         # h_11 proportional to that coordinate and h_22 a nonzero constant:
         # then p1, p2 are conserved and so are qdot1 * q3 and qdot2.
-        third = cs[2]
-        for i in range(3):
-            for j in range(3):
-                if i != j and not entries[i][j].is_zero:
-                    return False
-                if i == j:
-                    try:
-                        entries[i][j].univariate_coefficients(third)
-                    except ValueError:
-                        return False
-        c11 = entries[0][0].univariate_coefficients(third)
-        c22 = entries[1][1].univariate_coefficients(third)
-        return (
-            len(c11) == 2 and c11[0] == 0 and c11[1] != 0
-            and len(c22) == 1 and c22[0] != 0
-        )
+        try:
+            c = [[h.univariate_coefficients(cs[2]) for h in row] for row in entries]
+        except ValueError:  # an entry depends on another coordinate
+            return False
+        # A coefficient list ends in a nonzero coefficient: h_11 = [0, c], h_22 = [c].
+        return (not any(c[i][j] for i in range(3) for j in range(3) if i != j)
+                and len(c[0][0]) == 2 and c[0][0][0] == 0 and len(c[1][1]) == 1)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

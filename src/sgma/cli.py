@@ -201,7 +201,7 @@ def _cmd_fiber(ns, gf: mc.GeneratingFunction) -> tuple:
             }
             for i in range(len(bp.fiber_values))
         ],
-        "convex_branch": None if choice.index is None else choice.index,
+        "convex_branch": choice.index,
         "ambiguous": choice.ambiguous,
         "failed_seeds": [list(s) for s in bp.failed_seeds],
     }
@@ -237,10 +237,7 @@ def _cmd_family(ns) -> tuple:
         "potential": str(sol.gf.potential),
         "chart": sol.gf.chart.value,
         "eps_q": str(sol.gf.eps_q),
-        "degrees": {
-            "t3": sol.degrees.t3, "t2": sol.degrees.t2,
-            "t1": sol.degrees.t1, "t0": sol.degrees.t0,
-        },
+        "degrees": sol.degrees._asdict(),
         "residual_is_zero": mc.ma_residual_poly(sol.gf).is_zero,
     }
     if ns.check:

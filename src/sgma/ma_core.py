@@ -160,14 +160,20 @@ def _floats(values, what: str) -> list:
             return floats
     except OverflowError:
         pass
+    except TypeError:  # float() of an array: only grids take arrays
+        raise ValueError(f"{what} has an array coordinate: {tuple(values)!r}") from None
     raise DomainError(f"{what} is not finite: {tuple(values)!r}")
 
 
 def _point_values(gf: GeneratingFunction, pt) -> list:
     values = gf.potential._values_list(pt)  # the potential's variables are the chart's
-    # Only floats can be non-finite; isfinite overflows on huge exact values.
-    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-        raise DomainError(f"chart point is not finite: {tuple(values)!r}")
+    for v in values:
+        # Only floats can be non-finite; isfinite overflows on huge exact values.
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise DomainError(f"chart point is not finite: {tuple(values)!r}")
+        elif isinstance(v, np.ndarray):  # only grids take arrays
+            raise ValueError(f"chart point has an array coordinate: {tuple(values)!r}")
     return values
 
 
@@ -281,8 +287,8 @@ def ma_residual_poly(gf: GeneratingFunction) -> Poly:
 
 
 def _values_at(gf: GeneratingFunction, polys, pt, what: str) -> tuple:
-    # A Poly's or PolyVector's values at a validated chart point: all exact,
-    # all floats or all arrays.  A float value that is not finite is a DomainError.
+    # A Poly's or PolyVector's values at a validated chart point: all exact
+    # or all floats.  A float value that is not finite is a DomainError.
     point = _point_values(gf, pt)
     values = _evaluate(polys, point)  # the point is read already
     if isinstance(values[0], float) and not all(map(math.isfinite, values)):
@@ -389,6 +395,20 @@ def linearization_matrix(gf: GeneratingFunction, pt) -> np.ndarray:
     )
 
 
+def _grid_values(polys: PolyVector, axes) -> np.ndarray:
+    # The values of every entry at every node of the grid over axes (1-D
+    # samples in variable order): entry k of node (i, j, ...) is
+    # out[i, j, ..., k], a constant entry filling the grid.  Overflow gives
+    # inf or NaN, which the caller judges.
+    grids = np.meshgrid(*axes, indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = polys.eval(grids)
+    out = np.empty(grids[0].shape + (len(values),))
+    for k, v in enumerate(values):
+        out[..., k] = v
+    return out
+
+
 def classification_grid(gf: GeneratingFunction, axes: Mapping[str, Sequence],
                         tol: float = 1e-9):
     """Vectorized classification over a rectangular grid of chart points.
@@ -404,15 +424,6 @@ def classification_grid(gf: GeneratingFunction, axes: Mapping[str, Sequence],
     values = [np.asarray(axes[v], dtype=float) for v in cs]
     if not all(np.all(np.isfinite(v)) for v in values):
         raise DomainError("classification grid axes are not finite")
-    grids = np.meshgrid(*values, indexing="ij")
-    shape = grids[0].shape
-    flat = [g.reshape(-1) for g in grids]
-    n = flat[0].size
-    H = np.empty((n, 3, 3))
-    with np.errstate(over="ignore", invalid="ignore"):  # _eigen_signs rejects inf/nan
-        values = pullback_metric_polys(gf).eval(flat)
-    for i in range(3):
-        for j in range(3):
-            H[:, i, j] = values[3 * i + j]
-    eigs, (n_pos, n_neg, _) = _eigen_signs(H, tol)
-    return eigs.reshape(shape + (3,)), _LABELS[n_pos, n_neg].reshape(shape)
+    metrics = _grid_values(pullback_metric_polys(gf), values)
+    eigs, (n_pos, n_neg, _) = _eigen_signs(metrics.reshape(metrics.shape[:-1] + (3, 3)), tol)
+    return eigs, _LABELS[n_pos, n_neg]

@@ -685,6 +685,8 @@ def _numerators(owner, values) -> tuple:
         ratios = [v.as_integer_ratio() for v in values]
     except (OverflowError, ValueError):  # inf, nan
         raise DomainError(f"point is not finite: {tuple(values)!r}") from None
+    except AttributeError:  # an array, which only eval takes
+        raise ValueError(f"point has an array coordinate: {tuple(values)!r}") from None
     w = lcm(*(d for _, d in ratios))
     fn = owner._exact_fn
     if fn is None:

@@ -124,7 +124,7 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
     if not bp.fiber_values:
         raise NoBranchError(f"base point {bp.base_point} is outside the solution domain")
     index = _resolve_branch(bp, branch)
-    if bp.degenerate_flags and bp.degenerate_flags[index]:
+    if bp.degenerate_flags[index]:
         raise NoBranchError("selected branch is degenerate (caustic point)")
     chart_pt = bp.fiber_values[index]
     amb = immersion(gf, chart_pt)  # floats, as the chart point is
@@ -175,7 +175,6 @@ def velocity_reconstruct(state: SGState, gf: GeneratingFunction) -> tuple:
 def reconstructed_state(gf: GeneratingFunction, base, branch="convex",
                         eps: EpsilonChoice | None = None) -> SGState:
     """branch_state plus velocity_reconstruct in one call."""
-    eps = eps or EpsilonChoice.for_gf(gf)
     state = branch_state(gf, base, branch, eps)
     u, v, w = velocity_reconstruct(state, gf)
     return replace(state, u=u, v=v, w=w)

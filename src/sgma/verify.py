@@ -31,7 +31,7 @@ from . import sg
 from . import singular as sing
 from .grid import Axis, Grid
 from .mat3 import adj3, det3
-from .polyexpr import Poly, parse_poly
+from .polyexpr import Poly, PolyVector, parse_poly
 
 EXAMPLE_POTENTIAL = "y^2/2 - x^2*Z/2 + Z^3/6"
 
@@ -69,22 +69,13 @@ def _c02_metric_closed_form():
     cs = gf.chart.coords
     hp = mc.pullback_metric_polys(gf)
     z = Poly.variable(cs, "Z")
-    expected = [[-2 * z, Poly.zero(cs), Poly.zero(cs)],
-                [Poly.zero(cs), Poly.constant(cs, 2), Poly.zero(cs)],
-                [Poly.zero(cs), Poly.zero(cs), -2 * z]]
-    symbolic_ok = all(hp[i][j] == expected[i][j] for i in range(3) for j in range(3))
+    zero = Poly.zero(cs)
+    expected = PolyVector([(-2 * z, zero, zero), (zero, Poly.constant(cs, 2), zero),
+                           (zero, zero, -2 * z)])
+    symbolic_ok = hp == expected
 
-    axis = np.linspace(-2.0, 2.0, 21)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    flat = [gx.reshape(-1), gy.reshape(-1), gz.reshape(-1)]
-    worst = 0.0
-    values = hp.eval(flat)
-    for i in range(3):
-        for j in range(3):
-            got = np.broadcast_to(np.asarray(values[3 * i + j], dtype=float), flat[0].shape)
-            want = np.broadcast_to(np.asarray(expected[i][j].eval(flat), dtype=float),
-                                   flat[0].shape)
-            worst = max(worst, float(np.max(np.abs(got - want))))
+    axes = Grid(tuple(Axis(v, -2.0, 2.0, 21) for v in cs)).axes().values()
+    worst = float(np.max(np.abs(mc._grid_values(hp, axes) - mc._grid_values(expected, axes))))
     ok = symbolic_ok and worst <= 1e-12
     return ok, f"symbolic match = {symbolic_ok}, max grid deviation = {worst:.3g}"
 
@@ -146,13 +137,10 @@ def _c04_determinant_law():
 def _c05_prop33_equivalence():
     """{|det dpi| < 1e-9} coincides with {parabolic at tol 1e-9} on a 41^3 grid."""
     gf = example_gf()
-    axis = np.linspace(-2.0, 2.0, 41)
-    axes = {"x": axis, "y": axis, "Z": axis}
+    axes = Grid(tuple(Axis(v, -2.0, 2.0, 41) for v in gf.chart.coords)).axes()
     _, labels = mc.classification_grid(gf, axes, tol=1e-9)
     parabolic = np.vectorize(lambda l: l is mc.SignatureLabel.PARABOLIC)(labels)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    det = sing.singular_locus_poly(gf).eval([gx, gy, gz])
-    det = np.broadcast_to(np.asarray(det, dtype=float), gx.shape)
+    det = mc._grid_values(PolyVector([sing.singular_locus_poly(gf)]), axes.values())[..., 0]
     near_singular = np.abs(det) < 1e-9
     same = bool(np.array_equal(parabolic, near_singular))
     n_locus = int(near_singular.sum())

@@ -418,6 +418,18 @@ def test_trace_csv_omits_conserved_columns_for_noncyclic_metric(convex_quadratic
     assert buf.getvalue().split("\n")[0] == "s,q1,q2,q3,p1,p2,p3,H,det_h"
 
 
+@pytest.mark.parametrize("potential, eps_q, cyclic", [
+    ("y^2/2 - x^2*Z/2 + Z^3/6", Fraction(3, 4), True),  # h scaled by eps_q
+    ("y^2/2 - x^2*Z/2 + Z^3/6 + x^2/2", 1, False),  # h_11 gains a constant
+    ("y^2/2 - x^2*Z/2 + Z^3/6 + x*y^2/2", 1, False),  # entries depend on x
+])
+def test_cyclic_structure_is_read_from_the_metric(potential, eps_q, cyclic):
+    # The fold itself, the convex quadratic and the member are pinned by
+    # their trace headers (test_trace_csv_format and the digests).
+    gf = GeneratingFunction(ChartKind.DUAL_T, parse_poly(potential, XYZ), eps_q)
+    assert ch._metric_field(gf).cyclic is cyclic
+
+
 # -- regression against recorded traces and an independent oracle -----------
 #
 # The kernels evaluate each metric entry as Poly.eval does, without reading

@@ -12,7 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sgma import characteristics as ch
 from sgma import codegen
+from sgma import singular as sing
 from sgma.errors import DomainError
 from sgma.family import build_family, random_generic_spec
 from sgma.ma_core import (
@@ -586,6 +588,37 @@ def test_non_finite_point_is_domain_error(fold_gf, pt):
     for evaluate in (classify, hessian, pullback_metric, immersion, ma_residual):
         with pytest.raises(DomainError, match="not finite"):
             evaluate(fold_gf, pt)
+
+
+# A point whose coordinates are arrays: only Poly.eval, PolyVector.eval and
+# the grid evaluator take one.  Given as a base point to fiber_solve and as
+# q to BicharState.
+_ARRAY_POINT = [np.array([0.5, 1.0]), np.array([0.0, 0.0]), np.array([1.0, 2.0])]
+_POINT_READERS = {
+    "classify": classify,
+    "pullback_metric": pullback_metric,
+    "hessian": hessian,
+    "immersion_jacobian": immersion_jacobian,
+    "linearization_matrix": linearization_matrix,
+    "branch_hessian": sing.branch_hessian,
+    "branch_is_convex": sing.branch_is_convex,
+    "fiber_solve": sing.fiber_solve,
+    "null_project": lambda gf, pt: ch.null_project(gf, pt, (0.0, 1.0), 2),
+    "eikonal_residual_grad": lambda gf, pt: ch.eikonal_residual_grad(gf, pt, (0.0, 1.0, 1.0)),
+    "eikonal_residual": lambda gf, pt: ch.eikonal_residual(gf, gf.potential, pt),
+    "BicharState": lambda gf, pt: ch.BicharState(pt, (0.0, 1.0, 1.0)),
+    "immersion": immersion,
+    "dpi_det": sing.dpi_det,
+    "multivalued_P": sing.multivalued_P,
+    "ma_residual": ma_residual,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_READERS))
+def test_single_point_functions_refuse_array_coordinates(fold_gf, name):
+    with pytest.raises(ValueError, match="has an array coordinate") as info:
+        _POINT_READERS[name](fold_gf, _ARRAY_POINT)
+    assert not isinstance(info.value, DomainError)
 
 
 @pytest.mark.parametrize("axes", [{"x": [0.0], "y": [0.0], "Z": [float("inf")]},

@@ -5,6 +5,7 @@ import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,15 @@ def test_vector_numerators_of_a_non_finite_value_is_domain_error(value):
     with pytest.raises(DomainError, match=r"^point is not finite: \((-?inf|nan), 0\.0\)$"):
         vector.numerators([value, 0.0])
     assert vector.numerators([0.25, 0.0]) == ((2,), 4)
+
+
+def test_vector_numerators_refuse_array_coordinates():
+    vector = PolyVector([parse_poly("2*x + 3*y", ("x", "y"))])
+    point = [np.array([1.0, 2.0]), np.array([0.5, 0.25])]
+    with pytest.raises(ValueError, match=r"^point has an array coordinate: \(array\("):
+        vector.numerators(point)
+    (values,) = vector.eval(point)  # eval takes arrays, elementwise
+    assert values.tolist() == [3.5, 4.75]
 
 
 def test_implicit_multiplication_rejected():
