@@ -77,6 +77,16 @@ class GeneratingFunction:
                 f"chart {self.chart.value!r} coordinates {self.chart.coords!r}"
             )
 
+    _hash = None  # not a field: it has no annotation
+
+    def __hash__(self):  # once, not on every cached-builder lookup
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.chart, self.potential, self.eps_q)))
+        return self._hash
+
+    def __reduce__(self):  # no cached hash: str and enum hashes differ between processes
+        return GeneratingFunction, (self.chart, self.potential, self.eps_q)
+
     def to_dict(self) -> dict:
         return {
             "chart": self.chart.value,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -91,16 +91,15 @@ def _resolve_branch(bp: BranchPoint, branch) -> int:
         if choice.index is None:
             raise NoBranchError("no convex branch over this base point")
         if choice.ambiguous:
-            warnings.warn("multiple convex branches; using the first", stacklevel=3)
+            warnings.warn("multiple convex branches; using the first", stacklevel=4)
         return choice.index
     try:
         index = operator.index(branch)
     except TypeError:
         raise ValueError(f"branch must be 'convex' or an index, got {branch!r}") from None
     if not 0 <= index < len(bp.fiber_values):
-        raise NoBranchError(
-            f"branch index {index} out of range for a fiber of {len(bp.fiber_values)}"
-        )
+        raise NoBranchError(f"branch index {index} out of range for a fiber of "
+                            f"{len(bp.fiber_values)}")
     return index
 
 
@@ -113,13 +112,17 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
     when the base point lies outside the solution domain (empty fiber), has
     no such branch, or the selected branch is degenerate (caustic point).
     """
+    return _state(gf, base, branch, eps, False)
+
+
+def _state(gf: GeneratingFunction, base, branch, eps: EpsilonChoice | None,
+           velocity: bool) -> SGState:
+    # branch_state, with (u, v, w) if velocity, from what fiber_solve kept.
+    # Its warnings name the caller of the public function that called it.
     eps = eps or EpsilonChoice.for_gf(gf)
     if gf.eps_q != 1:
-        warnings.warn(
-            "wind identities are stated for eps_q = 1; "
-            f"eps_q = {gf.eps_q} is outside the verified regime",
-            stacklevel=2,
-        )
+        warnings.warn("wind identities are stated for eps_q = 1; "
+                      f"eps_q = {gf.eps_q} is outside the verified regime", stacklevel=3)
     bp = fiber_solve(gf, base)
     if not bp.fiber_values:
         raise NoBranchError(f"base point {bp.base_point} is outside the solution domain")
@@ -127,22 +130,17 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
     if bp.degenerate_flags[index]:
         raise NoBranchError("selected branch is degenerate (caustic point)")
     chart_pt = bp.fiber_values[index]
-    amb = immersion(gf, chart_pt)  # floats, as the chart point is
+    # None where fiber_solve kept no ambient point: immersion reads it.
+    x, y, _, X, Y, Z = bp.ambient_points[index] or immersion(gf, chart_pt).as_tuple()
     q_g = float(eps.q_g)
     sig = classify(gf, chart_pt)
-    label = ("degenerate" if sig.label is SignatureLabel.PARABOLIC
-             else sig.label.value)
-    return SGState(
-        base=bp.base_point,
-        chart_point=chart_pt,
-        P=bp.P_values[index],
-        M=amb.X,
-        N=amb.Y,
-        theta_eps=amb.Z,
-        u_g=q_g * (amb.y - amb.Y),
-        v_g=q_g * (amb.X - amb.x),
-        branch_label=label,
-    )
+    label = "degenerate" if sig.label is SignatureLabel.PARABOLIC else sig.label.value
+    u_g, v_g = q_g * (y - Y), q_g * (X - x)
+    uvw = (None, None, None)
+    if velocity:  # no Hessian kept where it is undefined: branch_hessian raises
+        hp = bp.hessians[index]
+        uvw = _velocity(branch_hessian(gf, chart_pt) if hp is None else hp, u_g, v_g)
+    return SGState(bp.base_point, chart_pt, bp.P_values[index], X, Y, Z, u_g, v_g, label, *uvw)
 
 
 def velocity_system(gf: GeneratingFunction, state: SGState,
@@ -165,19 +163,18 @@ def velocity_reconstruct(state: SGState, gf: GeneratingFunction) -> tuple:
     row's right-hand side is 0, so the scale cannot change the solution,
     but it would enter the solve's relative singular test.
     """
-    rhs = np.array([state.u_g, state.v_g, 0.0])
-    solution = solve3(branch_hessian(gf, state.chart_point), rhs,
-                      "velocity system is singular (degenerate point)")
-    u, v, w = (float(c) for c in solution)
-    return u, v, w
+    return _velocity(branch_hessian(gf, state.chart_point), state.u_g, state.v_g)
+
+
+def _velocity(hp: np.ndarray, u_g: float, v_g: float) -> tuple:
+    return tuple(solve3(hp, np.array([u_g, v_g, 0.0]),
+                        "velocity system is singular (degenerate point)").tolist())
 
 
 def reconstructed_state(gf: GeneratingFunction, base, branch="convex",
                         eps: EpsilonChoice | None = None) -> SGState:
     """branch_state plus velocity_reconstruct in one call."""
-    state = branch_state(gf, base, branch, eps)
-    u, v, w = velocity_reconstruct(state, gf)
-    return replace(state, u=u, v=v, w=w)
+    return _state(gf, base, branch, eps, True)
 
 
 def PlaneGridSpec(x_lo: float, x_hi: float, nx: int, z_lo: float, z_hi: float,

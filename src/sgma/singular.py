@@ -66,7 +66,9 @@ class BranchPoint:
 
     Parallel lists: fiber_values (full chart points), P_values, convex_flags,
     multiplicities and degenerate_flags.  failed_seeds records Newton seeds
-    that did not converge (iterative charts only).
+    that did not converge (iterative charts only).  Not compared or shown, per
+    preimage: ambient_points, six floats (None where fiber_solve read entries
+    one by one), and hessians, branch Hessians (None where degenerate or undefined).
     """
 
     base_point: tuple
@@ -76,6 +78,8 @@ class BranchPoint:
     multiplicities: list = field(default_factory=list)
     degenerate_flags: list = field(default_factory=list)
     failed_seeds: list = field(default_factory=list)
+    ambient_points: list = field(default_factory=list, compare=False, repr=False)
+    hessians: list = field(default_factory=list, compare=False, repr=False)
 
 
 class BranchChoice(NamedTuple):
@@ -199,6 +203,19 @@ def caustic_sweep(gf: GeneratingFunction, grid: Grid, tol: float = 1e-10) -> Cau
     return sweep
 
 
+def _geopotential(gf: GeneratingFunction, amb, P):
+    # multivalued_P's rule from the ambient values amb and the potential's value P.
+    lacking = _fiber_rows(gf)
+    if lacking:  # reduce, not sum: sum starts at 0, and 0 + -0.0 is 0.0
+        products = reduce(operator.add, (amb[3 + k] * amb[k] for k in lacking))
+        negated = all((gf.chart, _BASE[k]) in _NEGATED for k in lacking)
+        P = products + P if negated else products - P
+    if isinstance(P, float) and not math.isfinite(P):
+        point = tuple(amb[AMBIENT_COORDS.index(v)] for v in gf.chart.coords)
+        raise DomainError(f"geopotential is not finite at chart point {point!r}")
+    return P
+
+
 def multivalued_P(gf: GeneratingFunction, pt):
     """Geopotential value and base point of the branch through a chart point.
 
@@ -212,15 +229,12 @@ def multivalued_P(gf: GeneratingFunction, pt):
     # The immersion maps each chart coordinate to itself, so amb holds the
     # validated chart point as well.
     point = [amb[AMBIENT_COORDS.index(v)] for v in gf.chart.coords]
-    P = gf.potential.eval(point)
-    lacking = _fiber_rows(gf)
-    if lacking:  # reduce, not sum: sum starts at 0, and 0 + -0.0 is 0.0
-        products = reduce(operator.add, (amb[3 + k] * amb[k] for k in lacking))
-        negated = all((gf.chart, _BASE[k]) in _NEGATED for k in lacking)
-        P = products + P if negated else products - P
-    if isinstance(P, float) and not math.isfinite(P):
-        raise DomainError(f"geopotential is not finite at chart point {tuple(point)!r}")
-    return P, tuple(amb[:3])
+    return _geopotential(gf, amb, gf.potential.eval(point)), tuple(amb[:3])
+
+
+def _hessian_from(J: np.ndarray) -> np.ndarray:
+    # C B^-1 = (B^-T C^T)^T, B and C the base and momentum blocks of J.
+    return solve3(J[:3].T, J[3:].T, "projection is singular here; branch Hessian undefined").T
 
 
 def branch_hessian(gf: GeneratingFunction, chart_pt) -> np.ndarray:
@@ -230,25 +244,23 @@ def branch_hessian(gf: GeneratingFunction, chart_pt) -> np.ndarray:
     momentum block of the immersion Jacobian times the inverse of its base
     block.  Raises NoBranchError where the base block is singular (fold).
     """
-    J = immersion_jacobian(gf, chart_pt)
-    # C B^-1 = (B^-T C^T)^T
-    return solve3(J[:3].T, J[3:].T,
-                  "projection is singular here; branch Hessian undefined").T
+    return _hessian_from(immersion_jacobian(gf, chart_pt))
+
+
+def _is_convex(hp: np.ndarray) -> bool:
+    # Python floats, whose sums and products overflow to inf with no warning.
+    h = hp.tolist()
+    s = [[0.5 * (h[i][j] + h[j][i]) for j in range(3)] for i in range(3)]
+    m2 = s[0][0] * s[1][1] - s[0][1] * s[0][1]
+    return bool(s[0][0] > CONVEX_TOL and m2 > CONVEX_TOL and det3(s) > CONVEX_TOL)
 
 
 def branch_is_convex(gf: GeneratingFunction, chart_pt) -> bool:
     """Positive definiteness of the branch Hessian via leading principal minors."""
     try:
-        hp = branch_hessian(gf, chart_pt)
+        return _is_convex(branch_hessian(gf, chart_pt))
     except DomainError:
         return False
-    # Python floats, whose sums and products overflow to inf with no warning.
-    h = hp.tolist()
-    s = [[0.5 * (h[i][j] + h[j][i]) for j in range(3)] for i in range(3)]
-    m1 = s[0][0]
-    m2 = s[0][0] * s[1][1] - s[0][1] * s[0][1]
-    m3 = det3(s)
-    return bool(m1 > CONVEX_TOL and m2 > CONVEX_TOL and m3 > CONVEX_TOL)
 
 
 def _dedupe(solutions: list) -> list:
@@ -305,7 +317,10 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
     their multiplicity; more runs Newton from ``seeds``, which must not be
     empty, and records the failed ones.  An empty fiber means the base point
     lies outside the solution domain.  Each preimage's convexity is decided
-    here, once.
+    here, once.  One evaluation at each preimage gives its ambient point,
+    geopotential, det dpi and immersion Jacobian; where it raises DomainError
+    or a value is not finite, each is read on its own, so every error and
+    flag is that of multivalued_P, dpi_det and branch_is_convex.
     """
     base = _plain_numbers(base)
     if len(base) != 3:
@@ -328,18 +343,42 @@ def fiber_solve(gf: GeneratingFunction, base, seeds=()) -> BranchPoint:
         preimages, bp.failed_seeds = _newton_fiber(gf, bp.base_point, point, rows, seeds)
     for point, multiplicity in preimages:
         chart_pt = tuple(_floats(point, "chart point"))
+        try:
+            values = _values_at(gf, _preimage_polys(gf), chart_pt, "preimage")
+        except DomainError:  # read each entry on its own below, with its own errors
+            values = None
         # An exact base point keeps its exact geopotential on the classical chart.
-        P, _ = multivalued_P(gf, chart_pt if rows else point)
-        degenerate = multiplicity > 1 or abs(float(dpi_det(gf, chart_pt))) <= DEGENERATE_TOL
+        exact = not rows and not all(isinstance(v, float) for v in point)
+        if values is None or exact:
+            P, _ = multivalued_P(gf, point if exact else chart_pt)
+        else:
+            P = _geopotential(gf, values[:6], values[6])
+        degenerate = multiplicity > 1 or abs(float(
+            dpi_det(gf, chart_pt) if values is None else values[7])) <= DEGENERATE_TOL
         bp.fiber_values.append(chart_pt)
         try:
             bp.P_values.append(float(P))
         except OverflowError:  # an exact P beyond the float range
             raise DomainError(f"geopotential is not finite at chart point {chart_pt!r}") from None
-        bp.convex_flags.append(not degenerate and branch_is_convex(gf, chart_pt))
+        try:
+            hessian = None if degenerate else _hessian_from(
+                immersion_jacobian(gf, chart_pt) if values is None
+                else np.array(values[8:]).reshape(6, 3))
+        except DomainError:
+            hessian = None
+        bp.convex_flags.append(hessian is not None and _is_convex(hessian))
         bp.multiplicities.append(multiplicity)
         bp.degenerate_flags.append(degenerate)
+        bp.ambient_points.append(None if values is None else values[:6])
+        bp.hessians.append(hessian)
     return bp
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _preimage_polys(gf: GeneratingFunction) -> PolyVector:
+    # A preimage's immersion (6 rows), potential, det dpi and immersion Jacobian (6 x 3).
+    return PolyVector((*immersion_polys(gf), gf.potential, singular_locus_poly(gf),
+                       *immersion_jacobian_polys(gf)))
 
 
 def branch_select_convex(bp: BranchPoint) -> BranchChoice:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 import re
 import warnings
@@ -716,3 +717,29 @@ def test_builder_term_order_digest():
              for gf in gfs]
     assert hashlib.sha256(repr(parts).encode()).hexdigest() == (
         "3dbf5379cba46b6806bf22980cbd2fde7ffd8d9fceaa313f3af337c312659053")
+
+
+def test_generating_function_hashes_its_fields_once(monkeypatch, fold_gf):
+    gf = GeneratingFunction(fold_gf.chart, fold_gf.potential, fold_gf.eps_q)
+    expected = hash((gf.chart, gf.potential, gf.eps_q))
+    calls = []
+    poly_hash = Poly.__hash__
+
+    def spy(self):
+        calls.append(self)
+        return poly_hash(self)
+
+    monkeypatch.setattr(Poly, "__hash__", spy)
+    assert hash(gf) == hash(gf) == expected
+    assert calls == [gf.potential]
+
+
+def test_pickled_generating_function_carries_no_cached_hash(fold_gf):
+    # str and enum hashes differ between processes, so a hash may not travel.
+    gf = GeneratingFunction(fold_gf.chart, fold_gf.potential, Fraction(3, 4))
+    unhashed = pickle.dumps(gf)
+    hash(gf)
+    assert pickle.dumps(gf) == unhashed
+    copy = pickle.loads(unhashed)
+    assert "_hash" not in vars(copy)
+    assert copy == gf and hash(copy) == hash(gf)

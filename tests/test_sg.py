@@ -1,25 +1,39 @@
 """Wind reconstruction: branch states, velocity solves, and plane sweeps."""
 
+import dataclasses
+import functools
 import io
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sgma import sg
+from sgma import ma_core, polyexpr, sg, singular
 from sgma.family import build_family, random_generic_spec
 from sgma.errors import DomainError, NoBranchError
-from sgma.grid import Grid
-from sgma.ma_core import ChartKind, GeneratingFunction
+from sgma.grid import Axis, Grid
+from sgma.ma_core import ChartKind, GeneratingFunction, SignatureLabel, classify, immersion
 from sgma.polyexpr import parse_poly
-from sgma.singular import fiber_solve
+from sgma.singular import (
+    DEGENERATE_TOL,
+    branch_is_convex,
+    branch_select_convex,
+    caustic_sweep,
+    dpi_det,
+    fiber_solve,
+    multivalued_P,
+)
 from sgma.sg import (
     WIND_CSV_COLUMNS,
     EpsilonChoice,
     PlaneGridSpec,
+    SGState,
     branch_state,
     reconstructed_state,
     velocity_reconstruct,
@@ -305,3 +319,151 @@ def test_ambiguous_convex_branch_warns_and_takes_the_first():
         state = reconstructed_state(gf, (-1, -1, -2))
     assert state.chart_point[2] == pytest.approx(-2.0311, abs=1e-4)
     assert state.branch_label == "elliptic"
+
+
+# -- one evaluation per fiber preimage ----------------------------------------
+
+@pytest.mark.parametrize("entry", [branch_state, reconstructed_state])
+@pytest.mark.parametrize("eps_q, spec_seed, base, message", [
+    (2, None, (2, 0, 0), "wind identities are stated for eps_q = 1; "
+                         "eps_q = 2 is outside the verified regime"),
+    (1, 1, (-1, -1, -2), "multiple convex branches; using the first"),
+])
+def test_warnings_name_the_caller(fold_gf, entry, eps_q, spec_seed, base, message):
+    if spec_seed is None:
+        gf = GeneratingFunction(fold_gf.chart, fold_gf.potential, Fraction(eps_q))
+    else:
+        gf = build_family(random_generic_spec(random.Random(spec_seed))).gf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry(gf, base)
+    assert [(str(w.message), w.filename) for w in caught] == [(message, __file__)]
+
+
+def test_in_domain_fold_node_evaluates_each_preimage_once(monkeypatch, fold_gf):
+    # Over (2, 0, -1) the fold has two preimages.  The fiber equation is
+    # solved from one exact evaluation, each preimage is read by one float
+    # evaluation, and classify makes the third.
+    base = (2.0, 0.0, -1.0)
+    assert len(fiber_solve(fold_gf, base).fiber_values) == 2
+    reconstructed_state(fold_gf, base)  # every vector it needs is compiled
+    calls = Counter()
+
+    def count_evaluate(evaluate):
+        def spy(owner, values):
+            calls["float"] += any(isinstance(v, float) for v in values)
+            return evaluate(owner, values)
+        return spy
+
+    def count_numerators(owner, values, numerators=polyexpr._numerators):
+        calls["exact"] += 1
+        return numerators(owner, values)
+
+    monkeypatch.setattr(polyexpr, "_evaluate", count_evaluate(polyexpr._evaluate))
+    monkeypatch.setattr(ma_core, "_evaluate", count_evaluate(ma_core._evaluate))
+    monkeypatch.setattr(polyexpr, "_numerators", count_numerators)
+    assert reconstructed_state(fold_gf, base).u is not None
+    assert calls["float"] <= 3 and calls["exact"] <= 1
+
+
+def test_jacobian_coefficient_beyond_float_range_reads_each_entry_on_its_own():
+    # T_xx = 3e308*x - Z has a coefficient beyond the float range, so a
+    # preimage's values cannot be read at once; each is read on its own, as
+    # multivalued_P, dpi_det and branch_is_convex read it, and no branch is
+    # convex.  By index, classify meets the coefficient.
+    gf = GeneratingFunction(ChartKind.DUAL_T, parse_poly(
+        f"y^2/2 - x^2*Z/2 + Z^3/6 + {5 * 10 ** 307}*x^3", ("x", "y", "Z")), Fraction(1))
+    base = (0, 0, -1)
+    assert fiber_solve(gf, base).convex_flags == [False, False]
+    with pytest.raises(NoBranchError, match="^no convex branch over this base point$"):
+        reconstructed_state(gf, base)
+    with pytest.raises(DomainError, match="^a polynomial coefficient overflows the float range$"):
+        branch_state(gf, base, 0)
+    grid = Grid((Axis("x", 0, 0, 1), Axis("y", 0, 0, 1), Axis("z", -1, -1, 1)))
+    [sample] = wind_field_sweep(gf, "convex", grid)
+    assert not sample.in_domain and sample.state is None
+
+
+@functools.lru_cache(maxsize=None)
+def _property_gfs() -> tuple:
+    fold = GeneratingFunction(ChartKind.DUAL_T, parse_poly(
+        "y^2/2 - x^2*Z/2 + Z^3/6", ("x", "y", "Z")), Fraction(1))
+    return (fold, *(build_family(random_generic_spec(random.Random(seed))).gf
+                    for seed in range(6)))
+
+
+@functools.lru_cache(maxsize=None)
+def _caustic_bases(k: int) -> tuple:
+    sweep = caustic_sweep(_property_gfs()[k], Grid((Axis("x", -1, 1, 3), Axis("y", -1, 1, 3))))
+    return tuple(s.base_point for s in sweep.samples)
+
+
+_COORD = st.floats(-3, 3)
+
+
+@st.composite
+def _wind_nodes(draw):
+    # A generating function (the fold first), a base point and a branch.
+    # The base point is a node in a box, within 1e-9 of a caustic point, or
+    # above the fold's caustic z = x^2/2, outside its domain.
+    k = draw(st.integers(0, len(_property_gfs()) - 1))
+    kind = draw(st.sampled_from(["box", "caustic", "outside"]))
+    if kind == "caustic":
+        x, y, z = draw(st.sampled_from(_caustic_bases(k)))
+        offset = st.sampled_from([0.0, 1e-20, -1e-20]) | st.floats(-1e-9, 1e-9)
+        base = (x, y, z + draw(offset))
+    elif kind == "outside":
+        k, (x, y) = 0, draw(st.tuples(_COORD, _COORD))
+        base = (x, y, x * x / 2 + draw(st.floats(1e-6, 3)))
+    else:
+        base = draw(st.tuples(_COORD, _COORD, _COORD))
+    return _property_gfs()[k], base, draw(st.sampled_from(["convex", 0, 1, 2]))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args), None
+    except DomainError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _entry_by_entry(gf):
+    raise DomainError("read each entry on its own")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wind_nodes())
+def test_one_evaluation_per_preimage_gives_the_entry_by_entry_values(node):
+    gf, base, branch = node
+    calls = ((fiber_solve, ()), (branch_state, (branch,)), (reconstructed_state, (branch,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an ambiguous convex branch
+        outcomes = [_outcome(f, gf, base, *args) for f, args in calls]
+        with mock.patch.object(singular, "_preimage_polys", _entry_by_entry):
+            reference = [_outcome(f, gf, base, *args) for f, args in calls]
+    assert [error for _, error in outcomes] == [error for _, error in reference]
+    (bp, _), (state, error), (full, full_error) = outcomes
+    if bp is None:
+        return
+    assert bp == reference[0][0]
+    assert bp.ambient_points == [immersion(gf, pt).as_tuple() for pt in bp.fiber_values]
+    assert [None if h is None else h.tolist() for h in bp.hessians] == \
+        [None if h is None else h.tolist() for h in reference[0][0].hessians]
+    for i, pt in enumerate(bp.fiber_values):
+        degenerate = bp.multiplicities[i] > 1 or abs(dpi_det(gf, pt)) <= DEGENERATE_TOL
+        assert bp.P_values[i] == multivalued_P(gf, pt)[0]
+        assert bp.degenerate_flags[i] == degenerate
+        assert bp.convex_flags[i] == (not degenerate and branch_is_convex(gf, pt))
+    if state is None:
+        assert full_error == error
+        return
+    index = branch_select_convex(bp).index if branch == "convex" else branch
+    amb, sig = immersion(gf, bp.fiber_values[index]), classify(gf, bp.fiber_values[index])
+    assert state == SGState(
+        base=bp.base_point, chart_point=bp.fiber_values[index], P=bp.P_values[index],
+        M=amb.X, N=amb.Y, theta_eps=amb.Z, u_g=amb.y - amb.Y, v_g=amb.X - amb.x,
+        branch_label="degenerate" if sig.label is SignatureLabel.PARABOLIC else sig.label.value)
+    velocity, velocity_error = _outcome(velocity_reconstruct, state, gf)
+    assert full_error == velocity_error
+    if velocity is not None:
+        assert full == dataclasses.replace(state, u=velocity[0], v=velocity[1], w=velocity[2])
