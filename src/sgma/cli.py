@@ -3,8 +3,8 @@
 Every operation is a subcommand taking a generating-function record
 (inline flags or a JSON file) plus numeric options, emitting CSV or JSON
 with a fixed float format so identical configurations produce
-byte-identical output.  Each command returns its exit code and its text,
-and :func:`main` writes the text in one place, to ``--output`` or stdout.
+byte-identical output.  Each command returns its exit code and a writer of
+its output, which :func:`main` calls once, on ``--output`` or stdout.
 Each option is declared once, with its converter and default, in
 :func:`build_parser`.  A JSON config file, read once per call, may supply
 any of a command's long options (keys named like the flags, dashes or
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -118,7 +117,8 @@ def _json_file(path: str):
 
 # -- subcommand implementations ---------------------------------------------
 # Each takes the options, and those built with gf=True the generating function
-# that main resolves once; each returns its exit code and text, which main writes.
+# that main resolves once.  Each finishes its computation, then returns its exit
+# code and a writer that takes the stream, so a failing command writes nothing.
 
 
 def _resolve_gf(ns) -> mc.GeneratingFunction:
@@ -130,15 +130,19 @@ def _resolve_gf(ns) -> mc.GeneratingFunction:
         {"chart": ns.chart, "potential": ns.potential, "eps_q": ns.eps_q})
 
 
+def _json_output(report, code: int = 0) -> tuple:
+    """``code`` and a writer of ``report`` as one JSON document."""
+    return code, lambda stream: stream.write(render_json(report) + "\n")
+
+
 def _cmd_classify(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.grid is not None:
         grid = ns.grid.ordered(gf.chart.coords)
         eigs, labels = mc.classification_grid(gf, grid.axes(), ns.tol)
-        buf = io.StringIO()
-        write_csv(buf, [*gf.chart.coords, "eig1", "eig2", "eig3", "label"],
-                  ((*node, *eig, label.value) for node, eig, label
-                   in zip(grid.nodes(), eigs.reshape(-1, 3), labels.reshape(-1))))
-        return 0, buf.getvalue()
+        return 0, functools.partial(
+            write_csv, columns=[*gf.chart.coords, "eig1", "eig2", "eig3", "label"],
+            rows=((*node, *eig, label.value) for node, eig, label
+                  in zip(grid.nodes(), eigs.reshape(-1, 3), labels.reshape(-1))))
     if ns.point is None:
         raise ConfigError("supply --point or --grid")
     signature = mc.classify(gf, ns.point, ns.tol)
@@ -150,38 +154,31 @@ def _cmd_classify(ns, gf: mc.GeneratingFunction) -> tuple:
         "label": signature.label.value,
         "tol": signature.tol,
     }
-    return 0, render_json(report) + "\n"
+    return _json_output(report)
 
 
 def _cmd_residual(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.symbolic:
         poly = mc.ma_residual_poly(gf)
-        report = {"chart": gf.chart.value, "residual": str(poly),
-                  "is_zero": poly.is_zero}
-        return 0, render_json(report) + "\n"
+        return _json_output({"chart": gf.chart.value, "residual": str(poly),
+                             "is_zero": poly.is_zero})
     if ns.point is None:
         raise ConfigError("supply --point (or --symbolic)")
-    value = float(mc.ma_residual(gf, ns.point))
-    report = {"point": list(ns.point), "residual": value}
-    return 0, render_json(report) + "\n"
+    return _json_output({"point": list(ns.point),
+                         "residual": float(mc.ma_residual(gf, ns.point))})
 
 
 def _cmd_singular(ns, gf: mc.GeneratingFunction) -> tuple:
     poly = sing.singular_locus_poly(gf)
-    report = {"chart": gf.chart.value, "variables": list(gf.chart.coords),
-              "locus": str(poly)}
-    return 0, render_json(report) + "\n"
+    return _json_output({"chart": gf.chart.value, "variables": list(gf.chart.coords),
+                         "locus": str(poly)})
 
 
 def _cmd_caustic(ns, gf: mc.GeneratingFunction) -> tuple:
     if ns.grid is None:
         raise ConfigError("supply --grid over two chart variables")
-    sweep = sing.caustic_sweep(gf, ns.grid, ns.tol)
-    buf = io.StringIO()
-    sing.write_caustic_csv(sweep, buf)
-    if sweep.degenerate_slices:
-        buf.write(f"# degenerate_slices={len(sweep.degenerate_slices)}\n")
-    return 0, buf.getvalue()
+    return 0, functools.partial(sing.write_caustic_csv,
+                                sing.caustic_sweep(gf, ns.grid, ns.tol))
 
 
 def _cmd_fiber(ns, gf: mc.GeneratingFunction) -> tuple:
@@ -205,7 +202,7 @@ def _cmd_fiber(ns, gf: mc.GeneratingFunction) -> tuple:
         "ambiguous": choice.ambiguous,
         "failed_seeds": [list(s) for s in bp.failed_seeds],
     }
-    return 0, render_json(report) + "\n"
+    return _json_output(report)
 
 
 def _cmd_trace(ns, gf: mc.GeneratingFunction) -> tuple:
@@ -224,9 +221,7 @@ def _cmd_trace(ns, gf: mc.GeneratingFunction) -> tuple:
     trace = ch.trace_bicharacteristic(gf, ch.BicharState(ns.q, p), step=ns.step,
                                       max_steps=ns.max_steps, stop_tol=ns.stop_tol,
                                       box=ns.box)
-    buf = io.StringIO()
-    ch.write_trace_csv(trace, buf)
-    return 0, buf.getvalue()
+    return 0, functools.partial(ch.write_trace_csv, trace)
 
 
 def _cmd_family(ns) -> tuple:
@@ -242,7 +237,7 @@ def _cmd_family(ns) -> tuple:
     }
     if ns.check:
         report["recursion_crosscheck"] = fam.reference_recursion_report()
-    return 0, render_json(report) + "\n"
+    return _json_output(report)
 
 
 def _cmd_wind(ns, gf: mc.GeneratingFunction) -> tuple:
@@ -250,18 +245,17 @@ def _cmd_wind(ns, gf: mc.GeneratingFunction) -> tuple:
         raise ConfigError("supply --x lo:hi:n and --z lo:hi:n")
     grid = Grid((ns.x, Axis("y", ns.y, ns.y, 1), ns.z))
     eps = sg.EpsilonChoice.for_gf(gf, ns.epsilon)
-    samples = sg.wind_field_sweep(gf, ns.branch, grid, eps)
-    buf = io.StringIO()
-    sg.write_wind_csv(samples, buf)
-    return 0, buf.getvalue()
+    return 0, functools.partial(sg.write_wind_csv,
+                                sg.wind_field_sweep(gf, ns.branch, grid, eps))
 
 
 def _cmd_verify_paper(ns) -> tuple:
     if ns.list:
-        return 0, "\n".join(verify.criteria_names()) + "\n"
+        names = verify.criteria_names()
+        return 0, lambda stream: stream.writelines(name + "\n" for name in names)
     results = verify.run_all()
     code = 0 if all(r.passed for r in results) else 1
-    return code, render_json(verify.summary_dict(results)) + "\n"
+    return _json_output(verify.summary_dict(results), code)
 
 
 @functools.cache
@@ -391,12 +385,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, text = ns.run(ns, _resolve_gf(ns)) if hasattr(ns, "gf_file") else ns.run(ns)
+        code, write = ns.run(ns, _resolve_gf(ns)) if hasattr(ns, "gf_file") else ns.run(ns)
         if ns.output:
             with open(ns.output, "w") as fh:
-                fh.write(text)
+                write(fh)
         else:
-            sys.stdout.write(text)
+            write(sys.stdout)
         return code
     except (ConfigError, ValueError) as exc:
         _emit_error(2, str(exc))

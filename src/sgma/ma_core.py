@@ -350,15 +350,13 @@ def pullback_metric(gf: GeneratingFunction, pt) -> np.ndarray:
 def _eigen_signs(metrics: np.ndarray, tol: float) -> tuple:
     """Ascending eigenvalues and their (n_pos, n_neg, n_zero) counts.
 
-    ``metrics`` holds symmetric 3x3 matrices in its last two axes.  An
-    eigenvalue counts as zero when |lambda| <= tol * (1 + max |lambda|), a
-    relative test meaningful near the singular locus where eigenvalues
-    cross zero linearly.
+    ``metrics`` holds finite symmetric 3x3 matrices in its last two axes
+    (its callers check them).  An eigenvalue counts as zero when
+    |lambda| <= tol * (1 + max |lambda|), a relative test meaningful near
+    the singular locus where eigenvalues cross zero linearly.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, not {tol!r}")
-    if not np.all(np.isfinite(metrics)):
-        raise DomainError("pull-back metric is not finite here (overflow)")
     eigs = np.linalg.eigvalsh(metrics)
     scale = tol * (1.0 + np.max(np.abs(eigs), axis=-1, keepdims=True))
     n_pos = (eigs > scale).sum(axis=-1)
@@ -435,5 +433,7 @@ def classification_grid(gf: GeneratingFunction, axes: Mapping[str, Sequence],
     if not all(np.all(np.isfinite(v)) for v in values):
         raise DomainError("classification grid axes are not finite")
     metrics = _grid_values(pullback_metric_polys(gf), values)
+    if not np.isfinite(metrics).all():
+        raise DomainError("pull-back metric is not finite here (overflow)")
     eigs, (n_pos, n_neg, _) = _eigen_signs(metrics.reshape(metrics.shape[:-1] + (3, 3)), tol)
     return eigs, _LABELS[n_pos, n_neg]

@@ -400,6 +400,9 @@ CAUSTIC_CSV_COLUMNS = ("chart_1", "chart_2", "chart_3",
 
 
 def write_caustic_csv(sweep: CausticSweep, stream) -> None:
-    """CSV rows in sweep order: chart coordinates, base point, residual determinant."""
+    """CSV rows in sweep order: chart coordinates, base point, residual determinant;
+    the count of degenerate slices, if any, on a trailing comment line."""
     write_csv(stream, CAUSTIC_CSV_COLUMNS,
               ((*s.chart_point, *s.base_point, s.det_dpi) for s in sweep.samples))
+    if sweep.degenerate_slices:
+        stream.write(f"# degenerate_slices={len(sweep.degenerate_slices)}\n")

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -13,10 +14,13 @@ import pytest
 
 from sgma import characteristics as ch
 from sgma import cli, verify
+from sgma import singular as sing
 from sgma.cli import main
 from sgma.errors import MetricSingularError
 from sgma.family import build_family, random_generic_spec
 from sgma.formatting import render_json, write_csv
+from sgma.grid import Grid
+from sgma.ma_core import GeneratingFunction
 
 FOLD = ["--chart", "T", "--potential", "y^2/2 - x^2*Z/2 + Z^3/6"]
 # A potential whose coefficient 10^400 the parser admits but no float holds;
@@ -90,6 +94,18 @@ def test_caustic_degenerate_slices_trailer_golden(capsys):
     assert len(lines) == 4 and lines[-1] == "# degenerate_slices=1"
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "9e0a9fa38b75b8e68f1aef78a5860958b72f5da08956ffd43324fc694bb2855c"
+
+
+def test_caustic_library_table_equals_cli_stdout(capsys):
+    # The library writer owns the degenerate-slices trailer, so the same
+    # sweep gives the same bytes from sgma.singular and from the command.
+    potential, grid = "y^2/2 - x^2*Z/2 + x*Z^3/6", "x=-1:1:3,y=0:0:1"
+    code, out, _ = _run(capsys, ["caustic", "--chart", "T", "--potential", potential,
+                                 "--grid", grid])
+    gf = GeneratingFunction.from_dict({"chart": "T", "potential": potential})
+    buf = io.StringIO()
+    sing.write_caustic_csv(sing.caustic_sweep(gf, Grid.parse(grid)), buf)
+    assert code == 0 and buf.getvalue() == out
 
 
 def test_fiber_report(capsys):
@@ -216,6 +232,62 @@ def test_readme_example_from_config_file(tmp_path, monkeypatch, capsys, name, ar
         out = (tmp_path / config["output"]).read_text()
     assert len(out.splitlines()) == n_lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _WriteRecorder:
+    """A text stream that keeps the text of each write call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# The table goldens above and of the caustic trailer and trace tests, each
+# written to stdout.  (name, argv, lines, sha256)
+TABLE_GOLDENS = [
+    *[(name, argv[:argv.index("--output")] if "--output" in argv else argv, n, digest)
+      for name, argv, n, digest in README_GOLDENS
+      if name in ("classify_grid", "caustic", "wind")],
+    ("caustic_degenerate", ["caustic", "--chart", "T", "--potential",
+                            "y^2/2 - x^2*Z/2 + x*Z^3/6", "--grid", "x=-1:1:3,y=0:0:1"], 4,
+     "9e0a9fa38b75b8e68f1aef78a5860958b72f5da08956ffd43324fc694bb2855c"),
+    ("trace", ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1,?"], 1003,
+     "6d9e5b679809d834b012a629b435d8c55f5bfe18d45c99af2da3150b0892efd9"),
+]
+
+
+@pytest.mark.parametrize("name,argv,n_lines,digest", TABLE_GOLDENS,
+                         ids=[g[0] for g in TABLE_GOLDENS])
+def test_table_commands_write_one_line_per_call(monkeypatch, name, argv, n_lines, digest):
+    # main hands the command's writer the stream itself, looked up when it
+    # runs, and a table leaves line by line, not as one string.
+    stream = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(argv) == 0
+    assert len(stream.writes) == n_lines
+    assert all(text.endswith("\n") and text.count("\n") == 1 for text in stream.writes)
+    assert hashlib.sha256("".join(stream.writes).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", *FOLD, "--q", "0,0,1", "--p", "1,1,1"],
+    ["wind", *HUGE, "--x", "2:2:1", "--z=-1:0:2"],
+])
+def test_failing_command_never_opens_its_output(tmp_path, capsys, argv):
+    # The command fails before main takes its writer, so --output is not
+    # created, and a file that is there keeps its bytes.
+    target = tmp_path / "out.csv"
+    for before in (None, b"kept\n"):
+        if before is not None:
+            target.write_bytes(before)
+        code, out, err = _run(capsys, [*argv, "--output", str(target)])
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 3
+        assert (target.read_bytes() if target.exists() else None) == before
 
 
 # A family member whose fiber over the base point below has three sheets.
