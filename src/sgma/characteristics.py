@@ -11,12 +11,14 @@ the canonical fold metric 2(-Z dx^2 + dy^2 - Z dZ^2) as an independent
 oracle, including the semicubical cusp law at the parabolic boundary.
 
 For speed, each generating function's metric is compiled once (and kept in
-a bounded cache) into two generated straight-line Python functions: one
-evaluates Hamilton's right-hand side for an RK4 stage, the other the
+a bounded cache) into three generated straight-line Python functions: one
+evaluates Hamilton's right-hand side for an RK4 stage, one the
 determinant, scale, invariants and H of a state together with that
 right-hand side, which is the state's velocity and the next step's first
-RK4 stage k1.  Every evaluated state goes through the second, so a step
-calls the first three times, not four.  Each entry of h and of its
+RK4 stage k1, and one takes a whole RK4 step: it calls the first for
+stages k2 to k4, forms the candidate, applies the finite and box guards,
+and evaluates the candidate as the second does, so a trace makes one call
+per step and reuses each accepted state's k1.  Each entry of h and of its
 derivatives is evaluated as ``Poly.eval`` evaluates it, whatever the order
 of its terms, and the textbook sums over the entries in order, except that
 products with a structurally zero factor (a zero entry of h, of its
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -101,7 +104,11 @@ def _singular(det: float) -> MetricSingularError:
 # inverse and sums.  Every sum starts from the int 0, as sum() does, so a lone
 # -0.0 becomes 0.0; products keep a fixed order.  The entries of h and their
 # powers come before det; those of d_k h after the singular test of ``rhs``
-# and the det == 0 return of ``state_rhs``.
+# and the det == 0 return of ``state_rhs``.  ``step`` is the RK4 glue of a
+# trace in one frame: three calls of ``rhs`` (the one stage body that the
+# tests compare with the dense reference), the update in the reference
+# step's operation order, the guards, then the ``state_rhs`` lines at the
+# candidate.
 #
 # Structural zeros are dropped: the zero entries of h and of its
 # derivatives, and every adjugate entry a_ij whose two cofactor products
@@ -184,8 +191,35 @@ def _scale_source(scaled) -> str:
     return "s = max(1.0, max({}))".format(", ".join(f"abs({n})" for n in scaled))
 
 
+_VARS = ("q0", "q1", "q2", *_P)
+
+
+def _stage_source(k: int, factor: str) -> str:
+    # RK4 stage k at the state plus factor times stage k - 1.
+    args = ", ".join(f"{v} + {factor} * k{k - 1}{v}" for v in _VARS)
+    return f"{', '.join(f'k{k}{v}' for v in _VARS)} = rhs({args})"
+
+
+# q, p + h * (k1 + 2 k2 + 2 k3 + k4) / 6, then the finite and box guards.
+_RK4 = (
+    "q0, q1, q2 = q",
+    "p0, p1, p2 = p",
+    "half = 0.5 * h",
+    f"{', '.join(f'k1{v}' for v in _VARS)} = k1",
+    _stage_source(2, "half"),
+    _stage_source(3, "half"),
+    _stage_source(4, "h"),
+    "sixth = h / 6.0",
+    *(f"{v} = {v} + sixth * (k1{v} + 2 * k2{v} + 2 * k3{v} + k4{v})" for v in _VARS),
+    f"if not ({' and '.join(f'isfinite({v})' for v in _VARS)}):",
+    "    return DIVERGED",
+    "if abs(q0) > box or abs(q1) > box or abs(q2) > box:",
+    "    return DOMAIN_EXIT",
+)
+
+
 def _compile_kernels(entries, d_entries):
-    """Generate ``rhs`` and ``state_rhs`` for the metric with these exact entries.
+    """Generate ``rhs``, ``state_rhs`` and ``step`` for the metric with these exact entries.
 
     ``rhs(q0, q1, q2, p0, p1, p2)`` returns Hamilton's right-hand side
     (qdot0, qdot1, qdot2, pdot0, pdot1, pdot2), with qdot = 2w, w = h^{-1} p
@@ -200,6 +234,16 @@ def _compile_kernels(entries, d_entries):
     reuses k1.  H and k1 are None when det is exactly 0.  It makes no
     singular test, so that callers run their own guards first (see
     ``_check_regular``).
+
+    ``step(q, p, k1, h, box)`` is one classical RK4 step of size h from the
+    state (q, p) whose ``state_rhs`` gave k1: it calls ``rhs`` for stages
+    k2, k3 and k4, so a stage raises as ``rhs`` does, and forms the
+    candidate (qn, pn).  It returns ``Termination.DIVERGED`` when a
+    coordinate of the candidate is not finite, then
+    ``Termination.DOMAIN_EXIT`` when a coordinate of qn lies outside
+    [-box, box]; otherwise (qn, pn, det, s, i1, i2, H, k1n) with the
+    ``state_rhs`` values at the candidate.  Where an operation overflows it
+    raises OverflowError.
     """
     zero_h = _zero_names(_H, entries)
     zero = zero_h | _zero_inverse(zero_h)
@@ -216,35 +260,47 @@ def _compile_kernels(entries, d_entries):
                for i in range(3) for j in range(3) if _A[i][j] not in zero]
     w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i, zero)}" for i in range(3)]
     k1 = ", ".join([f"2.0 * {w}" for w in _W] + [_quadform_source(d, _W, zero) for d in _D])
-    rhs = codegen.function_source("rhs(q0, q1, q2, p0, p1, p2)", [
+    rhs_source = codegen.function_source("rhs(q0, q1, q2, p0, p1, p2)", [
         *head,
         f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
         "    raise _singular(det)",
         *inverse, *w_lines, *dh_lines,
         f"return ({k1})",
     ])
-    state_rhs = codegen.function_source("state_rhs(q0, q1, q2, p0, p1, p2)", [
-        *head, *_INVARIANTS,
-        "if det == 0:",
-        "    return det, s, i1, i2, None, None",
-        *inverse, *w_lines, *dh_lines,
-        f"return det, s, i1, i2, {_quadform_source(_A, _P, zero)}, ({k1})",
-    ])
+
+    def state(returned: str) -> list:
+        # The state_rhs body at (q0, ..., p2), each return led by ``returned``.
+        return [*head, *_INVARIANTS,
+                "if det == 0:",
+                f"    return {returned}det, s, i1, i2, None, None",
+                *inverse, *w_lines, *dh_lines,
+                f"return {returned}det, s, i1, i2, {_quadform_source(_A, _P, zero)}, ({k1})"]
+
     namespace = {f"c{k}": c for k, c in enumerate(horner.coefficients)}
-    namespace["_singular"] = _singular
-    return codegen.compile_functions(rhs + state_rhs, "<sgma metric kernels>",
-                                     ("rhs", "state_rhs"), namespace)
+    rhs = codegen.compile_functions(rhs_source, "<sgma metric kernels>", ("rhs",),
+                                    {**namespace, "_singular": _singular})[0]
+    # step calls this rhs, so it gets its own globals: no function and its
+    # globals form a cycle.
+    source = (codegen.function_source("state_rhs(q0, q1, q2, p0, p1, p2)", state(""))
+              + codegen.function_source("step(q, p, k1, h, box)", [
+                  *_RK4, *state("(q0, q1, q2), (p0, p1, p2), ")]))
+    namespace.update(rhs=rhs, isfinite=math.isfinite, DIVERGED=Termination.DIVERGED,
+                     DOMAIN_EXIT=Termination.DOMAIN_EXIT)
+    return (rhs, *codegen.compile_functions(source, "<sgma metric step kernels>",
+                                            ("state_rhs", "step"), namespace))
 
 
 class _MetricField:
     """The pull-back metric of one generating function, compiled for RK4.
 
-    Holds the two kernels generated from the exact entries of h and their
-    exact derivatives (see ``_compile_kernels``): ``rhs`` for RK4 stages and
-    ``state_rhs`` for every evaluated state, single points and a trace's
-    states alike, whose k1 the next step reuses.  ``cyclic`` tells whether h
-    has the cyclic diagonal structure of the canonical fold metric, whose
-    conserved quantities the trace log then records.
+    Holds the three kernels generated from the exact entries of h and their
+    exact derivatives (see ``_compile_kernels``): ``rhs`` for RK4 stages,
+    ``state_rhs`` for every state evaluated outside a step (single points
+    and a trace's initial state), and ``step`` for a trace's steps, which
+    evaluates each candidate as ``state_rhs`` does and returns its k1 for the
+    next step.  ``cyclic`` tells whether h has the cyclic diagonal structure
+    of the canonical fold metric, whose conserved quantities the trace log
+    then records.
     """
 
     def __init__(self, gf: GeneratingFunction):
@@ -254,7 +310,7 @@ class _MetricField:
             tuple(tuple(entries[i][j].diff(v) for j in range(3)) for i in range(3))
             for v in cs
         )
-        self.rhs, self.state_rhs = _compile_kernels(entries, d_entries)
+        self.rhs, self.state_rhs, self.step = _compile_kernels(entries, d_entries)
         self.cyclic = self._detect_cyclic(entries, cs)
 
     @staticmethod
@@ -387,30 +443,12 @@ def ham_rhs(gf: GeneratingFunction, state: BicharState):
     return k1[:3], k1[3:]
 
 
-def _rk4_step(rhs, q, p, k1, step):
-    # k1 = rhs(q, p), which the evaluation of the accepted state supplies.
-    q0, q1, q2 = q
-    p0, p1, p2 = p
-    half = 0.5 * step
-    k1q0, k1q1, k1q2, k1p0, k1p1, k1p2 = k1
-    k2q0, k2q1, k2q2, k2p0, k2p1, k2p2 = rhs(
-        q0 + half * k1q0, q1 + half * k1q1, q2 + half * k1q2,
-        p0 + half * k1p0, p1 + half * k1p1, p2 + half * k1p2)
-    k3q0, k3q1, k3q2, k3p0, k3p1, k3p2 = rhs(
-        q0 + half * k2q0, q1 + half * k2q1, q2 + half * k2q2,
-        p0 + half * k2p0, p1 + half * k2p1, p2 + half * k2p2)
-    k4q0, k4q1, k4q2, k4p0, k4p1, k4p2 = rhs(
-        q0 + step * k3q0, q1 + step * k3q1, q2 + step * k3q2,
-        p0 + step * k3p0, p1 + step * k3p1, p2 + step * k3p2)
-    sixth = step / 6.0
-    return (
-        (q0 + sixth * (k1q0 + 2 * k2q0 + 2 * k3q0 + k4q0),
-         q1 + sixth * (k1q1 + 2 * k2q1 + 2 * k3q1 + k4q1),
-         q2 + sixth * (k1q2 + 2 * k2q2 + 2 * k3q2 + k4q2)),
-        (p0 + sixth * (k1p0 + 2 * k2p0 + 2 * k3p0 + k4p0),
-         p1 + sixth * (k1p1 + 2 * k2p1 + 2 * k3p1 + k4p1),
-         p2 + sixth * (k1p2 + 2 * k2p2 + 2 * k3p2 + k4p2)),
-    )
+def _sign_pattern(i1, i2, i3, s) -> tuple:
+    # The sign of each invariant i_k, or 0 where |i_k| <= SINGULAR_TOL s^k.
+    t1 = SINGULAR_TOL * s
+    t2 = t1 * s
+    t3 = t2 * s
+    return (i1 > t1) - (i1 < -t1), (i2 > t2) - (i2 < -t2), (i3 > t3) - (i3 < -t3)
 
 
 def _sign_counts(i1, i2, i3, s):
@@ -419,15 +457,13 @@ def _sign_counts(i1, i2, i3, s):
     # (exact for real-rooted cubics): the sign variations of the coefficients
     # (1, -i1, i2, -i3) count positive roots, those of (1, i1, i2, i3)
     # negative ones.  Used only to detect signature changes across a step,
-    # so an invariant below SINGULAR_TOL s^k is simply skipped.
-    t1 = SINGULAR_TOL * s
-    t2 = t1 * s
-    t3 = t2 * s
+    # so an invariant below SINGULAR_TOL s^k is simply skipped.  The counts
+    # are a function of the sign pattern.
     n_pos = n_neg = 0
     prev_k, prev_up = 0, True  # the leading coefficient 1
-    for k, v, t in ((1, i1, t1), (2, i2, t2), (3, i3, t3)):
-        if abs(v) > t:
-            up = v > 0
+    for k, sign in enumerate(_sign_pattern(i1, i2, i3, s), start=1):
+        if sign:
+            up = sign > 0
             n_neg += up != prev_up
             # (-1)^k flips one sign of the pair when k - prev_k is odd.
             n_pos += (up != prev_up) != ((k - prev_k) % 2 == 1)
@@ -467,44 +503,48 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
     quantities qdot1*q3 and qdot2 when the metric has the cyclic diagonal
     structure of the canonical fold metric.
     """
+    try:
+        max_steps = operator.index(max_steps)
+    except TypeError:
+        max_steps = -1  # no integer: rejected below
     if not (step > 0 and math.isfinite(step)) or max_steps < 0:
-        raise ValueError("step must be positive and finite, max_steps non-negative")
+        raise ValueError("step must be positive and finite, max_steps a non-negative integer")
     if not math.isfinite(box) or (stop_tol is not None and not math.isfinite(stop_tol)):
         raise ValueError("box and stop_tol must be finite")
     q, p, s = initial.q, initial.p, initial.s
     field_ = _metric_field(gf)
-    rhs, cyclic = field_.rhs, field_.cyclic
+    advance, cyclic = field_.step, field_.cyclic
     det0, scale, i1, i2, H0, k1 = _evaluate_state(field_, q, p)
     if abs(H0) > 1e-10:
         raise DomainError(f"initial condition is not null: H = {H0:g}")
     if stop_tol is None:
         stop_tol = 1e-6 * abs(det0)
+    signs0 = _sign_pattern(i1, i2, det0, scale)
     counts0 = _sign_counts(i1, i2, det0, scale)
     states = [initial]
     log = [_log_entry(cyclic, q, H0, det0, k1)]
     termination = Termination.MAX_STEPS
     for _ in range(max_steps):
         try:
-            qn, pn = _rk4_step(rhs, q, p, k1, step)
+            out = advance(q, p, k1, step, box)
         except MetricSingularError:
             termination = Termination.PARABOLIC_BOUNDARY
             break
         except OverflowError:
             termination = Termination.DIVERGED
             break
-        if not all(map(math.isfinite, qn + pn)):
-            termination = Termination.DIVERGED
+        if out.__class__ is Termination:  # DIVERGED or DOMAIN_EXIT
+            termination = out
             break
-        if any(abs(v) > box for v in qn):
-            termination = Termination.DOMAIN_EXIT
+        qn, pn, det, scale, i1, i2, H, k1n = out
+        # A non-finite det is a float-range failure, not a boundary.
+        if math.isfinite(det) and (
+                abs(det) < stop_tol
+                or (_sign_pattern(i1, i2, det, scale) != signs0
+                    and _sign_counts(i1, i2, det, scale) != counts0)):
+            termination = Termination.PARABOLIC_BOUNDARY
             break
         try:
-            det, scale, i1, i2, H, k1n = field_.state_rhs(*qn, *pn)
-            # A non-finite det is a float-range failure, not a boundary.
-            if math.isfinite(det) and (abs(det) < stop_tol
-                                       or _sign_counts(i1, i2, det, scale) != counts0):
-                termination = Termination.PARABOLIC_BOUNDARY
-                break
             _check_regular(det, scale, H)
         except OverflowError:
             termination = Termination.DIVERGED

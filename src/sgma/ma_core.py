@@ -361,8 +361,8 @@ def _eigen_signs(metrics: np.ndarray, tol: float) -> tuple:
     scale = tol * (1.0 + np.max(np.abs(eigs), axis=-1, keepdims=True))
     n_pos = (eigs > scale).sum(axis=-1)
     n_neg = (eigs < -scale).sum(axis=-1)
-    n_zero = (np.abs(eigs) <= scale).sum(axis=-1)
-    return eigs, (n_pos, n_neg, n_zero)
+    # |lambda| <= scale for the rest: scale > 0, and finite metrics have no NaN eigenvalue.
+    return eigs, (n_pos, n_neg, 3 - n_pos - n_neg)
 
 
 def classify(gf: GeneratingFunction, pt, tol: float = 1e-9) -> Signature:

@@ -1,4 +1,4 @@
-"""Reference RK4 kernels: the dense straight-line templates.
+"""Reference RK4 kernels: the dense straight-line templates and the RK4 step.
 
 The plain generator that ``sgma.characteristics._compile_kernels`` must
 reproduce: every entry of h and of its derivatives, each evaluated by the
@@ -7,15 +7,19 @@ recursive Horner walk of ``reference_poly`` (``_build_tree`` and
 with no structural zero dropped.
 The tests require the generated ``rhs`` to return the values of this ``rhs``
 and the generated ``state_rhs`` those of this ``state`` (its qdot as
-k1[:3]), by ``repr``, and to raise the same exception types.  It is the
-oracle, so keep it as it is rather than fast.
+k1[:3]), by ``repr``, and to raise the same exception types.  The generated
+``step`` must give what ``step`` below gives from this ``rhs`` and
+``state``: ``rk4_step``, stage by stage, then the guards and the state at
+the candidate.  It is the oracle, so keep it as it is rather than fast.
 """
 
 from __future__ import annotations
 
+import math
+
 from reference_poly import _EMPTY, _build_tree, _eval_tree
 
-from sgma.characteristics import SINGULAR_TOL, _singular
+from sgma.characteristics import SINGULAR_TOL, Termination, _singular
 from sgma.errors import DomainError
 
 
@@ -110,3 +114,44 @@ def compile_kernels(entries, d_entries):
     namespace = {"_singular": _singular, "_eval_tree": _eval_tree, "_trees": trees}
     exec(compile(rhs + state, "<reference metric kernels>", "exec"), namespace)
     return namespace["rhs"], namespace["state"]
+
+
+def rk4_step(rhs, q, p, k1, step):
+    """The candidate (qn, pn) of one classical RK4 step; k1 = rhs(q, p)."""
+    q0, q1, q2 = q
+    p0, p1, p2 = p
+    half = 0.5 * step
+    k1q0, k1q1, k1q2, k1p0, k1p1, k1p2 = k1
+    k2q0, k2q1, k2q2, k2p0, k2p1, k2p2 = rhs(
+        q0 + half * k1q0, q1 + half * k1q1, q2 + half * k1q2,
+        p0 + half * k1p0, p1 + half * k1p1, p2 + half * k1p2)
+    k3q0, k3q1, k3q2, k3p0, k3p1, k3p2 = rhs(
+        q0 + half * k2q0, q1 + half * k2q1, q2 + half * k2q2,
+        p0 + half * k2p0, p1 + half * k2p1, p2 + half * k2p2)
+    k4q0, k4q1, k4q2, k4p0, k4p1, k4p2 = rhs(
+        q0 + step * k3q0, q1 + step * k3q1, q2 + step * k3q2,
+        p0 + step * k3p0, p1 + step * k3p1, p2 + step * k3p2)
+    sixth = step / 6.0
+    return (
+        (q0 + sixth * (k1q0 + 2 * k2q0 + 2 * k3q0 + k4q0),
+         q1 + sixth * (k1q1 + 2 * k2q1 + 2 * k3q1 + k4q1),
+         q2 + sixth * (k1q2 + 2 * k2q2 + 2 * k3q2 + k4q2)),
+        (p0 + sixth * (k1p0 + 2 * k2p0 + 2 * k3p0 + k4p0),
+         p1 + sixth * (k1p1 + 2 * k2p1 + 2 * k3p1 + k4p1),
+         p2 + sixth * (k1p2 + 2 * k2p2 + 2 * k3p2 + k4p2)),
+    )
+
+
+def step(rhs, state, q, p, k1, h, box):
+    """``rk4_step``, then its guards in order, then ``state`` at the candidate.
+
+    Returns ``Termination.DIVERGED`` for a candidate with a coordinate that
+    is not finite, then ``Termination.DOMAIN_EXIT`` for one with a |q_i| >
+    box, and otherwise (qn, pn) followed by what ``state`` returns there.
+    """
+    qn, pn = rk4_step(rhs, q, p, k1, h)
+    if not all(map(math.isfinite, qn + pn)):
+        return Termination.DIVERGED
+    if any(abs(v) > box for v in qn):
+        return Termination.DOMAIN_EXIT
+    return (qn, pn, *state(*qn, *pn))

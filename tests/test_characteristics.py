@@ -184,6 +184,19 @@ def test_trace_rejects_non_finite_parameters(fold_gf, kwargs):
         trace_bicharacteristic(fold_gf, BicharState((0, 0, 1), (0, 1, 1)), **kwargs)
 
 
+@pytest.mark.parametrize("max_steps", [2.5, math.nan, -1, "3", None])
+def test_trace_rejects_max_steps_that_is_no_non_negative_integer(fold_gf, max_steps):
+    with pytest.raises(ValueError, match="max_steps a non-negative integer"):
+        trace_bicharacteristic(fold_gf, BicharState((0, 0, 1), (0, 1, 1)), max_steps=max_steps)
+
+
+def test_trace_takes_any_integer_max_steps(fold_gf):
+    start = BicharState((0, 0, 1), (0, 1, 1))
+    want = trace_bicharacteristic(fold_gf, start, max_steps=3)
+    assert len(want.states) == 4
+    assert trace_bicharacteristic(fold_gf, start, max_steps=np.int64(3)) == want
+
+
 @pytest.mark.parametrize("q, p", [
     ((0, 0, math.nan), (0, 1, 1)),  # |H| is NaN, so the null test alone passes it
     ((math.inf, 0, 1), (0, 1, 1)),
@@ -212,11 +225,19 @@ def _tripwire_start(gf):
     return BicharState((0, 0, 1), null_project(gf, (0, 0, 1), (0.4, 2.9), 2)[1])
 
 
+def _reference_candidate(field_, start, step):
+    # k1 at the start, and the candidate of the reference RK4 step from it.
+    k1 = field_.rhs(*start.q, *start.p)
+    return (k1, *reference_kernels.rk4_step(field_.rhs, start.q, start.p, k1, step))
+
+
 def test_trace_diverges_on_overflow_in_rk4_stage(tripwire_gf):
     start = _tripwire_start(tripwire_gf)
     field_ = ch._metric_field(tripwire_gf)
     with pytest.raises(OverflowError):
-        ch._rk4_step(field_.rhs, start.q, start.p, field_.rhs(*start.q, *start.p), 1e4)
+        _reference_candidate(field_, start, 1e4)
+    with pytest.raises(OverflowError):
+        field_.step(start.q, start.p, field_.rhs(*start.q, *start.p), 1e4, 1e6)
     trace = trace_bicharacteristic(tripwire_gf, start, step=1e4, box=1e6)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -227,13 +248,23 @@ def test_trace_diverges_on_overflow_at_accepted_state(tripwire_gf):
     # stays at |x| < 1, but the accepted point is at x ~ 176.
     start = _tripwire_start(tripwire_gf)
     field_ = ch._metric_field(tripwire_gf)
-    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
-                            field_.rhs(*start.q, *start.p), 1.0)
+    k1, qn, pn = _reference_candidate(field_, start, 1.0)
     assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
     with pytest.raises(OverflowError):
         field_.state_rhs(*qn, *pn)
+    with pytest.raises(OverflowError):
+        field_.step(start.q, start.p, k1, 1.0, 2000.0)
     trace = trace_bicharacteristic(tripwire_gf, start, step=1.0, box=2000.0)
     assert trace.termination is Termination.DIVERGED
+    assert len(trace.states) == 1
+
+
+def test_box_guard_runs_before_candidate_is_evaluated(tripwire_gf):
+    # The first candidate (x ~ 176) overflows when evaluated (see above), so
+    # a box it leaves must end the trace first.
+    trace = trace_bicharacteristic(tripwire_gf, _tripwire_start(tripwire_gf), step=1.0,
+                                   box=100.0)
+    assert trace.termination is Termination.DOMAIN_EXIT
     assert len(trace.states) == 1
 
 
@@ -263,10 +294,10 @@ def test_trace_diverges_when_singular_test_overflows():
                         (-0.3048856730857161, 1.6836179406763991, -2.1402840480820995))
     step = 1.0567547325165856e102
     field_ = ch._metric_field(gf)
-    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
-                            field_.rhs(*start.q, *start.p), step)
-    det, s, *_ = field_.state_rhs(*qn, *pn)
+    k1, qn, pn = _reference_candidate(field_, start, step)
+    det, s, *_ = candidate = field_.state_rhs(*qn, *pn)
     assert math.isfinite(det) and 5.6e102 < s < math.inf
+    assert repr(field_.step(start.q, start.p, k1, step, 1e6)) == repr((qn, pn, *candidate))
     trace = trace_bicharacteristic(gf, start, step=step, max_steps=300, box=1e6)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -283,10 +314,11 @@ def test_trace_diverges_on_non_finite_metric_at_candidate():
     )
     start = _tripwire_start(gf)
     field_ = ch._metric_field(gf)
-    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
-                            field_.rhs(*start.q, *start.p), 1.0)
+    k1, qn, pn = _reference_candidate(field_, start, 1.0)
     assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
-    assert not math.isfinite(field_.state_rhs(*qn, *pn)[0])
+    candidate = field_.state_rhs(*qn, *pn)
+    assert not math.isfinite(candidate[0])
+    assert repr(field_.step(start.q, start.p, k1, 1.0, 2000.0)) == repr((qn, pn, *candidate))
     trace = trace_bicharacteristic(gf, start, step=1.0, box=2000.0)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -300,9 +332,9 @@ def test_trace_diverges_when_candidate_leaves_null_cone(fold_gf):
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
     field_ = ch._metric_field(fold_gf)
-    qn, pn = ch._rk4_step(field_.rhs, start.q, start.p,
-                            field_.rhs(*start.q, *start.p), 0.3)
-    det, _, _, _, H, _ = field_.state_rhs(*qn, *pn)
+    k1, qn, pn = _reference_candidate(field_, start, 0.3)
+    det, _, _, _, H, _ = candidate = field_.state_rhs(*qn, *pn)
+    assert repr(field_.step(start.q, start.p, k1, 0.3, 10.0)) == repr((qn, pn, *candidate))
     assert ch.H_TOL < abs(H) <= 1.0
     assert abs(det) > abs(trace.conserved_log[0]["det_h"])
 
@@ -631,6 +663,45 @@ def test_kernels_match_dense_reference(kernel_pairs, point):
             assert repr(k1) == repr(ref_rhs(*point))
 
 
+def _raised_or_returned(fn, *args):
+    # What fn returns, or the type of the arithmetic or domain error it raises.
+    try:
+        return fn(*args)
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.tuples(*[_KERNEL_FLOATS] * 6),
+       st.one_of(st.floats(1e-6, 1.0), st.sampled_from([0.3, 1.0, 1e4, 1e102, 1e200, 1e300])),
+       st.one_of(st.floats(0.0, 60.0), st.sampled_from([0.5, 10.0, 1e6, 1e300])))
+def test_step_matches_reference_step(kernel_pairs, point, step, box):
+    # From a state whose rhs returns, the generated step gives what the
+    # reference rhs three times, the RK4 update, the finite and box guards
+    # and the reference state at the candidate give: the same exception
+    # type, the same marker, or the same values by repr.
+    q, p = point[:3], point[3:]
+    for field_, (ref_rhs, ref_state) in kernel_pairs:
+        k1 = _raised_or_returned(ref_rhs, *point)
+        if isinstance(k1, type):
+            continue
+        want = _raised_or_returned(reference_kernels.step, ref_rhs, ref_state,
+                                   q, p, k1, step, box)
+        got = _raised_or_returned(field_.step, q, p, k1, step, box)
+        if isinstance(want, (type, Termination)):
+            assert got is want
+            continue
+        qn, pn, det, s, i1, i2, H, *qdot = want
+        *values, k1n = got
+        assert repr(values) == repr([qn, pn, det, s, i1, i2, H])
+        if H is None:
+            assert k1n is None
+            continue
+        assert repr(k1n[:3]) == repr(tuple(qdot))
+        if not isinstance(_raised_or_returned(ref_rhs, *qn, *pn), type):
+            assert repr(k1n) == repr(ref_rhs(*qn, *pn))
+
+
 def test_fold_kernels_drop_structural_zeros(fold_gf):
     # Of h^{-1} only a00, a11, a22 and of the 27 derivative entries only
     # d_Z h_00 = d_Z h_22 = -2 are nonzero.  The dropped names are neither
@@ -642,7 +713,7 @@ def test_fold_kernels_drop_structural_zeros(fold_gf):
              if entries[i][j].diff(coords[k]).is_zero}
     assert len(zero) == 6 + 25
     field_ = ch._metric_field(fold_gf)
-    for kernel in (field_.rhs, field_.state_rhs):
+    for kernel in (field_.rhs, field_.state_rhs, field_.step):
         code = kernel.__code__
         assert not zero & set(code.co_varnames + code.co_names), kernel.__name__
     assert field_.rhs(0.3, -0.1, 0.7, -0.4, 1.2, -0.5)[3:5] == (0.0, 0.0)
@@ -676,10 +747,13 @@ def test_long_entries_compile_and_kernels_read_h_as_pullback_metric(member_gf):
     # A Horner statement never nests sums, so an entry of 3000 terms compiles
     # as it is, and it is the value Poly.eval gives.
     P, entries, d_entries = _long_metric(3000, 7)
-    rhs, state_rhs = ch._compile_kernels(entries, d_entries)
+    rhs, state_rhs, step = ch._compile_kernels(entries, d_entries)
     q = (0.61, -0.83, 0.97)
     assert repr(state_rhs(*q, 1.0, 0.5, 0.25)[2]) == repr(P.eval(q) + 1.0 + 1.0)
     assert all(math.isfinite(v) for v in rhs(*q, 1.0, 0.5, 0.25))
+    p, k1 = (1.0, 0.5, 0.25), rhs(*q, 1.0, 0.5, 0.25)
+    assert repr(step(q, p, k1, 1e-3, 10.0)) == repr(
+        reference_kernels.step(rhs, state_rhs, q, p, k1, 1e-3, 10.0))
     # On every chart the kernels' h is pullback_metric's, to the bit.
     gfs = [member_gf] + [
         GeneratingFunction(ChartKind(chart), parse_poly(text, ChartKind(chart).coords), eps)
@@ -698,22 +772,23 @@ def test_long_entries_compile_and_kernels_read_h_as_pullback_metric(member_gf):
 
 
 def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):
+    # Only the initial state goes through state_rhs; each step evaluates its
+    # candidate itself, calling the generated rhs (a global of step) thrice.
     field_ = ch._metric_field(fold_gf)
-    calls = {"rhs": 0, "state_rhs": 0}
+    calls = {"rhs": 0, "state_rhs": 0, "step": 0}
 
-    def spy(name):
-        kernel = getattr(field_, name)
-
-        def counted(*args):
+    def counted(name, kernel):
+        def call(*args):
             calls[name] += 1
             return kernel(*args)
-        monkeypatch.setattr(field_, name, counted)
+        return call
 
-    spy("rhs")
-    spy("state_rhs")
+    monkeypatch.setitem(field_.step.__globals__, "rhs", counted("rhs", field_.rhs))
+    for name in ("state_rhs", "step"):
+        monkeypatch.setattr(field_, name, counted(name, getattr(field_, name)))
     trace = trace_bicharacteristic(fold_gf, _null_state(0.4, 1.2, 0.7), max_steps=25)
     assert trace.termination is Termination.MAX_STEPS and len(trace.states) == 26
-    assert calls == {"rhs": 3 * 25, "state_rhs": 26}
+    assert calls == {"rhs": 3 * 25, "state_rhs": 1, "step": 25}
 
 
 def test_trusted_states_equal_validated_states(fold_gf):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_kernels
 
 from sgma import characteristics as ch
 from sgma import cli, verify
@@ -728,23 +729,28 @@ def test_null_completion_overflow_names_the_point_only(capsys):
 
 
 def test_trace_ends_at_the_boundary_inside_a_step(monkeypatch, capsys):
-    # The first step's stage k2 lands on Z = 0, where the fold metric is singular.
-    step, stages = ch._rk4_step, []
+    # The first step's stage k2 lands on Z = 0, where the fold metric is
+    # singular: the reference step shows where, and the generated step raises.
+    field_ = ch._metric_field(GeneratingFunction.from_dict(
+        {"chart": FOLD[1], "potential": FOLD[3], "eps_q": "1"}))
+    step, stages = field_.step, []
 
-    def spy(rhs, *args):
-        calls = []
-
-        def counted(*state):
-            calls.append(state)
-            return rhs(*state)
-
+    def spy(*args):
         try:
-            return step(counted, *args)
+            return step(*args)
         except MetricSingularError:
+            calls = []
+
+            def counted(*state):
+                calls.append(state)
+                return field_.rhs(*state)
+
+            with pytest.raises(MetricSingularError):
+                reference_kernels.rk4_step(counted, *args[:4])
             stages.append((len(calls) + 1, calls[-1][2]))  # k1 is not an rhs call here
             raise
 
-    monkeypatch.setattr(ch, "_rk4_step", spy)
+    monkeypatch.setattr(field_, "step", spy)
     code, out, _ = _run(capsys, ["trace", *FOLD, "--q", "0,0,0.5", "--p", "0,?,500",
                                  "--null-root", "1"])
     assert code == 0

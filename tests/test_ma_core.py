@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgma import characteristics as ch
 from sgma import codegen
@@ -23,6 +24,7 @@ from sgma.ma_core import (
     ChartKind,
     GeneratingFunction,
     SignatureLabel,
+    _eigen_signs,
     classification_grid,
     classify,
     hessian,
@@ -381,6 +383,39 @@ def test_classify_rejects_bad_tol(fold_gf):
             classify(fold_gf, (0, 0, 1), tol=tol)
         with pytest.raises(ValueError, match="positive and finite"):
             classification_grid(fold_gf, {"x": [0.0], "y": [0.0], "Z": [1.0]}, tol)
+
+
+def _rotated(eigenvalues, angles) -> np.ndarray:
+    # R diag(eigenvalues) R^T for the rotation R = Rz(a) Ry(b) Rz(c), symmetrized.
+    def rz(t):
+        return np.array([[np.cos(t), -np.sin(t), 0.0], [np.sin(t), np.cos(t), 0.0],
+                         [0.0, 0.0, 1.0]])
+    a, b, c = angles
+    ry = np.array([[np.cos(b), 0.0, np.sin(b)], [0.0, 1.0, 0.0], [-np.sin(b), 0.0, np.cos(b)]])
+    r = rz(a) @ ry @ rz(c)
+    m = r @ np.diag(eigenvalues) @ r.T
+    return (m + m.T) / 2
+
+
+_NEAR_ZERO = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-7, 1e-7),
+                       st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 2e-9, 1.1e-8]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.tuples(*[_NEAR_ZERO] * 3),
+                          st.tuples(*[st.floats(-np.pi, np.pi)] * 3)), min_size=1, max_size=4),
+       st.sampled_from([1e-9, 1e-8, 1e-6, 0.5]))
+def test_eigen_signs_counts_are_the_three_mask_counts(cases, tol):
+    # n_zero = 3 - n_pos - n_neg is the count of |lambda| <= scale, on a
+    # batch of near-singular symmetric matrices and on each one alone.
+    metrics = np.array([_rotated(*case) for case in cases])
+    for batch in (metrics, *metrics):
+        eigs, counts = _eigen_signs(batch, tol)
+        scale = tol * (1.0 + np.max(np.abs(eigs), axis=-1, keepdims=True))
+        assert np.array_equal(eigs, np.linalg.eigvalsh(batch))
+        want = ((eigs > scale).sum(axis=-1), (eigs < -scale).sum(axis=-1),
+                (np.abs(eigs) <= scale).sum(axis=-1))
+        assert all(np.array_equal(got, n) for got, n in zip(counts, want))
 
 
 def _label_for(n_pos, n_neg, n_zero):
