@@ -11,17 +11,16 @@ the canonical fold metric 2(-Z dx^2 + dy^2 - Z dZ^2) as an independent
 oracle, including the semicubical cusp law at the parabolic boundary.
 
 For speed, each generating function's metric is compiled once (and kept in
-a bounded cache) into three generated straight-line Python functions: one
-evaluates Hamilton's right-hand side for an RK4 stage, one the
-determinant, scale, invariants and H of a state together with that
-right-hand side, which is the state's velocity and the next step's first
-RK4 stage k1, and one takes a whole RK4 step: it calls the first for
-stages k2 to k4, forms the candidate, applies the finite and box guards,
-and evaluates the candidate as the second does, so a trace makes one call
-per step and reuses each accepted state's k1.  Each entry of h and of its
-derivatives is evaluated as ``Poly.eval`` evaluates it, whatever the order
-of its terms, and the textbook sums over the entries in order, except that
-products with a structurally zero factor (a zero entry of h, of its
+a bounded cache) into two generated straight-line Python functions: one
+evaluates the determinant, scale, invariants and H of a state together
+with Hamilton's right-hand side, which is the state's velocity and the next
+step's first RK4 stage k1, and one takes a whole RK4 step: it evaluates
+stages k2 to k4 inline, forms the candidate, applies the finite and box
+guards, and evaluates the candidate as the first does, so a trace makes one
+call per step and reuses each accepted state's k1.  Each entry of h and of
+its derivatives is evaluated as ``Poly.eval`` evaluates it, whatever the
+order of its terms, and the textbook sums over the entries in order, except
+that products with a structurally zero factor (a zero entry of h, of its
 derivatives, or of its adjugate) are left out of the sums that start from
 the int 0, where adding such a +-0.0 changes nothing for finite operands,
 and the scale max(1, max|h_ij|) reads h00 and then each distinct nonzero
@@ -103,11 +102,11 @@ def _singular(det: float) -> MetricSingularError:
 # (its coefficients are globals), then the textbook 3x3 determinant, adjugate
 # inverse and sums.  Every sum starts from the int 0, as sum() does, so a lone
 # -0.0 becomes 0.0; products keep a fixed order.  The entries of h and their
-# powers come before det; those of d_k h after the singular test of ``rhs``
+# powers come before det; those of d_k h after the singular test of a stage
 # and the det == 0 return of ``state_rhs``.  ``step`` is the RK4 glue of a
-# trace in one frame: three calls of ``rhs`` (the one stage body that the
-# tests compare with the dense reference), the update in the reference
-# step's operation order, the guards, then the ``state_rhs`` lines at the
+# trace in one frame: the stage body three times, each at the arguments the
+# reference step passes its ``rhs``, the update in the reference step's
+# operation order, the guards, then the ``state_rhs`` lines at the
 # candidate.
 #
 # Structural zeros are dropped: the zero entries of h and of its
@@ -192,58 +191,35 @@ def _scale_source(scaled) -> str:
 
 
 _VARS = ("q0", "q1", "q2", *_P)
+_START = ("y0", "y1", "y2", "y3", "y4", "y5")  # the state a step starts from
 
 
-def _stage_source(k: int, factor: str) -> str:
-    # RK4 stage k at the state plus factor times stage k - 1.
-    args = ", ".join(f"{v} + {factor} * k{k - 1}{v}" for v in _VARS)
-    return f"{', '.join(f'k{k}{v}' for v in _VARS)} = rhs({args})"
-
-
-# q, p + h * (k1 + 2 k2 + 2 k3 + k4) / 6, then the finite and box guards.
-_RK4 = (
-    "q0, q1, q2 = q",
-    "p0, p1, p2 = p",
-    "half = 0.5 * h",
-    f"{', '.join(f'k1{v}' for v in _VARS)} = k1",
-    _stage_source(2, "half"),
-    _stage_source(3, "half"),
-    _stage_source(4, "h"),
-    "sixth = h / 6.0",
-    *(f"{v} = {v} + sixth * (k1{v} + 2 * k2{v} + 2 * k3{v} + k4{v})" for v in _VARS),
-    f"if not ({' and '.join(f'isfinite({v})' for v in _VARS)}):",
-    "    return DIVERGED",
-    "if abs(q0) > box or abs(q1) > box or abs(q2) > box:",
-    "    return DOMAIN_EXIT",
-)
+def _stage_names(k: int) -> str:
+    return ", ".join(f"k{k}{v}" for v in _VARS)
 
 
 def _compile_kernels(entries, d_entries):
-    """Generate ``rhs``, ``state_rhs`` and ``step`` for the metric with these exact entries.
-
-    ``rhs(q0, q1, q2, p0, p1, p2)`` returns Hamilton's right-hand side
-    (qdot0, qdot1, qdot2, pdot0, pdot1, pdot2), with qdot = 2w, w = h^{-1} p
-    and pdot_k = w^T (d_k h) w; it raises MetricSingularError when h is
-    singular (see ``SINGULAR_TOL``).  A NaN det passes that test, and the
-    result is then NaN.
+    """Generate ``state_rhs`` and ``step`` for the metric with these exact entries.
 
     ``state_rhs(q0, q1, q2, p0, p1, p2)`` returns what an evaluated state
     needs: (det, s, i1, i2, H, k1), where s = max(1, max|h_ij|), i1 and i2
-    are the trace and second invariant of h, and k1 is the 6-tuple ``rhs``
-    would return, so the state's velocity is k1[:3] and the next RK4 step
-    reuses k1.  H and k1 are None when det is exactly 0.  It makes no
-    singular test, so that callers run their own guards first (see
-    ``_check_regular``).
+    are the trace and second invariant of h, and k1 is Hamilton's
+    right-hand side (qdot0, qdot1, qdot2, pdot0, pdot1, pdot2), with
+    qdot = 2w, w = h^{-1} p and pdot_k = w^T (d_k h) w: the state's velocity
+    is k1[:3], and the next RK4 step reuses k1.  H and k1 are None when det
+    is exactly 0.  It makes no singular test, so that callers run their own
+    guards first (see ``_check_regular``).
 
     ``step(q, p, k1, h, box)`` is one classical RK4 step of size h from the
-    state (q, p) whose ``state_rhs`` gave k1: it calls ``rhs`` for stages
-    k2, k3 and k4, so a stage raises as ``rhs`` does, and forms the
-    candidate (qn, pn).  It returns ``Termination.DIVERGED`` when a
-    coordinate of the candidate is not finite, then
-    ``Termination.DOMAIN_EXIT`` when a coordinate of qn lies outside
-    [-box, box]; otherwise (qn, pn, det, s, i1, i2, H, k1n) with the
-    ``state_rhs`` values at the candidate.  Where an operation overflows it
-    raises OverflowError.
+    state (q, p) whose ``state_rhs`` gave k1.  It evaluates stages k2, k3
+    and k4 inline, each by the stage body: the right-hand side after a
+    singular test that raises MetricSingularError when h is singular (see
+    ``SINGULAR_TOL``; a NaN det passes it, and the stage is then NaN).  It
+    forms the candidate (qn, pn) and returns ``Termination.DIVERGED`` when a
+    coordinate of it is not finite, then ``Termination.DOMAIN_EXIT`` when a
+    coordinate of qn lies outside [-box, box]; otherwise (qn, pn, det, s,
+    i1, i2, H, k1n) with the ``state_rhs`` values at the candidate.  Where
+    an operation overflows it raises OverflowError.
     """
     zero_h = _zero_names(_H, entries)
     zero = zero_h | _zero_inverse(zero_h)
@@ -259,14 +235,11 @@ def _compile_kernels(entries, d_entries):
     inverse = [f"{_A[i][j]} = ({_COFACTORS[i][j]}) / det"
                for i in range(3) for j in range(3) if _A[i][j] not in zero]
     w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i, zero)}" for i in range(3)]
-    k1 = ", ".join([f"2.0 * {w}" for w in _W] + [_quadform_source(d, _W, zero) for d in _D])
-    rhs_source = codegen.function_source("rhs(q0, q1, q2, p0, p1, p2)", [
-        *head,
-        f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
-        "    raise _singular(det)",
-        *inverse, *w_lines, *dh_lines,
-        f"return ({k1})",
-    ])
+    rhs = ", ".join([f"2.0 * {w}" for w in _W] + [_quadform_source(d, _W, zero) for d in _D])
+    stage = [*head,
+             f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
+             "    raise _singular(det)",
+             *inverse, *w_lines, *dh_lines]
 
     def state(returned: str) -> list:
         # The state_rhs body at (q0, ..., p2), each return led by ``returned``.
@@ -274,33 +247,43 @@ def _compile_kernels(entries, d_entries):
                 "if det == 0:",
                 f"    return {returned}det, s, i1, i2, None, None",
                 *inverse, *w_lines, *dh_lines,
-                f"return {returned}det, s, i1, i2, {_quadform_source(_A, _P, zero)}, ({k1})"]
+                f"return {returned}det, s, i1, i2, {_quadform_source(_A, _P, zero)}, ({rhs})"]
 
-    namespace = {f"c{k}": c for k, c in enumerate(horner.coefficients)}
-    rhs = codegen.compile_functions(rhs_source, "<sgma metric kernels>", ("rhs",),
-                                    {**namespace, "_singular": _singular})[0]
-    # step calls this rhs, so it gets its own globals: no function and its
-    # globals form a cycle.
+    # Stage k runs at the start state plus factor times stage k - 1; then
+    # q, p + h * (k1 + 2 k2 + 2 k3 + k4) / 6, the finite and box guards and
+    # the state_rhs body at the candidate.
+    rk4 = ["y0, y1, y2 = q", "y3, y4, y5 = p", "half = 0.5 * h", f"{_stage_names(1)} = k1"]
+    for k, factor in ((2, "half"), (3, "half"), (4, "h")):
+        rk4 += [f"{', '.join(_VARS)} = " + ", ".join(
+                    f"{y} + {factor} * k{k - 1}{v}" for y, v in zip(_START, _VARS)),
+                *stage, f"{_stage_names(k)} = ({rhs})"]
+    rk4 += ["sixth = h / 6.0",
+            *(f"{v} = {y} + sixth * (k1{v} + 2 * k2{v} + 2 * k3{v} + k4{v})"
+              for y, v in zip(_START, _VARS)),
+            f"if not ({' and '.join(f'isfinite({v})' for v in _VARS)}):",
+            "    return DIVERGED",
+            "if abs(q0) > box or abs(q1) > box or abs(q2) > box:",
+            "    return DOMAIN_EXIT",
+            *state("(q0, q1, q2), (p0, p1, p2), ")]
     source = (codegen.function_source("state_rhs(q0, q1, q2, p0, p1, p2)", state(""))
-              + codegen.function_source("step(q, p, k1, h, box)", [
-                  *_RK4, *state("(q0, q1, q2), (p0, p1, p2), ")]))
-    namespace.update(rhs=rhs, isfinite=math.isfinite, DIVERGED=Termination.DIVERGED,
-                     DOMAIN_EXIT=Termination.DOMAIN_EXIT)
-    return (rhs, *codegen.compile_functions(source, "<sgma metric step kernels>",
-                                            ("state_rhs", "step"), namespace))
+              + codegen.function_source("step(q, p, k1, h, box)", rk4))
+    namespace = {f"c{k}": c for k, c in enumerate(horner.coefficients)}
+    namespace.update(_singular=_singular, isfinite=math.isfinite,
+                     DIVERGED=Termination.DIVERGED, DOMAIN_EXIT=Termination.DOMAIN_EXIT)
+    return codegen.compile_functions(source, "<sgma metric kernels>",
+                                     ("state_rhs", "step"), namespace)
 
 
 class _MetricField:
     """The pull-back metric of one generating function, compiled for RK4.
 
-    Holds the three kernels generated from the exact entries of h and their
-    exact derivatives (see ``_compile_kernels``): ``rhs`` for RK4 stages,
-    ``state_rhs`` for every state evaluated outside a step (single points
-    and a trace's initial state), and ``step`` for a trace's steps, which
-    evaluates each candidate as ``state_rhs`` does and returns its k1 for the
-    next step.  ``cyclic`` tells whether h has the cyclic diagonal structure
-    of the canonical fold metric, whose conserved quantities the trace log
-    then records.
+    Holds the two kernels generated from the exact entries of h and their
+    exact derivatives (see ``_compile_kernels``): ``state_rhs`` for every
+    state evaluated outside a step (single points and a trace's initial
+    state), and ``step`` for a trace's steps, which evaluates each candidate
+    as ``state_rhs`` does and returns its k1 for the next step.  ``cyclic``
+    tells whether h has the cyclic diagonal structure of the canonical fold
+    metric, whose conserved quantities the trace log then records.
     """
 
     def __init__(self, gf: GeneratingFunction):
@@ -310,7 +293,7 @@ class _MetricField:
             tuple(tuple(entries[i][j].diff(v) for j in range(3)) for i in range(3))
             for v in cs
         )
-        self.rhs, self.state_rhs, self.step = _compile_kernels(entries, d_entries)
+        self.state_rhs, self.step = _compile_kernels(entries, d_entries)
         self.cyclic = self._detect_cyclic(entries, cs)
 
     @staticmethod
@@ -389,6 +372,10 @@ def null_project(gf: GeneratingFunction, q, p_partial, free_index: int) -> list:
     component).  An empty list at an elliptic point reflects that the
     characteristic variety there is only the zero vector.
     """
+    try:
+        free_index = operator.index(free_index)
+    except TypeError:
+        free_index = -1  # no integer: rejected below
     if free_index not in (0, 1, 2):
         raise ValueError("free_index must be 0, 1 or 2")
     p_partial = _floats(p_partial, "momentum")
@@ -484,9 +471,9 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
                            stop_tol: float | None = None, box: float = 10.0) -> Trace:
     """Integrate a bicharacteristic with fixed-step classical RK4.
 
-    ``step``, ``box`` and ``stop_tol`` must be finite (ValueError otherwise).
-    The initial condition must be finite and lie on the null cone
-    (|H| <= 1e-10); DomainError otherwise.  The trace stops when |det h|
+    ``step`` and ``box`` must be positive and finite, and ``stop_tol``
+    finite (ValueError otherwise).  The initial condition must be finite
+    and lie on the null cone (|H| <= 1e-10); DomainError otherwise.  The trace stops when |det h|
     falls below ``stop_tol`` (default: 1e-6 times its initial value) at the
     parabolic boundary, when a coordinate leaves the [-box, box] cube, when
     values stop being finite, or when the step budget is exhausted.  Two
@@ -509,8 +496,9 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
         max_steps = -1  # no integer: rejected below
     if not (step > 0 and math.isfinite(step)) or max_steps < 0:
         raise ValueError("step must be positive and finite, max_steps a non-negative integer")
-    if not math.isfinite(box) or (stop_tol is not None and not math.isfinite(stop_tol)):
-        raise ValueError("box and stop_tol must be finite")
+    if not (box > 0 and math.isfinite(box)) or (
+            stop_tol is not None and not math.isfinite(stop_tol)):
+        raise ValueError("box must be positive and finite, stop_tol finite")
     q, p, s = initial.q, initial.p, initial.s
     field_ = _metric_field(gf)
     advance, cyclic = field_.step, field_.cyclic

@@ -320,7 +320,7 @@ def build_parser() -> _Parser:
                    help="step budget (default %(default)s)")
     p.add_argument("--stop-tol", type=_number,
                    help="absolute |det h| stop threshold (default 1e-6 x initial)")
-    p.add_argument("--box", type=_number, default=10.0,
+    p.add_argument("--box", type=_positive, default=10.0,
                    help="domain box half-width (default %(default)s)")
 
     p = command("family", _cmd_family, "build a polynomial solution-family member", gf=False)

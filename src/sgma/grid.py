@@ -17,7 +17,7 @@ MAX_NODES = 10 ** 6
 
 
 class Axis(NamedTuple):
-    """``n`` evenly spaced values from ``lo`` to ``hi``, both included."""
+    """``n`` evenly spaced values from ``lo`` to ``hi``, both included (``lo`` alone for n = 1)."""
 
     name: str
     lo: float

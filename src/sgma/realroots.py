@@ -245,7 +245,9 @@ def _isolate_square_free(c: list, chain: list):
     which intervals are narrower than the roots' separation bound.
     """
     exact, poly = [], c
-    while _degree(poly) >= 1:
+    # A restart follows an exact root found where the count is 2 or more, so
+    # the quotient keeps degree >= 1.
+    while True:
         signs = [_Sign(p) for p in chain]
         sign = signs[0]  # poly times a constant: the same zeros
         q = abs(poly[-1])  # Cauchy's root bound 1 + max |c_i| / |c_n| = bound / q
@@ -256,7 +258,6 @@ def _isolate_square_free(c: list, chain: list):
         # at its two ends, so that every point is counted once.
         stack = [(-bound, bound, q, 0, _variations(signs, -bound, q),
                   _variations(signs, bound, q))]
-        restarted = False
         while stack:
             a, b, q, depth, va, vb = stack.pop()
             count = va - vb
@@ -277,14 +278,12 @@ def _isolate_square_free(c: list, chain: list):
                 exact.append((mid // g, q // g))
                 poly = _quo(poly, [-mid // g, q // g])
                 chain = sturm_chain(poly)
-                restarted = True
                 break
             vm = _variations(signs, mid, q)
             stack.append((a, mid, q, depth + 1, va, vm))
             stack.append((mid, b, q, depth + 1, vm, vb))
-        if not restarted:
+        else:
             return exact, intervals, poly
-    return exact, [], poly
 
 
 def _refine(sign: _Sign, a: int, b: int, q: int) -> tuple:

@@ -85,7 +85,21 @@ class SGState:
     w: float | None = None
 
 
+def _branch_choice(branch):
+    # "convex", or the index that branch names; ValueError for anything else.
+    if branch == "convex":
+        return branch
+    try:
+        index = operator.index(branch)
+    except TypeError:
+        index = -1  # no integer: rejected below
+    if index < 0 or isinstance(branch, bool):
+        raise ValueError(f"branch must be 'convex' or an index, got {branch!r}")
+    return index
+
+
 def _resolve_branch(bp: BranchPoint, branch) -> int:
+    # The fiber index of a _branch_choice over bp.
     if branch == "convex":
         choice = branch_select_convex(bp)
         if choice.index is None:
@@ -93,14 +107,10 @@ def _resolve_branch(bp: BranchPoint, branch) -> int:
         if choice.ambiguous:
             warnings.warn("multiple convex branches; using the first", stacklevel=4)
         return choice.index
-    try:
-        index = operator.index(branch)
-    except TypeError:
-        raise ValueError(f"branch must be 'convex' or an index, got {branch!r}") from None
-    if not 0 <= index < len(bp.fiber_values):
-        raise NoBranchError(f"branch index {index} out of range for a fiber of "
+    if branch >= len(bp.fiber_values):
+        raise NoBranchError(f"branch index {branch} out of range for a fiber of "
                             f"{len(bp.fiber_values)}")
-    return index
+    return branch
 
 
 def branch_state(gf: GeneratingFunction, base, branch="convex",
@@ -108,9 +118,10 @@ def branch_state(gf: GeneratingFunction, base, branch="convex",
     """Geopotential, momenta, and geostrophic wind on one branch over a base point.
 
     ``branch`` is either "convex" (select via the convexity principle) or an
-    explicit fiber index (fiber values ascending).  Raises NoBranchError
-    when the base point lies outside the solution domain (empty fiber), has
-    no such branch, or the selected branch is degenerate (caustic point).
+    explicit fiber index (fiber values ascending); anything else is a
+    ValueError, whatever the base point.  Raises NoBranchError when the base
+    point lies outside the solution domain (empty fiber), has no such
+    branch, or the selected branch is degenerate (caustic point).
     """
     return _state(gf, base, branch, eps, False)
 
@@ -119,6 +130,7 @@ def _state(gf: GeneratingFunction, base, branch, eps: EpsilonChoice | None,
            velocity: bool) -> SGState:
     # branch_state, with (u, v, w) if velocity, from what fiber_solve kept.
     # Its warnings name the caller of the public function that called it.
+    branch = _branch_choice(branch)
     eps = eps or EpsilonChoice.for_gf(gf)
     if gf.eps_q != 1:
         warnings.warn("wind identities are stated for eps_q = 1; "

@@ -5,12 +5,12 @@ reproduce: every entry of h and of its derivatives, each evaluated by the
 recursive Horner walk of ``reference_poly`` (``_build_tree`` and
 ``_eval_tree``), all nine adjugate entries and every product of the sums,
 with no structural zero dropped.
-The tests require the generated ``rhs`` to return the values of this ``rhs``
-and the generated ``state_rhs`` those of this ``state`` (its qdot as
-k1[:3]), by ``repr``, and to raise the same exception types.  The generated
-``step`` must give what ``step`` below gives from this ``rhs`` and
-``state``: ``rk4_step``, stage by stage, then the guards and the state at
-the candidate.  It is the oracle, so keep it as it is rather than fast.
+The tests require the generated ``state_rhs`` to return the values of this
+``state`` (its qdot as k1[:3]) and, where this ``rhs`` returns, k1 to be
+its value, by ``repr``, and to raise the same exception types.  The
+generated ``step`` must give what ``step`` below gives from this ``rhs``
+and ``state``: ``rk4_step``, stage by stage, then the guards and the state
+at the candidate.  It is the oracle, so keep it as it is rather than fast.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from reference_poly import _EMPTY, _build_tree, _eval_tree
 
 from sgma.characteristics import SINGULAR_TOL, Termination, _singular
 from sgma.errors import DomainError
+from sgma.ma_core import pullback_metric_polys
 
 
 def _entry_source(poly, trees: list) -> str:
@@ -114,6 +115,13 @@ def compile_kernels(entries, d_entries):
     namespace = {"_singular": _singular, "_eval_tree": _eval_tree, "_trees": trees}
     exec(compile(rhs + state, "<reference metric kernels>", "exec"), namespace)
     return namespace["rhs"], namespace["state"]
+
+
+def compile_for(gf):
+    """Dense ``rhs`` and ``state`` for the pull-back metric of ``gf``."""
+    entries = pullback_metric_polys(gf)
+    d_entries = [[[e.diff(v) for e in row] for row in entries] for v in gf.chart.coords]
+    return compile_kernels(entries, d_entries)
 
 
 def rk4_step(rhs, q, p, k1, step):

@@ -123,6 +123,8 @@ def test_bichar_state_of_wrong_length_is_value_error():
 def test_null_project_argument_checks(fold_gf):
     with pytest.raises(ValueError, match="free_index must be 0, 1 or 2"):
         null_project(fold_gf, (0, 0, 1), (0, 1), 3)
+    with pytest.raises(ValueError, match="free_index must be 0, 1 or 2"):
+        null_project(fold_gf, (0, 0, 1), (0, 1), 2.0)
     with pytest.raises(ValueError, match="p_partial must supply the two fixed components"):
         null_project(fold_gf, (0, 0, 1), (0, 1, 2), 2)
 
@@ -177,7 +179,7 @@ def test_trace_rejects_non_null_start(fold_gf):
 
 @pytest.mark.parametrize("kwargs", [
     {"step": math.nan}, {"step": math.inf}, {"box": math.nan}, {"box": math.inf},
-    {"stop_tol": math.nan}, {"stop_tol": -math.inf},
+    {"stop_tol": math.nan}, {"stop_tol": -math.inf}, {"box": 0.0}, {"box": -1.0},
 ])
 def test_trace_rejects_non_finite_parameters(fold_gf, kwargs):
     with pytest.raises(ValueError):
@@ -225,19 +227,25 @@ def _tripwire_start(gf):
     return BicharState((0, 0, 1), null_project(gf, (0, 0, 1), (0.4, 2.9), 2)[1])
 
 
-def _reference_candidate(field_, start, step):
+def _start_k1(gf, start):
+    # The generated k1 at the start, which the reference rhs gives too.
+    return ch._metric_field(gf).state_rhs(*start.q, *start.p)[5]
+
+
+def _reference_candidate(gf, start, step):
     # k1 at the start, and the candidate of the reference RK4 step from it.
-    k1 = field_.rhs(*start.q, *start.p)
-    return (k1, *reference_kernels.rk4_step(field_.rhs, start.q, start.p, k1, step))
+    k1 = _start_k1(gf, start)
+    ref_rhs, _ = reference_kernels.compile_for(gf)
+    return (k1, *reference_kernels.rk4_step(ref_rhs, start.q, start.p, k1, step))
 
 
 def test_trace_diverges_on_overflow_in_rk4_stage(tripwire_gf):
     start = _tripwire_start(tripwire_gf)
     field_ = ch._metric_field(tripwire_gf)
     with pytest.raises(OverflowError):
-        _reference_candidate(field_, start, 1e4)
+        _reference_candidate(tripwire_gf, start, 1e4)
     with pytest.raises(OverflowError):
-        field_.step(start.q, start.p, field_.rhs(*start.q, *start.p), 1e4, 1e6)
+        field_.step(start.q, start.p, _start_k1(tripwire_gf, start), 1e4, 1e6)
     trace = trace_bicharacteristic(tripwire_gf, start, step=1e4, box=1e6)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -248,7 +256,7 @@ def test_trace_diverges_on_overflow_at_accepted_state(tripwire_gf):
     # stays at |x| < 1, but the accepted point is at x ~ 176.
     start = _tripwire_start(tripwire_gf)
     field_ = ch._metric_field(tripwire_gf)
-    k1, qn, pn = _reference_candidate(field_, start, 1.0)
+    k1, qn, pn = _reference_candidate(tripwire_gf, start, 1.0)
     assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
     with pytest.raises(OverflowError):
         field_.state_rhs(*qn, *pn)
@@ -294,7 +302,7 @@ def test_trace_diverges_when_singular_test_overflows():
                         (-0.3048856730857161, 1.6836179406763991, -2.1402840480820995))
     step = 1.0567547325165856e102
     field_ = ch._metric_field(gf)
-    k1, qn, pn = _reference_candidate(field_, start, step)
+    k1, qn, pn = _reference_candidate(gf, start, step)
     det, s, *_ = candidate = field_.state_rhs(*qn, *pn)
     assert math.isfinite(det) and 5.6e102 < s < math.inf
     assert repr(field_.step(start.q, start.p, k1, step, 1e6)) == repr((qn, pn, *candidate))
@@ -314,7 +322,7 @@ def test_trace_diverges_on_non_finite_metric_at_candidate():
     )
     start = _tripwire_start(gf)
     field_ = ch._metric_field(gf)
-    k1, qn, pn = _reference_candidate(field_, start, 1.0)
+    k1, qn, pn = _reference_candidate(gf, start, 1.0)
     assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
     candidate = field_.state_rhs(*qn, *pn)
     assert not math.isfinite(candidate[0])
@@ -332,7 +340,7 @@ def test_trace_diverges_when_candidate_leaves_null_cone(fold_gf):
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
     field_ = ch._metric_field(fold_gf)
-    k1, qn, pn = _reference_candidate(field_, start, 0.3)
+    k1, qn, pn = _reference_candidate(fold_gf, start, 0.3)
     det, _, _, _, H, _ = candidate = field_.state_rhs(*qn, *pn)
     assert repr(field_.step(start.q, start.p, k1, 0.3, 10.0)) == repr((qn, pn, *candidate))
     assert ch.H_TOL < abs(H) <= 1.0
@@ -629,9 +637,7 @@ def kernel_pairs(fold_gf, convex_quadratic_gf, tripwire_gf, member_gf):
     zero_h00 = chart_p("x*y + y^2/2 + z^2/2 + y^3/6 + x*z^2/2")
     pairs = []
     for gf in (fold_gf, member_gf, dense, zero_h00, convex_quadratic_gf, tripwire_gf):
-        entries = pullback_metric_polys(gf)
-        d_entries = [[[e.diff(v) for e in row] for row in entries] for v in gf.chart.coords]
-        pairs.append((ch._metric_field(gf), reference_kernels.compile_kernels(entries, d_entries)))
+        pairs.append((ch._metric_field(gf), reference_kernels.compile_for(gf)))
     assert sum(e.is_zero for row in pullback_metric_polys(dense) for e in row) == 0
     zeros = [[e.is_zero for e in row] for row in pullback_metric_polys(zero_h00)]
     assert zeros == [[True, False, False], [False, False, True], [False, True, False]]
@@ -644,9 +650,14 @@ def test_kernels_match_dense_reference(kernel_pairs, point):
     # state_rhs raises exactly where the derivative-free reference state
     # raises, the tripwire's overflow range (|x| > 50) included: its
     # derivative part never overflows alone, so a trace needs no fallback
-    # for a state whose k1 cannot be evaluated.
+    # for a state whose k1 cannot be evaluated.  With k1 = -0.0, stage k2
+    # of a step runs at the point itself, since x + h/2 * -0.0 is x for
+    # every float x: the stage raises where the reference rhs raises.
     for field_, (ref_rhs, ref_state) in kernel_pairs:
-        assert _outcome(field_.rhs, point) == _outcome(ref_rhs, point)
+        stage = _outcome(ref_rhs, point)
+        if isinstance(stage, type):
+            assert _outcome(field_.step, (point[:3], point[3:], (-0.0,) * 6, 1.0, 1e300)) \
+                is stage
         want = _outcome(ref_state, point)
         if isinstance(want, type):
             assert _outcome(field_.state_rhs, point) is want
@@ -659,7 +670,7 @@ def test_kernels_match_dense_reference(kernel_pairs, point):
             continue
         # state_rhs makes no singular test; where rhs returns, k1 is its value.
         assert repr(k1[:3]) == repr(tuple(qdot))
-        if not isinstance(_outcome(ref_rhs, point), type):
+        if not isinstance(stage, type):
             assert repr(k1) == repr(ref_rhs(*point))
 
 
@@ -713,10 +724,10 @@ def test_fold_kernels_drop_structural_zeros(fold_gf):
              if entries[i][j].diff(coords[k]).is_zero}
     assert len(zero) == 6 + 25
     field_ = ch._metric_field(fold_gf)
-    for kernel in (field_.rhs, field_.state_rhs, field_.step):
+    for kernel in (field_.state_rhs, field_.step):
         code = kernel.__code__
         assert not zero & set(code.co_varnames + code.co_names), kernel.__name__
-    assert field_.rhs(0.3, -0.1, 0.7, -0.4, 1.2, -0.5)[3:5] == (0.0, 0.0)
+    assert field_.state_rhs(0.3, -0.1, 0.7, -0.4, 1.2, -0.5)[5][3:5] == (0.0, 0.0)
 
 
 def _long_metric(n_terms, seed):
@@ -747,13 +758,14 @@ def test_long_entries_compile_and_kernels_read_h_as_pullback_metric(member_gf):
     # A Horner statement never nests sums, so an entry of 3000 terms compiles
     # as it is, and it is the value Poly.eval gives.
     P, entries, d_entries = _long_metric(3000, 7)
-    rhs, state_rhs, step = ch._compile_kernels(entries, d_entries)
-    q = (0.61, -0.83, 0.97)
-    assert repr(state_rhs(*q, 1.0, 0.5, 0.25)[2]) == repr(P.eval(q) + 1.0 + 1.0)
-    assert all(math.isfinite(v) for v in rhs(*q, 1.0, 0.5, 0.25))
-    p, k1 = (1.0, 0.5, 0.25), rhs(*q, 1.0, 0.5, 0.25)
+    state_rhs, step = ch._compile_kernels(entries, d_entries)
+    q, p = (0.61, -0.83, 0.97), (1.0, 0.5, 0.25)
+    _, _, i1, _, _, k1 = state_rhs(*q, *p)
+    assert repr(i1) == repr(P.eval(q) + 1.0 + 1.0)
+    assert all(math.isfinite(v) for v in k1)
+    ref_rhs, _ = reference_kernels.compile_kernels(entries, d_entries)
     assert repr(step(q, p, k1, 1e-3, 10.0)) == repr(
-        reference_kernels.step(rhs, state_rhs, q, p, k1, 1e-3, 10.0))
+        reference_kernels.step(ref_rhs, state_rhs, q, p, k1, 1e-3, 10.0))
     # On every chart the kernels' h is pullback_metric's, to the bit.
     gfs = [member_gf] + [
         GeneratingFunction(ChartKind(chart), parse_poly(text, ChartKind(chart).coords), eps)
@@ -773,9 +785,9 @@ def test_long_entries_compile_and_kernels_read_h_as_pullback_metric(member_gf):
 
 def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):
     # Only the initial state goes through state_rhs; each step evaluates its
-    # candidate itself, calling the generated rhs (a global of step) thrice.
+    # stages and its candidate itself.
     field_ = ch._metric_field(fold_gf)
-    calls = {"rhs": 0, "state_rhs": 0, "step": 0}
+    calls = {"state_rhs": 0, "step": 0}
 
     def counted(name, kernel):
         def call(*args):
@@ -783,12 +795,11 @@ def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):
             return kernel(*args)
         return call
 
-    monkeypatch.setitem(field_.step.__globals__, "rhs", counted("rhs", field_.rhs))
     for name in ("state_rhs", "step"):
         monkeypatch.setattr(field_, name, counted(name, getattr(field_, name)))
     trace = trace_bicharacteristic(fold_gf, _null_state(0.4, 1.2, 0.7), max_steps=25)
     assert trace.termination is Termination.MAX_STEPS and len(trace.states) == 26
-    assert calls == {"rhs": 3 * 25, "state_rhs": 1, "step": 25}
+    assert calls == {"state_rhs": 1, "step": 25}
 
 
 def test_trusted_states_equal_validated_states(fold_gf):

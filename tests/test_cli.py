@@ -345,7 +345,8 @@ def test_classical_fiber_with_non_finite_immersion_exits_3(capsys):
 
 
 @pytest.mark.parametrize("option", [["--step", "nan"], ["--step", "inf"],
-                                    ["--box", "inf"], ["--stop-tol", "nan"]])
+                                    ["--box", "inf"], ["--stop-tol", "nan"],
+                                    ["--box", "-1"]])
 def test_trace_non_finite_parameter_exits_2(capsys, option):
     code, out, err = _run(capsys, ["trace", *FOLD, "--q", "0,0,1", "--p", "0,1,?",
                                    *option])
@@ -392,6 +393,17 @@ def test_family_command(tmp_path, capsys):
     assert report["residual_is_zero"] is True
     assert report["degrees"] == {"t3": None, "t2": 1, "t1": None, "t0": 3}
     assert report["recursion_crosscheck"]["x^1*y^0"]["matches_derivation"] is False
+
+
+def test_family_without_check_omits_only_the_crosscheck(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(README_SPEC))
+    code, out, err = _run(capsys, ["family", "--spec", str(path)])
+    assert code == 0 and err == ""
+    _, checked, _ = _run(capsys, ["family", "--spec", str(path), "--check"])
+    report = json.loads(checked)
+    del report["recursion_crosscheck"]
+    assert list(json.loads(out).items()) == list(report.items())
 
 
 def test_wind_command(capsys):
@@ -731,8 +743,8 @@ def test_null_completion_overflow_names_the_point_only(capsys):
 def test_trace_ends_at_the_boundary_inside_a_step(monkeypatch, capsys):
     # The first step's stage k2 lands on Z = 0, where the fold metric is
     # singular: the reference step shows where, and the generated step raises.
-    field_ = ch._metric_field(GeneratingFunction.from_dict(
-        {"chart": FOLD[1], "potential": FOLD[3], "eps_q": "1"}))
+    gf = GeneratingFunction.from_dict({"chart": FOLD[1], "potential": FOLD[3], "eps_q": "1"})
+    field_, (ref_rhs, _) = ch._metric_field(gf), reference_kernels.compile_for(gf)
     step, stages = field_.step, []
 
     def spy(*args):
@@ -743,7 +755,7 @@ def test_trace_ends_at_the_boundary_inside_a_step(monkeypatch, capsys):
 
             def counted(*state):
                 calls.append(state)
-                return field_.rhs(*state)
+                return ref_rhs(*state)
 
             with pytest.raises(MetricSingularError):
                 reference_kernels.rk4_step(counted, *args[:4])

@@ -32,6 +32,7 @@ def test_ordered_reorders_axes():
 
 def test_one_node_axis():
     assert list(Grid((Axis("y", 0.25, 0.25, 1),)).nodes()) == [(0.25,)]
+    assert list(Grid((Axis("x", 0.0, 1.0, 1),)).nodes()) == [(0.0,)]  # lo alone
 
 
 @pytest.mark.parametrize("text", [

@@ -266,6 +266,14 @@ def test_single_term_products_and_powers_match_reference(text):
         _assert_same(got, want)
 
 
+def test_products_with_a_zero_factor_are_zero():
+    # A zero factor times a factor of several terms multiplies no terms.
+    for text in ["0*(x+y)", "(x+y)*0", "(x-x)*(y+1)^2", "(x+y)*(Z-Z)*3"]:
+        got = new.parse_poly(text, XYZ)
+        _assert_same(got, ref.parse_poly(text, XYZ))
+        assert got.is_zero
+
+
 def test_cancelled_terms_reenter_at_the_end():
     # A term that cancels leaves the map; when it comes back it is appended.
     for text in ["x - x + y + x", "Z^2 + x - Z^2 + y + Z^2/2", "(x + 1)*(x - 1) - x^2 + y + x^2"]:

@@ -196,6 +196,16 @@ def test_refine_stops_at_an_exact_midpoint_root():
     assert spy.points == [1, 0, Fraction(3, 8)]
 
 
+def test_refine_on_an_interval_already_narrower_than_the_stop_test():
+    # (m - 1, m + 1]/2^60 around sqrt(2) passes the stop test at once, so
+    # _jump returns before estimating and the bisection gives the midpoint.
+    m = math.isqrt(2 * 2 ** 120)
+    a, b = Fraction(m - 1, 2 ** 60), Fraction(m + 1, 2 ** 60)
+    want = reference_refine(_coeffs(-2, 0, 1), a, b, REFINE_TOL)
+    assert want == Fraction(101904826760412361, 2 ** 56)
+    assert _refine_fractions(_Sign([-2, 0, 1]), a, b) == want
+
+
 def test_isolation_restarts_at_exact_rational_midpoints():
     # Z^3 - 6 Z^2 + 11 Z - 6: bound 12 bisects onto 3, then bound 4 onto 2.
     poly = [-6, 11, -6, 1]

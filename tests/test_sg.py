@@ -207,11 +207,14 @@ def test_degenerate_branch_by_index_is_no_branch(fold_gf):
         branch_state(fold_gf, (1.0, 0.0, 0.5), 0)
 
 
-@pytest.mark.parametrize("branch", [1.5, 0.9, "1", None])
+@pytest.mark.parametrize("branch", [1.5, 0.9, "1", None, -1, True])
 def test_branch_index_must_be_an_integer(fold_gf, branch):
-    # int() would truncate 1.5 to branch 1 and 0.9 to branch 0.
-    with pytest.raises(ValueError, match="branch must be 'convex' or an index"):
-        branch_state(fold_gf, (2, 0, -1), branch)
+    # int() would truncate 1.5 to branch 1 and 0.9 to branch 0; -1 would
+    # name no branch, and True would be taken as branch 1.  The branch is
+    # read before the fiber, so a base point outside the domain is no excuse.
+    for base in ((2, 0, -1), (0, 0, 1)):
+        with pytest.raises(ValueError, match="branch must be 'convex' or an index"):
+            branch_state(fold_gf, base, branch)
 
 
 def test_numpy_branch_index_and_base_point(fold_gf):
