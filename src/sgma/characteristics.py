@@ -13,20 +13,23 @@ oracle, including the semicubical cusp law at the parabolic boundary.
 For speed, each generating function's metric is compiled once (and kept in
 a bounded cache) into two generated straight-line Python functions: one
 evaluates the determinant, scale, invariants and H of a state together
-with Hamilton's right-hand side, which is the state's velocity and the next
-step's first RK4 stage k1, and one takes a whole RK4 step: it evaluates
-stages k2 to k4 inline, forms the candidate, applies the finite and box
-guards, and evaluates the candidate as the first does, so a trace makes one
-call per step and reuses each accepted state's k1.  Each entry of h and of
-its derivatives is evaluated as ``Poly.eval`` evaluates it, whatever the
-order of its terms, and the textbook sums over the entries in order, except
-that products with a structurally zero factor (a zero entry of h, of its
+with Hamilton's right-hand side, which is the state's velocity and the
+first RK4 stage k1 of a step from it, and one runs a trace's whole
+fixed-step loop: per step it evaluates stages k2 to k4 inline, forms the
+candidate, applies the finite and box guards, evaluates the candidate as
+the first does, applies the stop, signature, singular and H_TOL guards and
+appends the accepted state and its log entry, so a trace makes one call
+and reuses each accepted state's k1.  Each entry of h and of its
+derivatives is evaluated as ``Poly.eval`` evaluates it, whatever the order
+of its terms, and the textbook sums over the entries in order, except that
+products with a structurally zero factor (a zero entry of h, of its
 derivatives, or of its adjugate) are left out of the sums that start from
 the int 0, where adding such a +-0.0 changes nothing for finite operands,
 and the scale max(1, max|h_ij|) reads h00 and then each distinct nonzero
-entry once.  So equal generating functions trace to equal bits.  A metric
-that leaves the float range (an overflowing power, or a non-finite det h)
-is a DomainError at a single point and ends a trace as diverged.
+entry once, by comparisons alone.  So equal generating functions trace to
+equal bits.  A metric that leaves the float range (an overflowing power,
+or a non-finite det h) is a DomainError at a single point and ends a trace
+as diverged.
 """
 
 from __future__ import annotations
@@ -62,17 +65,9 @@ class BicharState:
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(_floats(tuple(self.q), "position")))
         object.__setattr__(self, "p", tuple(_floats(tuple(self.p), "momentum")))
+        object.__setattr__(self, "s", _floats((self.s,), "arc parameter")[0])
         if len(self.q) != 3 or len(self.p) != 3:
             raise ValueError("q and p must each have 3 components")
-
-
-def _trusted_state(q, p, s) -> BicharState:
-    # A state the integrator built from float 3-tuples: nothing to coerce or
-    # check, so __post_init__ is skipped.
-    state = object.__new__(BicharState)
-    fields = state.__dict__
-    fields["q"], fields["p"], fields["s"] = q, p, s
-    return state
 
 
 class Termination(str, enum.Enum):
@@ -103,11 +98,12 @@ def _singular(det: float) -> MetricSingularError:
 # inverse and sums.  Every sum starts from the int 0, as sum() does, so a lone
 # -0.0 becomes 0.0; products keep a fixed order.  The entries of h and their
 # powers come before det; those of d_k h after the singular test of a stage
-# and the det == 0 return of ``state_rhs``.  ``step`` is the RK4 glue of a
-# trace in one frame: the stage body three times, each at the arguments the
-# reference step passes its ``rhs``, the update in the reference step's
-# operation order, the guards, then the ``state_rhs`` lines at the
-# candidate.
+# and the det == 0 test of a state.  ``trace`` is the loop of
+# trace_bicharacteristic in one frame: per step the stage body three times,
+# each at the arguments the reference step passes its ``rhs``, the update in
+# the reference step's operation order, the finite and box guards, the
+# ``state_rhs`` lines at the candidate, then the guards of the reference
+# trace loop in its order, with _sign_pattern and _check_regular written out.
 #
 # Structural zeros are dropped: the zero entries of h and of its
 # derivatives, and every adjugate entry a_ij whose two cofactor products
@@ -116,11 +112,17 @@ def _singular(det: float) -> MetricSingularError:
 # -0.0, so adding +-0.0 leaves it unchanged; the products are left out of
 # the sums w = h^{-1} p, pdot and H, and the dropped a_ij and derivative
 # entries are never computed.  The scale s = max(1.0, max(|h00|, ...)) reads
-# h00 and then each other entry whose source is neither zero nor an alias:
-# max() keeps NaN only in first place, and a repeated or +0.0 operand never
-# beats a value already taken, so s keeps its bits.  The determinant,
-# invariants and singular test keep their full templates, since the sign of
-# a zero matters there.
+# h00 and then each other entry whose source is neither zero nor an alias,
+# and is computed by comparisons, with no call: s starts as h00 or -h00, an
+# entry m replaces it where m > s or -m > s, and s becomes 1.0 unless
+# s > 1.0.  max() keeps its first operand unless a later one is strictly
+# greater, so NaN survives only in first place, and a repeated or +-0.0
+# operand never beats a value already taken.  The chain makes the same
+# choices, since negation changes only the sign of a zero or a NaN, which no
+# comparison reads; and that sign never reaches s, because a zero or a NaN
+# never passes s > 1.0.  So s keeps its bits.  The determinant, invariants
+# and singular test keep their full templates, since the sign of a zero
+# matters there.
 
 def _sum_source(products, zero: set) -> str:
     # products: tuples of factor names, multiplied left to right.
@@ -183,11 +185,18 @@ def _entry_lines(horner, names, polys, known: dict, skip=frozenset()) -> list:
     return horner.lines[start:]
 
 
-def _scale_source(scaled) -> str:
-    # s = max(1, max |h_ij|) over the names in ``scaled``, h00 first.
-    if len(scaled) == 1:
-        return f"s = max(1.0, abs({scaled[0]}))"
-    return "s = max(1.0, max({}))".format(", ".join(f"abs({n})" for n in scaled))
+def _scale_lines(scaled) -> list:
+    # s = max(1.0, max(|h00|, ...)) over the names in ``scaled``, h00 first,
+    # by comparisons only (see the comment block above).
+    first = scaled[0]
+    lines = [f"s = {first} if {first} > 0.0 else -{first}"]
+    for n in scaled[1:]:
+        lines += [f"if {n} > s:", f"    s = {n}", f"elif -{n} > s:", f"    s = -{n}"]
+    return [*lines, "if not s > 1.0:", "    s = 1.0"]
+
+
+def _indented(lines, depth: int = 1) -> list:
+    return ["    " * depth + line for line in lines]
 
 
 _VARS = ("q0", "q1", "q2", *_P)
@@ -198,28 +207,42 @@ def _stage_names(k: int) -> str:
     return ", ".join(f"k{k}{v}" for v in _VARS)
 
 
-def _compile_kernels(entries, d_entries):
-    """Generate ``state_rhs`` and ``step`` for the metric with these exact entries.
+def _log_source(cyclic: bool) -> str:
+    # The log entry of the state (q0, q1, q2) with H, det and k1.
+    conserved = ', "xdotZ": k1q0 * q2, "ydot": k1q1' if cyclic else ""
+    return f'append_log({{"H": H, "det_h": det{conserved}}})'
+
+
+def _compile_kernels(entries, d_entries, cyclic: bool):
+    """Generate ``state_rhs`` and ``trace`` for the metric with these exact entries.
 
     ``state_rhs(q0, q1, q2, p0, p1, p2)`` returns what an evaluated state
     needs: (det, s, i1, i2, H, k1), where s = max(1, max|h_ij|), i1 and i2
     are the trace and second invariant of h, and k1 is Hamilton's
     right-hand side (qdot0, qdot1, qdot2, pdot0, pdot1, pdot2), with
     qdot = 2w, w = h^{-1} p and pdot_k = w^T (d_k h) w: the state's velocity
-    is k1[:3], and the next RK4 step reuses k1.  H and k1 are None when det
-    is exactly 0.  It makes no singular test, so that callers run their own
-    guards first (see ``_check_regular``).
+    is k1[:3].  H and k1 are None when det is exactly 0.  It makes no
+    singular test, so that callers run their own guards first (see
+    ``_check_regular``).
 
-    ``step(q, p, k1, h, box)`` is one classical RK4 step of size h from the
-    state (q, p) whose ``state_rhs`` gave k1.  It evaluates stages k2, k3
-    and k4 inline, each by the stage body: the right-hand side after a
-    singular test that raises MetricSingularError when h is singular (see
-    ``SINGULAR_TOL``; a NaN det passes it, and the stage is then NaN).  It
-    forms the candidate (qn, pn) and returns ``Termination.DIVERGED`` when a
-    coordinate of it is not finite, then ``Termination.DOMAIN_EXIT`` when a
-    coordinate of qn lies outside [-box, box]; otherwise (qn, pn, det, s,
-    i1, i2, H, k1n) with the ``state_rhs`` values at the candidate.  Where
-    an operation overflows it raises OverflowError.
+    ``trace(append_state, append_log, q, p, arc, det, H, k1, h, max_steps,
+    box, stop_tol, signs0, counts0)`` is the fixed-step RK4 loop of
+    ``trace_bicharacteristic`` from the start state (q, p) at arc parameter
+    ``arc``, whose ``state_rhs`` gave det, H and k1, and whose sign pattern
+    and sign counts are signs0 and counts0.  It logs the start state, then
+    runs up to ``max_steps`` classical RK4 steps of size h, each in one
+    pass: stages k2, k3 and k4 inline, each by the stage body, the
+    right-hand side after a singular test (see ``SINGULAR_TOL``; a NaN det
+    passes it, and the stage is then NaN) that ends the trace at the
+    parabolic boundary; the candidate (qn, pn) and its finite and box
+    guards (``Termination.DIVERGED``, then ``Termination.DOMAIN_EXIT``); the
+    ``state_rhs`` body at the candidate, whose k1 the next step reuses;
+    then the guards of ``trace_bicharacteristic``.  Each accepted state
+    goes to ``append_state`` and its log entry (H, det h, and the conserved
+    quantities when ``cyclic``) to ``append_log``.  It returns the
+    termination; an OverflowError anywhere in the loop is
+    ``Termination.DIVERGED``, and a candidate that passes the stop and
+    signature tests but is singular raises MetricSingularError.
     """
     zero_h = _zero_names(_H, entries)
     zero = zero_h | _zero_inverse(zero_h)
@@ -229,49 +252,91 @@ def _compile_kernels(entries, d_entries):
     h_lines = _entry_lines(horner, _H, entries, known)
     # h00 comes first; of the other entries, those with their own nonzero value.
     scaled = [n for n in known.values() if n == "h00" or n not in zero_h]
-    head = [*h_lines, _DET, _scale_source(scaled)]
+    head = [*h_lines, _DET, *_scale_lines(scaled)]
     dh_lines = [line for k in range(3)
                 for line in _entry_lines(horner, _D[k], d_entries[k], known, zero)]
     inverse = [f"{_A[i][j]} = ({_COFACTORS[i][j]}) / det"
                for i in range(3) for j in range(3) if _A[i][j] not in zero]
     w_lines = [f"{_W[i]} = {_matvec_source(_A, _P, i, zero)}" for i in range(3)]
     rhs = ", ".join([f"2.0 * {w}" for w in _W] + [_quadform_source(d, _W, zero) for d in _D])
-    stage = [*head,
-             f"if abs(det) <= {SINGULAR_TOL!r} * s ** 3:",
-             "    raise _singular(det)",
-             *inverse, *w_lines, *dh_lines]
+    ham = _quadform_source(_A, _P, zero)
+    singular = f"abs(det) <= {SINGULAR_TOL!r} * s ** 3"
+    state_rhs = [*head, *_INVARIANTS,
+                 "if det == 0:",
+                 "    return det, s, i1, i2, None, None",
+                 *inverse, *w_lines, *dh_lines,
+                 f"return det, s, i1, i2, {ham}, ({rhs})"]
 
-    def state(returned: str) -> list:
-        # The state_rhs body at (q0, ..., p2), each return led by ``returned``.
-        return [*head, *_INVARIANTS,
-                "if det == 0:",
-                f"    return {returned}det, s, i1, i2, None, None",
-                *inverse, *w_lines, *dh_lines,
-                f"return {returned}det, s, i1, i2, {_quadform_source(_A, _P, zero)}, ({rhs})"]
-
-    # Stage k runs at the start state plus factor times stage k - 1; then
-    # q, p + h * (k1 + 2 k2 + 2 k3 + k4) / 6, the finite and box guards and
-    # the state_rhs body at the candidate.
-    rk4 = ["y0, y1, y2 = q", "y3, y4, y5 = p", "half = 0.5 * h", f"{_stage_names(1)} = k1"]
+    # One step: stage k at the start state plus factor times stage k - 1;
+    # the update q, p + h * (k1 + 2 k2 + 2 k3 + k4) / 6; the finite and box
+    # guards; the state_rhs body at the candidate (its k1 replaces the
+    # start's); the stop and signature tests, the singular test and the
+    # H_TOL test; then the accepted state becomes the next start.
+    step = []
     for k, factor in ((2, "half"), (3, "half"), (4, "h")):
-        rk4 += [f"{', '.join(_VARS)} = " + ", ".join(
-                    f"{y} + {factor} * k{k - 1}{v}" for y, v in zip(_START, _VARS)),
-                *stage, f"{_stage_names(k)} = ({rhs})"]
-    rk4 += ["sixth = h / 6.0",
-            *(f"{v} = {y} + sixth * (k1{v} + 2 * k2{v} + 2 * k3{v} + k4{v})"
-              for y, v in zip(_START, _VARS)),
-            f"if not ({' and '.join(f'isfinite({v})' for v in _VARS)}):",
-            "    return DIVERGED",
-            "if abs(q0) > box or abs(q1) > box or abs(q2) > box:",
-            "    return DOMAIN_EXIT",
-            *state("(q0, q1, q2), (p0, p1, p2), ")]
-    source = (codegen.function_source("state_rhs(q0, q1, q2, p0, p1, p2)", state(""))
-              + codegen.function_source("step(q, p, k1, h, box)", rk4))
+        step += [f"{', '.join(_VARS)} = " + ", ".join(
+                     f"{y} + {factor} * k{k - 1}{v}" for y, v in zip(_START, _VARS)),
+                 *head,
+                 f"if {singular}:",
+                 "    return PARABOLIC_BOUNDARY",
+                 *inverse, *w_lines, *dh_lines,
+                 f"{_stage_names(k)} = {rhs}"]
+    step += [*(f"{v} = {y} + sixth * (k1{v} + 2 * k2{v} + 2 * k3{v} + k4{v})"
+               for y, v in zip(_START, _VARS)),
+             f"if not ({' and '.join(f'isfinite({v})' for v in _VARS)}):",
+             "    return DIVERGED",
+             "if abs(q0) > box or abs(q1) > box or abs(q2) > box:",
+             "    return DOMAIN_EXIT",
+             *head, *_INVARIANTS,
+             "if det != 0:",
+             *_indented([*inverse, *w_lines, *dh_lines, f"H = {ham}",
+                         f"{_stage_names(1)} = {rhs}"]),
+             # A non-finite det is a float-range failure, not a boundary.
+             "if not isfinite(det):",
+             "    return DIVERGED",
+             # The sign pattern of _sign_pattern, against the start's.
+             f"t1 = {SINGULAR_TOL!r} * s",
+             "t2 = t1 * s",
+             "t3 = t2 * s",
+             "if abs(det) < stop_tol or (((i1 > t1) - (i1 < -t1) != g1"
+             " or (i2 > t2) - (i2 < -t2) != g2 or (det > t3) - (det < -t3) != g3)"
+             " and _sign_counts(i1, i2, det, s) != counts0):",
+             "    return PARABOLIC_BOUNDARY",
+             f"if {singular}:",  # det == 0, the state without H, is singular too
+             "    raise _singular(det)",
+             f"if abs(H) > {H_TOL!r}:",
+             "    return PARABOLIC_BOUNDARY if abs(det) < 0.5 * abs(det0) else DIVERGED",
+             "arc = arc + h",
+             f"{', '.join(_START)} = {', '.join(_VARS)}",
+             "state = new(BicharState)",
+             "fields = state.__dict__",
+             'fields["q"], fields["p"], fields["s"] = (q0, q1, q2), (p0, p1, p2), arc',
+             "append_state(state)",
+             _log_source(cyclic)]
+    trace = ["q0, q1, q2 = y0, y1, y2 = q",
+             "p0, p1, p2 = y3, y4, y5 = p",
+             f"{_stage_names(1)} = k1",
+             _log_source(cyclic),
+             "det0 = det",
+             "g1, g2, g3 = signs0",
+             "half = 0.5 * h",
+             "sixth = h / 6.0",
+             "try:",
+             "    for _ in range(max_steps):",
+             *_indented(step, 2),
+             "except OverflowError:",
+             "    return DIVERGED",
+             "return MAX_STEPS"]
+    source = (codegen.function_source("state_rhs(q0, q1, q2, p0, p1, p2)", state_rhs)
+              + codegen.function_source(
+                  "trace(append_state, append_log, q, p, arc, det, H, k1, h, max_steps,"
+                  " box, stop_tol, signs0, counts0)", trace))
     namespace = {f"c{k}": c for k, c in enumerate(horner.coefficients)}
-    namespace.update(_singular=_singular, isfinite=math.isfinite,
-                     DIVERGED=Termination.DIVERGED, DOMAIN_EXIT=Termination.DOMAIN_EXIT)
+    namespace.update(_singular=_singular, _sign_counts=_sign_counts, isfinite=math.isfinite,
+                     new=object.__new__, BicharState=BicharState,
+                     **{t.name: t for t in Termination})
     return codegen.compile_functions(source, "<sgma metric kernels>",
-                                     ("state_rhs", "step"), namespace)
+                                     ("state_rhs", "trace"), namespace)
 
 
 class _MetricField:
@@ -279,11 +344,12 @@ class _MetricField:
 
     Holds the two kernels generated from the exact entries of h and their
     exact derivatives (see ``_compile_kernels``): ``state_rhs`` for every
-    state evaluated outside a step (single points and a trace's initial
-    state), and ``step`` for a trace's steps, which evaluates each candidate
-    as ``state_rhs`` does and returns its k1 for the next step.  ``cyclic``
-    tells whether h has the cyclic diagonal structure of the canonical fold
-    metric, whose conserved quantities the trace log then records.
+    state evaluated outside a trace's loop (single points and a trace's
+    initial state), and ``trace`` for a trace's whole loop, which evaluates
+    each candidate as ``state_rhs`` does and reuses its k1 for the next
+    step.  ``cyclic`` tells whether h has the cyclic diagonal structure of
+    the canonical fold metric, whose conserved quantities the trace log
+    then records.
     """
 
     def __init__(self, gf: GeneratingFunction):
@@ -293,8 +359,8 @@ class _MetricField:
             tuple(tuple(entries[i][j].diff(v) for j in range(3)) for i in range(3))
             for v in cs
         )
-        self.state_rhs, self.step = _compile_kernels(entries, d_entries)
         self.cyclic = self._detect_cyclic(entries, cs)
+        self.state_rhs, self.trace = _compile_kernels(entries, d_entries, self.cyclic)
 
     @staticmethod
     def _detect_cyclic(entries, cs) -> bool:
@@ -458,14 +524,6 @@ def _sign_counts(i1, i2, i3, s):
     return n_pos, n_neg
 
 
-def _log_entry(cyclic: bool, q, H, det, k1) -> dict:
-    entry = {"H": H, "det_h": det}
-    if cyclic:
-        entry["xdotZ"] = k1[0] * q[2]
-        entry["ydot"] = k1[1]
-    return entry
-
-
 def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
                            step: float = 1e-3, max_steps: int = 1000,
                            stop_tol: float | None = None, box: float = 10.0) -> Trace:
@@ -499,52 +557,18 @@ def trace_bicharacteristic(gf: GeneratingFunction, initial: BicharState,
     if not (box > 0 and math.isfinite(box)) or (
             stop_tol is not None and not math.isfinite(stop_tol)):
         raise ValueError("box must be positive and finite, stop_tol finite")
-    q, p, s = initial.q, initial.p, initial.s
+    q, p = initial.q, initial.p
     field_ = _metric_field(gf)
-    advance, cyclic = field_.step, field_.cyclic
     det0, scale, i1, i2, H0, k1 = _evaluate_state(field_, q, p)
     if abs(H0) > 1e-10:
         raise DomainError(f"initial condition is not null: H = {H0:g}")
     if stop_tol is None:
         stop_tol = 1e-6 * abs(det0)
-    signs0 = _sign_pattern(i1, i2, det0, scale)
-    counts0 = _sign_counts(i1, i2, det0, scale)
-    states = [initial]
-    log = [_log_entry(cyclic, q, H0, det0, k1)]
-    termination = Termination.MAX_STEPS
-    for _ in range(max_steps):
-        try:
-            out = advance(q, p, k1, step, box)
-        except MetricSingularError:
-            termination = Termination.PARABOLIC_BOUNDARY
-            break
-        except OverflowError:
-            termination = Termination.DIVERGED
-            break
-        if out.__class__ is Termination:  # DIVERGED or DOMAIN_EXIT
-            termination = out
-            break
-        qn, pn, det, scale, i1, i2, H, k1n = out
-        # A non-finite det is a float-range failure, not a boundary.
-        if math.isfinite(det) and (
-                abs(det) < stop_tol
-                or (_sign_pattern(i1, i2, det, scale) != signs0
-                    and _sign_counts(i1, i2, det, scale) != counts0)):
-            termination = Termination.PARABOLIC_BOUNDARY
-            break
-        try:
-            _check_regular(det, scale, H)
-        except OverflowError:
-            termination = Termination.DIVERGED
-            break
-        if abs(H) > H_TOL:
-            termination = (Termination.PARABOLIC_BOUNDARY
-                           if abs(det) < 0.5 * abs(det0)
-                           else Termination.DIVERGED)
-            break
-        q, p, s, k1 = qn, pn, s + step, k1n
-        states.append(_trusted_state(q, p, s))
-        log.append(_log_entry(cyclic, q, H, det, k1))
+    states, log = [initial], []
+    termination = field_.trace(states.append, log.append, q, p, initial.s, det0, H0, k1,
+                               step, max_steps, box, stop_tol,
+                               _sign_pattern(i1, i2, det0, scale),
+                               _sign_counts(i1, i2, det0, scale))
     return Trace(states=states, termination=termination, conserved_log=log)
 
 

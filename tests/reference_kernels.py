@@ -1,16 +1,19 @@
-"""Reference RK4 kernels: the dense straight-line templates and the RK4 step.
+"""Reference RK4 kernels: the dense straight-line templates, the RK4 step and the trace loop.
 
 The plain generator that ``sgma.characteristics._compile_kernels`` must
 reproduce: every entry of h and of its derivatives, each evaluated by the
 recursive Horner walk of ``reference_poly`` (``_build_tree`` and
 ``_eval_tree``), all nine adjugate entries and every product of the sums,
-with no structural zero dropped.
+with no structural zero dropped, and the scale read by ``max``.
 The tests require the generated ``state_rhs`` to return the values of this
 ``state`` (its qdot as k1[:3]) and, where this ``rhs`` returns, k1 to be
 its value, by ``repr``, and to raise the same exception types.  The
-generated ``step`` must give what ``step`` below gives from this ``rhs``
-and ``state``: ``rk4_step``, stage by stage, then the guards and the state
-at the candidate.  It is the oracle, so keep it as it is rather than fast.
+generated ``trace`` must give the states, log and termination that
+``trace`` below gives from this ``rhs`` and ``state``: a loop of ``step``
+(``rk4_step``, stage by stage, then the finite and box guards and the state
+at the candidate), the stop, signature, singular and H_TOL guards in turn,
+and k1 for the next step from ``rhs`` at each accepted state.  It is the
+oracle, so keep it as it is rather than fast.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import math
 
 from reference_poly import _EMPTY, _build_tree, _eval_tree
 
-from sgma.characteristics import SINGULAR_TOL, Termination, _singular
-from sgma.errors import DomainError
+from sgma.characteristics import H_TOL, SINGULAR_TOL, BicharState, Termination, Trace, \
+    _check_regular, _sign_counts, _sign_pattern, _singular
+from sgma.errors import DomainError, MetricSingularError
 from sgma.ma_core import pullback_metric_polys
 
 
@@ -163,3 +167,77 @@ def step(rhs, state, q, p, k1, h, box):
     if any(abs(v) > box for v in qn):
         return Termination.DOMAIN_EXIT
     return (qn, pn, *state(*qn, *pn))
+
+
+def _trusted_state(q, p, s) -> BicharState:
+    # A state built from float 3-tuples: nothing to coerce or check, so
+    # __post_init__ is skipped.
+    state = object.__new__(BicharState)
+    fields = state.__dict__
+    fields["q"], fields["p"], fields["s"] = q, p, s
+    return state
+
+
+def _log_entry(cyclic: bool, q, H, det, k1) -> dict:
+    entry = {"H": H, "det_h": det}
+    if cyclic:
+        entry["xdotZ"] = k1[0] * q[2]
+        entry["ydot"] = k1[1]
+    return entry
+
+
+def trace(rhs, state, cyclic, initial, k1, h, max_steps, box, stop_tol=None) -> Trace:
+    """The fixed-step RK4 trace from ``initial``, whose ``rhs`` is k1.
+
+    ``stop_tol`` None is 1e-6 |det h| at the start, as in
+    ``trace_bicharacteristic``, which adds the checks of its arguments and
+    of the start; ``cyclic`` adds the conserved quantities to the log.
+    """
+    q, p, s = initial.q, initial.p, initial.s
+    det0, scale, i1, i2, H0, *_ = state(*q, *p)
+    if stop_tol is None:
+        stop_tol = 1e-6 * abs(det0)
+    signs0 = _sign_pattern(i1, i2, det0, scale)
+    counts0 = _sign_counts(i1, i2, det0, scale)
+    states = [initial]
+    log = [_log_entry(cyclic, q, H0, det0, k1)]
+    termination = Termination.MAX_STEPS
+    for _ in range(max_steps):
+        try:
+            out = step(rhs, state, q, p, k1, h, box)
+        except MetricSingularError:
+            termination = Termination.PARABOLIC_BOUNDARY
+            break
+        except OverflowError:
+            termination = Termination.DIVERGED
+            break
+        if out.__class__ is Termination:  # DIVERGED or DOMAIN_EXIT
+            termination = out
+            break
+        qn, pn, det, scale, i1, i2, H, *_ = out
+        # A non-finite det is a float-range failure, not a boundary.
+        if math.isfinite(det) and (
+                abs(det) < stop_tol
+                or (_sign_pattern(i1, i2, det, scale) != signs0
+                    and _sign_counts(i1, i2, det, scale) != counts0)):
+            termination = Termination.PARABOLIC_BOUNDARY
+            break
+        try:
+            _check_regular(det, scale, H)
+        except OverflowError:
+            termination = Termination.DIVERGED
+            break
+        if abs(H) > H_TOL:
+            termination = (Termination.PARABOLIC_BOUNDARY
+                           if abs(det) < 0.5 * abs(det0)
+                           else Termination.DIVERGED)
+            break
+        try:
+            k1n = rhs(*qn, *pn)  # regular: the singular test of rhs passes
+        except OverflowError:
+            termination = Termination.DIVERGED
+            break
+        q, p, s, k1 = qn, pn, s + h, k1n
+        states.append(_trusted_state(q, p, s))
+        log.append(_log_entry(cyclic, q, H, det, k1))
+    return Trace(states=states, termination=termination, conserved_log=log)

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_kernels
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from sgma import characteristics as ch
 from sgma import cli, codegen
@@ -118,6 +119,27 @@ def test_null_project_exact_point_beyond_float_range_is_domain_error(fold_gf):
 def test_bichar_state_of_wrong_length_is_value_error():
     with pytest.raises(ValueError, match="q and p must each have 3 components"):
         BicharState((0, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("s, error, message", [
+    (math.nan, DomainError, r"^arc parameter is not finite: \(nan,\)$"),
+    (-math.inf, DomainError, "arc parameter is not finite"),
+    (10 ** 400, DomainError, "arc parameter is not finite"),
+    ("x", ValueError, "value 'x' is not a number"),
+    (None, ValueError, "value None is not a number"),
+])
+def test_bichar_state_reads_its_arc_parameter_as_q_and_p(s, error, message):
+    with pytest.raises(error, match=message):
+        BicharState((0, 0, 1), (0, 1, 1), s)
+
+
+def test_trace_counts_arc_from_a_read_arc_parameter(fold_gf):
+    for s in (2, Fraction(1, 2), np.float64(0.25)):
+        start = BicharState((0, 0, 1), (0, 1, 1), s)
+        assert type(start.s) is float and start.s == s
+        trace = trace_bicharacteristic(fold_gf, start, max_steps=2)
+        assert [state.s for state in trace.states] == [start.s, start.s + 1e-3,
+                                                       start.s + 1e-3 + 1e-3]
 
 
 def test_null_project_argument_checks(fold_gf):
@@ -239,13 +261,41 @@ def _reference_candidate(gf, start, step):
     return (k1, *reference_kernels.rk4_step(ref_rhs, start.q, start.p, k1, step))
 
 
+def _generated_trace(field_, start, step, max_steps, box, stop_tol=None):
+    # The kernel call of trace_bicharacteristic without its checks, so that
+    # any start whose state_rhs returns H and k1 can be traced.
+    det0, scale, i1, i2, H0, k1 = field_.state_rhs(*start.q, *start.p)
+    if stop_tol is None:
+        stop_tol = 1e-6 * abs(det0)
+    states, log = [start], []
+    termination = field_.trace(states.append, log.append, start.q, start.p, start.s, det0, H0,
+                               k1, step, max_steps, box, stop_tol,
+                               ch._sign_pattern(i1, i2, det0, scale),
+                               ch._sign_counts(i1, i2, det0, scale))
+    return ch.Trace(states=states, termination=termination, conserved_log=log)
+
+
+def _reference_trace(field_, ref, start, step, max_steps, box, stop_tol=None):
+    ref_rhs, ref_state = ref
+    return reference_kernels.trace(ref_rhs, ref_state, field_.cyclic, start,
+                                   ref_rhs(*start.q, *start.p), step, max_steps, box, stop_tol)
+
+
+def _first_step(gf, start, step, box):
+    # The generated trace of one step, once it equals the reference's by repr.
+    field_ = ch._metric_field(gf)
+    got = _generated_trace(field_, start, step, 1, box)
+    want = _reference_trace(field_, reference_kernels.compile_for(gf), start, step, 1, box)
+    assert repr(got) == repr(want)
+    return got
+
+
 def test_trace_diverges_on_overflow_in_rk4_stage(tripwire_gf):
     start = _tripwire_start(tripwire_gf)
-    field_ = ch._metric_field(tripwire_gf)
     with pytest.raises(OverflowError):
         _reference_candidate(tripwire_gf, start, 1e4)
-    with pytest.raises(OverflowError):
-        field_.step(start.q, start.p, _start_k1(tripwire_gf, start), 1e4, 1e6)
+    first = _first_step(tripwire_gf, start, 1e4, 1e6)
+    assert first.termination is Termination.DIVERGED and len(first.states) == 1
     trace = trace_bicharacteristic(tripwire_gf, start, step=1e4, box=1e6)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -260,8 +310,8 @@ def test_trace_diverges_on_overflow_at_accepted_state(tripwire_gf):
     assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
     with pytest.raises(OverflowError):
         field_.state_rhs(*qn, *pn)
-    with pytest.raises(OverflowError):
-        field_.step(start.q, start.p, k1, 1.0, 2000.0)
+    first = _first_step(tripwire_gf, start, 1.0, 2000.0)
+    assert first.termination is Termination.DIVERGED and len(first.states) == 1
     trace = trace_bicharacteristic(tripwire_gf, start, step=1.0, box=2000.0)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -302,10 +352,11 @@ def test_trace_diverges_when_singular_test_overflows():
                         (-0.3048856730857161, 1.6836179406763991, -2.1402840480820995))
     step = 1.0567547325165856e102
     field_ = ch._metric_field(gf)
-    k1, qn, pn = _reference_candidate(gf, start, step)
-    det, s, *_ = candidate = field_.state_rhs(*qn, *pn)
+    _, qn, pn = _reference_candidate(gf, start, step)
+    det, s, *_ = field_.state_rhs(*qn, *pn)
     assert math.isfinite(det) and 5.6e102 < s < math.inf
-    assert repr(field_.step(start.q, start.p, k1, step, 1e6)) == repr((qn, pn, *candidate))
+    first = _first_step(gf, start, step, 1e6)
+    assert first.termination is Termination.DIVERGED and len(first.states) == 1
     trace = trace_bicharacteristic(gf, start, step=step, max_steps=300, box=1e6)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -322,11 +373,11 @@ def test_trace_diverges_on_non_finite_metric_at_candidate():
     )
     start = _tripwire_start(gf)
     field_ = ch._metric_field(gf)
-    k1, qn, pn = _reference_candidate(gf, start, 1.0)
+    _, qn, pn = _reference_candidate(gf, start, 1.0)
     assert all(map(math.isfinite, qn + pn)) and max(map(abs, qn)) < 2000
-    candidate = field_.state_rhs(*qn, *pn)
-    assert not math.isfinite(candidate[0])
-    assert repr(field_.step(start.q, start.p, k1, 1.0, 2000.0)) == repr((qn, pn, *candidate))
+    assert not math.isfinite(field_.state_rhs(*qn, *pn)[0])
+    first = _first_step(gf, start, 1.0, 2000.0)
+    assert first.termination is Termination.DIVERGED and len(first.states) == 1
     trace = trace_bicharacteristic(gf, start, step=1.0, box=2000.0)
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
@@ -340,11 +391,32 @@ def test_trace_diverges_when_candidate_leaves_null_cone(fold_gf):
     assert trace.termination is Termination.DIVERGED
     assert len(trace.states) == 1
     field_ = ch._metric_field(fold_gf)
-    k1, qn, pn = _reference_candidate(fold_gf, start, 0.3)
-    det, _, _, _, H, _ = candidate = field_.state_rhs(*qn, *pn)
-    assert repr(field_.step(start.q, start.p, k1, 0.3, 10.0)) == repr((qn, pn, *candidate))
+    _, qn, pn = _reference_candidate(fold_gf, start, 0.3)
+    det, _, _, _, H, _ = field_.state_rhs(*qn, *pn)
+    first = _first_step(fold_gf, start, 0.3, 10.0)
+    assert first.termination is Termination.DIVERGED and len(first.states) == 1
     assert ch.H_TOL < abs(H) <= 1.0
     assert abs(det) > abs(trace.conserved_log[0]["det_h"])
+
+
+def test_singular_candidate_past_the_stop_and_signature_tests_raises(fold_gf):
+    # This step takes the downhill fold ray from Z = 0.04 across Z = 0, every
+    # stage regular, to a candidate at Z ~ -2.6e-10 whose det h ~ 5e-19 is
+    # singular.  The signature change ends the trace at the boundary, whatever
+    # stop_tol; given the candidate's own sign pattern and counts as the
+    # start's, the trace kernel reaches the singular test, which raises.
+    start = _null_state(0.0, 1.0, 0.04, downhill=True)
+    step = 0.19805768817663194
+    field_ = ch._metric_field(fold_gf)
+    _, qn, pn = _reference_candidate(fold_gf, start, step)
+    det, s, i1, i2, _, _ = field_.state_rhs(*qn, *pn)
+    assert 0.0 < abs(det) <= ch.SINGULAR_TOL * s ** 3
+    trace = trace_bicharacteristic(fold_gf, start, step=step, stop_tol=-1.0)
+    assert trace.termination is Termination.PARABOLIC_BOUNDARY and len(trace.states) == 1
+    det0, _, _, _, H0, k1 = field_.state_rhs(*start.q, *start.p)
+    with pytest.raises(MetricSingularError):
+        field_.trace([].append, [].append, start.q, start.p, 0.0, det0, H0, k1, step, 1, 10.0,
+                     -1.0, ch._sign_pattern(i1, i2, det, s), ch._sign_counts(i1, i2, det, s))
 
 
 def _descartes_reference(i1, i2, i3, s):
@@ -651,13 +723,18 @@ def test_kernels_match_dense_reference(kernel_pairs, point):
     # raises, the tripwire's overflow range (|x| > 50) included: its
     # derivative part never overflows alone, so a trace needs no fallback
     # for a state whose k1 cannot be evaluated.  With k1 = -0.0, stage k2
-    # of a step runs at the point itself, since x + h/2 * -0.0 is x for
-    # every float x: the stage raises where the reference rhs raises.
+    # of the first step of a trace runs at the point itself, since
+    # x + h/2 * -0.0 is x for every float x: the stage ends the trace where
+    # the reference rhs raises, at the boundary where it raises
+    # MetricSingularError and as diverged where it overflows.
     for field_, (ref_rhs, ref_state) in kernel_pairs:
         stage = _outcome(ref_rhs, point)
         if isinstance(stage, type):
-            assert _outcome(field_.step, (point[:3], point[3:], (-0.0,) * 6, 1.0, 1e300)) \
-                is stage
+            states, log = [], []
+            assert field_.trace(states.append, log.append, point[:3], point[3:], 0.0, 0.0, 0.0,
+                                (-0.0,) * 6, 1.0, 1, 1e300, 0.0, (0, 0, 0), (0, 0)) \
+                is _STAGE_ENDS[stage]
+            assert not states and len(log) == 1
         want = _outcome(ref_state, point)
         if isinstance(want, type):
             assert _outcome(field_.state_rhs, point) is want
@@ -674,6 +751,10 @@ def test_kernels_match_dense_reference(kernel_pairs, point):
             assert repr(k1) == repr(ref_rhs(*point))
 
 
+_STAGE_ENDS = {MetricSingularError: Termination.PARABOLIC_BOUNDARY,
+               OverflowError: Termination.DIVERGED}
+
+
 def _raised_or_returned(fn, *args):
     # What fn returns, or the type of the arithmetic or domain error it raises.
     try:
@@ -685,32 +766,87 @@ def _raised_or_returned(fn, *args):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.tuples(*[_KERNEL_FLOATS] * 6),
        st.one_of(st.floats(1e-6, 1.0), st.sampled_from([0.3, 1.0, 1e4, 1e102, 1e200, 1e300])),
-       st.one_of(st.floats(0.0, 60.0), st.sampled_from([0.5, 10.0, 1e6, 1e300])))
-def test_step_matches_reference_step(kernel_pairs, point, step, box):
-    # From a state whose rhs returns, the generated step gives what the
-    # reference rhs three times, the RK4 update, the finite and box guards
-    # and the reference state at the candidate give: the same exception
-    # type, the same marker, or the same values by repr.
-    q, p = point[:3], point[3:]
-    for field_, (ref_rhs, ref_state) in kernel_pairs:
-        k1 = _raised_or_returned(ref_rhs, *point)
-        if isinstance(k1, type):
+       st.one_of(st.floats(0.0, 60.0), st.sampled_from([0.5, 10.0, 1e6, 1e300])),
+       st.sampled_from([None, 0.0, -1.0, 1e-3]))
+def test_step_matches_reference_step(kernel_pairs, point, step, box, stop_tol):
+    # From a state (null or not) whose rhs returns, the first step of the
+    # generated trace gives what the first step of the reference trace
+    # gives: the reference rhs three times, the RK4 update, the finite and
+    # box guards, the reference state at the candidate and the guards of
+    # the trace loop, with the same exception type, or the same states,
+    # log and termination by repr.
+    start = BicharState(point[:3], point[3:])
+    for field_, ref in kernel_pairs:
+        if isinstance(_raised_or_returned(ref[0], *point), type):
             continue
-        want = _raised_or_returned(reference_kernels.step, ref_rhs, ref_state,
-                                   q, p, k1, step, box)
-        got = _raised_or_returned(field_.step, q, p, k1, step, box)
-        if isinstance(want, (type, Termination)):
+        want = _raised_or_returned(_reference_trace, field_, ref, start, step, 1, box, stop_tol)
+        got = _raised_or_returned(_generated_trace, field_, start, step, 1, box, stop_tol)
+        if isinstance(want, type):
             assert got is want
-            continue
-        qn, pn, det, s, i1, i2, H, *qdot = want
-        *values, k1n = got
-        assert repr(values) == repr([qn, pn, det, s, i1, i2, H])
-        if H is None:
-            assert k1n is None
-            continue
-        assert repr(k1n[:3]) == repr(tuple(qdot))
-        if not isinstance(_raised_or_returned(ref_rhs, *qn, *pn), type):
-            assert repr(k1n) == repr(ref_rhs(*qn, *pn))
+        else:
+            assert repr(got) == repr(want)
+
+
+@pytest.fixture(scope="module")
+def trace_cases(fold_gf, tripwire_gf, member_gf):
+    """(gf, generated field, dense reference) for the traced metrics.
+
+    The fold, the tripwire (x^181 in h_11), the x^103 tripwire of
+    ``test_signature_guard_runs_before_singular_test`` and a family member
+    (non-cyclic, so its log has no conserved quantities).
+    """
+    x103 = GeneratingFunction(
+        ChartKind.DUAL_T, parse_poly("y^2/2 - x^2*Z/2 + Z^3/6 + x^105/10^60", XYZ), Fraction(1))
+    return [(gf, ch._metric_field(gf), reference_kernels.compile_for(gf))
+            for gf in (fold_gf, tripwire_gf, x103, member_gf)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.integers(0, 3),
+       st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.02, 1.2)),
+       st.tuples(st.floats(-0.6, 0.6), st.floats(-3.0, 3.0)), st.integers(0, 1),
+       st.one_of(st.floats(1e-3, 0.2), st.sampled_from([1e-3, 0.3, 1.0, 1e4])),
+       st.sampled_from([1.5, 30.0, 100.0, 2000.0, 1e6]),
+       st.sampled_from([None, 0.0, 1e-3, -1.0]), st.integers(0, 80))
+@example(1, (0.0, 0.0, 1.0), (0.4, 2.9), 1, 1e4, 1e6, None, 5)  # overflow in a stage
+@example(1, (0.0, 0.0, 1.0), (0.4, 2.9), 1, 1.0, 2000.0, None, 5)  # ... at the candidate
+@example(1, (0.0, 0.0, 1.0), (0.4, 2.9), 1, 1.0, 100.0, None, 5)  # box left at once
+@example(2, (0.0, 0.0, 1.0), (0.4, 2.9), 1, 1.0, 2000.0, None, 5)  # signature change
+def test_trace_matches_reference_trace(trace_cases, case, q, fixed, root, step, box, stop_tol,
+                                       max_steps):
+    # A whole trace from a null start: the generated trace kernel and the
+    # reference loop give the same states, log and termination by repr, or
+    # raise the same exception type.
+    gf, field_, ref = trace_cases[case]
+    roots = null_project(gf, q, fixed, 2)
+    assume(len(roots) > root)
+    start = BicharState(q, roots[root])
+    got = _raised_or_returned(trace_bicharacteristic, gf, start, step, max_steps, stop_tol, box)
+    want = _raised_or_returned(_reference_trace, field_, ref, start, step, max_steps, box,
+                               stop_tol)
+    if isinstance(want, type):
+        event(f"{case}: {want.__name__}")
+        assert got is want
+    else:
+        event(f"{case}: {want.termination.value}")
+        assert repr(got) == repr(want)
+
+
+def test_scale_chain_is_max_of_abs():
+    # The kernels' comparison chain gives the bits of max(1.0, max(abs(...)))
+    # over the entries in order: NaN only in first place, where max keeps
+    # it and the 1.0 then wins, and signed zeros and NaNs, which the chain
+    # does not make positive, never survive the clamp to 1.0.
+    values = [math.nan, -math.nan, 0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.inf,
+              -math.inf, 3.0]
+    for n in (1, 2, 3):
+        names = [f"h{k}" for k in range(n)]
+        source = codegen.function_source(f"scale({', '.join(names)})",
+                                         [*ch._scale_lines(names), "return s"])
+        scale, = codegen.compile_functions(source, "<scale test>", ("scale",))
+        for entries in itertools.product(values, repeat=n):
+            want = max(1.0, max(abs(v) for v in entries))
+            assert struct.pack("<d", scale(*entries)) == struct.pack("<d", want), entries
 
 
 def test_fold_kernels_drop_structural_zeros(fold_gf):
@@ -724,7 +860,7 @@ def test_fold_kernels_drop_structural_zeros(fold_gf):
              if entries[i][j].diff(coords[k]).is_zero}
     assert len(zero) == 6 + 25
     field_ = ch._metric_field(fold_gf)
-    for kernel in (field_.state_rhs, field_.step):
+    for kernel in (field_.state_rhs, field_.trace):
         code = kernel.__code__
         assert not zero & set(code.co_varnames + code.co_names), kernel.__name__
     assert field_.state_rhs(0.3, -0.1, 0.7, -0.4, 1.2, -0.5)[5][3:5] == (0.0, 0.0)
@@ -758,14 +894,21 @@ def test_long_entries_compile_and_kernels_read_h_as_pullback_metric(member_gf):
     # A Horner statement never nests sums, so an entry of 3000 terms compiles
     # as it is, and it is the value Poly.eval gives.
     P, entries, d_entries = _long_metric(3000, 7)
-    state_rhs, step = ch._compile_kernels(entries, d_entries)
+    field_ = object.__new__(ch._MetricField)
+    field_.cyclic = False
+    field_.state_rhs, field_.trace = ch._compile_kernels(entries, d_entries, False)
     q, p = (0.61, -0.83, 0.97), (1.0, 0.5, 0.25)
-    _, _, i1, _, _, k1 = state_rhs(*q, *p)
+    _, _, i1, _, _, k1 = field_.state_rhs(*q, *p)
     assert repr(i1) == repr(P.eval(q) + 1.0 + 1.0)
     assert all(math.isfinite(v) for v in k1)
-    ref_rhs, _ = reference_kernels.compile_kernels(entries, d_entries)
-    assert repr(step(q, p, k1, 1e-3, 10.0)) == repr(
-        reference_kernels.step(ref_rhs, state_rhs, q, p, k1, 1e-3, 10.0))
+    # One step from a null start where P < 0 (H = p0^2 / P + p1^2 + p2^2),
+    # accepted as the reference accepts it.
+    q = (-0.61, 0.83, 0.97)
+    start = BicharState(q, (math.sqrt(-P.eval(q) * 0.3125), 0.5, 0.25))
+    ref = reference_kernels.compile_kernels(entries, d_entries)
+    first = _generated_trace(field_, start, 1e-3, 1, 10.0, -1.0)
+    assert len(first.states) == 2
+    assert repr(first) == repr(_reference_trace(field_, ref, start, 1e-3, 1, 10.0, -1.0))
     # On every chart the kernels' h is pullback_metric's, to the bit.
     gfs = [member_gf] + [
         GeneratingFunction(ChartKind(chart), parse_poly(text, ChartKind(chart).coords), eps)
@@ -784,10 +927,10 @@ def test_long_entries_compile_and_kernels_read_h_as_pullback_metric(member_gf):
 
 
 def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):
-    # Only the initial state goes through state_rhs; each step evaluates its
-    # stages and its candidate itself.
+    # Only the initial state goes through state_rhs; the trace kernel
+    # evaluates every stage and candidate itself.
     field_ = ch._metric_field(fold_gf)
-    calls = {"state_rhs": 0, "step": 0}
+    calls = {"state_rhs": 0, "trace": 0}
 
     def counted(name, kernel):
         def call(*args):
@@ -795,11 +938,11 @@ def test_trace_reuses_accepted_state_for_k1(fold_gf, monkeypatch):
             return kernel(*args)
         return call
 
-    for name in ("state_rhs", "step"):
+    for name in ("state_rhs", "trace"):
         monkeypatch.setattr(field_, name, counted(name, getattr(field_, name)))
     trace = trace_bicharacteristic(fold_gf, _null_state(0.4, 1.2, 0.7), max_steps=25)
     assert trace.termination is Termination.MAX_STEPS and len(trace.states) == 26
-    assert calls == {"state_rhs": 1, "step": 25}
+    assert calls == {"state_rhs": 1, "trace": 1}
 
 
 def test_trusted_states_equal_validated_states(fold_gf):

@@ -742,33 +742,34 @@ def test_null_completion_overflow_names_the_point_only(capsys):
 
 def test_trace_ends_at_the_boundary_inside_a_step(monkeypatch, capsys):
     # The first step's stage k2 lands on Z = 0, where the fold metric is
-    # singular: the reference step shows where, and the generated step raises.
+    # singular: the reference step shows where, and the generated trace
+    # ends there, at the boundary, before it accepts a state.
     gf = GeneratingFunction.from_dict({"chart": FOLD[1], "potential": FOLD[3], "eps_q": "1"})
     field_, (ref_rhs, _) = ch._metric_field(gf), reference_kernels.compile_for(gf)
-    step, stages = field_.step, []
+    trace, stages = field_.trace, []
 
-    def spy(*args):
-        try:
-            return step(*args)
-        except MetricSingularError:
-            calls = []
+    def spy(append_state, append_log, q, p, arc, det, H, k1, h, *args):
+        accepted = []
+        termination = trace(accepted.append, append_log, q, p, arc, det, H, k1, h, *args)
+        calls = []
 
-            def counted(*state):
-                calls.append(state)
-                return ref_rhs(*state)
+        def counted(*state):
+            calls.append(state)
+            return ref_rhs(*state)
 
-            with pytest.raises(MetricSingularError):
-                reference_kernels.rk4_step(counted, *args[:4])
-            stages.append((len(calls) + 1, calls[-1][2]))  # k1 is not an rhs call here
-            raise
+        with pytest.raises(MetricSingularError):
+            reference_kernels.rk4_step(counted, q, p, k1, h)
+        # k1 is not an rhs call here, so calls[-1] is stage len(calls) + 1.
+        stages.append((termination, len(accepted), len(calls) + 1, calls[-1][2]))
+        return termination
 
-    monkeypatch.setattr(field_, "step", spy)
+    monkeypatch.setattr(field_, "trace", spy)
     code, out, _ = _run(capsys, ["trace", *FOLD, "--q", "0,0,0.5", "--p", "0,?,500",
                                  "--null-root", "1"])
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 3 and lines[-1] == "# termination=parabolic_boundary"
-    assert stages == [(2, 0.0)]
+    assert stages == [(ch.Termination.PARABOLIC_BOUNDARY, 0, 2, 0.0)]
 
 
 def test_non_finite_metric_of_a_member_exits_3(capsys):
